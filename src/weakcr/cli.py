@@ -10,13 +10,15 @@ Subcommands drive the five compute layers and emit machine-readable reports:
 
 Every subcommand accepts --out report.json (scans also --out report.csv),
 --tol to override check tolerances, and --seed for the randomized suites.
-Exit status is 0 exactly when every check passes; reports are byte-identical
-across runs with identical inputs.
+Exit status is 0 when every check passes, 1 when a check fails, and 2 for a
+bad argument or a failed precondition; reports are byte-identical across
+runs with identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -38,7 +40,6 @@ from .errors import WeakCRError
 from .expr import parse_to_poly
 from .fock import (
     basis_state,
-    boson_pair,
     coherent_state,
     quasi_strong_defect,
     swanson_pair,
@@ -56,7 +57,7 @@ from .ladder import (
     tail_mass_membership,
 )
 from .uncertainty import (
-    delta_report,
+    coherent_grid_states,
     matrix2x2_report,
     saturation_scan,
     swanson_closed_form,
@@ -92,7 +93,7 @@ def _json_safe(value):
 
 
 class Report:
-    """Accumulates a payload plus named pass/fail checks."""
+    """Accumulates a payload plus named pass/fail checks (and scan rows for .csv)."""
 
     def __init__(self, command, params, tolerances):
         self.data = {
@@ -104,6 +105,7 @@ class Report:
             "results": {},
             "checks": [],
         }
+        self.scan_rows = None
 
     def result(self, key, value):
         self.data["results"][key] = _json_safe(value)
@@ -153,44 +155,84 @@ def _write_out(report, path, scan_rows=None):
         raise WeakCRError(f"unsupported output extension in {path!r} (use .json or .csv)")
 
 
+@contextlib.contextmanager
+def _bad_value(kind, text, forms):
+    """Turn a ValueError while reading ``text`` into a WeakCRError naming it."""
+    try:
+        yield
+    except ValueError:
+        raise WeakCRError(f"bad {kind} {text!r} (expected {forms})") from None
+
+
+def _tolerances(args, **defaults):
+    """The command's default tolerances, each replaced by --tol when it is given."""
+    if args.tol is None:
+        return defaults
+    if not args.tol > 0:
+        raise WeakCRError(f"--tol must be a positive number, got {args.tol:g}")
+    return dict.fromkeys(defaults, args.tol)
+
+
 def _parse_model(text):
+    forms = "boson, swanson:t, matrix2x2:s,q"
     name, _, arg = text.partition(":")
-    if name == "boson":
-        return ("swanson", (0.0,))
-    if name == "swanson":
-        return ("swanson", (float(arg),)) if arg else ("swanson", (0.0,))
-    if name == "matrix2x2":
-        s, q = (float(v) for v in arg.split(","))
-        return ("matrix2x2", (s, q))
-    raise WeakCRError(f"unknown model {text!r} (expected boson, swanson:t, matrix2x2:s,q)")
+    with _bad_value("model", text, forms):
+        if name == "boson":
+            return ("swanson", (0.0,))
+        if name == "swanson":
+            return ("swanson", (float(arg or 0.0),))
+        if name == "matrix2x2":
+            s, q = (float(v) for v in arg.split(","))
+            return ("matrix2x2", (s, q))
+    raise WeakCRError(f"unknown model {text!r} (expected {forms})")
+
+
+def _swanson_model(args):
+    """The boson or swanson pair that --model names, at dimension --dim."""
+    kind, params = _parse_model(args.model)
+    if kind != "swanson":
+        raise WeakCRError(f"{args.command} supports the boson and swanson models")
+    return swanson_pair(params[0], args.dim)
 
 
 def _parse_state(text, dim):
+    forms = "coherent:re,im or basis:k"
     kind, _, arg = text.partition(":")
-    if kind == "coherent":
-        re_s, im_s = (arg.split(",") + ["0"])[:2] if arg else ("0", "0")
-        return coherent_state(complex(float(re_s), float(im_s)), dim)
-    if kind == "basis":
-        return basis_state(int(arg), dim)
-    raise WeakCRError(f"unknown state {text!r} (expected coherent:re,im or basis:k)")
+    with _bad_value("state", text, forms):
+        if kind == "coherent":
+            re_s, im_s = (arg.split(",") + ["0"])[:2] if arg else ("0", "0")
+            return coherent_state(complex(float(re_s), float(im_s)), dim)
+        if kind == "basis":
+            return basis_state(int(arg), dim)
+    raise WeakCRError(f"unknown state {text!r} (expected {forms})")
+
+
+def _parse_gridspec(text):
+    forms = "coherent:NxM or circle:K"
+    kind, _, arg = text.partition(":")
+    with _bad_value("grid", text, forms):
+        if kind == "coherent":
+            nx, _, ny = arg.partition("x")
+            counts = (int(nx), int(ny or nx))
+            if min(counts) < 0:
+                raise ValueError(arg)
+            return ("coherent", *counts)
+        if kind == "circle":
+            count = int(arg or 11)
+            if count < 2:
+                raise ValueError(arg)
+            return ("circle", count)
+    raise WeakCRError(f"unknown grid {text!r} (expected {forms})")
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each computes, prints its summary lines and returns its Report
 # ---------------------------------------------------------------------------
 
 
 def cmd_verify_cr(args):
-    kind, params = _parse_model(args.model)
-    if kind != "swanson":
-        raise WeakCRError("verify-cr supports the boson and swanson models")
-    theta = params[0]
-    pair = swanson_pair(theta, args.dim)
-    tols = {
-        "weak": args.tol if args.tol else 1e-12,
-        "quasi_strong": args.tol if args.tol else 1e-8,
-        "weyl": args.tol if args.tol else 1e-6,
-    }
+    pair = _swanson_model(args)
+    tols = _tolerances(args, weak=1e-12, quasi_strong=1e-8, weyl=1e-6)
     report = Report(
         "verify-cr",
         {"model": args.model, "dim": args.dim, "alpha": args.alpha, "beta": args.beta},
@@ -205,25 +247,16 @@ def cmd_verify_cr(args):
     report.check("weak_defect", wd, tols["weak"])
     report.check("quasi_strong_defect", qd, tols["quasi_strong"])
     report.check("weyl_defect", yd, tols["weyl"])
-    data = report.finalize()
     print(f"model {args.model} at dimension {args.dim}:")
     print(f"  weak defect          {wd:.3e}")
     print(f"  quasi-strong defect  {qd:.3e}  (alpha={args.alpha:g})")
     print(f"  weyl defect          {yd:.3e}  (alpha={args.alpha:g}, beta={args.beta:g})")
-    _print_checks(data)
-    _write_out(data, args.out)
-    return 0 if data["pass"] else 1
+    return report
 
 
 def cmd_ladder(args):
-    kind, params = _parse_model(args.model)
-    if kind != "swanson":
-        raise WeakCRError("ladder supports the boson and swanson models")
-    theta = params[0]
-    pair = swanson_pair(theta, args.dim)
-    tol = args.tol if args.tol else 1e-6
-    residual_tol = args.tol if args.tol else 1e-8
-    gram_tol = args.tol if args.tol else 1e-7
+    pair = _swanson_model(args)
+    tols = _tolerances(args, residual=1e-8, gram=1e-7, intertwiner=1e-6)
     member = tail_mass_membership(pair.safe_rank)
     xi0 = kernel_vector(pair.S, 1e-10)
     eta0 = kernel_vector(pair.T.adjoint(), 1e-10)
@@ -239,7 +272,7 @@ def cmd_ladder(args):
     report = Report(
         "ladder",
         {"model": args.model, "dim": args.dim, "len": args.length},
-        {"residual": residual_tol, "gram": gram_tol, "intertwiner": tol},
+        tols,
     )
     report.result("ladder_length", len(fam_xi))
     report.result("stop_reason", fam_xi.stop_reason)
@@ -253,38 +286,29 @@ def cmd_ladder(args):
     report.result("intertwining_defect_xi", K.intertwining_defect_xi)
     report.result("riesz_positive", K.riesz.positive)
     report.result("orthonormality_defect", K.riesz.orthonormality_defect)
-    report.check("max_eigen_residual", max(residuals), residual_tol)
-    report.check("gram_defect", gram_defect, gram_tol)
-    report.check("spectrum_defect", spectrum_defect, tol)
-    report.check("inverse_defect", K.inverse_defect, tol)
+    report.check("max_eigen_residual", max(residuals), tols["residual"])
+    report.check("gram_defect", gram_defect, tols["gram"])
+    report.check("spectrum_defect", spectrum_defect, tols["intertwiner"])
+    report.check("inverse_defect", K.inverse_defect, tols["intertwiner"])
     report.check(
         "intertwining_defect",
         max(K.intertwining_defect_eta, K.intertwining_defect_xi),
-        tol,
+        tols["intertwiner"],
     )
-    data = report.finalize()
     print(f"ladder of length {len(fam_xi)} ({fam_xi.stop_reason})")
     print("  eigen residuals:", " ".join(f"{r:.2e}" for r in residuals))
     print(f"  spectrum: {[round(float(v.real), 6) for v in evals]}")
-    _print_checks(data)
-    _write_out(data, args.out)
-    return 0 if data["pass"] else 1
+    return report
 
 
 def _weights_suite(weight, rng, count=8):
     """Random admissible polynomial pairs for the weak-relation defect."""
-    from .weights import in_domain
-
-    max_deg = 6
-    if weight.kind == "rational":
-        max_deg = 0
-        while in_domain(monomial(max_deg + 1), weight):
-            max_deg += 1
+    max_deg = ladder_length(weight.alpha).n_max if weight.kind == "rational" else 6
     pairs = []
     for _ in range(count):
         df = int(rng.integers(0, max_deg + 1))
         dg = int(rng.integers(0, max_deg + 1))
-        if weight.kind == "rational" and df + dg + 2 >= 4 * weight.alpha - 1:
+        if not weight.moment_is_finite(df + dg + 2):
             continue
         f = PolyFunc(tuple(rng.uniform(-2, 2, df + 1) + 1j * rng.uniform(-2, 2, df + 1)))
         g = PolyFunc(tuple(rng.uniform(-2, 2, dg + 1) + 1j * rng.uniform(-2, 2, dg + 1)))
@@ -299,19 +323,19 @@ def cmd_weights(args):
     if args.gaussian == (args.alpha is not None):
         raise WeakCRError("choose exactly one of --alpha or --gaussian")
     weight = gaussian_weight() if args.gaussian else rational_weight(args.alpha)
-    cr_tol = args.tol if args.tol else 1e-8
+    tols = _tolerances(args, weak_cr=1e-8)
     rng = np.random.default_rng(args.seed)
     report = Report(
         "weights",
         {"alpha": args.alpha, "gaussian": args.gaussian, "seed": args.seed},
-        {"weak_cr": cr_tol},
+        tols,
     )
     table = MomentTable.build(weight, 8)
     report.result("moments", list(table.values))
 
     defects = [weak_cr_check(weight, f, g) for f, g in _weights_suite(weight, rng)]
     report.result("weak_cr_defects", defects)
-    report.check("max_weak_cr_defect", max(defects), cr_tol)
+    report.check("max_weak_cr_defect", max(defects), tols["weak_cr"])
 
     odd = max(abs(table.get(k)) for k in (1, 3, 5, 7) if table.get(k) != math.inf)
     report.check("odd_moments_zero", odd, 1e-15, passed=odd == 0.0)
@@ -350,28 +374,22 @@ def cmd_weights(args):
             f"alpha={args.alpha:g}: n_max={ladder.n_max} dim_N0={ladder.dim_N0} "
             f"strict bound {ladder.strict_bound:g}, floor formula {ladder.floor_formula_dim}{flag}"
         )
-    data = report.finalize()
-    _print_checks(data)
-    _write_out(data, args.out)
-    return 0 if data["pass"] else 1
+    return report
 
 
 def cmd_normal_order(args):
     poly = parse_to_poly(args.expr)
+    profile = PowerProfile.unbounded()
+    if args.profile:
+        with _bad_value("profile", args.profile, "nonincreasing m0,m1,... >= 0, 'inf' for unbounded"):
+            entries = [UNBOUNDED if v in ("inf", "oo") else int(v) for v in args.profile.split(",")]
+            profile = PowerProfile(entries)
+    tols = _tolerances(args, soundness=1e-10)
     canonical = normal_order(poly)
     text = render(canonical)
     print(text)
-
-    if args.profile:
-        entries = tuple(
-            UNBOUNDED if v in ("inf", "oo") else int(v) for v in args.profile.split(",")
-        )
-        profile = PowerProfile(entries)
-    else:
-        profile = PowerProfile.unbounded()
     verdict = is_regular(canonical, profile)
 
-    tol = args.tol if args.tol else 1e-10
     rng = np.random.default_rng(args.seed)
     dim = 32
     block = dim - max(poly.degree, 1)
@@ -387,49 +405,34 @@ def cmd_normal_order(args):
     report = Report(
         "normal-order",
         {"expr": args.expr, "profile": args.profile, "seed": args.seed},
-        {"soundness": tol},
+        tols,
     )
     report.result("canonical", text)
     report.result("regular", verdict.ok)
     report.result("witness", format_word(verdict.witness) if verdict.witness else None)
     report.result("soundness_defect", soundness)
-    report.check("fock_soundness", soundness, tol)
-    data = report.finalize()
+    report.check("fock_soundness", soundness, tols["soundness"])
     if verdict.ok:
         print("regular: yes")
     else:
         print(f"regular: no (witness {format_word(verdict.witness)})")
-    _print_checks(data)
-    _write_out(data, args.out)
-    return 0 if data["pass"] else 1
-
-
-def _parse_gridspec(text):
-    kind, _, arg = text.partition(":")
-    if kind == "coherent":
-        nx, _, ny = arg.partition("x")
-        return ("coherent", int(nx), int(ny or nx))
-    if kind == "circle":
-        return ("circle", int(arg or 11))
-    raise WeakCRError(f"unknown grid {text!r} (expected coherent:NxM or circle:K)")
+    return report
 
 
 def cmd_uncertainty(args):
     kind, params = _parse_model(args.model)
-    tol = args.tol if args.tol else 1e-6
+    tols = {**_tolerances(args, saturation=1e-6), "validity": 1e-8}
+    tol = tols["saturation"]
     report = Report(
         "uncertainty",
         {"model": args.model, "dim": args.dim, "scan": args.scan, "state": args.state},
-        {"saturation": tol, "validity": 1e-8},
+        tols,
     )
-    scan_rows = None
     if args.scan:
         grid = _parse_gridspec(args.scan)
         if kind == "swanson":
             if grid[0] != "coherent":
                 raise WeakCRError("swanson scans use coherent:NxM grids")
-            from .uncertainty import coherent_grid_states
-
             states = coherent_grid_states(args.dim, nx=grid[1], ny=grid[2])
             table = saturation_scan("swanson", params, dim=args.dim, states=states, tol=tol)
         else:
@@ -441,7 +444,7 @@ def cmd_uncertainty(args):
         report.result("rows", table.rows)
         report.check("min_ur1_gap", -table.summary["min_ur1_gap"], 1e-8)
         report.check("min_ur2_gap", -table.summary["min_ur2_gap"], 1e-8)
-        scan_rows = (table.columns, table.rows)
+        report.scan_rows = (table.columns, table.rows)
         print(f"scan of {table.model}: {len(table.rows)} rows")
         for key, value in table.summary.items():
             print(f"  {key}: {value}")
@@ -471,7 +474,10 @@ def cmd_uncertainty(args):
         skind, _, sval = state.partition(":")
         if skind != "t":
             raise WeakCRError("matrix2x2 states are given as t:<value in [0,1]>")
-        t = float(sval)
+        with _bad_value("state", state, "t:<value in [0,1]>"):
+            t = float(sval)
+            if not 0.0 <= t <= 1.0:
+                raise ValueError(sval)
         m = matrix2x2_report(s, q, math.sqrt(t), math.sqrt(1.0 - t), tol=tol)
         report.result("deltas", list(m.deltas.as_tuple()))
         report.result("closed_form_discrepancy", m.closed_form_discrepancy)
@@ -485,10 +491,7 @@ def cmd_uncertainty(args):
         print(f"deltas: {m.deltas.as_tuple()}")
         print(f"saturation conditions: |p1-p2|={m.ur1_condition_value:g} (met={m.ur1_condition_met}), "
               f"max-sqrt={m.ur2_condition_value:g} (met={m.ur2_condition_met})")
-    data = report.finalize()
-    _print_checks(data)
-    _write_out(data, args.out, scan_rows=scan_rows)
-    return 0 if data["pass"] else 1
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +555,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
+        data = report.finalize()
+        _print_checks(data)
+        _write_out(data, args.out, report.scan_rows)
     except WeakCRError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if data["pass"] else 1
 
 
 if __name__ == "__main__":

@@ -127,16 +127,12 @@ def lowering(n):
     """Annihilation matrix: entry sqrt(j+1) at (j, j+1)."""
     if n < 2:
         raise InvalidDimensionError(f"need dimension >= 2, got {n}")
-    a = np.zeros((n, n), dtype=complex)
-    for j in range(n - 1):
-        a[j, j + 1] = math.sqrt(j + 1)
-    return TruncatedOperator(a, label="a")
+    return TruncatedOperator(np.diag(np.sqrt(np.arange(1, n)).astype(complex), 1), label="a")
 
 
 def raising(n):
     """Creation matrix, the adjoint of lowering(n)."""
-    op = lowering(n).adjoint()
-    return TruncatedOperator(op.entries, label="a'")
+    return lowering(n).adjoint()
 
 
 def identity(n):

@@ -113,21 +113,26 @@ def _c_expectation(pair, xi, C):
     return expectation(mat, xi)
 
 
+def _ur(kind, lhs, rhs, c_exp, tol, **hypothesis):
+    gap = rhs - lhs
+    return URResult(kind=kind, lhs=lhs, rhs=rhs, gap=gap, saturated=bool(abs(gap) <= tol),
+                    c_expectation=c_exp, **hypothesis)
+
+
+def _ur1(report: DeltaReport, c_exp, tol):
+    rhs = 2.0 * max(report.dS, report.dSd) * max(report.dT, report.dTd)
+    return _ur("UR1", abs(c_exp), rhs, c_exp, tol)
+
+
+def _ur2(report: DeltaReport, c_exp, defect, tol):
+    rhs = (report.dS + report.dSd) * (report.dT + report.dTd)
+    return _ur("UR2", abs(c_exp.real), rhs, c_exp, tol,
+               cross_condition_defect=defect, hypothesis_violated=bool(defect > 1e-8))
+
+
 def ur1_check(pair, xi, z=None, w=None, C=None, tol=SATURATION_TOL):
     """Max-product inequality: 2 max(dS, dS') max(dT, dT') >= |<xi, C xi>|."""
-    report = delta_report(pair, xi, z=z, w=w)
-    c_exp = _c_expectation(pair, xi, C)
-    lhs = abs(c_exp)
-    rhs = 2.0 * max(report.dS, report.dSd) * max(report.dT, report.dTd)
-    gap = rhs - lhs
-    return URResult(
-        kind="UR1",
-        lhs=lhs,
-        rhs=rhs,
-        gap=gap,
-        saturated=bool(abs(gap) <= tol),
-        c_expectation=c_exp,
-    )
+    return _ur1(delta_report(pair, xi, z=z, w=w), _c_expectation(pair, xi, C), tol)
 
 
 def cross_condition_defect(pair):
@@ -139,32 +144,14 @@ def cross_condition_defect(pair):
     return float(np.max(np.abs(M[:k, :k])))
 
 
-def ur2_check(pair, xi, alpha_S=1.0, alpha_T=1.0, C=None, tol=SATURATION_TOL):
+def ur2_check(pair, xi, C=None, tol=SATURATION_TOL):
     """Sum-product inequality: (dS + dS') (dT + dT') >= |Re <xi, C xi>|.
 
     Needs the cross condition [S',T] - [S,T'] = 0; its defect is always
     computed and the result is flagged ``hypothesis_violated`` (never
-    suppressed) when the defect exceeds 1e-8.  The scaffolding scalars
-    alpha_S, alpha_T drop out of the final inequality and are accepted only
-    for interface completeness.
+    suppressed) when the defect exceeds 1e-8.
     """
-    del alpha_S, alpha_T  # the inequality is independent of them
-    report = delta_report(pair, xi)
-    c_exp = _c_expectation(pair, xi, C)
-    defect = cross_condition_defect(pair)
-    lhs = abs(c_exp.real)
-    rhs = (report.dS + report.dSd) * (report.dT + report.dTd)
-    gap = rhs - lhs
-    return URResult(
-        kind="UR2",
-        lhs=lhs,
-        rhs=rhs,
-        gap=gap,
-        saturated=bool(abs(gap) <= tol),
-        c_expectation=c_exp,
-        cross_condition_defect=defect,
-        hypothesis_violated=bool(defect > 1e-8),
-    )
+    return _ur2(delta_report(pair, xi), _c_expectation(pair, xi, C), cross_condition_defect(pair), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +271,9 @@ def matrix2x2_report(s, q, phi1, phi2, tol=SATURATION_TOL):
     are the meaningful ones.
     """
     phi1, phi2 = complex(phi1), complex(phi2)
-    nrm = math.hypot(abs(phi1), abs(phi2))
-    if abs(nrm - 1.0) > 1e-10:
-        raise PreconditionError(f"state must be unit norm, got {nrm!r}")
-    pair = matrix2x2_pair(s, q)
     xi = StateVector(np.array([phi1, phi2]), label="phi")
+    _require_unit(xi)
+    pair = matrix2x2_pair(s, q)
     p1, p2 = abs(phi1) ** 2, abs(phi2) ** 2
 
     closed = (abs(s) * p2, abs(s) * p1, abs(q) * p1, abs(q) * p2)
@@ -296,9 +281,9 @@ def matrix2x2_report(s, q, phi1, phi2, tol=SATURATION_TOL):
     discrepancy = max(abs(a - b) for a, b in zip(closed, deltas.as_tuple()))
 
     S_gen, T_gen = NCPoly.gen("S"), NCPoly.gen("T")
-    C = S_gen * T_gen - T_gen * S_gen
-    ur1 = ur1_check(pair, xi, C=C, tol=tol)
-    ur2 = ur2_check(pair, xi, C=C, tol=tol)
+    c_exp = _c_expectation(pair, xi, S_gen * T_gen - T_gen * S_gen)
+    ur1 = _ur1(deltas, c_exp, tol)
+    ur2 = _ur2(deltas, c_exp, cross_condition_defect(pair), tol)
 
     ur1_value = abs(p1 - p2)
     ur2_value = max(p1, p2) - math.sqrt(abs(p1 - p2) / 2.0)
@@ -343,10 +328,13 @@ def coherent_grid_states(dim, nx=5, ny=5, radius=1.0, basis_count=5):
 def _swanson_scan(theta, dim, states, tol):
     rows = []
     pair = swanson_pair(theta, dim)
+    defect = cross_condition_defect(pair)
     for xi in states:
         moments = swanson_moments(xi)
-        ur1 = ur1_check(pair, xi, tol=tol)
-        ur2 = ur2_check(pair, xi, tol=tol)
+        deltas = delta_report(pair, xi)
+        c_exp = _c_expectation(pair, xi, None)
+        ur1 = _ur1(deltas, c_exp, tol)
+        ur2 = _ur2(deltas, c_exp, defect, tol)
         c, e = moments.C_phi, moments.E_phi
         # both readings of the ambiguous quarter-turn saturation functional
         sq_arg = (c + 0.5) ** 2 - e**2

@@ -6,6 +6,7 @@ lines.  Tolerances are pinned here and nowhere else.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import weakcr
 from weakcr.algebra import (
     GENERATORS,
     GaussRational,
@@ -247,11 +249,15 @@ def test_criterion_7_algebraic_properties():
 
 
 def _run_cli(*argv):
+    # the child imports the same weakcr sources as this test process
+    src = os.path.dirname(os.path.dirname(weakcr.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "weakcr.cli", *argv],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     return proc
 

@@ -149,3 +149,32 @@ def test_uncertainty_basis_state(capsys):
                        "--state", "basis:2", "--dim", "64")
     assert code == 0
     assert "UR1 gap" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uncertainty", "--model", "swanson:abc"],
+        ["uncertainty", "--model", "matrix2x2:1"],
+        ["uncertainty", "--model", "swanson:0", "--state", "coherent:x"],
+        ["uncertainty", "--model", "matrix2x2:1,1", "--state", "t:2"],
+        ["uncertainty", "--model", "swanson:0", "--scan", "coherent:axb"],
+        ["uncertainty", "--model", "swanson:0", "--scan", "coherent:-1"],
+        ["uncertainty", "--model", "matrix2x2:1,1", "--scan", "circle:1"],
+        ["normal-order", "S", "--profile", "2,x"],
+        ["normal-order", "S", "--profile", "1,2"],
+    ],
+)
+def test_bad_argument_value_exits_two(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err
+    assert repr(argv[-1]) in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_non_positive_tol_is_rejected(capsys, tol):
+    code, out, err = run(capsys, "verify-cr", "--dim", "32", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "error: --tol" in err

@@ -20,6 +20,7 @@ from weakcr.fock import (
     swanson_pair,
 )
 from weakcr.uncertainty import (
+    coherent_grid_states,
     cross_condition_defect,
     delta,
     delta_report,
@@ -248,6 +249,21 @@ def test_swanson_zero_scan_ur1_never_saturated():
     assert table.summary["ur1_saturated_count"] == 0
     # coherent probes saturate the sum form (C_phi = 0 there)
     assert table.summary["ur2_saturated_count"] >= 25
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_scan_rows_match_public_checks(theta):
+    pair = swanson_pair(theta, 64)
+    states = coherent_grid_states(64)
+    table = saturation_scan("swanson", (theta,), dim=64)
+    assert [row["state"] for row in table.rows] == [xi.label for xi in states]
+    for row, xi in zip(table.rows, states):
+        ur1, ur2 = ur1_check(pair, xi), ur2_check(pair, xi)
+        assert (row["ur1_lhs"], row["ur1_rhs"], row["ur1_gap"], row["ur1_saturated"]) == (
+            ur1.lhs, ur1.rhs, ur1.gap, ur1.saturated)
+        assert (row["ur2_lhs"], row["ur2_rhs"], row["ur2_gap"], row["ur2_saturated"]) == (
+            ur2.lhs, ur2.rhs, ur2.gap, ur2.saturated)
+        assert row["cross_defect"] == ur2.cross_condition_defect
 
 
 def test_quarter_turn_scan_records_both_readings():
