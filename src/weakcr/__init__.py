@@ -79,6 +79,6 @@ from .weights import (
     sdagger_pair,
     weak_cr_check,
 )
-from .expr import parse_operator_expr, parse_to_poly, pretty_print
+from .expr import parse_to_poly, pretty_print
 
 __version__ = "0.1.0"

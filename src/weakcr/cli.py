@@ -173,6 +173,13 @@ def _tolerances(args, **defaults):
     return dict.fromkeys(defaults, args.tol)
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _parse_model(text):
     forms = "boson, swanson:t, matrix2x2:s,q"
     name, _, arg = text.partition(":")
@@ -180,9 +187,9 @@ def _parse_model(text):
         if name == "boson":
             return ("swanson", (0.0,))
         if name == "swanson":
-            return ("swanson", (float(arg or 0.0),))
+            return ("swanson", (_finite(arg or 0.0),))
         if name == "matrix2x2":
-            s, q = (float(v) for v in arg.split(","))
+            s, q = (_finite(v) for v in arg.split(","))
             return ("matrix2x2", (s, q))
     raise WeakCRError(f"unknown model {text!r} (expected {forms})")
 
@@ -301,11 +308,11 @@ def cmd_ladder(args):
     return report
 
 
-def _weights_suite(weight, rng, count=8):
-    """Random admissible polynomial pairs for the weak-relation defect."""
+def _weights_suite(weight, rng):
+    """Eight random draws of admissible polynomial pairs for the weak-relation defect."""
     max_deg = ladder_length(weight.alpha).n_max if weight.kind == "rational" else 6
     pairs = []
-    for _ in range(count):
+    for _ in range(8):
         df = int(rng.integers(0, max_deg + 1))
         dg = int(rng.integers(0, max_deg + 1))
         if not weight.moment_is_finite(df + dg + 2):
@@ -391,7 +398,7 @@ def cmd_normal_order(args):
     verdict = is_regular(canonical, profile)
 
     rng = np.random.default_rng(args.seed)
-    dim = 32
+    dim = max(32, poly.degree + 1)
     block = dim - max(poly.degree, 1)
     soundness = 0.0
     if poly.degree:

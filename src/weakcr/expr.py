@@ -7,8 +7,10 @@ rationals).  Operators by loosening precedence:
     ^  integer power   >   juxtaposition, *, /   >   unary -   >   binary + -
 
 Juxtaposition multiplies ("S T" is the word ST); '/' divides by a scalar
-subexpression so that rational coefficients such as 3/2 re-parse.  Parsing
-yields a small expression tree that lowers losslessly to an NCPoly.
+subexpression so that rational coefficients such as 3/2 re-parse.  The
+parser builds the exact NCPoly as it reads, with no intermediate tree:
+after the tokenizer has rejected unknown characters and identifiers, the
+first syntax or evaluation error in reading order is the one raised.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .algebra import GaussRational, NCPoly, render
 from .errors import ExprEvalError, ExprSyntaxError, UnknownIdentifierError
 
 _GEN_LETTERS = ("S", "T")
+_SINGLE_TOKENS = {**dict.fromkeys("+-*/^", "OP"), "(": "LPAREN", ")": "RPAREN", "i": "I"}
 
 
 class Token(NamedTuple):
@@ -46,18 +49,8 @@ def _tokenize(text):
             i += 1
             continue
         start_col = col
-        if ch in "+-*/^":
-            tokens.append(Token("OP", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == "(":
-            tokens.append(Token("LPAREN", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == ")":
-            tokens.append(Token("RPAREN", ch, line, start_col))
+        if ch in _SINGLE_TOKENS:
+            tokens.append(Token(_SINGLE_TOKENS[ch], ch, line, start_col))
             i += 1
             col += 1
             continue
@@ -86,11 +79,6 @@ def _tokenize(text):
                 col += 1
             tokens.append(Token("GEN", name, line, start_col))
             continue
-        if ch == "i":
-            tokens.append(Token("I", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
         if ch.isalpha():
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
@@ -103,16 +91,12 @@ def _tokenize(text):
     return tokens
 
 
-# expression nodes are plain tuples:
-#   ("gen", name) ("num", Fraction) ("i",)
-#   ("neg", e) ("add", a, b) ("sub", a, b) ("mul", a, b) ("div", a, b)
-#   ("pow", e, n)
-OperatorExpr = tuple
-
 _ATOM_STARTS = {"GEN", "NUM", "I", "LPAREN"}
 
 
 class _Parser:
+    """Recursive descent that combines NCPoly values as it reads them."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
@@ -130,108 +114,81 @@ class _Parser:
         raise ExprSyntaxError(msg, tok.line, tok.column)
 
     def parse(self):
-        expr = self.sum_expr()
+        poly = self.sum_expr()
         tok = self.peek()
         if tok.kind != "END":
             self.fail(f"unexpected {tok.value!r}")
-        return expr
+        return poly
 
     def sum_expr(self):
-        node = self.unary_expr()
+        poly = self.unary_expr()
         while self.peek().kind == "OP" and self.peek().value in "+-":
             op = self.advance().value
             rhs = self.unary_expr()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            poly = poly + rhs if op == "+" else poly - rhs
+        return poly
 
     def unary_expr(self):
         if self.peek().kind == "OP" and self.peek().value == "-":
             self.advance()
-            return ("neg", self.unary_expr())
+            return -self.unary_expr()
         return self.product_expr()
 
     def product_expr(self):
-        node = self.power_expr()
+        poly = self.power_expr()
         while True:
             tok = self.peek()
             if tok.kind == "OP" and tok.value in "*/":
                 self.advance()
                 rhs = self.power_expr()
-                node = ("mul" if tok.value == "*" else "div", node, rhs)
+                poly = poly * rhs if tok.value == "*" else _divide(poly, rhs)
             elif tok.kind in _ATOM_STARTS:
-                node = ("mul", node, self.power_expr())
+                poly = poly * self.power_expr()
             else:
-                return node
+                return poly
 
     def power_expr(self):
-        node = self.atom()
+        poly = self.atom()
         while self.peek().kind == "OP" and self.peek().value == "^":
             self.advance()
             tok = self.peek()
             if tok.kind != "NUM" or tok.value.denominator != 1:
                 self.fail("exponent must be a nonnegative integer")
             self.advance()
-            node = ("pow", node, int(tok.value))
-        return node
+            poly = poly ** int(tok.value)
+        return poly
 
     def atom(self):
         tok = self.advance()
         if tok.kind == "GEN":
-            return ("gen", tok.value)
+            return NCPoly.gen(tok.value)
         if tok.kind == "NUM":
-            return ("num", tok.value)
+            return NCPoly.from_word((), GaussRational(tok.value))
         if tok.kind == "I":
-            return ("i",)
+            return NCPoly.from_word((), GaussRational(0, 1))
         if tok.kind == "LPAREN":
-            node = self.sum_expr()
+            poly = self.sum_expr()
             closing = self.advance()
             if closing.kind != "RPAREN":
                 raise ExprSyntaxError("expected ')'", closing.line, closing.column)
-            return node
+            return poly
         if tok.kind == "END":
             raise ExprSyntaxError("unexpected end of input", tok.line, tok.column)
         self.fail(f"unexpected {tok.value!r}", tok)
 
 
-def parse_operator_expr(text):
-    """Parse to an expression tree; syntax errors carry line and column."""
-    return _Parser(_tokenize(text)).parse()
-
-
-def to_ncpoly(expr):
-    """Lower an expression tree to an exact NCPoly."""
-    kind = expr[0]
-    if kind == "gen":
-        return NCPoly.gen(expr[1])
-    if kind == "num":
-        return NCPoly.from_word((), GaussRational(expr[1]))
-    if kind == "i":
-        return NCPoly.from_word((), GaussRational(0, 1))
-    if kind == "neg":
-        return -to_ncpoly(expr[1])
-    if kind == "add":
-        return to_ncpoly(expr[1]) + to_ncpoly(expr[2])
-    if kind == "sub":
-        return to_ncpoly(expr[1]) - to_ncpoly(expr[2])
-    if kind == "mul":
-        return to_ncpoly(expr[1]) * to_ncpoly(expr[2])
-    if kind == "div":
-        divisor = to_ncpoly(expr[2])
-        if not divisor.is_scalar():
-            raise ExprEvalError("can only divide by a scalar expression")
-        scalar = divisor.coefficient(())
-        if not scalar:
-            raise ExprEvalError("division by zero")
-        numerator = to_ncpoly(expr[1])
-        return numerator * (GaussRational(1) / scalar)
-    if kind == "pow":
-        return to_ncpoly(expr[1]) ** expr[2]
-    raise ExprEvalError(f"unknown node {kind!r}")
+def _divide(numerator, divisor):
+    if not divisor.is_scalar():
+        raise ExprEvalError("can only divide by a scalar expression")
+    scalar = divisor.coefficient(())
+    if not scalar:
+        raise ExprEvalError("division by zero")
+    return numerator * (GaussRational(1) / scalar)
 
 
 def parse_to_poly(text):
-    """Parse and lower in one step."""
-    return to_ncpoly(parse_operator_expr(text))
+    """Parse to an exact NCPoly; errors carry line and column where known."""
+    return _Parser(_tokenize(text)).parse()
 
 
 def pretty_print(p):

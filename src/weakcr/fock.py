@@ -57,9 +57,6 @@ class TruncatedOperator:
     def adjoint(self):
         return TruncatedOperator(self.entries.conj().T, label=self.label + "'")
 
-    def apply(self, state):
-        return StateVector(self.entries @ state.components)
-
     def __matmul__(self, other):
         if isinstance(other, TruncatedOperator):
             return TruncatedOperator(self.entries @ other.entries,
@@ -89,12 +86,6 @@ class StateVector:
     @property
     def norm(self):
         return norm(self.components)
-
-    def normalized(self):
-        n = self.norm
-        if n == 0:
-            raise InvalidDimensionError("cannot normalize the zero vector")
-        return StateVector(self.components / n, label=self.label)
 
 
 @dataclass(frozen=True)
@@ -243,8 +234,8 @@ def semigroup_band(pair, alpha):
 
 def quasi_strong_defect(pair, alpha):
     """Entrywise defect of V_S(a) T - T V_S(a) = a V_S(a) on the reduced band."""
-    if alpha < 0:
-        raise DomainParameterError(f"semigroup parameter must be >= 0, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise DomainParameterError(f"semigroup parameter must be finite and >= 0, got {alpha}")
     band = semigroup_band(pair, alpha)
     S, T = pair.S.entries, pair.T.entries
     V = scipy.linalg.expm(alpha * S)
@@ -254,9 +245,9 @@ def quasi_strong_defect(pair, alpha):
 
 def weyl_defect(pair, alpha, beta):
     """Spectral-norm defect of V_S(a) V_T(b) = e^(ab) V_T(b) V_S(a) on the band."""
-    if alpha < 0 or beta < 0:
+    if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
         raise DomainParameterError(
-            f"semigroup parameters must be >= 0, got ({alpha}, {beta})"
+            f"semigroup parameters must be finite and >= 0, got ({alpha}, {beta})"
         )
     band = semigroup_band(pair, max(alpha, beta))
     S, T = pair.S.entries, pair.T.entries

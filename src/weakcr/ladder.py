@@ -51,8 +51,8 @@ def kernel_vector(A: TruncatedOperator, tol=1e-10):
     return StateVector(v / phase, label="ker")
 
 
-def tail_mass_membership(band, rel_tol=1e-8):
-    """Membership predicate: relative mass beyond ``band`` stays below rel_tol.
+def tail_mass_membership(band):
+    """Membership predicate: relative mass beyond ``band`` stays below 1e-8.
 
     This is the matrix-model proxy for "the vector still lies in the domain":
     a vector whose weight has reached the truncation edge can no longer be
@@ -63,7 +63,7 @@ def tail_mass_membership(band, rel_tol=1e-8):
         total = state.norm
         if total == 0:
             return False
-        return norm(state.components[band:]) <= rel_tol * total
+        return norm(state.components[band:]) <= 1e-8 * total
 
     return member
 
@@ -77,7 +77,6 @@ class LadderFamily:
 
     base: StateVector
     vectors: list
-    ladder_op_label: str
     stop_reason: str
     eigen_residuals: list = field(default_factory=list)
 
@@ -90,10 +89,6 @@ class LadderFamily:
 
     def __len__(self):
         return len(self.vectors)
-
-    @property
-    def top_index(self):
-        return len(self.vectors) - 1
 
 
 def build_ladder(op: TruncatedOperator, base: StateVector, n_max, member=None):
@@ -119,7 +114,6 @@ def build_ladder(op: TruncatedOperator, base: StateVector, n_max, member=None):
     return LadderFamily(
         base=base,
         vectors=vectors,
-        ladder_op_label=op.label,
         stop_reason=stop_reason,
     )
 
@@ -230,7 +224,7 @@ class IntertwinerPair:
     riesz: RieszDiagnostics
 
 
-def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily, positivity_tol=1e-10):
+def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily):
     """Construct K_xi, K_eta and verify their defining relations numerically.
 
     K_xi maps eta_j to xi_j and K_eta maps xi_j to eta_j (pseudoinverse
@@ -280,7 +274,7 @@ def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily, positivity_t
     H = (A + A.conj().T) / 2.0
     symmetry_defect = float(np.max(np.abs(A - H)))
     evals, evecs = np.linalg.eigh(H)
-    positive = bool(evals.min() > -positivity_tol)
+    positive = bool(evals.min() > -1e-10)
     ortho_defect = None
     if positive:
         sqrt_H = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T

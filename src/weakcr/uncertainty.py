@@ -23,17 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NCPoly, fock_eval
-from .errors import ClosedFormInconsistencyError, PreconditionError
+from .errors import ClosedFormInconsistencyError, InvalidDimensionError, PreconditionError
 from .fock import (
     OperatorPair,
     StateVector,
     TruncatedOperator,
     basis_state,
     coherent_state,
-    lowering,
     matrix2x2_pair,
     norm,
-    raising,
     swanson_pair,
 )
 
@@ -75,19 +73,16 @@ class DeltaReport:
 def delta_report(pair: OperatorPair, xi: StateVector, z=None, w=None):
     """Deltas of S, S', T, T' on xi; centers default to the expectations."""
     _require_unit(xi)
-    if z is None:
-        z = expectation(pair.S, xi)
-    if w is None:
-        w = expectation(pair.T, xi)
-    z = complex(z)
-    w = complex(w)
-    Sd = pair.S.adjoint()
-    Td = pair.T.adjoint()
+    x = xi.components
+    S, T = pair.S.entries, pair.T.entries
+    Sx, Tx = S @ x, T @ x
+    z = complex(np.vdot(x, Sx) if z is None else z)
+    w = complex(np.vdot(x, Tx) if w is None else w)
     return DeltaReport(
-        dS=delta(pair.S, xi, z),
-        dSd=delta(Sd, xi, z.conjugate()),
-        dT=delta(pair.T, xi, w),
-        dTd=delta(Td, xi, w.conjugate()),
+        dS=norm(Sx - z * x),
+        dSd=norm(S.conj().T @ x - z.conjugate() * x),
+        dT=norm(Tx - w * x),
+        dTd=norm(T.conj().T @ x - w.conjugate() * x),
         z=z,
         w=w,
         state_norm=xi.norm,
@@ -170,12 +165,17 @@ class SwansonMoments:
 def swanson_moments(xi: StateVector):
     """C_phi = <a* a> - |<a>|^2 and E_phi = Im(<a*^2> - <a*>^2) for unit xi."""
     _require_unit(xi)
-    n = xi.dim
-    a = lowering(n).entries
-    ad = raising(n).entries
-    mean_a = complex(np.vdot(xi.components, a @ xi.components))
-    mean_n = complex(np.vdot(xi.components, ad @ (a @ xi.components)))
-    mean_ad2 = complex(np.vdot(xi.components, ad @ (ad @ xi.components)))
+    if xi.dim < 2:
+        raise InvalidDimensionError(f"need dimension >= 2, got {xi.dim}")
+    # a and a* act as index shifts weighted by sqrt(k): a e_k = sqrt(k) e_(k-1)
+    x = xi.components
+    root = np.sqrt(np.arange(1, xi.dim))
+    zero = np.zeros(1, dtype=complex)
+    a_x = np.concatenate((root * x[1:], zero))
+    ad_x = np.concatenate((zero, root * x[:-1]))
+    mean_a = complex(np.vdot(x, a_x))
+    mean_n = complex(np.vdot(x, np.concatenate((zero, root * a_x[:-1]))))
+    mean_ad2 = complex(np.vdot(x, np.concatenate((zero, root * ad_x[:-1]))))
     c_phi = mean_n.real - abs(mean_a) ** 2
     e_phi = (mean_ad2 - mean_a.conjugate() ** 2).imag
     return SwansonMoments(C_phi=c_phi, E_phi=e_phi)
@@ -313,14 +313,14 @@ class ScanTable:
     summary: dict
 
 
-def coherent_grid_states(dim, nx=5, ny=5, radius=1.0, basis_count=5):
-    """Labeled probe states: an nx-by-ny coherent grid plus leading basis vectors."""
+def coherent_grid_states(dim, nx=5, ny=5):
+    """Labeled probe states: an nx-by-ny coherent grid on [-1, 1]^2 plus e0..e4."""
     states = []
-    for re in np.linspace(-radius, radius, nx):
-        for im in np.linspace(-radius, radius, ny):
+    for re in np.linspace(-1.0, 1.0, nx):
+        for im in np.linspace(-1.0, 1.0, ny):
             z = complex(re, im)
             states.append(coherent_state(z, dim))
-    for k in range(basis_count):
+    for k in range(5):
         states.append(basis_state(k, dim))
     return states
 

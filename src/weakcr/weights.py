@@ -67,9 +67,9 @@ class Weight:
 
 
 def rational_weight(alpha):
-    """Weight (1 + x^4)^(-alpha); needs alpha > 3/4 for integrability of w."""
-    if not alpha > 0.75:
-        raise DomainParameterError(f"rational weight needs alpha > 3/4, got {alpha}")
+    """Weight (1 + x^4)^(-alpha); needs a finite alpha > 3/4 for integrability of w."""
+    if not 0.75 < alpha < math.inf:
+        raise DomainParameterError(f"rational weight needs a finite alpha > 3/4, got {alpha}")
     return Weight(RATIONAL, float(alpha))
 
 

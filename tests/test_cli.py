@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from test_acceptance import _run_cli
 
 from weakcr.cli import main
 
@@ -163,6 +164,8 @@ def test_uncertainty_basis_state(capsys):
         ["uncertainty", "--model", "matrix2x2:1,1", "--scan", "circle:1"],
         ["normal-order", "S", "--profile", "2,x"],
         ["normal-order", "S", "--profile", "1,2"],
+        ["uncertainty", "--model", "swanson:inf"],
+        ["ladder", "--model", "swanson:inf"],
     ],
 )
 def test_bad_argument_value_exits_two(capsys, argv):
@@ -178,3 +181,27 @@ def test_non_positive_tol_is_rejected(capsys, tol):
     assert code == 2
     assert out == ""
     assert "error: --tol" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weights", "--alpha", "inf"],
+        ["verify-cr", "--dim", "32", "--alpha", "inf"],
+        ["verify-cr", "--dim", "32", "--alpha", "nan"],
+        ["verify-cr", "--dim", "32", "--beta", "nan"],
+    ],
+)
+def test_non_finite_parameter_exits_two(argv):
+    # a fresh interpreter with a timeout, so a hang fails the test instead of stalling it
+    proc = _run_cli(*argv)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("expr", ["S T^31", "S T^40"])
+def test_normal_order_beyond_default_dimension_checks_a_positive_band(capsys, expr):
+    code, out, _ = run(capsys, "normal-order", expr)
+    assert code == 0
+    assert "PASS fock_soundness" in out

@@ -17,7 +17,7 @@ from weakcr.algebra import (
     render,
 )
 from weakcr.errors import ExprEvalError, ExprSyntaxError, UnknownIdentifierError
-from weakcr.expr import parse_operator_expr, parse_to_poly, pretty_print
+from weakcr.expr import parse_to_poly, pretty_print
 
 S = NCPoly.gen(GEN_S)
 T = NCPoly.gen(GEN_T)
@@ -73,25 +73,25 @@ def test_parenthesized_group_power():
 
 def test_syntax_error_position():
     with pytest.raises(ExprSyntaxError) as exc:
-        parse_operator_expr("S T' +")
+        parse_to_poly("S T' +")
     assert exc.value.column == 7
     assert exc.value.line == 1
 
 
 def test_syntax_error_unbalanced_paren():
     with pytest.raises(ExprSyntaxError):
-        parse_operator_expr("(S T")
+        parse_to_poly("(S T")
 
 
 def test_unknown_identifier():
     with pytest.raises(UnknownIdentifierError) as exc:
-        parse_operator_expr("S + Q")
+        parse_to_poly("S + Q")
     assert exc.value.column == 5
 
 
 def test_fractional_exponent_rejected():
     with pytest.raises(ExprSyntaxError):
-        parse_operator_expr("S^0.5")
+        parse_to_poly("S^0.5")
 
 
 def test_division_by_word_rejected():
@@ -99,6 +99,15 @@ def test_division_by_word_rejected():
         parse_to_poly("S / T")
     with pytest.raises(ExprEvalError):
         parse_to_poly("S / 0")
+
+
+def test_first_error_in_reading_order_wins():
+    # the parser evaluates as it reads, so an evaluation error before a
+    # later syntax error is the one raised
+    with pytest.raises(ExprEvalError, match="scalar"):
+        parse_to_poly("S / T +")
+    with pytest.raises(ExprEvalError, match="division by zero"):
+        parse_to_poly("(S / 0) / T")
 
 
 def test_division_by_scalar_expression():

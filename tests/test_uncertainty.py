@@ -174,6 +174,38 @@ def test_swanson_moments_on_basis_states():
     assert m.E_phi == pytest.approx(0.0, abs=1e-12)
 
 
+def _probe_states(n):
+    """Basis states at both ends and coherent states whose tail fits in dimension n."""
+    centers = (0.0, 1e-4 + 2e-4j) if n < 64 else (0.0, 0.7 + 0.2j, -1.0 + 0.5j)
+    return [basis_state(0, n), basis_state(n - 1, n)] + [coherent_state(z, n) for z in centers]
+
+
+@pytest.mark.parametrize("n", [2, 3, 64])
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_per_state_path_equals_dense_matrices(theta, n):
+    # the dense-matrix computation the shifted and matrix-free path replaces
+    pair = swanson_pair(theta, n)
+    S, T = pair.S.entries, pair.T.entries
+    Sd, Td = pair.S.adjoint().entries, pair.T.adjoint().entries
+    a, ad = lowering(n).entries, raising(n).entries
+    for xi in _probe_states(n):
+        x = xi.components
+        z = complex(np.vdot(x, S @ x))
+        w = complex(np.vdot(x, T @ x))
+        dense = (np.linalg.norm(S @ x - z * x), np.linalg.norm(Sd @ x - z.conjugate() * x),
+                 np.linalg.norm(T @ x - w * x), np.linalg.norm(Td @ x - w.conjugate() * x))
+        report = delta_report(pair, xi)
+        assert report.as_tuple() == dense
+        assert (report.z, report.w) == (z, w)
+
+        mean_a = complex(np.vdot(x, a @ x))
+        mean_n = complex(np.vdot(x, ad @ (a @ x)))
+        mean_ad2 = complex(np.vdot(x, ad @ (ad @ x)))
+        m = swanson_moments(xi)
+        assert m.C_phi == mean_n.real - abs(mean_a) ** 2
+        assert m.E_phi == (mean_ad2 - mean_a.conjugate() ** 2).imag
+
+
 def test_cphi_nonnegative_across_states():
     rng = np.random.default_rng(3)
     for _ in range(10):
