@@ -2,10 +2,17 @@
 
 Words are tuples of generator tokens and polynomials map words to Gaussian
 rational coefficients, so every rewrite identity is decidable by exact
-coefficient comparison.  The rewrite engine pushes T (resp. T') to the left
-inside each same-family block:
+coefficient comparison.  Normal ordering moves T (resp. T') to the left of
+S (resp. S') inside each same-family block, as the relations
 
-    S T  ->  T S + 1           S' T'  ->  T' S' - 1
+    S T  =  T S + 1           S' T'  =  T' S' - 1
+
+dictate.  It sweeps each word one letter at a time and keeps the canonical
+form of what it has read as an exact {word: int} map, merging like terms as
+it goes.  One letter costs one application of the boson identity
+T^r S^k T = T^(r+1) S^k + k T^r S^(k-1) (-k for the primed family) per live
+term, so a word costs O(letters * live terms), not the exponential number
+of paths a step-by-step rewriter follows.
 
 Adjacent generators from *different* families carry no relation and are left
 in place.  Canonical words therefore consist of maximal blocks of the form
@@ -281,49 +288,94 @@ def adjoint(p):
     return _as_poly(p).adjoint()
 
 
-def _reducible_index(word, strategy):
-    """Position of an adjacent (S,T) or (S',T') pair, or None if canonical."""
-    indices = range(len(word) - 1)
-    if strategy == "rightmost":
-        indices = reversed(indices)
-    for i in indices:
-        a, b = word[i], word[i + 1]
-        if (a == GEN_S and b == GEN_T) or (a == GEN_SD and b == GEN_TD):
-            return i
-    return None
+#: the letter each generator is reordered past, and the sign of that commutator
+_PARTNER = {GEN_T: GEN_S, GEN_S: GEN_T, GEN_TD: GEN_SD, GEN_SD: GEN_TD}
+_SIGN = {GEN_T: 1, GEN_S: 1, GEN_TD: -1, GEN_SD: -1}
+
+
+def _times_letter(state, g):
+    """Canonical ``state * g``, by T^r S^k T = T^(r+1) S^k + sign*k T^r S^(k-1).
+
+    Only the trailing S-run of g's family matters; an S is appended, and
+    so is a T that finds no S of its family at the end.
+    """
+    if g not in (GEN_T, GEN_TD):
+        return {w + (g,): n for w, n in state.items()}
+    s, sign = _PARTNER[g], _SIGN[g]
+    out = {}
+    for w, n in state.items():
+        i = len(w)
+        while i and w[i - 1] == s:
+            i -= 1
+        if i < len(w):
+            word = w[:-1]
+            out[word] = out.get(word, 0) + sign * (len(w) - i) * n
+        word = w[:i] + (g,) + w[i:]
+        out[word] = out.get(word, 0) + n
+    return out
+
+
+def _letter_times(g, state):
+    """Canonical ``g * state``, by S T^r S^k = T^r S^(k+1) + sign*r T^(r-1) S^k.
+
+    The mirror of ``_times_letter``: only the leading T-run of g's family
+    matters; a T is prepended, and so is an S that finds no T in front.
+    """
+    if g not in (GEN_S, GEN_SD):
+        return {(g,) + w: n for w, n in state.items()}
+    t, sign = _PARTNER[g], _SIGN[g]
+    out = {}
+    for w, n in state.items():
+        r = 0
+        while r < len(w) and w[r] == t:
+            r += 1
+        if r:
+            word = w[1:]
+            out[word] = out.get(word, 0) + sign * r * n
+        word = w[:r] + (g,) + w[r:]
+        out[word] = out.get(word, 0) + n
+    return out
 
 
 def normal_order(p, strategy="leftmost"):
     """Rewrite to canonical form: T left of S within each same-family block.
 
-    Each step replaces c*(u S T v) by c*(u T S v) + c*(u v), and
-    c*(u S' T' v) by c*(u T' S' v) - c*(u v).  Every step strictly lowers
-    the number of in-block inversions, so the rewriting terminates; the two
-    rules never overlap, so the result is independent of ``strategy``
-    ("leftmost" or "rightmost" pick which reducible pair fires first).
+    Each word is swept one letter at a time, keeping the canonical form of
+    the part read so far as an exact {word: int} map with like terms merged.
+    ``strategy`` picks the sweep: "leftmost" reads left to right and
+    multiplies on the right with T^r S^k T = T^(r+1) S^k + k T^r S^(k-1);
+    "rightmost" reads right to left and multiplies on the left with the
+    mirror identity S T^r S^k = T^r S^(k+1) + r T^(r-1) S^k.  The primed
+    family takes -k (resp. -r), and a letter of the other family is simply
+    adjoined.  Both are the boson normal-ordering identity (summed over a
+    block, S^k T^r = sum_j j! C(k,j) C(r,j) (+-1)^j T^(r-j) S^(k-j)), and the
+    canonical form is unique, so the strategies agree.  A word costs
+    O(letters * live terms) dict updates; each output word then takes one
+    coefficient multiply.  Input terms are taken last to first, and each
+    letter emits its dropped term before its main one.  That reproduces the
+    term order of a step-by-step leftmost rewriter on a stack that explores
+    the dropped branch first, so floating-point sums over the terms
+    (``fock_eval``) come out as they did with it; the one exception is a
+    word whose running sum in that rewriter passed through zero on the way.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     p = _as_poly(p)
     out = {}
-    stack = list(p.terms.items())
-    while stack:
-        word, coeff = stack.pop()
-        i = _reducible_index(word, strategy)
-        if i is None:
-            new = out.get(word, GaussRational()) + coeff
-            if new:
-                out[word] = new
-            else:
-                out.pop(word, None)
-            continue
-        swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
-        dropped = word[:i] + word[i + 2 :]
-        stack.append((swapped, coeff))
-        if word[i] == GEN_S:
-            stack.append((dropped, coeff))
+    for word, coeff in reversed(p.terms.items()):
+        state = {(): 1}
+        if strategy == "leftmost":
+            for g in word:
+                state = _times_letter(state, g)
         else:
-            stack.append((dropped, -coeff))
+            for g in reversed(word):
+                state = _letter_times(g, state)
+        for w, n in state.items():
+            new = out.get(w, GaussRational()) + coeff * n
+            if new:
+                out[w] = new
+            else:
+                out.pop(w, None)
     result = NCPoly.__new__(NCPoly)
     result.terms = out
     return result

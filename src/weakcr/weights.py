@@ -325,12 +325,17 @@ def ladder_length(alpha):
     boundary case where the floor formula overshoots the constructive value.
     """
     weight = rational_weight(alpha)
-    n = 0
-    while in_domain(monomial(n + 1), weight):
-        n += 1
     if not in_domain(monomial(0), weight):
         raise DomainParameterError(f"constant function not in domain at alpha={alpha}")
     strict_bound = 2.0 * alpha - 1.5
+    # x^n (n >= 1) is in the domain iff its top moment 2n + 2 is finite, that
+    # is n < strict_bound: start next to the bound and settle it with the
+    # same float test the domain uses (the two round apart near 2^51)
+    n = max(0, math.ceil(strict_bound) - 1)
+    while n and not weight.moment_is_finite(2 * n + 2):
+        n -= 1
+    while weight.moment_is_finite(2 * n + 4):
+        n += 1
     floor_dim = math.floor(strict_bound) + 1
     return LadderLengthReport(
         n_max=n,

@@ -1,9 +1,11 @@
 """Exact rewrite-engine tests: pinned identities, algebra laws, regularity."""
 
+import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakcr.algebra import (
@@ -39,6 +41,42 @@ words = st.lists(gens, max_size=6).map(tuple)
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 coeffs = st.builds(GaussRational, small_fractions, small_fractions)
 polys = st.dictionaries(words, coeffs, max_size=4).map(NCPoly)
+
+
+# --- step-by-step rewriter (reference oracle) --------------------------------
+
+
+def _reducible_index(word, strategy):
+    """Position of an adjacent (S,T) or (S',T') pair, or None if canonical."""
+    indices = range(len(word) - 1)
+    if strategy == "rightmost":
+        indices = reversed(indices)
+    for i in indices:
+        a, b = word[i], word[i + 1]
+        if (a == GEN_S and b == GEN_T) or (a == GEN_SD and b == GEN_TD):
+            return i
+    return None
+
+
+def rewrite_oracle(p, strategy="leftmost"):
+    """One rule application at a time on a stack: c*(u S T v) becomes
+    c*(u T S v) + c*(u v), and c*(u S' T' v) becomes c*(u T' S' v) - c*(u v).
+    Exponential in the degree, so for short words only."""
+    out = {}
+    stack = list(p.terms.items())
+    while stack:
+        word, coeff = stack.pop()
+        i = _reducible_index(word, strategy)
+        if i is None:
+            new = out.get(word, GaussRational()) + coeff
+            if new:
+                out[word] = new
+            else:
+                out.pop(word, None)
+            continue
+        stack.append((word[:i] + (word[i + 1], word[i]) + word[i + 2 :], coeff))
+        stack.append((word[:i] + word[i + 2 :], coeff if word[i] == GEN_S else -coeff))
+    return NCPoly(out)
 
 
 # --- pinned rewrite identities ----------------------------------------------
@@ -160,6 +198,104 @@ def test_normal_order_commutes_with_adjoint(p):
 def test_confluence_two_strategies(word):
     p = NCPoly.from_word(word)
     assert normal_order(p, "leftmost") == normal_order(p, "rightmost")
+
+
+long_words = st.lists(gens, max_size=8).map(tuple)
+long_polys = st.dictionaries(long_words, coeffs, min_size=1, max_size=4).map(NCPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_polys, st.sampled_from(("leftmost", "rightmost")))
+def test_sweep_matches_step_by_step_rewriter(p, strategy):
+    assert normal_order(p, strategy) == rewrite_oracle(p, strategy)
+
+
+def _block(family, k, r):
+    s, t = family
+    return (s,) * k + (t,) * r
+
+
+families = st.sampled_from(((GEN_S, GEN_T), (GEN_SD, GEN_TD)))
+blocks = st.builds(_block, families, st.integers(0, 6), st.integers(0, 6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks, coeffs.filter(bool))
+def test_single_block_term_order_matches_rewriter(word, c):
+    p = NCPoly.from_word(word, c)
+    assert list(normal_order(p).terms) == list(rewrite_oracle(p).terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_words, coeffs.filter(bool))
+@example((GEN_S, GEN_T, GEN_SD, GEN_TD, GEN_T), GaussRational(1))
+@example((GEN_SD, GEN_TD, GEN_S, GEN_T, GEN_TD), GaussRational(1))
+@example((GEN_S, GEN_S, GEN_T, GEN_SD, GEN_TD, GEN_T), GaussRational(1))
+def test_single_word_term_order_matches_rewriter(word, c):
+    # one input word: each output word's contributions share one sign, so no
+    # running sum in the rewriter passes through zero
+    p = NCPoly.from_word(word, c)
+    assert list(normal_order(p).terms) == list(rewrite_oracle(p).terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(
+    st.tuples(families, st.integers(-3, 3)), st.tuples(st.integers(0, 4), coeffs.filter(bool)), min_size=1, max_size=4
+))
+def test_block_sum_term_order_matches_rewriter(items):
+    # every word in the canonical form of S^k T^r has r - k more T's than S's,
+    # so blocks with distinct (family, r - k) share no output word, and the
+    # term order does not hinge on where a partial sum crosses zero
+    p = NCPoly({
+        _block(family, k + max(0, -excess), k + max(0, excess)): c
+        for (family, excess), (k, c) in items.items()
+    })
+    assert list(normal_order(p).terms) == list(rewrite_oracle(p).terms)
+
+
+@pytest.mark.parametrize("k, r", [(20, 20), (15, 25)])
+@pytest.mark.parametrize("family, sign", [((GEN_S, GEN_T), 1), ((GEN_SD, GEN_TD), -1)])
+def test_block_closed_form(k, r, family, sign):
+    s, t = family
+    want = NCPoly({
+        (t,) * (r - j) + (s,) * (k - j): factorial(j) * comb(k, j) * comb(r, j) * sign**j
+        for j in range(min(k, r) + 1)
+    })
+    p = NCPoly.from_word(_block(family, k, r))
+    assert normal_order(p, "leftmost") == want
+    assert normal_order(p, "rightmost") == want
+
+
+def _sympy_words():
+    rng = random.Random(0)
+    for n in range(11):
+        for _ in range(3):
+            yield tuple(rng.choice((GEN_S, GEN_T)) for _ in range(n))
+
+
+@pytest.mark.parametrize("word", list(_sympy_words()), ids=lambda w: "".join(w) or "1")
+def test_normal_order_matches_sympy_boson(word):
+    sympy = pytest.importorskip("sympy")
+    from sympy.physics.quantum import Dagger
+    from sympy.physics.quantum.boson import BosonOp
+    from sympy.physics.quantum.operatorordering import normal_ordered_form
+
+    a = BosonOp("a")
+    op = {GEN_S: a, GEN_T: Dagger(a)}
+
+    def product(w):
+        out = sympy.Integer(1)
+        for g in w:
+            out = out * op[g]
+        return out
+
+    ours = sum(
+        (sympy.Integer(int(c.re)) * product(w)
+         for w, c in normal_order(NCPoly.from_word(word)).terms.items()),
+        sympy.Integer(0),
+    )
+    theirs = normal_ordered_form(product(word), recursive_limit=100)
+    assert sympy.expand(theirs - ours) == 0
 
 
 # --- regularity and profiles --------------------------------------------------

@@ -1,10 +1,13 @@
 """CLI contract tests: documented payloads, determinism, exit codes."""
 
 import json
+from math import comb, factorial
 
 import pytest
 from test_acceptance import _run_cli
 
+from weakcr import cli
+from weakcr.algebra import GEN_S, GEN_T, NCPoly, normal_order, render
 from weakcr.cli import main
 
 
@@ -205,3 +208,46 @@ def test_normal_order_beyond_default_dimension_checks_a_positive_band(capsys, ex
     code, out, _ = run(capsys, "normal-order", expr)
     assert code == 0
     assert "PASS fock_soundness" in out
+
+
+@pytest.mark.parametrize("expr", ["S^5 T^5", "S^7 T^7", "S^10 T^10"])
+def test_normal_order_soundness_is_relative_to_entry_scale(capsys, tmp_path, expr):
+    # entries of S^10 T^10 reach ~1e14 on the block, so rounding alone
+    # exceeds an absolute 1e-10
+    out_file = tmp_path / "normal.json"
+    code, out, _ = run(capsys, "normal-order", expr, "--out", str(out_file))
+    assert code == 0
+    report = json.loads(out_file.read_text())
+    results, (check,) = report["results"], report["checks"]
+    assert results["soundness_scale"] >= 1.0
+    assert check["value"] == results["soundness_defect"] / results["soundness_scale"]
+
+
+@pytest.mark.parametrize(
+    "expr, dropped",
+    [
+        ("S^5 T^5", ()),
+        ("S^10 T^10", ()),
+        # 40 T^39 only shows from row 39 on, so this needs a block of >= 40 indices
+        ("S T^40", (GEN_T,) * 39),
+    ],
+)
+def test_normal_order_soundness_catches_a_dropped_term(capsys, monkeypatch, expr, dropped):
+    def unsound(p):
+        return NCPoly({w: c for w, c in normal_order(p).terms.items() if w != dropped})
+
+    monkeypatch.setattr(cli, "normal_order", unsound)
+    code, out, _ = run(capsys, "normal-order", expr)
+    assert code == 1
+    assert "FAIL fock_soundness" in out
+
+
+def test_normal_order_high_degree_finishes():
+    # a fresh interpreter with a timeout, so an exponential rewrite fails the
+    # test instead of stalling it
+    proc = _run_cli("normal-order", "S^20 T^20")
+    assert proc.returncode == 0
+    want = NCPoly({
+        (GEN_T,) * (20 - j) + (GEN_S,) * (20 - j): factorial(j) * comb(20, j) ** 2 for j in range(21)
+    })
+    assert proc.stdout.splitlines()[0] == render(want)

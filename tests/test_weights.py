@@ -270,6 +270,36 @@ def test_constructive_value_obeys_strict_bound(alpha):
     assert report.n_max < 2 * alpha - 1.5
 
 
+def _ladder_length_loop(alpha):
+    """Reference: step n up while x^(n+1) stays in the domain."""
+    weight = rational_weight(alpha)
+    n = 0
+    while in_domain(monomial(n + 1), weight):
+        n += 1
+    return n
+
+
+def test_ladder_length_matches_domain_loop_at_boundaries():
+    # n_max steps at alpha = k/4; check on, just below and just above each step
+    for k in range(4, 401):
+        for alpha in (k / 4 - 1e-15, k / 4, k / 4 + 1e-15):
+            assert ladder_length(alpha).n_max == _ladder_length_loop(alpha), alpha
+
+
+def test_ladder_length_large_alpha():
+    assert ladder_length(1e5).n_max == 199998
+
+
+@pytest.mark.parametrize("alpha", [1e5, 2.0**51 + 0.5, 2.0**51 + 1, 2.0**52 + 1])
+def test_ladder_length_settles_on_the_moment_test(alpha):
+    # near 2^51 the float bound 2*alpha - 3/2 and the moment test 2n + 2 <
+    # 4*alpha - 1 round apart; n_max must follow the moment test
+    weight = rational_weight(alpha)
+    n = ladder_length(alpha).n_max
+    assert weight.moment_is_finite(2 * n + 2)
+    assert not weight.moment_is_finite(2 * n + 4)
+
+
 def test_ladder_length_rejects_small_alpha():
     with pytest.raises(DomainParameterError):
         ladder_length(0.5)
