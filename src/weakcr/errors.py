@@ -36,7 +36,9 @@ class PreconditionError(WeakCRError):
 class NoKernelError(WeakCRError):
     """Raised when no numerical kernel vector exists below tolerance.
 
-    ``sigma_min`` holds the smallest singular value actually found.
+    ``sigma_min`` holds |A v| for the unit vector v that inverse iteration
+    settled on: an upper bound on the smallest singular value of A, and equal
+    to it up to rounding once the iteration has converged.
     """
 
     def __init__(self, msg, sigma_min=None):

@@ -6,6 +6,11 @@ leading "safe" block of basis indices where finite truncation provably does
 not corrupt it.  Defects come in three strengths: the weak (inner-product)
 form, the semigroup form V_S(alpha) T - T V_S(alpha) = alpha V_S(alpha), and
 the Weyl form between two semigroups.
+
+Operators keep their dense ``entries``; the defects read each operator's
+diagonals from them and work on those (banded products, a Taylor series for
+exp), so the only dense N x N step left is the SVD behind the Weyl block's
+spectral norm.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DomainParameterError,
@@ -198,6 +202,153 @@ def matrix2x2_pair(s, q):
 
 
 # ---------------------------------------------------------------------------
+# banded storage
+# ---------------------------------------------------------------------------
+#
+# Every pair in this package is banded (boson, swanson and 2x2 pairs are
+# tridiagonal), so the defect chain works on diagonals, never on dense N x N
+# products.  A matrix of bandwidth K is held as a (2K+1) x N array D with
+# D[K + d, i] = A[i, i + d] and zeros where i + d falls outside [0, N).
+
+
+def _width(D):
+    return D.shape[0] // 2
+
+
+def _span(d, n):
+    """Rows i of an n x n matrix whose diagonal-d entry (i, i + d) exists."""
+    return slice(max(0, -d), max(0, n - max(0, d)))
+
+
+def diagonals(entries):
+    """Diagonals of a dense square matrix; the bandwidth is its nonzero pattern's.
+
+    A wide (even full) matrix is stored exactly, only with more diagonals.
+    """
+    n = entries.shape[0]
+    nz = entries != 0
+    i = np.arange(n)
+    # per row, the distance from the diagonal to the first and the last nonzero
+    reach = np.maximum(i - nz.argmax(axis=1), n - 1 - i - nz[:, ::-1].argmax(axis=1))
+    width = int(reach[nz.any(axis=1)].max(initial=0))
+    D = np.zeros((2 * width + 1, n), dtype=complex)
+    for d in range(-width, width + 1):
+        D[width + d, _span(d, n)] = entries.diagonal(d)
+    return D
+
+
+def _shifted(D, sign):
+    """G[K + d, i] = D[K + d, i + sign * d], zero where that leaves the matrix."""
+    width, n = _width(D), D.shape[1]
+    G = np.zeros_like(D)
+    for d in range(-width, width + 1):
+        G[width + d, _span(sign * d, n)] = D[width + d, _span(-sign * d, n)]
+    return G
+
+
+def band_adjoint(D):
+    """Diagonals of A' from those of A: A'[i, i + d] = conj(A[i + d, i])."""
+    return _shifted(D[::-1], 1).conj()
+
+
+def band_columns(D):
+    """Column-indexed diagonals, C[K + d, j] = A[j - d, j] (LAPACK-style layout)."""
+    return _shifted(D, -1)
+
+
+def band_product(A, B):
+    """Diagonals of the product of two matrices given by their diagonals."""
+    ka, kb, n = _width(A), _width(B), A.shape[1]
+    # B's columns padded by ka zeros on each side, so every shift below is a slice
+    padded = np.zeros((2 * kb + 1, n + 2 * ka), dtype=B.dtype)
+    padded[:, ka : ka + n] = B
+    C = np.zeros((2 * (ka + kb) + 1, n), dtype=np.result_type(A, B))
+    for r in range(2 * ka + 1):
+        # with d = r - ka: C[i, i + d + f] += A[i, i + d] * B[i + d, i + d + f]
+        C[r : r + 2 * kb + 1] += A[r] * padded[:, r : r + n]
+    excess = max(0, ka + kb - (n - 1))  # diagonals beyond the matrix are all zero
+    return C[excess : C.shape[0] - excess]
+
+
+def band_commutator(A, B):
+    """Diagonals of A B - B A."""
+    return band_product(A, B) - band_product(B, A)
+
+
+def block_max_abs(D, k):
+    """Max-abs entry of the leading k x k block of the matrix with diagonals D."""
+    width = _width(D)
+    block = D[:, :k].copy()
+    for d in range(1, width + 1):  # entries (i, i + d) with i + d >= k leave the block
+        block[width + d, max(0, k - d) :] = 0
+    return float(np.max(np.abs(block)))
+
+
+def _block_dense(D, k):
+    """The leading k x k block of the matrix with diagonals D, as a dense array."""
+    width, rows = _width(D), np.arange(k)
+    out = np.zeros((k, k), dtype=D.dtype)
+    for d in range(-width, width + 1):
+        i = rows[_span(d, k)]
+        out[i, i + d] = D[width + d, _span(d, k)]
+    return out
+
+
+_EPS = np.finfo(float).eps / 2  # unit roundoff 2^-53
+
+#: theta_m of Al-Mohy & Higham (2011) for unit roundoff 2^-53 (the values
+#: scipy.sparse.linalg.expm_multiply uses): the largest ||A||_1 for which the
+#: degree-m Taylor polynomial of exp(A) is accurate to that roundoff.
+_TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
+    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
+    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
+    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.70, 40: 6.00,
+    45: 7.20, 50: 8.50, 55: 9.90,
+}
+
+
+def band_expm(D, alpha):
+    """Diagonals of exp(alpha A) by a truncated Taylor series on the diagonals.
+
+    Steps s and degree m minimise s * m subject to ||alpha A||_1 / s <= theta_m
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)); the series of each
+    step stops early once two consecutive terms fall below unit roundoff
+    relative to the partial sum.  Each term widens the band by K, so the
+    result has bandwidth at most s * m * K.
+    """
+    A = alpha * D
+    norm1 = float(np.max(np.sum(np.abs(band_columns(A)), axis=0)))
+    steps, degree = min(
+        ((max(1, math.ceil(norm1 / theta)), m) for m, theta in _TAYLOR_THETA.items()),
+        key=lambda sm: (sm[0] * sm[1], sm[1]),
+    )
+    A /= steps
+    n = D.shape[1]
+    widest = min(degree * _width(D), n - 1)
+    total = np.zeros((2 * widest + 1, n), dtype=complex)
+    total[widest] = 1.0
+    term = np.ones((1, n), dtype=complex)
+    previous, bound = 0.0, 1.0  # bound >= max|total|, so max|total| is read only near the end
+    for j in range(1, degree + 1):
+        term = band_product(A, term)
+        term /= j
+        width = _width(term)
+        total[widest - width : widest + width + 1] += term
+        size = float(np.max(np.abs(term)))
+        bound += size
+        if size + previous <= _EPS * bound and size + previous <= _EPS * np.max(np.abs(total)):
+            break
+        previous = size
+    total = total[widest - width : widest + width + 1]
+    V = total
+    for _ in range(steps - 1):
+        V = band_product(total, V)
+    return V
+
+
+# ---------------------------------------------------------------------------
 # defects
 # ---------------------------------------------------------------------------
 
@@ -207,12 +358,12 @@ def weak_defect(pair):
 
     max over basis indices i, j < safe_rank of
     |<T e_i, S' e_j> - <S e_i, T' e_j> - delta_ij|, which in matrix form is
-    the max-abs entry of the leading block of S T - T S - 1.
+    the max-abs entry of the leading block of S T - T S - 1, formed on the
+    diagonals of S and T.
     """
-    k = pair.safe_rank
-    S, T = pair.S.entries, pair.T.entries
-    M = S @ T - T @ S - np.eye(pair.dim, dtype=complex)
-    return float(np.max(np.abs(M[:k, :k])))
+    M = band_commutator(diagonals(pair.S.entries), diagonals(pair.T.entries))
+    M[_width(M)] -= 1.0
+    return block_max_abs(M, pair.safe_rank)
 
 
 def semigroup_band(pair, alpha):
@@ -233,25 +384,33 @@ def semigroup_band(pair, alpha):
 
 
 def quasi_strong_defect(pair, alpha):
-    """Entrywise defect of V_S(a) T - T V_S(a) = a V_S(a) on the reduced band."""
+    """Entrywise defect of V_S(a) T - T V_S(a) = a V_S(a) on the reduced band.
+
+    V_S(a) = exp(a S) comes from band_expm; every product is banded.
+    """
     if not 0 <= alpha < math.inf:
         raise DomainParameterError(f"semigroup parameter must be finite and >= 0, got {alpha}")
     band = semigroup_band(pair, alpha)
-    S, T = pair.S.entries, pair.T.entries
-    V = scipy.linalg.expm(alpha * S)
-    M = V @ T - T @ V - alpha * V
-    return float(np.max(np.abs(M[:band, :band])))
+    T = diagonals(pair.T.entries)
+    V = band_expm(diagonals(pair.S.entries), alpha)
+    M = band_commutator(V, T)
+    width = _width(V)
+    M[_width(M) - width : _width(M) + width + 1] -= alpha * V
+    return block_max_abs(M, band)
 
 
 def weyl_defect(pair, alpha, beta):
-    """Spectral-norm defect of V_S(a) V_T(b) = e^(ab) V_T(b) V_S(a) on the band."""
+    """Spectral-norm defect of V_S(a) V_T(b) = e^(ab) V_T(b) V_S(a) on the band.
+
+    Both semigroups and both products are banded; only the spectral norm of
+    the leading band x band block is taken densely (an SVD).
+    """
     if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
         raise DomainParameterError(
             f"semigroup parameters must be finite and >= 0, got ({alpha}, {beta})"
         )
     band = semigroup_band(pair, max(alpha, beta))
-    S, T = pair.S.entries, pair.T.entries
-    VS = scipy.linalg.expm(alpha * S)
-    VT = scipy.linalg.expm(beta * T)
-    M = VS @ VT - math.exp(alpha * beta) * (VT @ VS)
-    return float(np.linalg.norm(M[:band, :band], ord=2))
+    VS = band_expm(diagonals(pair.S.entries), alpha)
+    VT = band_expm(diagonals(pair.T.entries), beta)
+    M = band_product(VS, VT) - math.exp(alpha * beta) * band_product(VT, VS)
+    return float(np.linalg.norm(_block_dense(M, band), ord=2))

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     ConditioningError,
@@ -26,25 +27,61 @@ from .errors import (
     PreconditionError,
     TruncationError,
 )
-from .fock import StateVector, TruncatedOperator, inner, norm
+from .fock import (
+    StateVector,
+    TruncatedOperator,
+    band_adjoint,
+    band_columns,
+    band_product,
+    diagonals,
+    inner,
+    norm,
+)
+
+_EPS = np.finfo(float).eps / 2  # unit roundoff
 
 
 def kernel_vector(A: TruncatedOperator, tol=1e-10):
-    """Unit-norm numerical kernel vector of A.
+    """Unit-norm numerical kernel vector of A, with the certificate |A v|.
 
-    Uses the right singular vector of the smallest singular value; raises
-    NoKernelError carrying sigma_min when that value exceeds ``tol``.  The
-    phase is fixed so the first non-negligible component is positive real,
-    which makes the result deterministic.
+    Inverse iteration on the banded Hermitian matrix A'A + eps I (a banded
+    Cholesky factor, solved a few times) converges to the right singular
+    vector of the smallest singular value; the shift eps, a rounding-sized
+    multiple of |A|_F^2, keeps the factorization positive definite without
+    moving that vector.  Since |A v| >= sigma_min for every unit v, the
+    vector is accepted only when |A v| <= ``tol``; otherwise NoKernelError
+    carries |A v| as ``sigma_min``.  The phase is fixed so the first
+    non-negligible component is positive real, which makes the result
+    deterministic.
     """
-    u, s, vh = np.linalg.svd(A.entries)
-    sigma_min = float(s[-1])
-    if sigma_min > tol:
+    D = diagonals(A.entries)
+    H = band_product(band_adjoint(D), D)
+    width = H.shape[0] // 2
+    upper = band_columns(H)[width:][::-1]  # LAPACK upper storage: ab[w + i - j, j] = H[i, j]
+    frobenius2 = float(np.sum(upper[width].real)) or 1.0  # trace of A'A
+    # a few roundings of |A|_F^2 keep the factor positive definite; the shift is
+    # far below the gap to the next singular value, so the vector does not move
+    upper[width] += 4 * (width + 1) * _EPS * frobenius2
+    factor = scipy.linalg.cholesky_banded(upper)
+    # a fixed random start: deterministic, and no symmetry of A makes it
+    # orthogonal to the kernel (a constant vector can be)
+    v = np.random.default_rng(0).standard_normal(A.dim).astype(complex)
+    for _ in range(8):
+        w = scipy.linalg.cho_solve_banded((factor, False), v)
+        w /= np.linalg.norm(w)
+        overlap = np.vdot(w, v)
+        w *= overlap / (abs(overlap) or 1.0)  # v's phase, so |w - v| is the step's angle
+        settled = np.linalg.norm(w - v) <= 8 * _EPS
+        v = w
+        if settled:
+            break
+    residual = norm(A.entries @ v)
+    if residual > tol:
         raise NoKernelError(
-            f"smallest singular value {sigma_min:.3e} exceeds tolerance {tol:.3e}",
-            sigma_min=sigma_min,
+            f"no kernel vector: |A v| = {residual:.3e} exceeds tolerance {tol:.3e} "
+            f"(|A v| >= smallest singular value)",
+            sigma_min=residual,
         )
-    v = vh[-1].conj()
     scale = np.max(np.abs(v))
     idx = int(np.argmax(np.abs(v) > 1e-12 * scale))
     phase = v[idx] / abs(v[idx])
@@ -96,7 +133,10 @@ def build_ladder(op: TruncatedOperator, base: StateVector, n_max, member=None):
 
     ``member`` (StateVector -> bool) models domain membership of each new
     vector; early stop is a normal outcome recorded in ``stop_reason``.
+    A negative ``n_max`` raises PreconditionError.
     """
+    if n_max < 0:
+        raise PreconditionError(f"bad ladder length '{n_max}' (expected n_max >= 0)")
     if base.norm == 0:
         raise PreconditionError("base vector must be nonzero")
     if op.dim != base.dim:
@@ -124,19 +164,20 @@ def eigen_check(pair, fam: LadderFamily):
     For psi_k = fam.vectors[k] this checks (T S) psi_k = k psi_k together
     with the lowering action S psi_k = sqrt(k) psi_{k-1}; the returned entry
     is the larger of the two relative residuals.  Results are also stored on
-    ``fam.eigen_residuals``.
+    ``fam.eigen_residuals``.  T S acts as the matvec chain T (S psi_k).
     """
     if pair.dim != fam.base.dim:
         raise InvalidDimensionError("pair and family dimensions differ")
-    number_op = pair.T.entries @ pair.S.entries
+    S, T = pair.S.entries, pair.T.entries
     residuals = []
     for k, psi in enumerate(fam.vectors):
         scale = psi.norm
-        r_num = norm(number_op @ psi.components - k * psi.components) / scale
+        s_psi = S @ psi.components
+        r_num = norm(T @ s_psi - k * psi.components) / scale
         r_low = 0.0
         if k >= 1:
             prev = fam.vectors[k - 1].components
-            r_low = norm(pair.S.entries @ psi.components - math.sqrt(k) * prev) / scale
+            r_low = norm(s_psi - math.sqrt(k) * prev) / scale
         residuals.append(max(r_num, r_low))
     fam.eigen_residuals = residuals
     return residuals
@@ -163,10 +204,16 @@ def commutation_power_check(pair, xi: StateVector, k: int):
             tail_mass=tail,
         )
     S, T = pair.S.entries, pair.T.entries
-    tk_prev = np.linalg.matrix_power(T, k - 1)
-    tk = T @ tk_prev
-    resid = S @ (tk @ xi.components) - tk @ (S @ xi.components) - k * (tk_prev @ xi.components)
+    tk_prev_xi = _power_apply(T, k - 1, xi.components)
+    resid = S @ (T @ tk_prev_xi) - _power_apply(T, k, S @ xi.components) - k * tk_prev_xi
     return norm(resid)
+
+
+def _power_apply(A, k, x):
+    """A^k x as k matvecs."""
+    for _ in range(k):
+        x = A @ x
+    return x
 
 
 def _rescaled_eta(fam_xi: LadderFamily, fam_eta: LadderFamily):
@@ -230,7 +277,8 @@ def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily):
     K_xi maps eta_j to xi_j and K_eta maps xi_j to eta_j (pseudoinverse
     construction restricted to the spans).  Reported defects: K_eta K_xi - 1
     on the eta-span, and the intertwining defects
-    K_eta (T S) - (S' T') K_eta on xi vectors (resp. the mirror for K_xi).
+    K_eta (T S) - (S' T') K_eta on xi vectors (resp. the mirror for K_xi),
+    with each number operator applied as a matvec chain.
     """
     L = min(len(fam_xi), len(fam_eta))
     if L < 1:
@@ -257,14 +305,21 @@ def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily):
     coords = Y_pinv @ (K_eta @ (K_xi @ Y))
     inverse_defect = float(np.max(np.abs(coords - np.eye(L))))
 
-    num_xi = pair.T.entries @ pair.S.entries
-    num_eta = pair.S.entries.conj().T @ pair.T.entries.conj().T
+    S, T = pair.S.entries, pair.T.entries
+    Sd, Td = S.conj().T, T.conj().T
+
+    def num_xi(x):
+        return T @ (S @ x)
+
+    def num_eta(y):
+        return Sd @ (Td @ y)
+
     d_eta = max(
-        norm(K_eta @ (num_xi @ x.components) - num_eta @ (K_eta @ x.components)) / x.norm
+        norm(K_eta @ num_xi(x.components) - num_eta(K_eta @ x.components)) / x.norm
         for x in fam_xi.vectors[:L]
     )
     d_xi = max(
-        norm(K_xi @ (num_eta @ y) - num_xi @ (K_xi @ y)) / norm(y)
+        norm(K_xi @ num_eta(y) - num_xi(K_xi @ y)) / norm(y)
         for y in (Y[:, j] for j in range(L))
     )
 
@@ -305,6 +360,6 @@ def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily):
 def restricted_spectrum(pair, fam: LadderFamily):
     """Eigenvalues of T S restricted to the ladder span, in the ladder basis."""
     X = np.column_stack([v.components for v in fam.vectors])
-    R = np.linalg.pinv(X) @ (pair.T.entries @ pair.S.entries) @ X
+    R = np.linalg.pinv(X) @ (pair.T.entries @ (pair.S.entries @ X))
     evals = np.linalg.eigvals(R)
     return np.sort_complex(evals)

@@ -28,8 +28,12 @@ from .fock import (
     OperatorPair,
     StateVector,
     TruncatedOperator,
+    band_adjoint,
+    band_commutator,
     basis_state,
+    block_max_abs,
     coherent_state,
+    diagonals,
     matrix2x2_pair,
     norm,
     swanson_pair,
@@ -131,12 +135,14 @@ def ur1_check(pair, xi, z=None, w=None, C=None, tol=SATURATION_TOL):
 
 
 def cross_condition_defect(pair):
-    """Entrywise defect of [S', T] = [S, T'] on the safe block."""
-    S, T = pair.S.entries, pair.T.entries
-    Sd, Td = S.conj().T, T.conj().T
-    M = (Sd @ T - T @ Sd) - (S @ Td - Td @ S)
-    k = pair.safe_rank
-    return float(np.max(np.abs(M[:k, :k])))
+    """Entrywise defect of [S', T] = [S, T'] on the safe block.
+
+    Since [S, T'] = -[S', T]', the defect matrix is X + X' with X = [S', T],
+    one commutator formed on the diagonals of S and T.
+    """
+    S = diagonals(pair.S.entries)
+    X = band_commutator(band_adjoint(S), diagonals(pair.T.entries))
+    return block_max_abs(X + band_adjoint(X), pair.safe_rank)
 
 
 def ur2_check(pair, xi, C=None, tol=SATURATION_TOL):

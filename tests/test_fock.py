@@ -4,24 +4,36 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakcr.errors import DomainParameterError, InvalidDimensionError, TruncationError
 from weakcr.fock import (
     OperatorPair,
+    TruncatedOperator,
+    band_adjoint,
+    band_columns,
+    band_expm,
+    band_product,
     basis_state,
+    block_max_abs,
     boson_pair,
     coherent_state,
+    diagonals,
     identity,
     inner,
     lowering,
     quasi_strong_defect,
     raising,
+    semigroup_band,
     swanson_pair,
     weak_defect,
     weyl_defect,
 )
+
+EPS = np.finfo(float).eps
+ROUNDING = 100 * EPS  # banded and dense sums differ only in rounding order
 
 
 def test_lowering_smallest():
@@ -195,3 +207,149 @@ def test_identity_and_pair_validation():
         OperatorPair(lowering(4), lowering(8))
     with pytest.raises(InvalidDimensionError):
         OperatorPair(lowering(4), raising(4), safe_rank=4)
+
+
+# --- banded paths against dense oracles ----------------------------------------------
+#
+# The library forms no dense N x N product, exponential or SVD outside the Weyl
+# block's spectral norm; these dense formulas are the reference it is tested against.
+
+
+def dense_weak_defect(pair):
+    S, T = pair.S.entries, pair.T.entries
+    M = S @ T - T @ S - np.eye(pair.dim)
+    return float(np.max(np.abs(M[: pair.safe_rank, : pair.safe_rank])))
+
+
+def dense_quasi_strong_defect(pair, alpha):
+    band = semigroup_band(pair, alpha)
+    S, T = pair.S.entries, pair.T.entries
+    V = scipy.linalg.expm(alpha * S)
+    M = V @ T - T @ V - alpha * V
+    return float(np.max(np.abs(M[:band, :band]))), float(np.max(np.abs(V)) * np.max(np.abs(T)))
+
+
+def dense_weyl_defect(pair, alpha, beta):
+    band = semigroup_band(pair, max(alpha, beta))
+    S, T = pair.S.entries, pair.T.entries
+    VS, VT = scipy.linalg.expm(alpha * S), scipy.linalg.expm(beta * T)
+    M = VS @ VT - math.exp(alpha * beta) * (VT @ VS)
+    scale = math.exp(alpha * beta) * np.linalg.norm(VS, 1) * np.linalg.norm(VT, 1)
+    return float(np.linalg.norm(M[:band, :band], ord=2)), float(scale)
+
+
+def dense(D):
+    """The full matrix with diagonals D."""
+    n, width = D.shape[1], D.shape[0] // 2
+    out = np.zeros((n, n), dtype=D.dtype)
+    for d in range(-width, width + 1):
+        for i in range(max(0, -d), min(n, n - d)):
+            out[i, i + d] = D[width + d, i]
+    return out
+
+
+def widest_alpha(pair):
+    """The largest alpha whose semigroup band is nonempty (0 if none is)."""
+    alpha = max(0.0, (pair.safe_rank - 1) / (10 * math.sqrt(pair.dim)))
+    while math.ceil(10 * alpha * math.sqrt(pair.dim)) > pair.safe_rank - 1:
+        alpha = float(np.nextafter(alpha, 0))
+    return alpha
+
+
+def wide_pair(n):
+    """A bandwidth-2 pair outside the tridiagonal models."""
+    a, ad = lowering(n).entries, raising(n).entries
+    S = TruncatedOperator(a + 0.5 * a @ a + 0.2 * ad)
+    T = TruncatedOperator(ad + 0.3 * ad @ ad)
+    return OperatorPair(S, T, safe_rank=n - 2)
+
+
+PAIRS = [(f"swanson{theta}", n, lambda theta=theta, n=n: swanson_pair(theta, n))
+         for theta in (0.0, 0.3, 0.6) for n in (2, 3, 16, 128)]
+PAIRS += [("wide", n, lambda n=n: wide_pair(n)) for n in (4, 16, 128)]
+
+
+@pytest.mark.parametrize("name, n, make", PAIRS, ids=[f"{p[0]}-N{p[1]}" for p in PAIRS])
+@pytest.mark.parametrize("which", ["zero", "0.1", "widest"])
+def test_banded_defects_match_dense_oracles(name, n, make, which):
+    pair = make()
+    alpha = {"zero": 0.0, "0.1": 0.1, "widest": widest_alpha(pair)}[which]
+    S = pair.S.entries
+    E = scipy.linalg.expm(alpha * S)
+    V = dense(band_expm(diagonals(S), alpha))
+    assert np.max(np.abs(V - E)) <= ROUNDING * np.max(np.abs(E))
+
+    scale = float(np.max(np.abs(S)) * np.max(np.abs(pair.T.entries)))
+    assert abs(weak_defect(pair) - dense_weak_defect(pair)) <= ROUNDING * max(1.0, scale)
+    try:
+        want, q_scale = dense_quasi_strong_defect(pair, alpha)
+    except TruncationError:
+        with pytest.raises(TruncationError):
+            quasi_strong_defect(pair, alpha)
+        return
+    assert abs(quasi_strong_defect(pair, alpha) - want) <= ROUNDING * q_scale
+    for beta in (0.0, alpha):
+        want, w_scale = dense_weyl_defect(pair, alpha, beta)
+        assert abs(weyl_defect(pair, alpha, beta) - want) <= ROUNDING * w_scale
+
+
+def test_widest_alpha_is_the_band_edge():
+    pair = swanson_pair(0.3, 128)
+    alpha = widest_alpha(pair)
+    assert semigroup_band(pair, alpha) == 1
+    with pytest.raises(TruncationError):
+        semigroup_band(pair, alpha + 1e-3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_band_storage_round_trips(n):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    B = np.triu(np.tril(rng.standard_normal((n, n)), 2), -1)  # bandwidth 2, or less at small n
+    DA, DB = diagonals(A), diagonals(B)
+    assert DA.shape == (2 * n - 1, n)  # a full matrix keeps every diagonal
+    assert np.array_equal(dense(DA), A)
+    assert np.array_equal(dense(band_adjoint(DA)), A.conj().T)
+    for X, Y in ((DA, DB), (DB, DA), (DB, DB)):
+        assert np.allclose(dense(band_product(X, Y)), dense(X) @ dense(Y), rtol=0, atol=ROUNDING * n * 10)
+    cols = band_columns(DA)
+    width = n - 1
+    for d in range(-width, width + 1):
+        for j in range(max(0, d), min(n, n + d)):
+            assert cols[width + d, j] == A[j - d, j]
+
+
+def test_bandwidth_follows_the_nonzero_pattern():
+    assert diagonals(lowering(6).entries).shape == (3, 6)
+    assert diagonals(identity(5).entries).shape == (1, 5)
+    assert diagonals(np.zeros((4, 4))).shape == (1, 4)
+    corner = np.zeros((5, 5))
+    corner[4, 0] = 1.0
+    assert diagonals(corner).shape == (9, 5)
+    assert diagonals(wide_pair(8).S.entries).shape == (5, 8)
+
+
+def test_block_max_abs_reads_only_the_block():
+    A = np.arange(36, dtype=complex).reshape(6, 6)
+    for k in (1, 3, 6):
+        assert block_max_abs(diagonals(A), k) == np.max(np.abs(A[:k, :k]))
+
+
+def test_band_expm_splits_large_norms_into_steps():
+    # ||alpha S||_1 is about 40 here, beyond the largest Taylor degree's theta
+    S = swanson_pair(0.3, 96).S.entries
+    E = scipy.linalg.expm(2.0 * S)
+    V = dense(band_expm(diagonals(S), 2.0))
+    assert np.max(np.abs(V - E)) <= ROUNDING * np.max(np.abs(E))
+
+
+def test_defect_chain_forms_no_dense_exponential_or_svd(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense exponential or SVD of a pair matrix")
+
+    monkeypatch.setattr(scipy.linalg, "expm", forbidden)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    pair = swanson_pair(0.3, 64)
+    assert weak_defect(pair) < 1e-12
+    assert quasi_strong_defect(pair, 0.1) < 1e-10
+    assert weyl_defect(pair, 0.1, 0.1) < 1e-10

@@ -11,7 +11,7 @@ from weakcr.errors import (
     PreconditionError,
     TruncationError,
 )
-from weakcr.fock import basis_state, boson_pair, identity, lowering, raising, swanson_pair
+from weakcr.fock import basis_state, boson_pair, identity, lowering, norm, raising, swanson_pair
 from weakcr.ladder import (
     biorthogonality_gram,
     build_ladder,
@@ -61,6 +61,52 @@ def test_kernel_vector_rejects_invertible():
     assert exc.value.sigma_min == pytest.approx(1.0)
 
 
+def svd_kernel_vector(A):
+    """Reference oracle: right singular vector of the smallest singular value."""
+    _, s, vh = np.linalg.svd(A.entries)
+    v = vh[-1].conj()
+    idx = int(np.argmax(np.abs(v) > 1e-12 * np.max(np.abs(v))))
+    return v * abs(v[idx]) / v[idx], float(s[-1])
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 0.6])
+@pytest.mark.parametrize("n", [3, 16, 96, 128, 512])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_kernel_vector_matches_svd_oracle(theta, n, adjoint):
+    pair = swanson_pair(theta, n)
+    A = pair.T.adjoint() if adjoint else pair.S
+    want, sigma_min = svd_kernel_vector(A)
+    if sigma_min > 1e-10:
+        with pytest.raises(NoKernelError) as exc:
+            kernel_vector(A, 1e-10)
+        assert exc.value.sigma_min == pytest.approx(sigma_min, rel=1e-2)
+        return
+    v = kernel_vector(A, 1e-10).components
+    assert abs(np.vdot(want, v)) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(v - want)) < 1e-12
+    # the certificate |A v| is as good as the SVD vector's, up to rounding
+    assert norm(A.entries @ v) <= (1 + 1e-9) * max(norm(A.entries @ want), 1e-15)
+
+
+def test_no_kernel_certificate_tracks_sigma_min():
+    # theta = 0.6 at N = 96: the kernel does not fit, sigma_min is about 1.7e-8
+    S = swanson_pair(0.6, 96).S
+    _, sigma_min = svd_kernel_vector(S)
+    with pytest.raises(NoKernelError) as exc:
+        kernel_vector(S, 1e-10)
+    assert abs(exc.value.sigma_min - sigma_min) <= 1e-2 * sigma_min
+    assert exc.value.sigma_min >= sigma_min * (1 - 1e-12)  # |A v| never undercuts sigma_min
+
+
+def test_kernel_vector_forms_no_svd(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("SVD of a pair matrix")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    S = swanson_pair(0.3, 64).S
+    assert norm(S.entries @ kernel_vector(S).components) < 1e-15
+
+
 # --- ladder construction -------------------------------------------------------
 
 
@@ -82,6 +128,12 @@ def test_membership_stops_at_truncation_edge():
     fam = build_ladder(raising(8), basis_state(0, 8), 20, member=tail_mass_membership(7))
     assert len(fam) == 7  # e_7 has all mass beyond band 7
     assert fam.stop_reason.startswith("membership failed")
+
+
+def test_build_ladder_rejects_negative_length():
+    with pytest.raises(PreconditionError):
+        build_ladder(raising(8), basis_state(0, 8), -3)
+    assert len(build_ladder(raising(8), basis_state(0, 8), 0)) == 1
 
 
 def test_build_ladder_rejects_zero_base():
@@ -107,6 +159,29 @@ def test_swanson_eigen_residuals():
     res = eigen_check(pair, fam_xi)
     assert len(res) == 7
     assert max(res) < 1e-8
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_eigen_residuals_stay_at_rounding_level_at_n512(theta):
+    # an SVD kernel vector carries ~1e-16 noise in its tail, which T^6 lifts
+    # to 1e-7 at N = 512 and fails the 1e-8 tolerance; inverse iteration does not
+    pair, fam_xi, _ = swanson_families(theta, dim=512)
+    assert len(fam_xi) == 7
+    assert max(eigen_check(pair, fam_xi)) < 1e-12
+
+
+def test_eigen_check_matches_dense_number_operator():
+    pair, fam_xi, _ = swanson_families(0.5)
+    number_op = pair.T.entries @ pair.S.entries
+    want = []
+    for k, psi in enumerate(fam_xi.vectors):
+        r_num = norm(number_op @ psi.components - k * psi.components) / psi.norm
+        r_low = 0.0 if k == 0 else norm(
+            pair.S.entries @ psi.components - math.sqrt(k) * fam_xi.vectors[k - 1].components
+        ) / psi.norm
+        want.append(max(r_num, r_low))
+    got = eigen_check(pair, fam_xi)
+    assert np.allclose(got, want, rtol=1e-6, atol=1e-15)
 
 
 def test_wrong_base_has_order_one_residual():
@@ -148,6 +223,17 @@ def test_power_check_swanson():
     pair = swanson_pair(0.3, 64)
     xi0 = kernel_vector(pair.S, 1e-10)
     assert commutation_power_check(pair, xi0, 3) < 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_power_check_matches_matrix_power(k):
+    pair = swanson_pair(0.3, 64)
+    xi = basis_state(3, 64)
+    S, T = pair.S.entries, pair.T.entries
+    tk_prev = np.linalg.matrix_power(T, k - 1)
+    tk = T @ tk_prev
+    want = norm(S @ (tk @ xi.components) - tk @ (S @ xi.components) - k * (tk_prev @ xi.components))
+    assert commutation_power_check(pair, xi, k) == pytest.approx(want, abs=1e-12)
 
 
 def test_power_check_truncation_guard():
@@ -234,6 +320,19 @@ def test_swanson_orthonormalization():
 
 
 # --- restricted spectrum --------------------------------------------------------------
+
+
+def test_number_operators_match_dense_products():
+    pair, fam_xi, fam_eta = swanson_families()
+    K = intertwiners(pair, fam_xi, fam_eta)
+    S, T = pair.S.entries, pair.T.entries
+    num_xi, num_eta = T @ S, S.conj().T @ T.conj().T
+    d_eta = max(norm(K.K_eta @ (num_xi @ x.components) - num_eta @ (K.K_eta @ x.components)) / x.norm
+                for x in fam_xi.vectors)
+    assert K.intertwining_defect_eta == pytest.approx(d_eta, rel=1e-3, abs=1e-14)
+    X = np.column_stack([v.components for v in fam_xi.vectors])
+    R = np.linalg.pinv(X) @ num_xi @ X
+    assert np.allclose(restricted_spectrum(pair, fam_xi), np.sort_complex(np.linalg.eigvals(R)), atol=1e-12)
 
 
 def test_restricted_spectrum_swanson():

@@ -16,6 +16,7 @@ from weakcr.fock import (
     coherent_state,
     identity,
     lowering,
+    matrix2x2_pair,
     raising,
     swanson_pair,
 )
@@ -125,6 +126,33 @@ def test_ur_validity_on_state_suite():
             u2 = ur2_check(pair, xi)
             assert u2.cross_condition_defect < 1e-10
             assert u2.gap >= -1e-8
+
+
+def dense_cross_condition_defect(pair):
+    """Reference oracle: the two commutators as dense products."""
+    S, T = pair.S.entries, pair.T.entries
+    Sd, Td = S.conj().T, T.conj().T
+    M = (Sd @ T - T @ Sd) - (S @ Td - Td @ S)
+    k = pair.safe_rank
+    return float(np.max(np.abs(M[:k, :k])))
+
+
+def _deformed_pair(n):
+    a, ad = lowering(n).entries, raising(n).entries
+    return OperatorPair(lowering(n), TruncatedOperator(ad + 0.05 * (a @ a)), safe_rank=n - 2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: swanson_pair(0.3, 64), lambda: swanson_pair(0.6, 3), lambda: boson_pair(16),
+     lambda: _deformed_pair(32), lambda: matrix2x2_pair(1.5, -0.5),
+     lambda: OperatorPair(TruncatedOperator(np.arange(25.0).reshape(5, 5) * (1 + 1j)),
+                          TruncatedOperator(np.eye(5)[::-1]), safe_rank=3)],
+)
+def test_cross_condition_matches_dense_oracle(make):
+    pair = make()
+    scale = float(np.max(np.abs(pair.S.entries)) * np.max(np.abs(pair.T.entries)))
+    assert abs(cross_condition_defect(pair) - dense_cross_condition_defect(pair)) <= 1e-13 * max(1.0, scale)
 
 
 def test_cross_condition_violation_is_flagged():
