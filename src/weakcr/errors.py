@@ -38,7 +38,8 @@ class NoKernelError(WeakCRError):
 
     ``sigma_min`` holds |A v| for the unit vector v that inverse iteration
     settled on: an upper bound on the smallest singular value of A, and equal
-    to it up to rounding once the iteration has converged.
+    to it up to rounding once the iteration has converged.  The message says
+    when it has not (nearly equal smallest singular values).
     """
 
     def __init__(self, msg, sigma_min=None):

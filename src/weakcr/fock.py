@@ -256,18 +256,33 @@ def band_columns(D):
     return _shifted(D, -1)
 
 
-def band_product(A, B):
-    """Diagonals of the product of two matrices given by their diagonals."""
+def band_product(A, B, rows=None):
+    """Diagonals of the product of two matrices given by their diagonals.
+
+    With ``rows``, only the product's leading ``rows`` rows are formed, so the
+    result has that many columns; each entry is computed exactly as in the
+    full product.
+    """
     ka, kb, n = _width(A), _width(B), A.shape[1]
+    m = n if rows is None else min(rows, n)
     # B's columns padded by ka zeros on each side, so every shift below is a slice
     padded = np.zeros((2 * kb + 1, n + 2 * ka), dtype=B.dtype)
     padded[:, ka : ka + n] = B
-    C = np.zeros((2 * (ka + kb) + 1, n), dtype=np.result_type(A, B))
+    C = np.zeros((2 * (ka + kb) + 1, m), dtype=np.result_type(A, B))
     for r in range(2 * ka + 1):
         # with d = r - ka: C[i, i + d + f] += A[i, i + d] * B[i + d, i + d + f]
-        C[r : r + 2 * kb + 1] += A[r] * padded[:, r : r + n]
+        C[r : r + 2 * kb + 1] += A[r, :m] * padded[:, r : r + m]
     excess = max(0, ka + kb - (n - 1))  # diagonals beyond the matrix are all zero
     return C[excess : C.shape[0] - excess]
+
+
+def hermitian_upper(D):
+    """LAPACK upper band storage of a Hermitian matrix given by its diagonals.
+
+    ab[K + i - j, j] = H[i, j] for i <= j, so ab[K] is the main diagonal
+    (the layout scipy.linalg.cholesky_banded and solveh_banded read).
+    """
+    return band_columns(D)[_width(D) :][::-1]
 
 
 def band_commutator(A, B):
@@ -402,8 +417,9 @@ def quasi_strong_defect(pair, alpha):
 def weyl_defect(pair, alpha, beta):
     """Spectral-norm defect of V_S(a) V_T(b) = e^(ab) V_T(b) V_S(a) on the band.
 
-    Both semigroups and both products are banded; only the spectral norm of
-    the leading band x band block is taken densely (an SVD).
+    Both semigroups are banded, and of each product only the rows that reach
+    the leading band x band block are formed; only that block's spectral norm
+    is taken densely (an SVD).
     """
     if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
         raise DomainParameterError(
@@ -412,5 +428,5 @@ def weyl_defect(pair, alpha, beta):
     band = semigroup_band(pair, max(alpha, beta))
     VS = band_expm(diagonals(pair.S.entries), alpha)
     VT = band_expm(diagonals(pair.T.entries), beta)
-    M = band_product(VS, VT) - math.exp(alpha * beta) * band_product(VT, VS)
+    M = band_product(VS, VT, band) - math.exp(alpha * beta) * band_product(VT, VS, band)
     return float(np.linalg.norm(_block_dense(M, band), ord=2))

@@ -30,42 +30,43 @@ from .errors import (
 from .fock import (
     StateVector,
     TruncatedOperator,
+    _EPS,
     band_adjoint,
-    band_columns,
     band_product,
     diagonals,
+    hermitian_upper,
     inner,
     norm,
 )
-
-_EPS = np.finfo(float).eps / 2  # unit roundoff
 
 
 def kernel_vector(A: TruncatedOperator, tol=1e-10):
     """Unit-norm numerical kernel vector of A, with the certificate |A v|.
 
     Inverse iteration on the banded Hermitian matrix A'A + eps I (a banded
-    Cholesky factor, solved a few times) converges to the right singular
+    Cholesky factor, solved at most 8 times) converges to the right singular
     vector of the smallest singular value; the shift eps, a rounding-sized
-    multiple of |A|_F^2, keeps the factorization positive definite without
-    moving that vector.  Since |A v| >= sigma_min for every unit v, the
-    vector is accepted only when |A v| <= ``tol``; otherwise NoKernelError
-    carries |A v| as ``sigma_min``.  The phase is fixed so the first
-    non-negligible component is positive real, which makes the result
-    deterministic.
+    multiple of |A|_F^2, keeps the factorization positive definite.  Each
+    solve shrinks the component along the next singular value sigma_2 by
+    (sigma_min^2 + eps) / (sigma_2^2 + eps), so the vector settles only when
+    sigma_2^2 >> eps, and close pairs of small singular values can leave it
+    unsettled.  Since |A v| >= sigma_min for every unit v, the vector is
+    accepted only when |A v| <= ``tol``; otherwise NoKernelError carries
+    |A v| as ``sigma_min``, an upper bound, and its message says when the
+    iteration did not settle.  The phase is fixed so the first non-negligible
+    component is positive real, which makes the result deterministic.
     """
     D = diagonals(A.entries)
-    H = band_product(band_adjoint(D), D)
-    width = H.shape[0] // 2
-    upper = band_columns(H)[width:][::-1]  # LAPACK upper storage: ab[w + i - j, j] = H[i, j]
+    upper = hermitian_upper(band_product(band_adjoint(D), D))
+    width = upper.shape[0] - 1
     frobenius2 = float(np.sum(upper[width].real)) or 1.0  # trace of A'A
-    # a few roundings of |A|_F^2 keep the factor positive definite; the shift is
-    # far below the gap to the next singular value, so the vector does not move
+    # a few roundings of |A|_F^2 keep the factor positive definite
     upper[width] += 4 * (width + 1) * _EPS * frobenius2
     factor = scipy.linalg.cholesky_banded(upper)
     # a fixed random start: deterministic, and no symmetry of A makes it
     # orthogonal to the kernel (a constant vector can be)
     v = np.random.default_rng(0).standard_normal(A.dim).astype(complex)
+    settled = False
     for _ in range(8):
         w = scipy.linalg.cho_solve_banded((factor, False), v)
         w /= np.linalg.norm(w)
@@ -77,9 +78,13 @@ def kernel_vector(A: TruncatedOperator, tol=1e-10):
             break
     residual = norm(A.entries @ v)
     if residual > tol:
+        unsettled = "" if settled else (
+            "; inverse iteration did not settle in 8 solves, so |A v| may exceed "
+            "the smallest singular value"
+        )
         raise NoKernelError(
             f"no kernel vector: |A v| = {residual:.3e} exceeds tolerance {tol:.3e} "
-            f"(|A v| >= smallest singular value)",
+            f"(|A v| >= smallest singular value){unsettled}",
             sigma_min=residual,
         )
     scale = np.max(np.abs(v))

@@ -21,6 +21,7 @@ from weakcr.fock import (
     boson_pair,
     coherent_state,
     diagonals,
+    hermitian_upper,
     identity,
     inner,
     lowering,
@@ -317,6 +318,25 @@ def test_band_storage_round_trips(n):
     for d in range(-width, width + 1):
         for j in range(max(0, d), min(n, n + d)):
             assert cols[width + d, j] == A[j - d, j]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8, 9, 20])
+def test_band_product_leading_rows_match_the_full_product(rows):
+    rng = np.random.default_rng(rows)
+    A = np.triu(np.tril(rng.standard_normal((9, 9)), 3), -2) * 1j
+    B = np.triu(np.tril(rng.standard_normal((9, 9)), 1), -4)
+    for X, Y in ((A, B), (B, A), (A, A)):
+        full = band_product(diagonals(X), diagonals(Y))
+        assert np.array_equal(band_product(diagonals(X), diagonals(Y), rows), full[:, :rows])
+
+
+def test_hermitian_upper_is_the_lapack_layout():
+    rng = np.random.default_rng(5)
+    B = np.triu(np.tril(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)), 1), -1)
+    H = B.conj().T @ B + np.eye(9)  # Hermitian positive definite, bandwidth 2
+    b = rng.standard_normal(9) + 0j
+    x = scipy.linalg.solveh_banded(hermitian_upper(diagonals(H)), b)
+    assert np.allclose(H @ x, b, rtol=0, atol=1e-12)
 
 
 def test_bandwidth_follows_the_nonzero_pattern():

@@ -11,7 +11,16 @@ from weakcr.errors import (
     PreconditionError,
     TruncationError,
 )
-from weakcr.fock import basis_state, boson_pair, identity, lowering, norm, raising, swanson_pair
+from weakcr.fock import (
+    TruncatedOperator,
+    basis_state,
+    boson_pair,
+    identity,
+    lowering,
+    norm,
+    raising,
+    swanson_pair,
+)
 from weakcr.ladder import (
     biorthogonality_gram,
     build_ladder,
@@ -59,6 +68,7 @@ def test_kernel_vector_rejects_invertible():
     with pytest.raises(NoKernelError) as exc:
         kernel_vector(identity(8), 1e-10)
     assert exc.value.sigma_min == pytest.approx(1.0)
+    assert "did not settle" not in str(exc.value)
 
 
 def svd_kernel_vector(A):
@@ -96,6 +106,29 @@ def test_no_kernel_certificate_tracks_sigma_min():
         kernel_vector(S, 1e-10)
     assert abs(exc.value.sigma_min - sigma_min) <= 1e-2 * sigma_min
     assert exc.value.sigma_min >= sigma_min * (1 - 1e-12)  # |A v| never undercuts sigma_min
+
+
+def _lowering_with_second_singular_value(sigma2, n=512):
+    # lowering(n) has kernel e0; scaling its (0, 1) entry makes sigma_2 = sigma2
+    entries = lowering(n).entries.copy()
+    entries[0, 1] = sigma2
+    return TruncatedOperator(entries)
+
+
+def test_kernel_vector_reports_an_unsettled_iteration():
+    # sigma_2^2 = 1e-12 lies far below the shift (about 1.7e-10 at this size), so
+    # 8 solves cannot separate e0 from e1 although sigma_min = 0
+    with pytest.raises(NoKernelError) as exc:
+        kernel_vector(_lowering_with_second_singular_value(1e-6), 1e-10)
+    assert "did not settle in 8 solves" in str(exc.value)
+    assert 1e-10 < exc.value.sigma_min <= 1e-6
+
+
+def test_kernel_vector_separates_a_small_second_singular_value():
+    # sigma_2^2 = 1e-8 is well above the shift, so the iteration settles on e0
+    v = kernel_vector(_lowering_with_second_singular_value(1e-4), 1e-10).components
+    assert abs(v[0]) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(v[1:])) < 1e-12
 
 
 def test_kernel_vector_forms_no_svd(monkeypatch):
