@@ -61,12 +61,6 @@ class TruncatedOperator:
     def adjoint(self):
         return TruncatedOperator(self.entries.conj().T, label=self.label + "'")
 
-    def __matmul__(self, other):
-        if isinstance(other, TruncatedOperator):
-            return TruncatedOperator(self.entries @ other.entries,
-                                     label=f"{self.label}{other.label}")
-        return NotImplemented
-
 
 @dataclass(frozen=True)
 class StateVector:

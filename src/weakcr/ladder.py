@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConditioningError,
@@ -56,6 +55,8 @@ def kernel_vector(A: TruncatedOperator, tol=1e-10):
     iteration did not settle.  The phase is fixed so the first non-negligible
     component is positive real, which makes the result deterministic.
     """
+    import scipy.linalg  # its only user; deferred so that importing weakcr loads numpy alone
+
     D = diagonals(A.entries)
     upper = hermitian_upper(band_product(band_adjoint(D), D))
     width = upper.shape[0] - 1

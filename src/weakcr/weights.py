@@ -7,9 +7,12 @@ the ladder T^n 1 off at n < 2*alpha - 3/2, and the Gaussian w(x) =
 exp(-x^2/2), where every moment is finite and x^k is an exact eigenvector
 of T S with eigenvalue k.
 
-Divergent integrals are detected by power counting before any quadrature is
-attempted; quadrature maps the line to (-pi/2, pi/2) by x = tan(u) for the
-rational weights and uses Gauss-Hermite nodes for the Gaussian one.
+Every pairing of polynomials is a combination of the weight's moments, and
+the moments have closed forms: a Beta value for the rational weight and
+(k-1)!! sqrt(2 pi) for the Gaussian one.  Divergent moments are detected by
+power counting.  The adjoint S* is paired through the same moments (see
+``sdagger_pair``), so no integrand is ever sampled; Gauss-Hermite quadrature
+survives only as the independent cross-check in ``gaussian_eigen_check``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.integrate
 
 from .errors import (
     DomainParameterError,
@@ -38,24 +40,6 @@ class Weight:
 
     kind: str
     alpha: float | None = None
-
-    def evaluate(self, x):
-        if self.kind == RATIONAL:
-            return (1.0 + x**4) ** (-self.alpha)
-        return np.exp(-(x**2) / 2.0)
-
-    def log_derivative(self, x):
-        """w'(x) / w(x); bounded for both kinds."""
-        if self.kind == RATIONAL:
-            return -4.0 * self.alpha * x**3 / (1.0 + x**4)
-        return -x
-
-    @property
-    def decay_exponent(self):
-        """Power of the tail decay; infinite for the Gaussian weight."""
-        if self.kind == RATIONAL:
-            return 4.0 * self.alpha
-        return math.inf
 
     def moment_is_finite(self, k):
         """Power counting: integral of x^k w(x) converges iff k < 4*alpha - 1."""
@@ -78,84 +62,20 @@ def gaussian_weight():
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# moments
 # ---------------------------------------------------------------------------
 
-_HERMITE_SIZES = (80, 160, 320)
-
-
-@lru_cache(maxsize=8)
-def _hermgauss(n):
-    t, w = np.polynomial.hermite.hermgauss(n)
-    # enforce exact node antisymmetry and weight symmetry so that mirrored
-    # contributions can cancel bit-exactly below
-    t = (t - t[::-1]) / 2.0
-    w = (w + w[::-1]) / 2.0
-    return t, w
-
-
-def _gauss_weighted_real(fn):
-    """integral of fn(x) exp(-x^2/2) dx by Gauss-Hermite, nodes doubled to convergence.
-
-    Mirrored node contributions are folded pairwise before summing, so
-    integrands that are odd with sign-exact evaluation integrate to exactly
-    zero instead of leaving cancellation noise at the integrand's scale.
-    The convergence floor also scales with the weighted L1 mass.
-    """
-    prev = None
-    for n in _HERMITE_SIZES:
-        t, w = _hermgauss(n)
-        x = math.sqrt(2.0) * t
-        contrib = w * fn(x)
-        folded = contrib + contrib[::-1]
-        val = math.sqrt(2.0) * 0.5 * float(np.sum(folded))
-        scale = math.sqrt(2.0) * float(np.dot(w, np.abs(fn(x))))
-        if prev is not None and abs(val - prev) <= max(
-            1e-12 * max(scale, 1.0), 1e-11 * abs(val)
-        ):
-            return val
-        prev = val
-    return prev
-
-
-def _rational_weighted_real(fn, alpha):
-    """integral of fn(x) (1+x^4)^(-alpha) dx via the substitution x = tan(u)."""
-
-    def integrand(u):
-        x = math.tan(u)
-        sec2 = 1.0 + x * x
-        return fn(np.array([x]))[0] * (1.0 + x**4) ** (-alpha) * sec2
-
-    val, _ = scipy.integrate.quad(
-        integrand, -math.pi / 2, math.pi / 2, limit=500, epsabs=1e-13, epsrel=1e-11
-    )
-    return val
-
-
-def integrate_weighted(fn, weight: Weight):
-    """integral of fn(x) w(x) dx for a complex-valued vectorized callable."""
-
-    def real_part(x):
-        return np.real(fn(x))
-
-    def imag_part(x):
-        return np.imag(fn(x))
-
-    if weight.kind == GAUSSIAN:
-        re = _gauss_weighted_real(real_part)
-        im = _gauss_weighted_real(imag_part)
-    else:
-        re = _rational_weighted_real(real_part, weight.alpha)
-        im = _rational_weighted_real(imag_part, weight.alpha)
-    return complex(re, im)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @lru_cache(maxsize=4096)
 def moment(weight: Weight, k: int):
-    """k-th moment of w: exact 0 for odd k, +inf marker when divergent.
+    """k-th moment of w in closed form: exact 0 for odd k, +inf marker when divergent.
 
-    Finiteness is decided analytically first; quadrature never sees a
-    divergent integrand.
+    Substituting t = x^4 turns the rational moment into a Beta integral,
+    mu_k = B((k+1)/4, alpha - (k+1)/4) / 2, taken through lgamma so that
+    no Gamma value overflows at large alpha; the Gaussian moment is
+    (k-1)!! sqrt(2 pi).  Finiteness is decided by power counting first.
     """
     if k < 0:
         raise DomainParameterError(f"moment order must be >= 0, got {k}")
@@ -164,8 +84,10 @@ def moment(weight: Weight, k: int):
     if k % 2 == 1:
         return 0.0
     if weight.kind == GAUSSIAN:
-        return _gauss_weighted_real(lambda x: x**k)
-    return _rational_weighted_real(lambda x: x**k, weight.alpha)
+        return math.prod(range(k - 1, 0, -2)) * _SQRT_2PI
+    a = (k + 1) / 4.0
+    alpha = weight.alpha
+    return 0.5 * math.exp(math.lgamma(a) + math.lgamma(alpha - a) - math.lgamma(alpha))
 
 
 @dataclass(frozen=True)
@@ -250,32 +172,39 @@ def apply_T(f: PolyFunc):
 
 
 def inner_product(f: PolyFunc, g: PolyFunc, weight: Weight):
-    """<f, g> = sum_i,j f_i conj(g_j) mu_(i+j); errors on a divergent moment."""
-    total = 0j
-    for i, ci in enumerate(f.coeffs):
-        if not ci:
-            continue
-        for j, cj in enumerate(g.coeffs):
-            if not cj:
-                continue
-            mu = moment(weight, i + j)
-            if mu == math.inf:
-                raise NotInL2Error(
-                    f"pairing needs divergent moment mu_{i + j}", power=i + j
-                )
-            if mu:
-                total += complex(ci) * complex(cj).conjugate() * mu
-    return total
+    """<f, g> = sum_k (f * conj g)_k mu_k; errors on a divergent moment.
+
+    The product's coefficients are one convolution; ``power`` names the
+    lowest divergent moment it needs.
+    """
+    if f.is_zero() or g.is_zero():
+        return 0j
+    coeffs = np.convolve(
+        np.array(f.coeffs, dtype=complex), np.array(g.coeffs, dtype=complex).conj()
+    )
+    mu = np.array(MomentTable.build(weight, len(coeffs) - 1).values)
+    finite = mu != math.inf
+    divergent = np.flatnonzero(~finite & (coeffs != 0))
+    if divergent.size:
+        k = int(divergent[0])
+        raise NotInL2Error(f"pairing needs divergent moment mu_{k}", power=k)
+    return complex(np.dot(coeffs[finite], mu[finite]))
 
 
-def sdagger_pair(g: PolyFunc, weight: Weight):
-    """The adjoint action on g: h(x) = -g'(x) - g(x) w'(x)/w(x), as a callable."""
-    dg = g.derivative()
+def sdagger_pair(f: PolyFunc, g: PolyFunc, weight: Weight):
+    """<f, S* g> for the adjoint action S* g = -g' - (w'/w) g, through moments.
 
-    def h(x):
-        return -dg(x) - g(x) * weight.log_derivative(x)
-
-    return h
+    The first part is -<f, S g>.  For the rational weight -w'/w is
+    4 alpha x^3 / (1 + x^4), and the extra factor 1 / (1 + x^4) turns the
+    second part into 4 alpha <x^3 f, g> under the weight with alpha + 1;
+    for the Gaussian weight -w'/w is x and the second part is <x f, g>.
+    """
+    pair = -inner_product(f, apply_S(g), weight)
+    if weight.kind == GAUSSIAN:
+        return pair + inner_product(apply_T(f), g, weight)
+    x3f = PolyFunc((0, 0, 0) + f.coeffs)
+    shifted = rational_weight(weight.alpha + 1.0)
+    return pair + 4.0 * weight.alpha * inner_product(x3f, g, shifted)
 
 
 def in_domain(f: PolyFunc, weight: Weight):
@@ -293,17 +222,15 @@ def in_domain(f: PolyFunc, weight: Weight):
 def weak_cr_check(weight: Weight, f: PolyFunc, g: PolyFunc):
     """Defect |<Tf, S*g> - <Sf, Tg> - <f, g>| (T is symmetric, so T* acts as T).
 
-    The first pairing runs through quadrature against the sampled adjoint
-    action; the other two reduce to moments of polynomials.
+    All three pairings reduce to moments of polynomials; no integrand is
+    sampled.
     """
     for name, p in (("f", f), ("g", g)):
         if not in_domain(p, weight):
             raise NotAdmissibleError(
                 f"{name} (degree {p.degree}) is outside the operator domain"
             )
-    tf = apply_T(f)
-    h = sdagger_pair(g, weight)
-    lhs1 = integrate_weighted(lambda x: tf(x) * np.conj(h(x)), weight)
+    lhs1 = sdagger_pair(apply_T(f), g, weight)
     lhs2 = inner_product(apply_S(f), apply_T(g), weight)
     rhs = inner_product(f, g, weight)
     return abs(lhs1 - lhs2 - rhs)
@@ -346,6 +273,47 @@ def ladder_length(alpha):
     )
 
 
+# ---------------------------------------------------------------------------
+# Gauss-Hermite cross-check
+# ---------------------------------------------------------------------------
+
+_HERMITE_SIZES = (80, 160, 320)
+
+
+@lru_cache(maxsize=8)
+def _hermgauss(n):
+    t, w = np.polynomial.hermite.hermgauss(n)
+    # enforce exact node antisymmetry and weight symmetry so that mirrored
+    # contributions can cancel bit-exactly below
+    t = (t - t[::-1]) / 2.0
+    w = (w + w[::-1]) / 2.0
+    return t, w
+
+
+def _gauss_weighted_real(fn):
+    """integral of fn(x) exp(-x^2/2) dx by Gauss-Hermite, nodes doubled to convergence.
+
+    Mirrored node contributions are folded pairwise before summing, so
+    integrands that are odd with sign-exact evaluation integrate to exactly
+    zero instead of leaving cancellation noise at the integrand's scale.
+    The convergence floor also scales with the weighted L1 mass.
+    """
+    prev = None
+    for n in _HERMITE_SIZES:
+        t, w = _hermgauss(n)
+        x = math.sqrt(2.0) * t
+        contrib = w * fn(x)
+        folded = contrib + contrib[::-1]
+        val = math.sqrt(2.0) * 0.5 * float(np.sum(folded))
+        scale = math.sqrt(2.0) * float(np.dot(w, np.abs(fn(x))))
+        if prev is not None and abs(val - prev) <= max(
+            1e-12 * max(scale, 1.0), 1e-11 * abs(val)
+        ):
+            return val
+        prev = val
+    return prev
+
+
 class GaussianEigenCheck(NamedTuple):
     symbolic_residual: float
     quadrature_residual: float
@@ -356,9 +324,9 @@ def gaussian_eigen_check(k):
 
     The symbolic residual compares coefficients exactly (0.0 for a perfect
     match).  The quadrature residual cross-validates <T S x^k, x^j> against
-    k <x^k, x^j> for j <= k+2, with the left side integrated directly rather
-    than through the moment table; it is relative to the moment scale, which
-    reaches ~1e10 by k = 10.
+    k <x^k, x^j> for j <= k+2, with the left side integrated by Gauss-Hermite
+    quadrature rather than through the closed-form moments; it is relative
+    to the moment scale, which reaches ~1e10 by k = 10.
     """
     if k < 0:
         raise DomainParameterError(f"power must be >= 0, got {k}")
@@ -370,7 +338,7 @@ def gaussian_eigen_check(k):
     symbolic = 0.0 if diff.is_zero() else max(abs(complex(c)) for c in diff.coeffs)
     quad_residual = 0.0
     for j in range(k + 3):
-        direct = integrate_weighted(lambda x, j=j: sym(x) * np.conj(x**j), weight)
+        direct = _gauss_weighted_real(lambda x, j=j: (sym(x) * x**j).real)
         via_moments = k * inner_product(u_k, monomial(j), weight)
         # normalize by the pairing's moment scale: for odd k+j both routes
         # vanish by symmetry and only scaled roundoff remains

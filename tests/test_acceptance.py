@@ -248,16 +248,19 @@ def test_criterion_7_algebraic_properties():
     _passed(7, "involution, antihomomorphism, idempotence, linearity, confluence")
 
 
-def _run_cli(*argv):
-    # the child imports the same weakcr sources as this test process
+def child_env():
+    """Environment for a child that imports the same weakcr sources as this test process."""
     src = os.path.dirname(os.path.dirname(weakcr.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _run_cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "weakcr.cli", *argv],
         capture_output=True,
         text=True,
         timeout=120,
-        env=env,
+        env=child_env(),
     )
     return proc
 

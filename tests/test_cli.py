@@ -1,10 +1,12 @@
 """CLI contract tests: documented payloads, determinism, exit codes."""
 
 import json
+import subprocess
+import sys
 from math import comb, factorial
 
 import pytest
-from test_acceptance import _run_cli
+from test_acceptance import _run_cli, child_env
 
 from weakcr import cli
 from weakcr.algebra import GEN_S, GEN_T, NCPoly, normal_order, render
@@ -67,6 +69,44 @@ def test_weights_gaussian(capsys, tmp_path):
     assert code == 0
     report = json.loads(out_file.read_text())
     assert report["results"]["eigen_symbolic_residuals"] == [0.0] * 11
+
+
+@pytest.mark.parametrize("alpha", ["50", "1000"])
+def test_weights_large_alpha_passes(capsys, tmp_path, alpha):
+    # quadrature overflowed on the high-degree pairs these draw, and the NaN
+    # defect came out as a false FAIL with value null
+    out_file = tmp_path / "weights.json"
+    code, _, _ = run(capsys, "weights", "--alpha", alpha, "--out", str(out_file))
+    assert code == 0
+    report = json.loads(out_file.read_text())
+    assert sorted(report["results"]) == [
+        "boundary_discrepancy", "dim_N0", "floor_formula_dim", "moments",
+        "n_max", "strict_bound", "weak_cr_defects",
+    ]
+    checks = {c["name"]: c["value"] for c in report["checks"]}
+    assert sorted(checks) == ["constructive_below_strict_bound", "max_weak_cr_defect", "odd_moments_zero"]
+    assert checks["max_weak_cr_defect"] < 1e-8
+
+
+def test_import_and_normal_order_load_no_scipy_integrate_or_linalg():
+    # scipy.linalg loads only when a kernel vector is computed, and nothing
+    # in the package loads scipy.integrate
+    def imported(*args):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *args],
+            capture_output=True, text=True, timeout=120, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+
+    for args in (["-c", "import weakcr"], ["-m", "weakcr.cli", "normal-order", "S T"]):
+        modules = imported(*args)
+        assert "weakcr" in modules
+        assert not modules & {"scipy.integrate", "scipy.linalg"}, args
 
 
 def test_weights_requires_one_weight(capsys):

@@ -1,9 +1,11 @@
 """Weighted-L2 tests with independent oracles.
 
-Moment oracles: Beta/Gamma closed form for the rational weight
+Moment oracles: scipy's Beta function for the rational weight
 (substituting t = x^4 turns the moment into a Beta integral) and
-sqrt(2*pi) (k-1)!! for the Gaussian one; neither route touches the
-implementation's tan-substitution or Gauss-Hermite paths.
+sqrt(2*pi) (k-1)!! for the Gaussian one.  The implementation takes the Beta
+value through math.lgamma, so the rational oracle shares only the formula.
+The adjoint pairings are checked against adaptive quadrature of the
+explicit integrand, which the implementation never samples.
 """
 
 import math
@@ -11,8 +13,10 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-from scipy.special import gamma
+from numpy.polynomial.polynomial import polyval
+from scipy.special import beta
 
+from weakcr import cli
 from weakcr.algebra import profile_from_membership
 from weakcr.errors import DomainParameterError, NotAdmissibleError, NotInL2Error
 from weakcr.weights import (
@@ -25,7 +29,6 @@ from weakcr.weights import (
     gaussian_weight,
     in_domain,
     inner_product,
-    integrate_weighted,
     ladder_length,
     moment,
     monomial,
@@ -38,7 +41,13 @@ from weakcr.weights import (
 
 def rational_moment_oracle(alpha, k):
     a = (k + 1) / 4.0
-    return 0.5 * gamma(a) * gamma(alpha - a) / gamma(alpha)
+    return 0.5 * float(beta(a, alpha - a))
+
+
+def quad_line(integrand):
+    """integral of a scalar integrand over the real line by adaptive quadrature."""
+    value, _ = scipy.integrate.quad(integrand, -np.inf, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
+    return value
 
 
 def gaussian_moment_oracle(k):
@@ -57,17 +66,6 @@ def test_rational_weight_requires_alpha_above_threshold():
     with pytest.raises(DomainParameterError):
         rational_weight(0.75)
     rational_weight(0.76)
-
-
-def test_weight_evaluations():
-    w = rational_weight(2.0)
-    assert w.evaluate(1.0) == pytest.approx(0.25)
-    assert w.log_derivative(1.0) == pytest.approx(-4.0)
-    g = gaussian_weight()
-    assert g.evaluate(0.0) == pytest.approx(1.0)
-    assert g.log_derivative(3.0) == pytest.approx(-3.0)
-    assert g.decay_exponent == math.inf
-    assert w.decay_exponent == pytest.approx(8.0)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 7])
@@ -117,6 +115,16 @@ def test_near_boundary_moment_still_accurate():
     )
 
 
+@pytest.mark.parametrize("k", [100, 2000, 3996])
+def test_large_alpha_moments_match_beta(k):
+    # quadrature gave 75% off at k = 100 and NaN at k = 2000 and 3996;
+    # 3996 is the last even order below 4 alpha - 1.  mu_100 is ~1e-52, so
+    # the default absolute tolerance would accept anything
+    assert moment(rational_weight(1000.0), k) == pytest.approx(
+        rational_moment_oracle(1000.0, k), rel=1e-10, abs=0.0
+    )
+
+
 def test_divergent_moment_marker():
     assert moment(rational_weight(2.0), 8) == math.inf
 
@@ -149,6 +157,19 @@ def test_inner_product_divergent_names_power():
     assert exc.value.power == 6
 
 
+def test_inner_product_matches_double_sum_oracle():
+    rng = np.random.default_rng(5)
+    alpha = 4.0
+    w = rational_weight(alpha)
+    f, g = _random_poly(rng, 3), _random_poly(rng, 4)
+    oracle = sum(
+        complex(fi) * complex(gj).conjugate() * (0.0 if (i + j) % 2 else rational_moment_oracle(alpha, i + j))
+        for i, fi in enumerate(f.coeffs)
+        for j, gj in enumerate(g.coeffs)
+    )
+    assert inner_product(f, g, w) == pytest.approx(oracle, rel=1e-12)
+
+
 def test_inner_product_conjugates_second_argument():
     w = gaussian_weight()
     f = PolyFunc((1j,))
@@ -174,27 +195,40 @@ def test_leibniz_commutator_exact():
     assert st - ts == f
 
 
+SDAGGER_CASES = ((0, 1), (0, 0, 0, 1), (1.0, -2.0, 0.5, 0.25))
+
+
 def test_sdagger_gaussian_constant():
-    h = sdagger_pair(monomial(0), gaussian_weight())
-    xs = np.linspace(-3, 3, 7)
-    assert np.allclose(h(xs), xs)
+    # S* 1 = -w'/w = x for the Gaussian weight
+    for coeffs in SDAGGER_CASES:
+        oracle = quad_line(lambda x: polyval(x, coeffs) * x * math.exp(-(x**2) / 2.0))
+        got = sdagger_pair(PolyFunc(coeffs), monomial(0), gaussian_weight())
+        assert abs(got - oracle) < 1e-10 * max(1.0, abs(oracle)), coeffs
 
 
 def test_sdagger_rational_constant():
+    # S* 1 = -w'/w = 4 alpha x^3 / (1 + x^4) for the rational weight
     alpha = 2.0
-    h = sdagger_pair(monomial(0), rational_weight(alpha))
-    xs = np.linspace(-3, 3, 7)
-    assert np.allclose(h(xs), 4 * alpha * xs**3 / (1 + xs**4))
+    for coeffs in SDAGGER_CASES:
+        oracle = quad_line(
+            lambda x: polyval(x, coeffs) * 4 * alpha * x**3 / (1 + x**4) * (1 + x**4) ** -alpha
+        )
+        got = sdagger_pair(PolyFunc(coeffs), monomial(0), rational_weight(alpha))
+        assert abs(got - oracle) < 1e-10 * max(1.0, abs(oracle)), coeffs
 
 
 def test_sdagger_pairing_identity():
-    # <S x^2, g> = <x^2, S* g> with both sides through quadrature
-    w = rational_weight(2.0)
+    # <S x^2, g> = <x^2, S* g> for g = x, with S* g = -1 + 4 alpha x^4 / (1 + x^4)
+    alpha = 2.0
+    w = rational_weight(alpha)
     g = monomial(1)
-    h = sdagger_pair(g, w)
     lhs = inner_product(apply_S(monomial(2)), g, w)
-    rhs = integrate_weighted(lambda x: monomial(2)(x) * np.conj(h(x)), w)
+    rhs = sdagger_pair(monomial(2), g, w)
+    oracle = quad_line(
+        lambda x: x**2 * (-1 + 4 * alpha * x**4 / (1 + x**4)) * (1 + x**4) ** -alpha
+    )
     assert abs(lhs - rhs) < 1e-8
+    assert abs(rhs - oracle) < 1e-8
 
 
 # --- weak commutation relation ----------------------------------------------------
@@ -215,6 +249,15 @@ def test_weak_cr_near_boundary():
 def test_weak_cr_rejects_inadmissible():
     with pytest.raises(NotAdmissibleError):
         weak_cr_check(rational_weight(1.0), monomial(3), monomial(0))
+
+
+def test_weak_cr_high_degree_rational():
+    # the first pair the CLI draws at alpha 50 has degrees (84, 63); sampling
+    # it under quadrature overflowed and the defect came out NaN
+    w = rational_weight(50.0)
+    f, g = cli._weights_suite(w, np.random.default_rng(0))[0]
+    assert (f.degree, g.degree) == (84, 63)
+    assert weak_cr_check(w, f, g) < 1e-8
 
 
 def _random_poly(rng, degree):
