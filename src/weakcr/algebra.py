@@ -594,25 +594,20 @@ def profile_from_membership(member: Callable[[int, int], bool], degree_cap: int)
 
 
 def fock_eval(p, pair):
-    """Substitute the pair's matrices for the generators and evaluate.
+    """Substitute the pair's dense matrices for the generators and evaluate.
 
-    S' and T' are represented by the conjugate transposes of the matrices of
-    S and T.  Coefficients drop to double precision here and only here.
+    S' and T' are the conjugate transposes of the matrices of S and T.
+    Coefficients drop to double precision here and only here.
     """
     from .fock import TruncatedOperator
 
     p = _as_poly(p)
-    n = pair.S.dim
-    mats = {
-        GEN_S: pair.S.entries,
-        GEN_T: pair.T.entries,
-        GEN_SD: pair.S.entries.conj().T,
-        GEN_TD: pair.T.entries.conj().T,
-    }
-    acc = np.zeros((n, n), dtype=complex)
+    S, T = pair.S.entries, pair.T.entries
+    mats = {GEN_S: S, GEN_T: T, GEN_SD: S.conj().T, GEN_TD: T.conj().T}
+    acc = np.zeros_like(S)
     for word, coeff in p.terms.items():
-        m = np.eye(n, dtype=complex)
-        for g in word:
+        m = mats[word[0]] if word else np.eye(pair.dim, dtype=complex)
+        for g in word[1:]:
             m = m @ mats[g]
         acc += complex(coeff) * m
     return TruncatedOperator(acc, label="eval")

@@ -7,16 +7,17 @@ not corrupt it.  Defects come in three strengths: the weak (inner-product)
 form, the semigroup form V_S(alpha) T - T V_S(alpha) = alpha V_S(alpha), and
 the Weyl form between two semigroups.
 
-Operators keep their dense ``entries``; the defects read each operator's
-diagonals from them and work on those (banded products, a Taylor series for
-exp), so the only dense N x N step left is the SVD behind the Weyl block's
-spectral norm.
+Operators are stored only as their diagonals; construction, adjoints,
+matrix-vector products and every defect work on those (banded products, a
+Taylor series for exp), so the only dense N x N step left is the SVD behind
+the Weyl block's spectral norm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,27 +40,64 @@ def norm(u):
     return float(np.linalg.norm(np.asarray(u).reshape(-1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TruncatedOperator:
-    """N x N complex matrix standing in for an operator on a dense domain."""
+    """N x N complex matrix of bandwidth K, stored only as its (2K+1) x N diagonals.
 
-    entries: np.ndarray
+    ``TruncatedOperator(entries)`` reads a dense matrix once; ``banded(D)`` takes diagonals.
+    """
+
+    diagonals: np.ndarray
     label: str = ""
 
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
+    def __init__(self, entries, label=""):
+        arr = np.asarray(entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvalidDimensionError(f"entries must be a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InvalidDimensionError("entries contain NaN or Inf")
-        object.__setattr__(self, "entries", arr)
+        vars(self).update(diagonals=diagonals(arr), label=label)
+
+    @classmethod
+    def banded(cls, D, label=""):
+        """The operator with D[K + d, i] = A[i, i + d]; slots outside the matrix are ignored."""
+        D = np.asarray(D, dtype=complex)
+        if D.ndim != 2 or D.shape[0] % 2 == 0 or D.shape[1] < 1:
+            raise InvalidDimensionError(f"diagonals must be (2K+1) x N with N >= 1, got shape {D.shape}")
+        if not np.isfinite(D).all():
+            raise InvalidDimensionError("diagonals contain NaN or Inf")
+        op = cls.__new__(cls)
+        vars(op).update(diagonals=_leading_block(D, D.shape[1]), label=label)
+        return op
 
     @property
     def dim(self):
-        return self.entries.shape[0]
+        return self.diagonals.shape[1]
+
+    @property
+    def entries(self):
+        """The dense N x N matrix, rebuilt on request (for oracles and word evaluation)."""
+        return _dense(self.diagonals)
 
     def adjoint(self):
-        return TruncatedOperator(self.entries.conj().T, label=self.label + "'")
+        return self._adjoint
+
+    @cached_property
+    def _adjoint(self):  # formed once: per-state code applies S' and T' to every state
+        return TruncatedOperator.banded(band_adjoint(self.diagonals), label=self.label + "'")
+
+    def __matmul__(self, x):
+        """A x for a vector or an N x L block of columns, on the diagonals."""
+        D, n = self.diagonals, self.dim
+        x = np.asarray(x)
+        if x.ndim == 2:
+            D = D[:, :, None]
+        width = _width(D)
+        y = D[width] * x
+        for d in range(1, width + 1):
+            y[: n - d] += D[width + d, : n - d] * x[d:]
+            y[d:] += D[width - d, d:] * x[: n - d]
+        return y
 
 
 @dataclass(frozen=True)
@@ -116,7 +154,7 @@ def lowering(n):
     """Annihilation matrix: entry sqrt(j+1) at (j, j+1)."""
     if n < 2:
         raise InvalidDimensionError(f"need dimension >= 2, got {n}")
-    return TruncatedOperator(np.diag(np.sqrt(np.arange(1, n)).astype(complex), 1), label="a")
+    return TruncatedOperator.banded([np.zeros(n), np.zeros(n), np.sqrt(np.arange(1, n + 1))], label="a")
 
 
 def raising(n):
@@ -125,7 +163,7 @@ def raising(n):
 
 
 def identity(n):
-    return TruncatedOperator(np.eye(n, dtype=complex), label="1")
+    return TruncatedOperator.banded(np.ones((1, n)), label="1")
 
 
 def boson_pair(n=DEFAULT_DIM):
@@ -180,18 +218,17 @@ def swanson_pair(theta, n=DEFAULT_DIM):
     """
     if n < 2:
         raise InvalidDimensionError(f"need dimension >= 2, got {n}")
-    a = lowering(n).entries
-    ad = raising(n).entries
+    a, ad = lowering(n).diagonals, raising(n).diagonals
     c, s = math.cos(theta), math.sin(theta)
-    S = TruncatedOperator(c * a + 1j * s * ad, label="S")
-    T = TruncatedOperator(c * ad + 1j * s * a, label="T")
+    S = TruncatedOperator.banded(c * a + 1j * s * ad, label="S")
+    T = TruncatedOperator.banded(c * ad + 1j * s * a, label="T")
     return OperatorPair(S, T, safe_rank=n - 1)
 
 
 def matrix2x2_pair(s, q):
     """The 2x2 model S = [[0, s], [0, 0]], T = [[0, 0], [q, 0]]."""
-    S = TruncatedOperator(np.array([[0, s], [0, 0]], dtype=complex), label="S")
-    T = TruncatedOperator(np.array([[0, 0], [q, 0]], dtype=complex), label="T")
+    S = TruncatedOperator.banded([[0, 0], [0, 0], [s, 0]], label="S")
+    T = TruncatedOperator.banded([[0, q], [0, 0], [0, 0]], label="T")
     return OperatorPair(S, T, safe_rank=1)
 
 
@@ -209,9 +246,15 @@ def _width(D):
     return D.shape[0] // 2
 
 
-def _span(d, n):
-    """Rows i of an n x n matrix whose diagonal-d entry (i, i + d) exists."""
-    return slice(max(0, -d), max(0, n - max(0, d)))
+def _diagonal_view(padded, width):
+    """The diagonals, as a strided view, of an n x (n + 2K) array holding A at column offset K.
+
+    Entry (i, i + d) sits at flat offset i (n + 2K + 1) + K + d; slots outside A hit the padding.
+    """
+    step = padded.strides[1]
+    return np.ndarray(
+        (2 * width + 1, padded.shape[0]), padded.dtype, padded, strides=(step, padded.strides[0] + step)
+    )
 
 
 def diagonals(entries):
@@ -220,24 +263,43 @@ def diagonals(entries):
     A wide (even full) matrix is stored exactly, only with more diagonals.
     """
     n = entries.shape[0]
-    nz = entries != 0
-    i = np.arange(n)
-    # per row, the distance from the diagonal to the first and the last nonzero
-    reach = np.maximum(i - nz.argmax(axis=1), n - 1 - i - nz[:, ::-1].argmax(axis=1))
-    width = int(reach[nz.any(axis=1)].max(initial=0))
-    D = np.zeros((2 * width + 1, n), dtype=complex)
-    for d in range(-width, width + 1):
-        D[width + d, _span(d, n)] = entries.diagonal(d)
-    return D
+    rows, cols = np.nonzero(entries)
+    width = int(abs(rows - cols).max(initial=0))
+    padded = np.zeros((n, n + 2 * width), dtype=complex)
+    padded[:, width : width + n] = entries
+    return _diagonal_view(padded, width).copy()
+
+
+def _dense(D):
+    """The dense matrix with diagonals D, whose slots outside the matrix are zero."""
+    width, n = _width(D), D.shape[1]
+    padded = np.zeros((n, n + 2 * width), dtype=D.dtype)
+    _diagonal_view(padded, width)[...] = D
+    return padded[:, width : width + n].copy()
+
+
+def _leading_block(D, k):
+    """Diagonals of the leading k x k block (slots outside it zeroed, diagonals missing it dropped)."""
+    width = min(_width(D), k - 1)
+    B = D[_width(D) - width : _width(D) + width + 1, :k].copy()
+    for d in range(1, width + 1):
+        B[width + d, k - d :] = 0
+        B[width - d, :d] = 0
+    return B
 
 
 def _shifted(D, sign):
-    """G[K + d, i] = D[K + d, i + sign * d], zero where that leaves the matrix."""
+    """G[K + d, i] = D[K + d, i + sign * d], zero where that leaves the matrix.
+
+    With D padded by K zeros on each side, row r of G starts sign * r entries
+    further along than row 0, so G is one strided read of the padded copy.
+    """
     width, n = _width(D), D.shape[1]
-    G = np.zeros_like(D)
-    for d in range(-width, width + 1):
-        G[width + d, _span(sign * d, n)] = D[width + d, _span(-sign * d, n)]
-    return G
+    padded = np.zeros((2 * width + 1, n + 2 * width), dtype=D.dtype)
+    padded[:, width : width + n] = D
+    step = padded.strides[1]
+    strides = (padded.strides[0] + sign * step, step)
+    return np.ndarray(D.shape, D.dtype, padded, (1 - sign) * width * step, strides).copy()
 
 
 def band_adjoint(D):
@@ -286,21 +348,7 @@ def band_commutator(A, B):
 
 def block_max_abs(D, k):
     """Max-abs entry of the leading k x k block of the matrix with diagonals D."""
-    width = _width(D)
-    block = D[:, :k].copy()
-    for d in range(1, width + 1):  # entries (i, i + d) with i + d >= k leave the block
-        block[width + d, max(0, k - d) :] = 0
-    return float(np.max(np.abs(block)))
-
-
-def _block_dense(D, k):
-    """The leading k x k block of the matrix with diagonals D, as a dense array."""
-    width, rows = _width(D), np.arange(k)
-    out = np.zeros((k, k), dtype=D.dtype)
-    for d in range(-width, width + 1):
-        i = rows[_span(d, k)]
-        out[i, i + d] = D[width + d, _span(d, k)]
-    return out
+    return float(np.max(np.abs(_leading_block(D, k))))
 
 
 _EPS = np.finfo(float).eps / 2  # unit roundoff 2^-53
@@ -370,7 +418,7 @@ def weak_defect(pair):
     the max-abs entry of the leading block of S T - T S - 1, formed on the
     diagonals of S and T.
     """
-    M = band_commutator(diagonals(pair.S.entries), diagonals(pair.T.entries))
+    M = band_commutator(pair.S.diagonals, pair.T.diagonals)
     M[_width(M)] -= 1.0
     return block_max_abs(M, pair.safe_rank)
 
@@ -400,8 +448,8 @@ def quasi_strong_defect(pair, alpha):
     if not 0 <= alpha < math.inf:
         raise DomainParameterError(f"semigroup parameter must be finite and >= 0, got {alpha}")
     band = semigroup_band(pair, alpha)
-    T = diagonals(pair.T.entries)
-    V = band_expm(diagonals(pair.S.entries), alpha)
+    T = pair.T.diagonals
+    V = band_expm(pair.S.diagonals, alpha)
     M = band_commutator(V, T)
     width = _width(V)
     M[_width(M) - width : _width(M) + width + 1] -= alpha * V
@@ -420,7 +468,7 @@ def weyl_defect(pair, alpha, beta):
             f"semigroup parameters must be finite and >= 0, got ({alpha}, {beta})"
         )
     band = semigroup_band(pair, max(alpha, beta))
-    VS = band_expm(diagonals(pair.S.entries), alpha)
-    VT = band_expm(diagonals(pair.T.entries), beta)
+    VS = band_expm(pair.S.diagonals, alpha)
+    VT = band_expm(pair.T.diagonals, beta)
     M = band_product(VS, VT, band) - math.exp(alpha * beta) * band_product(VT, VS, band)
-    return float(np.linalg.norm(_block_dense(M, band), ord=2))
+    return float(np.linalg.norm(_dense(_leading_block(M, band)), ord=2))

@@ -8,7 +8,8 @@ maps K_xi (eta_j -> xi_j) and K_eta (xi_j -> eta_j) are mutually inverse and
 intertwine the two number-like operators; when the restriction of K_eta to
 the xi-span is positive its square root turns the xi family into an
 orthonormal one, which is the finite-model shadow of the Riesz-basis
-statement.
+statement.  Both maps live on the L-dimensional ladder spans, so they are
+checked in ladder coordinates and never formed as N x N matrices.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from .fock import (
     StateVector,
     TruncatedOperator,
     _EPS,
-    band_adjoint,
     band_product,
-    diagonals,
     hermitian_upper,
     inner,
     norm,
@@ -57,8 +56,7 @@ def kernel_vector(A: TruncatedOperator, tol=1e-10):
     """
     import scipy.linalg  # its only user; deferred so that importing weakcr loads numpy alone
 
-    D = diagonals(A.entries)
-    upper = hermitian_upper(band_product(band_adjoint(D), D))
+    upper = hermitian_upper(band_product(A.adjoint().diagonals, A.diagonals))
     width = upper.shape[0] - 1
     frobenius2 = float(np.sum(upper[width].real)) or 1.0  # trace of A'A
     # a few roundings of |A|_F^2 keep the factor positive definite
@@ -77,7 +75,7 @@ def kernel_vector(A: TruncatedOperator, tol=1e-10):
         v = w
         if settled:
             break
-    residual = norm(A.entries @ v)
+    residual = norm(A @ v)
     if residual > tol:
         unsettled = "" if settled else (
             "; inverse iteration did not settle in 8 solves, so |A v| may exceed "
@@ -151,17 +149,13 @@ def build_ladder(op: TruncatedOperator, base: StateVector, n_max, member=None):
     stop_reason = f"reached n_max={n_max}"
     current = base.components
     for k in range(1, n_max + 1):
-        current = (op.entries @ current) / math.sqrt(k)
+        current = (op @ current) / math.sqrt(k)
         candidate = StateVector(current, label=f"{base.label}:{k}")
         if member is not None and not member(candidate):
             stop_reason = f"membership failed at k={k}"
             break
         vectors.append(candidate)
-    return LadderFamily(
-        base=base,
-        vectors=vectors,
-        stop_reason=stop_reason,
-    )
+    return LadderFamily(base=base, vectors=vectors, stop_reason=stop_reason)
 
 
 def eigen_check(pair, fam: LadderFamily):
@@ -174,16 +168,13 @@ def eigen_check(pair, fam: LadderFamily):
     """
     if pair.dim != fam.base.dim:
         raise InvalidDimensionError("pair and family dimensions differ")
-    S, T = pair.S.entries, pair.T.entries
+    S, T = pair.S, pair.T
     residuals = []
     for k, psi in enumerate(fam.vectors):
         scale = psi.norm
         s_psi = S @ psi.components
         r_num = norm(T @ s_psi - k * psi.components) / scale
-        r_low = 0.0
-        if k >= 1:
-            prev = fam.vectors[k - 1].components
-            r_low = norm(s_psi - math.sqrt(k) * prev) / scale
+        r_low = 0.0 if k == 0 else norm(s_psi - math.sqrt(k) * fam.vectors[k - 1].components) / scale
         residuals.append(max(r_num, r_low))
     fam.eigen_residuals = residuals
     return residuals
@@ -205,11 +196,8 @@ def commutation_power_check(pair, xi: StateVector, k: int):
         raise TruncationError(f"dimension {pair.dim} too small for power {k}")
     tail = norm(xi.components[guard:])
     if tail > 1e-10 * xi.norm:
-        raise TruncationError(
-            f"state reaches within {k + 1} indices of the truncation edge",
-            tail_mass=tail,
-        )
-    S, T = pair.S.entries, pair.T.entries
+        raise TruncationError(f"state reaches within {k + 1} indices of the truncation edge", tail_mass=tail)
+    S, T = pair.S, pair.T
     tk_prev_xi = _power_apply(T, k - 1, xi.components)
     resid = S @ (T @ tk_prev_xi) - _power_apply(T, k, S @ xi.components) - k * tk_prev_xi
     return norm(resid)
@@ -225,9 +213,7 @@ def _power_apply(A, k, x):
 def _rescaled_eta(fam_xi: LadderFamily, fam_eta: LadderFamily):
     ip0 = inner(fam_xi.base.components, fam_eta.base.components)
     if abs(ip0) < 1e-14:
-        raise NonNormalizableError(
-            f"<xi0, eta0> = {ip0:.3e} cannot be scaled to 1"
-        )
+        raise NonNormalizableError(f"<xi0, eta0> = {ip0:.3e} cannot be scaled to 1")
     scale = (1.0 / ip0).conjugate()
     return [scale * v.components for v in fam_eta.vectors]
 
@@ -266,10 +252,8 @@ class RieszDiagnostics:
 
 @dataclass(frozen=True)
 class IntertwinerPair:
-    """Basis-exchange maps between the two ladders, in the ambient basis."""
+    """Conditioning and defects of the basis-exchange maps between the two ladders."""
 
-    K_xi: np.ndarray
-    K_eta: np.ndarray
     condition_numbers: tuple
     inverse_defect: float
     intertwining_defect_eta: float
@@ -278,13 +262,14 @@ class IntertwinerPair:
 
 
 def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily):
-    """Construct K_xi, K_eta and verify their defining relations numerically.
+    """Verify the defining relations of K_xi and K_eta in ladder coordinates.
 
-    K_xi maps eta_j to xi_j and K_eta maps xi_j to eta_j (pseudoinverse
-    construction restricted to the spans).  Reported defects: K_eta K_xi - 1
-    on the eta-span, and the intertwining defects
-    K_eta (T S) - (S' T') K_eta on xi vectors (resp. the mirror for K_xi),
-    with each number operator applied as a matvec chain.
+    With the first L vectors of each family as the columns of X and Y,
+    K_xi = X Y^+ maps eta_j to xi_j and K_eta = Y X^+ maps xi_j to eta_j;
+    neither N x N map is formed, only the L x N pseudoinverses and X = Q R.
+    Reported defects: K_eta K_xi - 1 on the eta-span, in eta coordinates
+    (Y^+ Y)(X^+ X)(Y^+ Y) - 1, and the intertwining defects
+    K_eta (T S) - (S' T') K_eta on xi vectors (resp. the mirror for K_xi).
     """
     L = min(len(fam_xi), len(fam_eta))
     if L < 1:
@@ -293,79 +278,50 @@ def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily):
     X = np.column_stack([v.components for v in fam_xi.vectors[:L]])
     Y = np.column_stack(etas[:L])
 
-    sx = np.linalg.svd(X, compute_uv=False)
-    sy = np.linalg.svd(Y, compute_uv=False)
-    eps = np.finfo(float).eps
-    if sx[-1] <= eps * sx[0] * X.shape[0]:
-        raise ConditioningError("xi family is numerically singular")
-    if sy[-1] <= eps * sy[0] * Y.shape[0]:
-        raise ConditioningError("eta family is numerically singular")
-    cond_x = float(sx[0] / sx[-1])
-    cond_y = float(sy[0] / sy[-1])
+    sx, sy = (np.linalg.svd(M, compute_uv=False) for M in (X, Y))
+    for name, sv in (("xi", sx), ("eta", sy)):
+        if sv[-1] <= np.finfo(float).eps * sv[0] * X.shape[0]:
+            raise ConditioningError(f"{name} family is numerically singular")
 
     X_pinv = np.linalg.pinv(X)
     Y_pinv = np.linalg.pinv(Y)
-    K_xi = X @ Y_pinv
-    K_eta = Y @ X_pinv
+    PX, PY = X_pinv @ X, Y_pinv @ Y
+    inverse_defect = float(np.max(np.abs(PY @ PX @ PY - np.eye(L))))
 
-    coords = Y_pinv @ (K_eta @ (K_xi @ Y))
-    inverse_defect = float(np.max(np.abs(coords - np.eye(L))))
+    S, T = pair.S, pair.T
+    Sd, Td = S.adjoint(), T.adjoint()
+    # column j: K_eta (T S) xi_j - (S' T') K_eta xi_j, and the mirror on eta_j
+    D_eta = Y @ (X_pinv @ (T @ (S @ X))) - Sd @ (Td @ (Y @ PX))
+    D_xi = X @ (Y_pinv @ (Sd @ (Td @ Y))) - T @ (S @ (X @ PY))
+    d_eta = max(norm(D_eta[:, j]) / norm(X[:, j]) for j in range(L))
+    d_xi = max(norm(D_xi[:, j]) / norm(Y[:, j]) for j in range(L))
 
-    S, T = pair.S.entries, pair.T.entries
-    Sd, Td = S.conj().T, T.conj().T
-
-    def num_xi(x):
-        return T @ (S @ x)
-
-    def num_eta(y):
-        return Sd @ (Td @ y)
-
-    d_eta = max(
-        norm(K_eta @ num_xi(x.components) - num_eta(K_eta @ x.components)) / x.norm
-        for x in fam_xi.vectors[:L]
-    )
-    d_xi = max(
-        norm(K_xi @ num_eta(y) - num_xi(K_xi @ y)) / norm(y)
-        for y in (Y[:, j] for j in range(L))
-    )
-
-    # restriction of K_eta to the xi-span, in an orthonormal frame
-    Q, _ = np.linalg.qr(X)
-    A = Q.conj().T @ K_eta @ Q
+    # restriction of K_eta to the xi-span, in the orthonormal frame Q of X = Q R
+    Q, R = np.linalg.qr(X)
+    A = (Q.conj().T @ Y) @ (X_pinv @ Q)
     H = (A + A.conj().T) / 2.0
     symmetry_defect = float(np.max(np.abs(A - H)))
     evals, evecs = np.linalg.eigh(H)
     positive = bool(evals.min() > -1e-10)
     ortho_defect = None
     if positive:
-        sqrt_H = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-        E = np.column_stack(
-            [Q @ (sqrt_H @ (Q.conj().T @ X[:, j])) for j in range(L)]
-        )
-        gram = E.conj().T @ E
+        # e_j = K_eta^(1/2) xi_j has frame coordinates H^(1/2) R[:, j]
+        H_plus = (evecs * np.clip(evals, 0.0, None)) @ evecs.conj().T
+        gram = R.conj().T @ H_plus @ R
         ortho_defect = float(np.max(np.abs(gram - np.eye(L))))
 
-    riesz = RieszDiagnostics(
-        singular_values_xi=sx,
-        singular_values_eta=sy,
-        symmetry_defect=symmetry_defect,
-        positive=positive,
-        orthonormality_defect=ortho_defect,
-    )
     return IntertwinerPair(
-        K_xi=K_xi,
-        K_eta=K_eta,
-        condition_numbers=(cond_x, cond_y),
+        condition_numbers=(float(sx[0] / sx[-1]), float(sy[0] / sy[-1])),
         inverse_defect=inverse_defect,
         intertwining_defect_eta=float(d_eta),
         intertwining_defect_xi=float(d_xi),
-        riesz=riesz,
+        riesz=RieszDiagnostics(sx, sy, symmetry_defect, positive, ortho_defect),
     )
 
 
 def restricted_spectrum(pair, fam: LadderFamily):
     """Eigenvalues of T S restricted to the ladder span, in the ladder basis."""
     X = np.column_stack([v.components for v in fam.vectors])
-    R = np.linalg.pinv(X) @ (pair.T.entries @ (pair.S.entries @ X))
+    R = np.linalg.pinv(X) @ (pair.T @ (pair.S @ X))
     evals = np.linalg.eigvals(R)
     return np.sort_complex(evals)

@@ -33,7 +33,6 @@ from .fock import (
     basis_state,
     block_max_abs,
     coherent_state,
-    diagonals,
     matrix2x2_pair,
     norm,
     swanson_pair,
@@ -44,7 +43,7 @@ SATURATION_TOL = 1e-6
 
 def expectation(A: TruncatedOperator, xi: StateVector):
     """<A xi, xi> (the matrix expectation xi^H A xi)."""
-    return complex(np.vdot(xi.components, A.entries @ xi.components))
+    return complex(np.vdot(xi.components, A @ xi.components))
 
 
 def _require_unit(xi: StateVector):
@@ -55,7 +54,7 @@ def _require_unit(xi: StateVector):
 def delta(A: TruncatedOperator, xi: StateVector, z):
     """||(A - z) xi|| for unit xi."""
     _require_unit(xi)
-    return norm(A.entries @ xi.components - complex(z) * xi.components)
+    return norm(A @ xi.components - complex(z) * xi.components)
 
 
 @dataclass(frozen=True)
@@ -78,15 +77,14 @@ def delta_report(pair: OperatorPair, xi: StateVector, z=None, w=None):
     """Deltas of S, S', T, T' on xi; centers default to the expectations."""
     _require_unit(xi)
     x = xi.components
-    S, T = pair.S.entries, pair.T.entries
-    Sx, Tx = S @ x, T @ x
+    Sx, Tx = pair.S @ x, pair.T @ x
     z = complex(np.vdot(x, Sx) if z is None else z)
     w = complex(np.vdot(x, Tx) if w is None else w)
     return DeltaReport(
         dS=norm(Sx - z * x),
-        dSd=norm(S.conj().T @ x - z.conjugate() * x),
+        dSd=norm(pair.S.adjoint() @ x - z.conjugate() * x),
         dT=norm(Tx - w * x),
-        dTd=norm(T.conj().T @ x - w.conjugate() * x),
+        dTd=norm(pair.T.adjoint() @ x - w.conjugate() * x),
         z=z,
         w=w,
         state_norm=xi.norm,
@@ -140,8 +138,7 @@ def cross_condition_defect(pair):
     Since [S, T'] = -[S', T]', the defect matrix is X + X' with X = [S', T],
     one commutator formed on the diagonals of S and T.
     """
-    S = diagonals(pair.S.entries)
-    X = band_commutator(band_adjoint(S), diagonals(pair.T.entries))
+    X = band_commutator(band_adjoint(pair.S.diagonals), pair.T.diagonals)
     return block_max_abs(X + band_adjoint(X), pair.safe_rank)
 
 

@@ -84,7 +84,10 @@ def moment(weight: Weight, k: int):
     if k % 2 == 1:
         return 0.0
     if weight.kind == GAUSSIAN:
-        return math.prod(range(k - 1, 0, -2)) * _SQRT_2PI
+        try:
+            return math.prod(range(k - 1, 0, -2)) * _SQRT_2PI
+        except OverflowError:  # (k-1)!! no longer converts to a float
+            raise DomainParameterError(f"Gaussian moment of order {k} exceeds the float range") from None
     a = (k + 1) / 4.0
     alpha = weight.alpha
     return 0.5 * math.exp(math.lgamma(a) + math.lgamma(alpha - a) - math.lgamma(alpha))

@@ -265,6 +265,61 @@ def wide_pair(n):
     return OperatorPair(S, T, safe_rank=n - 2)
 
 
+def suite_dense_matrices():
+    """The wide, full 5 x 5, deformed and 2 x 2 matrices the suite builds densely."""
+    a, ad = lowering(8).entries, raising(8).entries
+    return {
+        "wide-S": a + 0.5 * a @ a + 0.2 * ad,
+        "wide-T": ad + 0.3 * ad @ ad,
+        "full5x5": np.arange(25.0).reshape(5, 5) * (1 + 1j),
+        "antidiagonal5x5": np.eye(5)[::-1],
+        "deformed-T": ad + 0.05 * (a @ a),
+        "2x2-S": np.array([[0, 1.5], [0, 0]]),
+        "2x2-T": np.array([[0, 0], [-0.5, 0]]),
+    }
+
+
+@pytest.mark.parametrize("name", list(suite_dense_matrices()))
+def test_dense_constructor_round_trips_exactly(name):
+    A = suite_dense_matrices()[name]
+    op = TruncatedOperator(A)
+    assert np.array_equal(op.entries, A)
+    assert np.array_equal(op.diagonals, diagonals(A))
+
+
+def test_band_constructor_ignores_slots_outside_the_matrix():
+    op = TruncatedOperator.banded(np.arange(1.0, 13.0).reshape(3, 4))
+    want = [[5, 9, 0, 0], [2, 6, 10, 0], [0, 3, 7, 11], [0, 0, 4, 8]]
+    assert np.array_equal(op.entries, want)
+    assert np.array_equal(op.diagonals, diagonals(np.array(want, dtype=complex)))
+    wider = TruncatedOperator.banded(np.ones((7, 2)))  # diagonals past the matrix are dropped
+    assert wider.diagonals.shape == (3, 2)
+    assert np.array_equal(wider.entries, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "D",
+    [np.ones((2, 4)), np.where(np.eye(3, 4, 1) > 0, np.nan, 1.0), np.zeros((3, 0)), np.ones(4)],
+    ids=["even-rows", "nan", "no-columns", "one-dimensional"],
+)
+def test_band_constructor_rejects_malformed_diagonals(D):
+    with pytest.raises(InvalidDimensionError):
+        TruncatedOperator.banded(D)
+
+
+@pytest.mark.parametrize("name", list(suite_dense_matrices()))
+def test_matvec_matches_the_dense_product(name):
+    A = suite_dense_matrices()[name]
+    n = A.shape[0]
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    op = TruncatedOperator(A)
+    tol = ROUNDING * n * np.max(np.abs(A)) * np.max(np.abs(X))
+    assert np.allclose(op @ X, A @ X, rtol=0, atol=tol)
+    assert np.allclose(op @ X[:, 0], A @ X[:, 0], rtol=0, atol=tol)
+    assert np.allclose(op.adjoint() @ X, A.conj().T @ X, rtol=0, atol=tol)
+
+
 PAIRS = [(f"swanson{theta}", n, lambda theta=theta, n=n: swanson_pair(theta, n))
          for theta in (0.0, 0.3, 0.6) for n in (2, 3, 16, 128)]
 PAIRS += [("wide", n, lambda n=n: wide_pair(n)) for n in (4, 16, 128)]

@@ -1,6 +1,7 @@
 """Ladder, biorthogonality, and intertwiner tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +17,13 @@ from weakcr.fock import (
     basis_state,
     boson_pair,
     identity,
+    inner,
     lowering,
+    matrix2x2_pair,
     norm,
     raising,
     swanson_pair,
+    weak_defect,
 )
 from weakcr.ladder import (
     biorthogonality_gram,
@@ -32,6 +36,7 @@ from weakcr.ladder import (
     restricted_spectrum,
     tail_mass_membership,
 )
+from weakcr.uncertainty import cross_condition_defect, delta_report
 
 
 def swanson_families(theta=0.3, dim=96, length=6):
@@ -275,6 +280,82 @@ def test_power_check_truncation_guard():
         commutation_power_check(pair, basis_state(13, 16), 3)
 
 
+# --- banded matvecs against the dense matrices -----------------------------------
+
+EXACT_PAIRS = {f"swanson{theta}-N{n}": (lambda theta=theta, n=n: swanson_pair(theta, n))
+               for theta in (0.0, 0.3) for n in (3, 96)}
+EXACT_PAIRS["matrix2x2"] = lambda: matrix2x2_pair(1.5, -0.5)
+
+
+@pytest.mark.parametrize("name", list(EXACT_PAIRS))
+def test_ladder_matvecs_equal_dense_matrices(name):
+    # the dense-matrix computations the banded matvecs replace, bit for bit
+    pair = EXACT_PAIRS[name]()
+    S, T = pair.S.entries, pair.T.entries
+    Sd, Td = S.conj().T, T.conj().T
+    length = min(6, pair.dim - 1)  # at N = 2 and 3 the boson ladders vanish after N - 1 steps
+    for op, dense, ladder_op, dense_ladder in ((pair.S, S, pair.T, T), (pair.T.adjoint(), Td, pair.S.adjoint(), Sd)):
+        base = kernel_vector(op, 1e-10)
+        assert np.array_equal(op @ base.components, dense @ base.components)  # the certificate's residual
+        fam = build_ladder(ladder_op, base, length)
+        current = base.components
+        for k in range(1, len(fam)):
+            current = (dense_ladder @ current) / math.sqrt(k)
+            assert np.array_equal(fam.vectors[k].components, current)
+
+    fam = build_ladder(pair.T, kernel_vector(pair.S, 1e-10), length)
+    want = []
+    for k, psi in enumerate(fam.vectors):
+        s_psi = S @ psi.components
+        r_num = norm(T @ s_psi - k * psi.components) / psi.norm
+        r_low = 0.0 if k == 0 else norm(s_psi - math.sqrt(k) * fam.vectors[k - 1].components) / psi.norm
+        want.append(max(r_num, r_low))
+    assert eigen_check(pair, fam) == want
+
+    xi = fam.base
+    for k in (1, 2, 5):
+        if pair.safe_rank - (k + 1) < 1:  # the truncation guard rejects every power at N <= 3
+            with pytest.raises(TruncationError):
+                commutation_power_check(pair, xi, k)
+            continue
+        tk_prev = xi.components
+        for _ in range(k - 1):
+            tk_prev = T @ tk_prev
+        tk_s = S @ xi.components
+        for _ in range(k):
+            tk_s = T @ tk_s
+        assert commutation_power_check(pair, xi, k) == norm(S @ (T @ tk_prev) - tk_s - k * tk_prev)
+
+
+def test_truncation_chain_stays_banded_in_memory():
+    # one dense N x N complex matrix at N = 2048 is 64 MiB; the chain keeps
+    # only diagonals, vectors and N x L ladder blocks
+    import scipy.linalg  # noqa: F401 -- kernel_vector imports it on first use, outside the measurement
+
+    n = 2048
+    tracemalloc.start()
+    try:
+        pair = swanson_pair(0.3, n)
+        weak_defect(pair)
+        cross_condition_defect(pair)
+        xi0 = kernel_vector(pair.S, 1e-10)
+        eta0 = kernel_vector(pair.T.adjoint(), 1e-10)
+        member = tail_mass_membership(pair.safe_rank)
+        fam_xi = build_ladder(pair.T, xi0, 6, member=member)
+        fam_eta = build_ladder(pair.S.adjoint(), eta0, 6, member=member)
+        eigen_check(pair, fam_xi)
+        biorthogonality_gram(fam_xi, fam_eta)
+        K = intertwiners(pair, fam_xi, fam_eta)
+        evals = restricted_spectrum(pair, fam_xi)
+        delta_report(pair, xi0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert K.inverse_defect < 1e-12
+    assert np.max(np.abs(evals - np.arange(7))) < 1e-10
+
+
 # --- biorthogonality -------------------------------------------------------------
 
 
@@ -360,10 +441,14 @@ def test_number_operators_match_dense_products():
     K = intertwiners(pair, fam_xi, fam_eta)
     S, T = pair.S.entries, pair.T.entries
     num_xi, num_eta = T @ S, S.conj().T @ T.conj().T
-    d_eta = max(norm(K.K_eta @ (num_xi @ x.components) - num_eta @ (K.K_eta @ x.components)) / x.norm
+    # the dense K_eta = Y pinv(X), with the eta family scaled so that <xi0, eta0> = 1
+    X = np.column_stack([v.components for v in fam_xi.vectors])
+    scale = (1.0 / inner(fam_xi.base.components, fam_eta.base.components)).conjugate()
+    Y = scale * np.column_stack([v.components for v in fam_eta.vectors])
+    K_eta = Y @ np.linalg.pinv(X)
+    d_eta = max(norm(K_eta @ (num_xi @ x.components) - num_eta @ (K_eta @ x.components)) / x.norm
                 for x in fam_xi.vectors)
     assert K.intertwining_defect_eta == pytest.approx(d_eta, rel=1e-3, abs=1e-14)
-    X = np.column_stack([v.components for v in fam_xi.vectors])
     R = np.linalg.pinv(X) @ num_xi @ X
     assert np.allclose(restricted_spectrum(pair, fam_xi), np.sort_complex(np.linalg.eigvals(R)), atol=1e-12)
 

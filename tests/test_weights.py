@@ -125,6 +125,17 @@ def test_large_alpha_moments_match_beta(k):
     )
 
 
+def test_gaussian_moment_at_the_float_edge():
+    # 299!! sqrt(2 pi) is the last even Gaussian moment below the float maximum
+    assert moment(gaussian_weight(), 300) == 9.408063010506738e306
+
+
+@pytest.mark.parametrize("k", [302, 400])
+def test_gaussian_moment_beyond_the_float_range_is_a_typed_error(k):
+    with pytest.raises(DomainParameterError, match=f"order {k} exceeds the float range"):
+        moment(gaussian_weight(), k)
+
+
 def test_divergent_moment_marker():
     assert moment(rational_weight(2.0), 8) == math.inf
 
