@@ -18,6 +18,10 @@ Adjacent generators from *different* families carry no relation and are left
 in place.  Canonical words therefore consist of maximal blocks of the form
 T^r S^k (or T'^r S'^k) separated by family changes; mixed words survive
 verbatim, which is what keeps them out of the regular part.
+
+A polynomial's term order carries no meaning: equality and hashing ignore
+it, and the only outputs that need an order, the rendered text and
+``fock_eval``'s floating-point sum, both sort the words by one key.
 """
 
 from __future__ import annotations
@@ -141,6 +145,7 @@ class GaussRational:
         return f"GaussRational({self.re!r}, {self.im!r})"
 
 
+_ZERO = GaussRational()
 _ONE = GaussRational(1)
 
 
@@ -190,17 +195,7 @@ class NCPoly:
         return all(len(w) == 0 for w in self.terms)
 
     def __add__(self, other):
-        other = _as_poly(other)
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            new = out.get(word, GaussRational()) + coeff
-            if new:
-                out[word] = new
-            else:
-                out.pop(word, None)
-        result = NCPoly.__new__(NCPoly)
-        result.terms = out
-        return result
+        return _collect(_as_poly(other).terms.items(), dict(self.terms))
 
     __radd__ = __add__
 
@@ -220,18 +215,9 @@ class NCPoly:
             scalar = GaussRational.coerce(other)
             return NCPoly({w: c * scalar for w, c in self.terms.items()})
         other = _as_poly(other)
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word = w1 + w2
-                new = out.get(word, GaussRational()) + c1 * c2
-                if new:
-                    out[word] = new
-                else:
-                    out.pop(word, None)
-        result = NCPoly.__new__(NCPoly)
-        result.terms = out
-        return result
+        return _collect(
+            (w1 + w2, c1 * c2) for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussRational, complex)):
@@ -269,6 +255,21 @@ class NCPoly:
         return f"NCPoly<{render(self)}>"
 
 
+def _collect(pairs, out=None):
+    """The NCPoly summing (word, coefficient) pairs into ``out``: like terms
+    merged, words whose sum is zero dropped."""
+    out = {} if out is None else out
+    for word, coeff in pairs:
+        new = out.get(word, _ZERO) + coeff
+        if new:
+            out[word] = new
+        else:
+            out.pop(word, None)
+    result = NCPoly.__new__(NCPoly)
+    result.terms = out
+    return result
+
+
 def _as_poly(value):
     if isinstance(value, NCPoly):
         return value
@@ -288,9 +289,8 @@ def adjoint(p):
     return _as_poly(p).adjoint()
 
 
-#: the letter each generator is reordered past, and the sign of that commutator
-_PARTNER = {GEN_T: GEN_S, GEN_S: GEN_T, GEN_TD: GEN_SD, GEN_SD: GEN_TD}
-_SIGN = {GEN_T: 1, GEN_S: 1, GEN_TD: -1, GEN_SD: -1}
+#: the letter T (resp. T') is reordered past, and the sign of that commutator
+_PARTNER = {GEN_T: (GEN_S, 1), GEN_TD: (GEN_SD, -1)}
 
 
 def _times_letter(state, g):
@@ -299,9 +299,9 @@ def _times_letter(state, g):
     Only the trailing S-run of g's family matters; an S is appended, and
     so is a T that finds no S of its family at the end.
     """
-    if g not in (GEN_T, GEN_TD):
+    if g not in _PARTNER:
         return {w + (g,): n for w, n in state.items()}
-    s, sign = _PARTNER[g], _SIGN[g]
+    s, sign = _PARTNER[g]
     out = {}
     for w, n in state.items():
         i = len(w)
@@ -315,70 +315,31 @@ def _times_letter(state, g):
     return out
 
 
-def _letter_times(g, state):
-    """Canonical ``g * state``, by S T^r S^k = T^r S^(k+1) + sign*r T^(r-1) S^k.
-
-    The mirror of ``_times_letter``: only the leading T-run of g's family
-    matters; a T is prepended, and so is an S that finds no T in front.
-    """
-    if g not in (GEN_S, GEN_SD):
-        return {(g,) + w: n for w, n in state.items()}
-    t, sign = _PARTNER[g], _SIGN[g]
-    out = {}
-    for w, n in state.items():
-        r = 0
-        while r < len(w) and w[r] == t:
-            r += 1
-        if r:
-            word = w[1:]
-            out[word] = out.get(word, 0) + sign * r * n
-        word = w[:r] + (g,) + w[r:]
-        out[word] = out.get(word, 0) + n
-    return out
-
-
-def normal_order(p, strategy="leftmost"):
+def normal_order(p):
     """Rewrite to canonical form: T left of S within each same-family block.
 
-    Each word is swept one letter at a time, keeping the canonical form of
-    the part read so far as an exact {word: int} map with like terms merged.
-    ``strategy`` picks the sweep: "leftmost" reads left to right and
-    multiplies on the right with T^r S^k T = T^(r+1) S^k + k T^r S^(k-1);
-    "rightmost" reads right to left and multiplies on the left with the
-    mirror identity S T^r S^k = T^r S^(k+1) + r T^(r-1) S^k.  The primed
-    family takes -k (resp. -r), and a letter of the other family is simply
-    adjoined.  Both are the boson normal-ordering identity (summed over a
-    block, S^k T^r = sum_j j! C(k,j) C(r,j) (+-1)^j T^(r-j) S^(k-j)), and the
-    canonical form is unique, so the strategies agree.  A word costs
+    Each word is read left to right, keeping the canonical form of the part
+    read so far as an exact {word: int} map with like terms merged, and
+    multiplying it on the right by the next letter with
+    T^r S^k T = T^(r+1) S^k + k T^r S^(k-1) (-k for the primed family); a
+    letter of the other family is simply adjoined.  Summed over a block this
+    is the boson normal-ordering identity
+    S^k T^r = sum_j j! C(k,j) C(r,j) (+-1)^j T^(r-j) S^(k-j).  A word costs
     O(letters * live terms) dict updates; each output word then takes one
-    coefficient multiply.  Input terms are taken last to first, and each
-    letter emits its dropped term before its main one.  That reproduces the
-    term order of a step-by-step leftmost rewriter on a stack that explores
-    the dropped branch first, so floating-point sums over the terms
-    (``fock_eval``) come out as they did with it; the one exception is a
-    word whose running sum in that rewriter passed through zero on the way.
+    coefficient multiply.  The canonical form is unique, so the result does
+    not depend on the order of the input terms, and its own term order
+    carries no meaning.
     """
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     p = _as_poly(p)
-    out = {}
-    for word, coeff in reversed(p.terms.items()):
-        state = {(): 1}
-        if strategy == "leftmost":
-            for g in word:
-                state = _times_letter(state, g)
-        else:
-            for g in reversed(word):
-                state = _letter_times(g, state)
-        for w, n in state.items():
-            new = out.get(w, GaussRational()) + coeff * n
-            if new:
-                out[w] = new
-            else:
-                out.pop(w, None)
-    result = NCPoly.__new__(NCPoly)
-    result.terms = out
-    return result
+    return _collect((w, coeff * n) for word, coeff in p.terms.items() for w, n in _sweep(word).items())
+
+
+def _sweep(word):
+    """Canonical form of one word as an exact {word: int} map."""
+    state = {(): 1}
+    for g in word:
+        state = _times_letter(state, g)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +558,10 @@ def fock_eval(p, pair):
     """Substitute the pair's dense matrices for the generators and evaluate.
 
     S' and T' are the conjugate transposes of the matrices of S and T.
-    Coefficients drop to double precision here and only here.
+    Coefficients drop to double precision here and only here.  The words are
+    summed in one fixed order, the reverse of the rendered one (lowest degree
+    first), so the floating-point result depends on the polynomial alone and
+    not on the order in which its terms were built.
     """
     from .fock import TruncatedOperator
 
@@ -605,7 +569,8 @@ def fock_eval(p, pair):
     S, T = pair.S.entries, pair.T.entries
     mats = {GEN_S: S, GEN_T: T, GEN_SD: S.conj().T, GEN_TD: T.conj().T}
     acc = np.zeros_like(S)
-    for word, coeff in p.terms.items():
+    for word in sorted(p.terms, key=_word_sort_key, reverse=True):
+        coeff = p.terms[word]
         m = mats[word[0]] if word else np.eye(pair.dim, dtype=complex)
         for g in word[1:]:
             m = m @ mats[g]

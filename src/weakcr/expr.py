@@ -15,6 +15,7 @@ first syntax or evaluation error in reading order is the one raised.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -23,6 +24,8 @@ from .errors import ExprEvalError, ExprSyntaxError, UnknownIdentifierError
 
 _GEN_LETTERS = ("S", "T")
 _SINGLE_TOKENS = {**dict.fromkeys("+-*/^", "OP"), "(": "LPAREN", ")": "RPAREN", "i": "I"}
+#: an integer or a decimal with at most one dot, ending in a digit
+_NUMBER = re.compile(r"\d*\.?\d+")
 
 
 class Token(NamedTuple):
@@ -54,18 +57,13 @@ def _tokenize(text):
             i += 1
             col += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            lit = text[i:j]
-            if lit.endswith("."):
-                lit = lit[:-1]
-                j -= 1
-            tokens.append(Token("NUM", Fraction(lit), line, start_col))
+        number = _NUMBER.match(text, i)
+        if number:
+            j = number.end()
+            if j < n and text[j] == ".":
+                # "1.5.3" is not 1.5 times .3, and "1." is no number
+                raise ExprSyntaxError("unexpected character '.'", line, start_col + j - i)
+            tokens.append(Token("NUM", Fraction(number.group()), line, start_col))
             col += j - i
             i = j
             continue

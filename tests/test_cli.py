@@ -244,6 +244,14 @@ def test_non_finite_parameter_exits_two(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_coherent_state_past_the_truncation_exits_two():
+    # |z|^2 = 900: e^(|z|^2) overflows a float, and the whole norm lies past dimension 64
+    proc = _run_cli("uncertainty", "--state", "coherent:30,0")
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("expr", ["S T^31", "S T^40"])
 def test_normal_order_beyond_default_dimension_checks_a_positive_band(capsys, expr):
     code, out, _ = run(capsys, "normal-order", expr)

@@ -16,6 +16,7 @@ from weakcr.algebra import (
     normal_order,
     render,
 )
+from weakcr.cli import main
 from weakcr.errors import ExprEvalError, ExprSyntaxError, UnknownIdentifierError
 from weakcr.expr import parse_to_poly, pretty_print
 
@@ -92,6 +93,23 @@ def test_unknown_identifier():
 def test_fractional_exponent_rejected():
     with pytest.raises(ExprSyntaxError):
         parse_to_poly("S^0.5")
+
+
+def test_number_followed_by_dot_rejected(capsys):
+    # "1.5.3" is not the product of 1.5 and .3; with a space it is
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_to_poly("1.5.3 S")
+    assert exc.value.column == 4
+    assert parse_to_poly("1.5 .3 S") == S * Fraction(9, 20)
+    assert main(["normal-order", "1.5.3 S"]) == 2
+    assert "column 4" in capsys.readouterr().err
+
+
+def test_superscript_digit_rejected():
+    # "²" passes str.isdigit but is no decimal digit, and Fraction cannot read it
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_to_poly("S²")
+    assert exc.value.column == 2
 
 
 def test_division_by_word_rejected():

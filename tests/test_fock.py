@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import gammainc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from weakcr.fock import (
     block_max_abs,
     boson_pair,
     coherent_state,
+    coherent_tail_mass,
     diagonals,
     hermitian_upper,
     identity,
@@ -92,6 +94,20 @@ def test_coherent_state_tail_mass_guard():
     with pytest.raises(TruncationError) as exc:
         coherent_state(2.0, 4)
     assert exc.value.tail_mass > 1e-12
+
+
+@pytest.mark.parametrize("z, n", [(2, 4), (4, 40), (4, 50), (30, 64), (6, 110)])
+def test_coherent_tail_mass_is_the_regularized_gamma(z, n):
+    # the discarded share of the norm is P(n, |z|^2); e^(|z|^2) minus the
+    # partial sum cancels to -0.5 at (6, 110) and overflows at (30, 64)
+    want = gammainc(n, abs(z) ** 2)
+    assert coherent_tail_mass(z, n) == pytest.approx(want, rel=1e-10)
+    if want < 1e-12:
+        assert coherent_state(z, n).components.shape == (n,)
+        return
+    with pytest.raises(TruncationError) as exc:
+        coherent_state(z, n)
+    assert exc.value.tail_mass == pytest.approx(want, rel=1e-10)
 
 
 def test_swanson_reduces_to_boson():
