@@ -57,12 +57,10 @@ from .ladder import (
     tail_mass_membership,
 )
 from .uncertainty import (
+    _swanson_state,
     coherent_grid_states,
     matrix2x2_report,
     saturation_scan,
-    swanson_closed_form,
-    ur1_check,
-    ur2_check,
 )
 from .weights import (
     MomentTable,
@@ -207,8 +205,11 @@ def _parse_state(text, dim):
     kind, _, arg = text.partition(":")
     with _bad_value("state", text, forms):
         if kind == "coherent":
-            re_s, im_s = (arg.split(",") + ["0"])[:2] if arg else ("0", "0")
-            return coherent_state(complex(float(re_s), float(im_s)), dim)
+            parts = (arg or "0").split(",")
+            if len(parts) > 2:
+                raise ValueError(arg)
+            re_s, im_s = (parts + ["0"])[:2]
+            return coherent_state(complex(_finite(re_s), _finite(im_s)), dim)
         if kind == "basis":
             return basis_state(int(arg), dim)
     raise WeakCRError(f"unknown state {text!r} (expected {forms})")
@@ -466,9 +467,7 @@ def cmd_uncertainty(args):
         theta = params[0]
         pair = swanson_pair(theta, args.dim)
         xi = _parse_state(args.state or "coherent:0,0", args.dim)
-        closed = swanson_closed_form(theta, xi)
-        u1 = ur1_check(pair, xi, tol=tol)
-        u2 = ur2_check(pair, xi, tol=tol)
+        closed, u1, u2 = _swanson_state(theta, pair, xi, tol)
         report.result("deltas", list(closed.matrix_deltas.as_tuple()))
         report.result("closed_form_deltas", list(closed.deltas.as_tuple()))
         report.result("C_phi", closed.moments.C_phi)

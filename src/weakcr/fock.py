@@ -121,8 +121,8 @@ class StateVector:
     def dim(self):
         return self.components.size
 
-    @property
-    def norm(self):
+    @cached_property
+    def norm(self):  # formed once: the unit check, the report and <xi, xi> all read it
         return norm(self.components)
 
 
@@ -150,6 +150,16 @@ class OperatorPair:
     @property
     def dim(self):
         return self.S.dim
+
+    @cached_property
+    def cross_defect(self):
+        """Entrywise defect of [S', T] = [S, T'] on the safe block, formed once per pair.
+
+        Since [S, T'] = -[S', T]', the defect matrix is X + X' with X = [S', T],
+        one commutator formed on the diagonals of S and T.
+        """
+        X = band_commutator(band_adjoint(self.S.diagonals), self.T.diagonals)
+        return block_max_abs(X + band_adjoint(X), self.safe_rank)
 
 
 def lowering(n):

@@ -13,6 +13,11 @@ closed forms express all four deltas through the two state moments
 C_phi = <a* a> - |<a>|^2 and E_phi = Im(<a*^2> - <a*>^2), and the 2x2 model
 admits fully explicit formulas; both are cross-validated against direct
 matrix computation.
+
+Per-state quantities come from one pass that applies each operator once to
+the N x L block of a batch of states, and reduces each state on its own
+contiguous column, so a batch gives the bits of one state at a time.  What
+depends only on the pair (the cross-condition defect) is formed once per pair.
 """
 
 from __future__ import annotations
@@ -23,16 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NCPoly, fock_eval
-from .errors import ClosedFormInconsistencyError, InvalidDimensionError, PreconditionError
+from .errors import ClosedFormInconsistencyError, PreconditionError, TruncationError
 from .fock import (
     OperatorPair,
     StateVector,
     TruncatedOperator,
-    band_adjoint,
     band_commutator,
     basis_state,
-    block_max_abs,
     coherent_state,
+    lowering,
     matrix2x2_pair,
     norm,
     swanson_pair,
@@ -74,21 +78,40 @@ class DeltaReport:
 
 
 def delta_report(pair: OperatorPair, xi: StateVector, z=None, w=None):
-    """Deltas of S, S', T, T' on xi; centers default to the expectations."""
-    _require_unit(xi)
-    x = xi.components
-    Sx, Tx = pair.S @ x, pair.T @ x
-    z = complex(np.vdot(x, Sx) if z is None else z)
-    w = complex(np.vdot(x, Tx) if w is None else w)
-    return DeltaReport(
-        dS=norm(Sx - z * x),
-        dSd=norm(pair.S.adjoint() @ x - z.conjugate() * x),
-        dT=norm(Tx - w * x),
-        dTd=norm(pair.T.adjoint() @ x - w.conjugate() * x),
-        z=z,
-        w=w,
-        state_norm=xi.norm,
-    )
+    """Deltas of S, S', T, T' on xi; centers default to the expectations.
+
+    This is the one-state case of ``_pass``, the batch pass every check reads.
+    """
+    return _pass(pair, [xi], z, w)[0][0]
+
+
+def _pass(pair, states, z=None, w=None, moments=False):
+    """DeltaReports of a batch of unit states and, with ``moments``, their SwansonMoments.
+
+    S, S', T and T' are each applied once to the column-major N x L block X
+    of the states.  A block matvec gives each column bit for bit as a vector
+    matvec, and every product's columns stay contiguous, so each reduction
+    (np.vdot, norm) sees the vectors a single state would.
+    """
+    for xi in states:
+        _require_unit(xi)
+    xs = [xi.components for xi in states]
+    X = np.array(xs).T
+    blocks = ((A @ X).T for A in (pair.S, pair.S.adjoint(), pair.T, pair.T.adjoint()))
+    reports = []
+    for xi, x, Sx, Sdx, Tx, Tdx in zip(states, xs, *blocks):
+        zj = complex(np.vdot(x, Sx) if z is None else z)
+        wj = complex(np.vdot(x, Tx) if w is None else w)
+        reports.append(DeltaReport(
+            dS=norm(Sx - zj * x),
+            dSd=norm(Sdx - zj.conjugate() * x),
+            dT=norm(Tx - wj * x),
+            dTd=norm(Tdx - wj.conjugate() * x),
+            z=zj,
+            w=wj,
+            state_norm=xi.norm,
+        ))
+    return reports, (_moments(X, xs) if moments else None)
 
 
 @dataclass(frozen=True)
@@ -133,23 +156,18 @@ def ur1_check(pair, xi, z=None, w=None, C=None, tol=SATURATION_TOL):
 
 
 def cross_condition_defect(pair):
-    """Entrywise defect of [S', T] = [S, T'] on the safe block.
-
-    Since [S, T'] = -[S', T]', the defect matrix is X + X' with X = [S', T],
-    one commutator formed on the diagonals of S and T.
-    """
-    X = band_commutator(band_adjoint(pair.S.diagonals), pair.T.diagonals)
-    return block_max_abs(X + band_adjoint(X), pair.safe_rank)
+    """Entrywise defect of [S', T] = [S, T'] on the safe block (``pair.cross_defect``)."""
+    return pair.cross_defect
 
 
 def ur2_check(pair, xi, C=None, tol=SATURATION_TOL):
     """Sum-product inequality: (dS + dS') (dT + dT') >= |Re <xi, C xi>|.
 
-    Needs the cross condition [S',T] - [S,T'] = 0; its defect is always
-    computed and the result is flagged ``hypothesis_violated`` (never
-    suppressed) when the defect exceeds 1e-8.
+    Needs the cross condition [S',T] - [S,T'] = 0; its defect, formed once
+    per pair, is always reported and the result is flagged
+    ``hypothesis_violated`` (never suppressed) when it exceeds 1e-8.
     """
-    return _ur2(delta_report(pair, xi), _c_expectation(pair, xi, C), cross_condition_defect(pair), tol)
+    return _ur2(delta_report(pair, xi), _c_expectation(pair, xi, C), pair.cross_defect, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -166,22 +184,27 @@ class SwansonMoments:
 
 
 def swanson_moments(xi: StateVector):
-    """C_phi = <a* a> - |<a>|^2 and E_phi = Im(<a*^2> - <a*>^2) for unit xi."""
+    """C_phi = <a* a> - |<a>|^2 and E_phi = Im(<a*^2> - <a*>^2) for unit xi.
+
+    a = lowering(N) and a* = raising(N) act on xi as on a batch in ``_pass``.
+    """
     _require_unit(xi)
-    if xi.dim < 2:
-        raise InvalidDimensionError(f"need dimension >= 2, got {xi.dim}")
-    # a and a* act as index shifts weighted by sqrt(k): a e_k = sqrt(k) e_(k-1)
-    x = xi.components
-    root = np.sqrt(np.arange(1, xi.dim))
-    zero = np.zeros(1, dtype=complex)
-    a_x = np.concatenate((root * x[1:], zero))
-    ad_x = np.concatenate((zero, root * x[:-1]))
-    mean_a = complex(np.vdot(x, a_x))
-    mean_n = complex(np.vdot(x, np.concatenate((zero, root * a_x[:-1]))))
-    mean_ad2 = complex(np.vdot(x, np.concatenate((zero, root * ad_x[:-1]))))
-    c_phi = mean_n.real - abs(mean_a) ** 2
-    e_phi = (mean_ad2 - mean_a.conjugate() ** 2).imag
-    return SwansonMoments(C_phi=c_phi, E_phi=e_phi)
+    return _moments(xi.components[:, None], [xi.components])[0]
+
+
+def _moments(X, xs):
+    """SwansonMoments of the states xs, the columns of the N x L block X."""
+    a = lowering(X.shape[0])
+    ad = a.adjoint()
+    aX = a @ X
+    moments = []
+    for x, ax, nx, ad2x in zip(xs, aX.T, (ad @ aX).T, (ad @ (ad @ X)).T):
+        mean_a = complex(np.vdot(x, ax))
+        mean_n = complex(np.vdot(x, nx))
+        mean_ad2 = complex(np.vdot(x, ad2x))
+        moments.append(SwansonMoments(C_phi=mean_n.real - abs(mean_a) ** 2,
+                                      E_phi=(mean_ad2 - mean_a.conjugate() ** 2).imag))
+    return moments
 
 
 @dataclass(frozen=True)
@@ -198,10 +221,26 @@ def swanson_closed_form(theta, xi: StateVector):
     (dS)^2 = C + sin^2(t) - sin(2t) E        (dS')^2 = C + cos^2(t) - sin(2t) E
     (dT)^2 = C + cos^2(t) + sin(2t) E        (dT')^2 = C + sin^2(t) + sin(2t) E
 
-    A squared delta below -1e-12 signals a truncation failure and raises;
-    tiny negatives are clipped to zero.
+    These hold for the untruncated a*.  The truncated a* sends e_(N-1) to 0,
+    so each squared matrix delta lacks cos^2(t) or sin^2(t) times the weight
+    N |x_(N-1)|^2.  Past 1e-5 (above the 2.9e-6 of any state coherent_state
+    accepts) a TruncationError carrying that weight is raised instead of a
+    comparison that truncation decides.  A squared delta below -1e-12 raises
+    as well; tiny negatives are clipped to zero.
     """
-    moments = swanson_moments(xi)
+    return _closed_form(theta, swanson_pair(theta, xi.dim), xi)
+
+
+def _closed_form(theta, pair, xi):
+    """The SwansonReport of xi for ``pair = swanson_pair(theta, N)``, from one pass."""
+    (matrix,), (moments,) = _pass(pair, [xi], moments=True)
+    weight = xi.dim * abs(xi.components[-1]) ** 2
+    if weight > 1e-5:
+        raise TruncationError(
+            f"state weight N|x_(N-1)|^2 = {weight:.3e} at dimension {xi.dim} exceeds "
+            "1e-5; the truncated a* drops it from the squared deltas",
+            tail_mass=weight,
+        )
     c, e = moments.C_phi, moments.E_phi
     s2 = math.sin(theta) ** 2
     c2 = math.cos(theta) ** 2
@@ -217,8 +256,6 @@ def swanson_closed_form(theta, xi: StateVector):
             raise ClosedFormInconsistencyError(
                 f"closed form ({name})^2 = {value:.3e} is negative"
             )
-    pair = swanson_pair(theta, xi.dim)
-    matrix = delta_report(pair, xi)
     closed = DeltaReport(
         dS=math.sqrt(max(squares["dS"], 0.0)),
         dSd=math.sqrt(max(squares["dSd"], 0.0)),
@@ -237,6 +274,13 @@ def swanson_closed_form(theta, xi: StateVector):
         matrix_deltas=matrix,
         matrix_discrepancy=discrepancy,
     )
+
+
+def _swanson_state(theta, pair, xi, tol):
+    """Closed-form report, UR1 and UR2 of xi for ``pair = swanson_pair(theta, N)``, from one pass."""
+    closed = _closed_form(theta, pair, xi)
+    deltas, c_exp = closed.matrix_deltas, _c_expectation(pair, xi, None)
+    return closed, _ur1(deltas, c_exp, tol), _ur2(deltas, c_exp, pair.cross_defect, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +313,10 @@ class Matrix2x2Report:
 def matrix2x2_report(s, q, phi1, phi2, tol=SATURATION_TOL):
     """Everything about the model S = [[0,s],[0,0]], T = [[0,0],[q,0]].
 
-    The commutator [S, T] = s q diag(1, -1) is computed symbolically and fed
-    to both inequalities; it is not the identity, so the generalized forms
-    are the meaningful ones.
+    The commutator [S, T] = s q diag(1, -1), one banded commutator of the
+    pair's diagonals, is fed to both inequalities; it is not the identity,
+    so the generalized forms are the meaningful ones.  The deltas come from
+    the batch pass of ``delta_report``.
     """
     phi1, phi2 = complex(phi1), complex(phi2)
     xi = StateVector(np.array([phi1, phi2]), label="phi")
@@ -283,10 +328,9 @@ def matrix2x2_report(s, q, phi1, phi2, tol=SATURATION_TOL):
     deltas = delta_report(pair, xi)
     discrepancy = max(abs(a - b) for a, b in zip(closed, deltas.as_tuple()))
 
-    S_gen, T_gen = NCPoly.gen("S"), NCPoly.gen("T")
-    c_exp = _c_expectation(pair, xi, S_gen * T_gen - T_gen * S_gen)
+    c_exp = expectation(TruncatedOperator.banded(band_commutator(pair.S.diagonals, pair.T.diagonals)), xi)
     ur1 = _ur1(deltas, c_exp, tol)
-    ur2 = _ur2(deltas, c_exp, cross_condition_defect(pair), tol)
+    ur2 = _ur2(deltas, c_exp, pair.cross_defect, tol)
 
     ur1_value = abs(p1 - p2)
     ur2_value = max(p1, p2) - math.sqrt(abs(p1 - p2) / 2.0)
@@ -331,13 +375,10 @@ def coherent_grid_states(dim, nx=5, ny=5):
 def _swanson_scan(theta, dim, states, tol):
     rows = []
     pair = swanson_pair(theta, dim)
-    defect = cross_condition_defect(pair)
-    for xi in states:
-        moments = swanson_moments(xi)
-        deltas = delta_report(pair, xi)
+    for xi, deltas, moments in zip(states, *_pass(pair, states, moments=True)):
         c_exp = _c_expectation(pair, xi, None)
         ur1 = _ur1(deltas, c_exp, tol)
-        ur2 = _ur2(deltas, c_exp, defect, tol)
+        ur2 = _ur2(deltas, c_exp, pair.cross_defect, tol)
         c, e = moments.C_phi, moments.E_phi
         # both readings of the ambiguous quarter-turn saturation functional
         sq_arg = (c + 0.5) ** 2 - e**2

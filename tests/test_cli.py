@@ -1,6 +1,7 @@
 """CLI contract tests: documented payloads, determinism, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 from math import comb, factorial
@@ -11,6 +12,8 @@ from test_acceptance import _run_cli, child_env
 from weakcr import cli
 from weakcr.algebra import GEN_S, GEN_T, NCPoly, normal_order, render
 from weakcr.cli import main
+from weakcr.fock import swanson_pair
+from weakcr.uncertainty import delta_report, swanson_closed_form, ur1_check, ur2_check
 
 
 def run(capsys, *argv):
@@ -195,6 +198,34 @@ def test_uncertainty_basis_state(capsys):
     assert "UR1 gap" in out
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4])
+@pytest.mark.parametrize("state", ["coherent:0.5,-0.25", "basis:3"])
+def test_uncertainty_state_report_equals_public_checks(capsys, tmp_path, theta, state):
+    # the one-pass single-state branch reports exactly what the public functions return
+    out_file = tmp_path / "u.json"
+    code, _, _ = run(capsys, "uncertainty", "--model", f"swanson:{theta!r}", "--state", state,
+                     "--out", str(out_file))
+    assert code == 0
+    results = json.loads(out_file.read_text())["results"]
+    pair = swanson_pair(theta, 64)
+    xi = cli._parse_state(state, 64)
+    u1, u2 = ur1_check(pair, xi), ur2_check(pair, xi)
+    assert results["deltas"] == list(delta_report(pair, xi).as_tuple())
+    assert results["closed_form_deltas"] == list(swanson_closed_form(theta, xi).deltas.as_tuple())
+    assert results["ur1"] == {"lhs": u1.lhs, "rhs": u1.rhs, "gap": u1.gap, "saturated": u1.saturated}
+    assert results["ur2"] == {"lhs": u2.lhs, "rhs": u2.rhs, "gap": u2.gap, "saturated": u2.saturated,
+                              "cross_defect": u2.cross_condition_defect}
+
+
+@pytest.mark.parametrize("argv", [["--state", "basis:63"], ["--dim", "2", "--state", "basis:1"]])
+def test_uncertainty_state_at_the_truncation_edge_exits_two(capsys, argv):
+    # the truncated a* drops e_(N-1) from the squared deltas: a typed error, not a false FAIL
+    code, out, err = run(capsys, "uncertainty", *argv)
+    assert code == 2
+    assert out == ""
+    assert "error: state weight N|x_(N-1)|^2" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -210,6 +241,8 @@ def test_uncertainty_basis_state(capsys):
         ["uncertainty", "--model", "swanson:inf"],
         ["ladder", "--model", "swanson:inf"],
         ["ladder", "--len", "-3"],
+        ["uncertainty", "--model", "swanson:0", "--state", "coherent:nan,0"],
+        ["uncertainty", "--model", "swanson:0", "--state", "coherent:1,2,3"],
     ],
 )
 def test_bad_argument_value_exits_two(capsys, argv):

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from weakcr.algebra import NCPoly
-from weakcr.errors import PreconditionError
+from weakcr import fock, uncertainty
+from weakcr.algebra import NCPoly, fock_eval
+from weakcr.errors import PreconditionError, TruncationError
 from weakcr.fock import (
     OperatorPair,
     StateVector,
@@ -155,6 +156,22 @@ def test_cross_condition_matches_dense_oracle(make):
     assert abs(cross_condition_defect(pair) - dense_cross_condition_defect(pair)) <= 1e-13 * max(1.0, scale)
 
 
+def test_ur2_check_forms_the_cross_defect_once(monkeypatch):
+    calls, commutator = [], fock.band_commutator
+
+    def counted(A, B):
+        calls.append(1)
+        return commutator(A, B)
+
+    pair = swanson_pair(0.3, 32)
+    for module in (fock, uncertainty):
+        monkeypatch.setattr(module, "band_commutator", counted, raising=False)
+    reports = [ur2_check(pair, coherent_state(0.1 * k, 32)) for k in range(10)]
+    assert len(calls) == 1
+    (defect,) = {u.cross_condition_defect for u in reports}
+    assert defect == pytest.approx(dense_cross_condition_defect(pair), abs=1e-13)
+
+
 def test_cross_condition_violation_is_flagged():
     # deform T so [S', T] - [S, T'] no longer cancels
     n = 32
@@ -187,6 +204,37 @@ def test_generalized_c_expectation():
 
 
 # --- closed forms -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.2])
+def test_truncation_costs_each_squared_delta_the_edge_weight(theta):
+    # the untruncated identities hold; the truncated a* loses N |x_(N-1)|^2 from each square
+    rng = np.random.default_rng(5)
+    n = 16
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    xi = StateVector(v / np.linalg.norm(v))
+    m, d = swanson_moments(xi), delta_report(swanson_pair(theta, n), xi)
+    c2, s2, s2t = math.cos(theta) ** 2, math.sin(theta) ** 2, math.sin(2 * theta)
+    weight = n * abs(xi.components[-1]) ** 2
+    closed = (m.C_phi + s2 - s2t * m.E_phi, m.C_phi + c2 - s2t * m.E_phi,
+              m.C_phi + c2 + s2t * m.E_phi, m.C_phi + s2 + s2t * m.E_phi)
+    lost = (s2 * weight, c2 * weight, c2 * weight, s2 * weight)
+    for sq, delta_value, loss in zip(closed, d.as_tuple(), lost):
+        assert sq - delta_value**2 == pytest.approx(loss, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4])
+@pytest.mark.parametrize("n", [2, 64])
+def test_closed_form_at_the_truncation_edge_is_a_typed_error(theta, n):
+    with pytest.raises(TruncationError) as info:
+        swanson_closed_form(theta, basis_state(n - 1, n))
+    assert info.value.tail_mass == n
+
+
+def test_closed_form_passes_the_widest_coherent_state():
+    # N |x_63|^2 is about 1e-10 here, far under the edge guard, and the identity still checks
+    report = swanson_closed_form(0.3, coherent_state(4.75, 64))
+    assert report.matrix_discrepancy < 1e-6
 
 
 def test_swanson_moments_on_coherent_states():
@@ -295,6 +343,20 @@ def test_matrix2x2_closed_form_exactness_randomized():
         assert report.closed_form_discrepancy < 1e-14
 
 
+def test_matrix2x2_commutator_expectation_equals_symbolic_path():
+    # the banded commutator gives the bits of evaluating the symbolic S T - T S
+    rng = np.random.default_rng(29)
+    S, T = NCPoly.gen("S"), NCPoly.gen("T")
+    for _ in range(200):
+        s, q = rng.uniform(-2, 2, 2)
+        t = rng.uniform(0, 1)
+        ph1 = math.sqrt(t) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        ph2 = math.sqrt(1 - t) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        xi = StateVector(np.array([ph1, ph2]))
+        symbolic = expectation(fock_eval(S * T - T * S, matrix2x2_pair(s, q)), xi)
+        assert matrix2x2_report(s, q, ph1, ph2).ur1.c_expectation == symbolic
+
+
 def test_matrix2x2_rejects_non_unit():
     with pytest.raises(PreconditionError):
         matrix2x2_report(1.0, 1.0, 1.0, 1.0)
@@ -311,19 +373,22 @@ def test_swanson_zero_scan_ur1_never_saturated():
     assert table.summary["ur2_saturated_count"] >= 25
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("theta", [0.0, 0.3, 0.785])
 def test_scan_rows_match_public_checks(theta):
-    pair = swanson_pair(theta, 64)
-    states = coherent_grid_states(64)
-    table = saturation_scan("swanson", (theta,), dim=64)
-    assert [row["state"] for row in table.rows] == [xi.label for xi in states]
-    for row, xi in zip(table.rows, states):
-        ur1, ur2 = ur1_check(pair, xi), ur2_check(pair, xi)
-        assert (row["ur1_lhs"], row["ur1_rhs"], row["ur1_gap"], row["ur1_saturated"]) == (
-            ur1.lhs, ur1.rhs, ur1.gap, ur1.saturated)
-        assert (row["ur2_lhs"], row["ur2_rhs"], row["ur2_gap"], row["ur2_saturated"]) == (
-            ur2.lhs, ur2.rhs, ur2.gap, ur2.saturated)
-        assert row["cross_defect"] == ur2.cross_condition_defect
+    # the scan's one pass over all states equals the one-state public checks bit for bit
+    for n in (64, 128):
+        pair = swanson_pair(theta, n)
+        states = coherent_grid_states(n)
+        table = saturation_scan("swanson", (theta,), dim=n)
+        assert [row["state"] for row in table.rows] == [xi.label for xi in states]
+        for row, xi in zip(table.rows, states):
+            ur1, ur2, m = ur1_check(pair, xi), ur2_check(pair, xi), swanson_moments(xi)
+            assert (row["C_phi"], row["E_phi"]) == (m.C_phi, m.E_phi)
+            assert (row["ur1_lhs"], row["ur1_rhs"], row["ur1_gap"], row["ur1_saturated"]) == (
+                ur1.lhs, ur1.rhs, ur1.gap, ur1.saturated)
+            assert (row["ur2_lhs"], row["ur2_rhs"], row["ur2_gap"], row["ur2_saturated"]) == (
+                ur2.lhs, ur2.rhs, ur2.gap, ur2.saturated)
+            assert row["cross_defect"] == ur2.cross_condition_defect
 
 
 def test_quarter_turn_scan_records_both_readings():
