@@ -575,7 +575,7 @@ def fock_eval(p, pair):
         for g in word[1:]:
             m = m @ mats[g]
         acc += complex(coeff) * m
-    return TruncatedOperator(acc, label="eval")
+    return TruncatedOperator(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ Subcommands drive the five compute layers and emit machine-readable reports:
     normal-order  canonical form, regularity verdict, matrix soundness check
     uncertainty   delta reports, UR1/UR2, saturation scans
 
-Every subcommand accepts --out report.json (scans also --out report.csv),
---tol to override check tolerances, and --seed for the randomized suites.
+Every subcommand accepts --out report.json (scans also --out report.csv) and
+--tol to override check tolerances; weights and normal-order, whose suites
+are randomized, also accept --seed.
 Exit status is 0 when every check passes, 1 when a check fails, and 2 for a
 bad argument or a failed precondition; reports are byte-identical across
 runs with identical inputs.
@@ -527,7 +528,6 @@ def build_parser():
     def common(p):
         p.add_argument("--out", help="write the report to a .json (or, for scans, .csv) file")
         p.add_argument("--tol", type=float, default=None, help="override check tolerances")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
 
     p = sub.add_parser("verify-cr", help="defect table for the three commutation-relation forms")
     p.add_argument("--model", default="boson", help="boson or swanson:<theta>")
@@ -548,12 +548,14 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=None, help="rational weight exponent (> 3/4)")
     p.add_argument("--gaussian", action="store_true", help="use the Gaussian weight")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("normal-order", help="canonical form of an operator expression")
     p.add_argument("expr", help="expression over S, T, S', T', e.g. \"S^2 T - T S^2\"")
     p.add_argument("--profile", help="power profile m0,m1,... (use 'inf' for unbounded)")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.set_defaults(func=cmd_normal_order)
 
     p = sub.add_parser("uncertainty", help="delta reports, UR1/UR2, saturation scans")

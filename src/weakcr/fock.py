@@ -50,18 +50,17 @@ class TruncatedOperator:
     """
 
     diagonals: np.ndarray
-    label: str = ""
 
-    def __init__(self, entries, label=""):
+    def __init__(self, entries):
         arr = np.asarray(entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvalidDimensionError(f"entries must be a square matrix, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise InvalidDimensionError("entries contain NaN or Inf")
-        vars(self).update(diagonals=diagonals(arr), label=label)
+        vars(self).update(diagonals=diagonals(arr))
 
     @classmethod
-    def banded(cls, D, label=""):
+    def banded(cls, D):
         """The operator with D[K + d, i] = A[i, i + d]; slots outside the matrix are ignored."""
         D = np.asarray(D, dtype=complex)
         if D.ndim != 2 or D.shape[0] % 2 == 0 or D.shape[1] < 1:
@@ -69,7 +68,7 @@ class TruncatedOperator:
         if not np.isfinite(D).all():
             raise InvalidDimensionError("diagonals contain NaN or Inf")
         op = cls.__new__(cls)
-        vars(op).update(diagonals=_leading_block(D, D.shape[1]), label=label)
+        vars(op).update(diagonals=_leading_block(D, D.shape[1]))
         return op
 
     @property
@@ -86,7 +85,7 @@ class TruncatedOperator:
 
     @cached_property
     def _adjoint(self):  # formed once: per-state code applies S' and T' to every state
-        return TruncatedOperator.banded(band_adjoint(self.diagonals), label=self.label + "'")
+        return TruncatedOperator.banded(band_adjoint(self.diagonals))
 
     def __matmul__(self, x):
         """A x for a vector or an N x L block of columns, on the diagonals."""
@@ -166,7 +165,7 @@ def lowering(n):
     """Annihilation matrix: entry sqrt(j+1) at (j, j+1)."""
     if n < 2:
         raise InvalidDimensionError(f"need dimension >= 2, got {n}")
-    return TruncatedOperator.banded([np.zeros(n), np.zeros(n), np.sqrt(np.arange(1, n + 1))], label="a")
+    return TruncatedOperator.banded([np.zeros(n), np.zeros(n), np.sqrt(np.arange(1, n + 1))])
 
 
 def raising(n):
@@ -175,7 +174,7 @@ def raising(n):
 
 
 def identity(n):
-    return TruncatedOperator.banded(np.ones((1, n)), label="1")
+    return TruncatedOperator.banded(np.ones((1, n)))
 
 
 def boson_pair(n=DEFAULT_DIM):
@@ -223,7 +222,11 @@ def coherent_state(z, n):
 
     Components are proportional to z^k / sqrt(k!).  The discarded share of
     the norm, ``coherent_tail_mass(z, n)``, must be below 1e-12; otherwise a
-    TruncationError carrying it is raised.
+    TruncationError carrying it is raised.  Before normalizing, the
+    components are scaled by the power of two that brings their largest
+    real or imaginary part into [1, 2), so the squares inside the norm cannot
+    overflow.  That scaling is exact, so the normalized components keep their
+    bits (short of those that fall below the normal range).
     """
     if n < 1:
         raise InvalidDimensionError(f"need dimension >= 1, got {n}")
@@ -238,6 +241,8 @@ def coherent_state(z, n):
     comps[0] = 1.0
     for k in range(1, n):
         comps[k] = comps[k - 1] * z / math.sqrt(k)
+    parts = comps.view(float)  # scaled as real and imaginary parts, so signed zeros keep their sign
+    parts *= math.ldexp(1.0, 1 - math.frexp(np.max(np.abs(parts)))[1])
     comps /= np.linalg.norm(comps)
     return StateVector(comps, label=f"coh({z.real:g},{z.imag:g})")
 
@@ -260,15 +265,15 @@ def swanson_pair(theta, n=DEFAULT_DIM):
         raise InvalidDimensionError(f"need dimension >= 2, got {n}")
     a, ad = lowering(n).diagonals, raising(n).diagonals
     c, s = math.cos(theta), math.sin(theta)
-    S = TruncatedOperator.banded(c * a + 1j * s * ad, label="S")
-    T = TruncatedOperator.banded(c * ad + 1j * s * a, label="T")
+    S = TruncatedOperator.banded(c * a + 1j * s * ad)
+    T = TruncatedOperator.banded(c * ad + 1j * s * a)
     return OperatorPair(S, T, safe_rank=n - 1)
 
 
 def matrix2x2_pair(s, q):
     """The 2x2 model S = [[0, s], [0, 0]], T = [[0, 0], [q, 0]]."""
-    S = TruncatedOperator.banded([[0, 0], [0, 0], [s, 0]], label="S")
-    T = TruncatedOperator.banded([[0, q], [0, 0], [0, 0]], label="T")
+    S = TruncatedOperator.banded([[0, 0], [0, 0], [s, 0]])
+    T = TruncatedOperator.banded([[0, q], [0, 0], [0, 0]])
     return OperatorPair(S, T, safe_rank=1)
 
 

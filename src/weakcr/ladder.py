@@ -234,18 +234,14 @@ def biorthogonality_gram(fam_xi: LadderFamily, fam_eta: LadderFamily):
 
 @dataclass(frozen=True)
 class RieszDiagnostics:
-    """Frame data for the xi family and the orthonormalization it induces.
+    """The orthonormalization the xi family induces.
 
-    ``singular_values`` are those of the column matrix of ladder vectors
-    (squared frame bounds of the family); ``positive`` records whether the
-    symmetrized restriction of K_eta to the xi-span is positive definite,
-    and when it is, ``orthonormality_defect`` is the max-abs deviation of
-    the Gram matrix of e_j = K_eta^(1/2) xi_j from the identity.
+    ``positive`` records whether the symmetrized restriction of K_eta to the
+    xi-span is positive definite, and when it is, ``orthonormality_defect``
+    is the max-abs deviation of the Gram matrix of e_j = K_eta^(1/2) xi_j
+    from the identity.
     """
 
-    singular_values_xi: np.ndarray
-    singular_values_eta: np.ndarray
-    symmetry_defect: float
     positive: bool
     orthonormality_defect: float | None
 
@@ -300,7 +296,6 @@ def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily):
     Q, R = np.linalg.qr(X)
     A = (Q.conj().T @ Y) @ (X_pinv @ Q)
     H = (A + A.conj().T) / 2.0
-    symmetry_defect = float(np.max(np.abs(A - H)))
     evals, evecs = np.linalg.eigh(H)
     positive = bool(evals.min() > -1e-10)
     ortho_defect = None
@@ -315,7 +310,7 @@ def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily):
         inverse_defect=inverse_defect,
         intertwining_defect_eta=float(d_eta),
         intertwining_defect_xi=float(d_xi),
-        riesz=RieszDiagnostics(sx, sy, symmetry_defect, positive, ortho_defect),
+        riesz=RieszDiagnostics(positive, ortho_defect),
     )
 
 

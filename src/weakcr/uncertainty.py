@@ -10,14 +10,16 @@ inequalities follow from the weak commutation relation [S,T] = 1:
 with C = 1 by default; UR2 additionally assumes [S',T] - [S,T'] = 0, whose
 defect is measured and reported rather than assumed.  The deformed-pair
 closed forms express all four deltas through the two state moments
-C_phi = <a* a> - |<a>|^2 and E_phi = Im(<a*^2> - <a*>^2), and the 2x2 model
-admits fully explicit formulas; both are cross-validated against direct
-matrix computation.
+C_phi = <a* a> - |<a>|^2 and E_phi = Im(<a*^2> - <a*>^2) plus the exact
+weight the truncation drops, and the 2x2 model admits fully explicit
+formulas; both are cross-validated against direct matrix computation.
 
-Per-state quantities come from one pass that applies each operator once to
-the N x L block of a batch of states, and reduces each state on its own
-contiguous column, so a batch gives the bits of one state at a time.  What
-depends only on the pair (the cross-condition defect) is formed once per pair.
+Per-state quantities come from one pass that applies S, S', T, T' and C once
+each to the N x L block of a batch of states, and reduces each state on its
+own contiguous column, so a batch gives the bits of one state at a time.
+What depends only on the pair is formed once per pair and batch: the
+cross-condition defect, a polynomial C's matrix, and the 2x2 model's pair
+and [S, T], so a scan over the 2x2 circle makes one pass.
 """
 
 from __future__ import annotations
@@ -85,21 +87,26 @@ def delta_report(pair: OperatorPair, xi: StateVector, z=None, w=None):
     return _pass(pair, [xi], z, w)[0][0]
 
 
-def _pass(pair, states, z=None, w=None, moments=False):
-    """DeltaReports of a batch of unit states and, with ``moments``, their SwansonMoments.
+def _pass(pair, states, z=None, w=None, C=None, moments=False):
+    """DeltaReports, <xi, C xi> and, with ``moments``, SwansonMoments of a batch of unit states.
 
-    S, S', T and T' are each applied once to the column-major N x L block X
-    of the states.  A block matvec gives each column bit for bit as a vector
-    matvec, and every product's columns stay contiguous, so each reduction
-    (np.vdot, norm) sees the vectors a single state would.
+    C is None for C = 1 (giving |xi|^2), an NCPoly, evaluated by fock_eval
+    once per batch, or an operator.  S, S', T, T' and C are each applied
+    once to the column-major N x L block X of the states.  A block matvec
+    gives each column bit for bit as a vector matvec, and every product's
+    columns stay contiguous, so each reduction (np.vdot, norm) sees the
+    vectors a single state would.
     """
     for xi in states:
         _require_unit(xi)
     xs = [xi.components for xi in states]
     X = np.array(xs).T
-    blocks = ((A @ X).T for A in (pair.S, pair.S.adjoint(), pair.T, pair.T.adjoint()))
-    reports = []
-    for xi, x, Sx, Sdx, Tx, Tdx in zip(states, xs, *blocks):
+    if isinstance(C, NCPoly):
+        C = fock_eval(C, pair)
+    SX, SdX, TX, TdX = ((A @ X).T for A in (pair.S, pair.S.adjoint(), pair.T, pair.T.adjoint()))
+    CX = [None] * len(xs) if C is None else (C @ X).T
+    reports, c_exps = [], []
+    for xi, x, Sx, Sdx, Tx, Tdx, Cx in zip(states, xs, SX, SdX, TX, TdX, CX):
         zj = complex(np.vdot(x, Sx) if z is None else z)
         wj = complex(np.vdot(x, Tx) if w is None else w)
         reports.append(DeltaReport(
@@ -111,7 +118,8 @@ def _pass(pair, states, z=None, w=None, moments=False):
             w=wj,
             state_norm=xi.norm,
         ))
-    return reports, (_moments(X, xs) if moments else None)
+        c_exps.append(complex(xi.norm**2) if Cx is None else complex(np.vdot(x, Cx)))
+    return reports, c_exps, (_moments(X, xs) if moments else None)
 
 
 @dataclass(frozen=True)
@@ -124,13 +132,6 @@ class URResult:
     c_expectation: complex
     cross_condition_defect: float | None = None
     hypothesis_violated: bool = False
-
-
-def _c_expectation(pair, xi, C):
-    if C is None:
-        return complex(xi.norm**2)
-    mat = fock_eval(C, pair) if isinstance(C, NCPoly) else C
-    return expectation(mat, xi)
 
 
 def _ur(kind, lhs, rhs, c_exp, tol, **hypothesis):
@@ -152,12 +153,8 @@ def _ur2(report: DeltaReport, c_exp, defect, tol):
 
 def ur1_check(pair, xi, z=None, w=None, C=None, tol=SATURATION_TOL):
     """Max-product inequality: 2 max(dS, dS') max(dT, dT') >= |<xi, C xi>|."""
-    return _ur1(delta_report(pair, xi, z=z, w=w), _c_expectation(pair, xi, C), tol)
-
-
-def cross_condition_defect(pair):
-    """Entrywise defect of [S', T] = [S, T'] on the safe block (``pair.cross_defect``)."""
-    return pair.cross_defect
+    (report,), (c_exp,), _ = _pass(pair, [xi], z, w, C)
+    return _ur1(report, c_exp, tol)
 
 
 def ur2_check(pair, xi, C=None, tol=SATURATION_TOL):
@@ -167,7 +164,8 @@ def ur2_check(pair, xi, C=None, tol=SATURATION_TOL):
     per pair, is always reported and the result is flagged
     ``hypothesis_violated`` (never suppressed) when it exceeds 1e-8.
     """
-    return _ur2(delta_report(pair, xi), _c_expectation(pair, xi, C), pair.cross_defect, tol)
+    (report,), (c_exp,), _ = _pass(pair, [xi], C=C)
+    return _ur2(report, c_exp, pair.cross_defect, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -218,22 +216,27 @@ class SwansonReport:
 def swanson_closed_form(theta, xi: StateVector):
     """Closed-form deltas of the deformed pair, checked against the matrices.
 
-    (dS)^2 = C + sin^2(t) - sin(2t) E        (dS')^2 = C + cos^2(t) - sin(2t) E
-    (dT)^2 = C + cos^2(t) + sin(2t) E        (dT')^2 = C + sin^2(t) + sin(2t) E
+    With w = N |x_(N-1)|^2, the weight the truncated a* loses (it sends
+    e_(N-1) to 0):
 
-    These hold for the untruncated a*.  The truncated a* sends e_(N-1) to 0,
-    so each squared matrix delta lacks cos^2(t) or sin^2(t) times the weight
-    N |x_(N-1)|^2.  Past 1e-5 (above the 2.9e-6 of any state coherent_state
-    accepts) a TruncationError carrying that weight is raised instead of a
-    comparison that truncation decides.  A squared delta below -1e-12 raises
+    (dS)^2 = C + sin^2(t) - sin(2t) E - sin^2(t) w
+    (dS')^2 = C + cos^2(t) - sin(2t) E - cos^2(t) w
+    (dT)^2 = C + cos^2(t) + sin(2t) E - cos^2(t) w
+    (dT')^2 = C + sin^2(t) + sin(2t) E - sin^2(t) w
+
+    Without the w terms these are the untruncated pair's identities.  The
+    truncation also gives <xi, [S, T] xi> = 1 - w, so w is the weak-relation
+    defect on xi that UR1 and UR2 assume to be zero; past 1e-5 (above the
+    2.9e-6 of any state coherent_state accepts) a TruncationError carrying
+    w is raised instead of a report.  A squared delta below -1e-12 raises
     as well; tiny negatives are clipped to zero.
     """
-    return _closed_form(theta, swanson_pair(theta, xi.dim), xi)
+    return _closed_form(theta, swanson_pair(theta, xi.dim), xi)[0]
 
 
 def _closed_form(theta, pair, xi):
-    """The SwansonReport of xi for ``pair = swanson_pair(theta, N)``, from one pass."""
-    (matrix,), (moments,) = _pass(pair, [xi], moments=True)
+    """The SwansonReport and <xi, xi> of xi for ``pair = swanson_pair(theta, N)``, from one pass."""
+    (matrix,), (c_exp,), (moments,) = _pass(pair, [xi], moments=True)
     weight = xi.dim * abs(xi.components[-1]) ** 2
     if weight > 1e-5:
         raise TruncationError(
@@ -246,10 +249,10 @@ def _closed_form(theta, pair, xi):
     c2 = math.cos(theta) ** 2
     s2t = math.sin(2.0 * theta)
     squares = {
-        "dS": c + s2 - s2t * e,
-        "dSd": c + c2 - s2t * e,
-        "dT": c + c2 + s2t * e,
-        "dTd": c + s2 + s2t * e,
+        "dS": c + s2 - s2t * e - s2 * weight,
+        "dSd": c + c2 - s2t * e - c2 * weight,
+        "dT": c + c2 + s2t * e - c2 * weight,
+        "dTd": c + s2 + s2t * e - s2 * weight,
     }
     for name, value in squares.items():
         if value < -1e-12:
@@ -273,13 +276,13 @@ def _closed_form(theta, pair, xi):
         deltas=closed,
         matrix_deltas=matrix,
         matrix_discrepancy=discrepancy,
-    )
+    ), c_exp
 
 
 def _swanson_state(theta, pair, xi, tol):
     """Closed-form report, UR1 and UR2 of xi for ``pair = swanson_pair(theta, N)``, from one pass."""
-    closed = _closed_form(theta, pair, xi)
-    deltas, c_exp = closed.matrix_deltas, _c_expectation(pair, xi, None)
+    closed, c_exp = _closed_form(theta, pair, xi)
+    deltas = closed.matrix_deltas
     return closed, _ur1(deltas, c_exp, tol), _ur2(deltas, c_exp, pair.cross_defect, tol)
 
 
@@ -314,37 +317,41 @@ def matrix2x2_report(s, q, phi1, phi2, tol=SATURATION_TOL):
     """Everything about the model S = [[0,s],[0,0]], T = [[0,0],[q,0]].
 
     The commutator [S, T] = s q diag(1, -1), one banded commutator of the
-    pair's diagonals, is fed to both inequalities; it is not the identity,
-    so the generalized forms are the meaningful ones.  The deltas come from
-    the batch pass of ``delta_report``.
+    pair's diagonals, is the C fed to both inequalities; it is not the
+    identity, so the generalized forms are the meaningful ones.  This is the
+    one-state case of ``_matrix2x2_reports``.
     """
-    phi1, phi2 = complex(phi1), complex(phi2)
-    xi = StateVector(np.array([phi1, phi2]), label="phi")
-    _require_unit(xi)
+    return _matrix2x2_reports(s, q, [(phi1, phi2)], tol)[0]
+
+
+def _matrix2x2_reports(s, q, phis, tol):
+    """Matrix2x2Reports of the states (phi1, phi2) in ``phis``, from one pair and one pass.
+
+    The pair, its [S, T] and its cross-condition defect are formed once.
+    """
+    phis = [(complex(phi1), complex(phi2)) for phi1, phi2 in phis]
+    states = [StateVector(np.array(phi), label="phi") for phi in phis]
     pair = matrix2x2_pair(s, q)
-    p1, p2 = abs(phi1) ** 2, abs(phi2) ** 2
-
-    closed = (abs(s) * p2, abs(s) * p1, abs(q) * p1, abs(q) * p2)
-    deltas = delta_report(pair, xi)
-    discrepancy = max(abs(a - b) for a, b in zip(closed, deltas.as_tuple()))
-
-    c_exp = expectation(TruncatedOperator.banded(band_commutator(pair.S.diagonals, pair.T.diagonals)), xi)
-    ur1 = _ur1(deltas, c_exp, tol)
-    ur2 = _ur2(deltas, c_exp, pair.cross_defect, tol)
-
-    ur1_value = abs(p1 - p2)
-    ur2_value = max(p1, p2) - math.sqrt(abs(p1 - p2) / 2.0)
-    return Matrix2x2Report(
-        deltas=deltas,
-        closed_form_deltas=closed,
-        closed_form_discrepancy=discrepancy,
-        ur1=ur1,
-        ur2=ur2,
-        ur1_condition_value=ur1_value,
-        ur1_condition_met=bool(abs(ur1_value - 1.0) <= tol),
-        ur2_condition_value=ur2_value,
-        ur2_condition_met=bool(abs(ur2_value) <= tol),
-    )
+    commutator = TruncatedOperator.banded(band_commutator(pair.S.diagonals, pair.T.diagonals))
+    all_deltas, c_exps, _ = _pass(pair, states, C=commutator)
+    reports = []
+    for (phi1, phi2), deltas, c_exp in zip(phis, all_deltas, c_exps):
+        p1, p2 = abs(phi1) ** 2, abs(phi2) ** 2
+        closed = (abs(s) * p2, abs(s) * p1, abs(q) * p1, abs(q) * p2)
+        ur1_value = abs(p1 - p2)
+        ur2_value = max(p1, p2) - math.sqrt(abs(p1 - p2) / 2.0)
+        reports.append(Matrix2x2Report(
+            deltas=deltas,
+            closed_form_deltas=closed,
+            closed_form_discrepancy=max(abs(a - b) for a, b in zip(closed, deltas.as_tuple())),
+            ur1=_ur1(deltas, c_exp, tol),
+            ur2=_ur2(deltas, c_exp, pair.cross_defect, tol),
+            ur1_condition_value=ur1_value,
+            ur1_condition_met=bool(abs(ur1_value - 1.0) <= tol),
+            ur2_condition_value=ur2_value,
+            ur2_condition_met=bool(abs(ur2_value) <= tol),
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +382,7 @@ def coherent_grid_states(dim, nx=5, ny=5):
 def _swanson_scan(theta, dim, states, tol):
     rows = []
     pair = swanson_pair(theta, dim)
-    for xi, deltas, moments in zip(states, *_pass(pair, states, moments=True)):
-        c_exp = _c_expectation(pair, xi, None)
+    for xi, deltas, c_exp, moments in zip(states, *_pass(pair, states, moments=True)):
         ur1 = _ur1(deltas, c_exp, tol)
         ur2 = _ur2(deltas, c_exp, pair.cross_defect, tol)
         c, e = moments.C_phi, moments.E_phi
@@ -420,8 +426,8 @@ def _swanson_scan(theta, dim, states, tol):
 
 def _matrix2x2_scan(s, q, ts, tol):
     rows = []
-    for t in ts:
-        report = matrix2x2_report(s, q, math.sqrt(t), math.sqrt(1.0 - t), tol=tol)
+    reports = _matrix2x2_reports(s, q, [(math.sqrt(t), math.sqrt(1.0 - t)) for t in ts], tol)
+    for t, report in zip(ts, reports):
         rows.append(
             {
                 "t": float(t),
@@ -456,11 +462,9 @@ def _matrix2x2_scan(s, q, ts, tol):
 def saturation_scan(kind, params=(), dim=64, states=None, grid=None, tol=SATURATION_TOL):
     """Scan a model over probe states (or the 2x2 circle) and tabulate gaps.
 
-    kind: "swanson" (params = (theta,)), "boson_rotation" (the quarter-turn
-    pair), or "matrix2x2" (params = (s, q), grid = iterable of t values).
+    kind: "swanson" (params = (theta,)) or "matrix2x2" (params = (s, q),
+    grid = iterable of t values).
     """
-    if kind == "boson_rotation":
-        kind, params = "swanson", (math.pi / 4.0,)
     if kind == "swanson":
         (theta,) = params
         if states is None:

@@ -12,7 +12,9 @@ the moments have closed forms: a Beta value for the rational weight and
 (k-1)!! sqrt(2 pi) for the Gaussian one.  Divergent moments are detected by
 power counting.  The adjoint S* is paired through the same moments (see
 ``sdagger_pair``), so no integrand is ever sampled; Gauss-Hermite quadrature
-survives only as the independent cross-check in ``gaussian_eigen_check``.
+survives only as the independent cross-check in ``gaussian_eigen_check``,
+where the integrands are polynomials and one rule sized from their degree
+integrates them exactly.
 """
 
 from __future__ import annotations
@@ -211,15 +213,12 @@ def sdagger_pair(f: PolyFunc, g: PolyFunc, weight: Weight):
 
 
 def in_domain(f: PolyFunc, weight: Weight):
-    """f lies in the operator domain: f, x f, and f' all in L2(R, w dx)."""
-    if f.is_zero():
-        return True
-    d = f.degree
-    if not weight.moment_is_finite(2 * d + 2):
-        return False
-    if not weight.moment_is_finite(2 * d):
-        return False
-    return d == 0 or weight.moment_is_finite(2 * (d - 1))
+    """f lies in the operator domain: f, x f, and f' all in L2(R, w dx).
+
+    Of the three moments this needs (2d + 2, 2d and 2d - 2 at degree d) the
+    highest decides: moment finiteness is monotone in the order.
+    """
+    return f.is_zero() or weight.moment_is_finite(2 * f.degree + 2)
 
 
 def weak_cr_check(weight: Weight, f: PolyFunc, g: PolyFunc):
@@ -280,9 +279,6 @@ def ladder_length(alpha):
 # Gauss-Hermite cross-check
 # ---------------------------------------------------------------------------
 
-_HERMITE_SIZES = (80, 160, 320)
-
-
 @lru_cache(maxsize=8)
 def _hermgauss(n):
     t, w = np.polynomial.hermite.hermgauss(n)
@@ -293,28 +289,19 @@ def _hermgauss(n):
     return t, w
 
 
-def _gauss_weighted_real(fn):
-    """integral of fn(x) exp(-x^2/2) dx by Gauss-Hermite, nodes doubled to convergence.
+def _gauss_weighted_real(fn, n):
+    """integral of fn(x) exp(-x^2/2) dx by the n-node Gauss-Hermite rule.
 
-    Mirrored node contributions are folded pairwise before summing, so
-    integrands that are odd with sign-exact evaluation integrate to exactly
-    zero instead of leaving cancellation noise at the integrand's scale.
-    The convergence floor also scales with the weighted L1 mass.
+    The rule is exact for polynomials of degree up to 2n - 1.  Mirrored node
+    contributions are folded pairwise before summing, so integrands that are
+    odd with sign-exact evaluation integrate to exactly zero instead of
+    leaving cancellation noise at the integrand's scale.
     """
-    prev = None
-    for n in _HERMITE_SIZES:
-        t, w = _hermgauss(n)
-        x = math.sqrt(2.0) * t
-        contrib = w * fn(x)
-        folded = contrib + contrib[::-1]
-        val = math.sqrt(2.0) * 0.5 * float(np.sum(folded))
-        scale = math.sqrt(2.0) * float(np.dot(w, np.abs(fn(x))))
-        if prev is not None and abs(val - prev) <= max(
-            1e-12 * max(scale, 1.0), 1e-11 * abs(val)
-        ):
-            return val
-        prev = val
-    return prev
+    t, w = _hermgauss(n)
+    x = math.sqrt(2.0) * t
+    contrib = w * fn(x)
+    folded = contrib + contrib[::-1]
+    return math.sqrt(2.0) * 0.5 * float(np.sum(folded))
 
 
 class GaussianEigenCheck(NamedTuple):
@@ -329,7 +316,8 @@ def gaussian_eigen_check(k):
     match).  The quadrature residual cross-validates <T S x^k, x^j> against
     k <x^k, x^j> for j <= k+2, with the left side integrated by Gauss-Hermite
     quadrature rather than through the closed-form moments; it is relative
-    to the moment scale, which reaches ~1e10 by k = 10.
+    to the moment scale, which reaches ~1e10 by k = 10.  The integrands have
+    degree at most 2k + 2, so one rule of k + 2 nodes integrates them exactly.
     """
     if k < 0:
         raise DomainParameterError(f"power must be >= 0, got {k}")
@@ -341,7 +329,7 @@ def gaussian_eigen_check(k):
     symbolic = 0.0 if diff.is_zero() else max(abs(complex(c)) for c in diff.coeffs)
     quad_residual = 0.0
     for j in range(k + 3):
-        direct = _gauss_weighted_real(lambda x, j=j: (sym(x) * x**j).real)
+        direct = _gauss_weighted_real(lambda x, j=j: (sym(x) * x**j).real, k + 2)
         via_moments = k * inner_product(u_k, monomial(j), weight)
         # normalize by the pairing's moment scale: for odd k+j both routes
         # vanish by symmetry and only scaled roundoff remains

@@ -226,6 +226,27 @@ def test_uncertainty_state_at_the_truncation_edge_exits_two(capsys, argv):
     assert "error: state weight N|x_(N-1)|^2" in err
 
 
+@pytest.mark.parametrize("argv", [["--dim", "2", "--state", "coherent:0.0011,0"],
+                                  ["--dim", "1024", "--state", "coherent:27,0"]])
+def test_uncertainty_accepted_coherent_state_passes(capsys, argv):
+    # the first missed the closed forms' edge term (exit 1 at 1.2e-6); the
+    # second overflowed the norm of its unnormalized components (exit 2)
+    code, out, err = run(capsys, "uncertainty", *argv)
+    assert code == 0
+    assert err == ""
+    assert out.endswith("result: PASS\n")
+
+
+@pytest.mark.parametrize("sub", ["verify-cr", "ladder", "uncertainty"])
+def test_seed_is_accepted_only_where_a_suite_is_randomized(capsys, sub):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([sub, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    for argv in (["weights", "--gaussian"], ["normal-order", "S T"]):
+        assert cli.build_parser().parse_args([*argv, "--seed", "1"]).seed == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -96,6 +96,28 @@ def test_coherent_state_tail_mass_guard():
     assert exc.value.tail_mass > 1e-12
 
 
+@pytest.mark.parametrize("z, n", [(27, 1024), (26, 1024), (20 - 15j, 1024), (5j, 80), (1.2, 40)])
+def test_coherent_state_normalizes_without_overflow(z, n):
+    # at |z| = 27 the squares inside the norm pass the float range (about 1e316)
+    # although the components and the tail guard do not; a power-of-two rescale
+    # keeps them in range and, being exact, the bits of the plain normalization
+    comps = np.zeros(n, dtype=complex)
+    comps[0] = 1.0
+    for k in range(1, n):
+        comps[k] = comps[k - 1] * complex(z) / math.sqrt(k)
+    phi = coherent_state(z, n)
+    assert phi.norm == pytest.approx(1.0, abs=1e-14)
+    peak = float(np.max(np.abs(comps)))
+    if peak < 1e150:
+        normal = np.abs(comps) > 1e-290 * peak
+        assert np.array_equal(phi.components[normal], (comps / np.linalg.norm(comps))[normal])
+    # |c_k|^2 is the Poisson weight e^(-x) x^k / k!, x = |z|^2, at its mode
+    x = abs(z) ** 2
+    k = int(x)
+    want = math.exp((k * math.log(x) - math.lgamma(k + 1) - x) / 2)
+    assert abs(phi.components[k]) == pytest.approx(want, rel=1e-10)
+
+
 @pytest.mark.parametrize("z, n", [(2, 4), (4, 40), (4, 50), (30, 64), (6, 110)])
 def test_coherent_tail_mass_is_the_regularized_gamma(z, n):
     # the discarded share of the norm is P(n, |z|^2); e^(|z|^2) minus the

@@ -36,7 +36,7 @@ from weakcr.ladder import (
     restricted_spectrum,
     tail_mass_membership,
 )
-from weakcr.uncertainty import cross_condition_defect, delta_report
+from weakcr.uncertainty import delta_report
 
 
 def swanson_families(theta=0.3, dim=96, length=6):
@@ -337,7 +337,7 @@ def test_truncation_chain_stays_banded_in_memory():
     try:
         pair = swanson_pair(0.3, n)
         weak_defect(pair)
-        cross_condition_defect(pair)
+        pair.cross_defect
         xi0 = kernel_vector(pair.S, 1e-10)
         eta0 = kernel_vector(pair.T.adjoint(), 1e-10)
         member = tail_mass_membership(pair.safe_rank)

@@ -23,7 +23,6 @@ from weakcr.fock import (
 )
 from weakcr.uncertainty import (
     coherent_grid_states,
-    cross_condition_defect,
     delta,
     delta_report,
     expectation,
@@ -153,7 +152,7 @@ def _deformed_pair(n):
 def test_cross_condition_matches_dense_oracle(make):
     pair = make()
     scale = float(np.max(np.abs(pair.S.entries)) * np.max(np.abs(pair.T.entries)))
-    assert abs(cross_condition_defect(pair) - dense_cross_condition_defect(pair)) <= 1e-13 * max(1.0, scale)
+    assert abs(pair.cross_defect - dense_cross_condition_defect(pair)) <= 1e-13 * max(1.0, scale)
 
 
 def test_ur2_check_forms_the_cross_defect_once(monkeypatch):
@@ -176,9 +175,9 @@ def test_cross_condition_violation_is_flagged():
     # deform T so [S', T] - [S, T'] no longer cancels
     n = 32
     a, ad = lowering(n).entries, raising(n).entries
-    T = TruncatedOperator(ad + 0.05 * (a @ a), label="T")
+    T = TruncatedOperator(ad + 0.05 * (a @ a))
     pair = OperatorPair(lowering(n), T, safe_rank=n - 2)
-    assert cross_condition_defect(pair) > 1e-8
+    assert pair.cross_defect > 1e-8
     u2 = ur2_check(pair, basis_state(0, n))
     assert u2.hypothesis_violated
 
@@ -191,6 +190,25 @@ def test_ur1_with_explicit_centers():
     assert u.rhs == pytest.approx(2.0 * math.sqrt(1.25), abs=1e-8)
     # expectation centers recover the minimal report
     assert ur1_check(pair, phi).rhs == pytest.approx(2.0, abs=1e-8)
+
+
+def test_polynomial_c_is_evaluated_once_per_pass(monkeypatch):
+    calls, evaluate = [], uncertainty.fock_eval
+
+    def counted(p, pair):
+        calls.append(1)
+        return evaluate(p, pair)
+
+    monkeypatch.setattr(uncertainty, "fock_eval", counted)
+    S, T = NCPoly.gen("S"), NCPoly.gen("T")
+    C = S * T - T * S + S * S
+    pair = swanson_pair(0.3, 32)
+    states = [coherent_state(0.2 * k - 0.1j, 32) for k in range(6)]
+    reports, c_exps, _ = uncertainty._pass(pair, states, C=C)
+    assert len(calls) == 1
+    matrix = evaluate(C, pair)
+    assert c_exps == [expectation(matrix, xi) for xi in states]
+    assert reports == [delta_report(pair, xi) for xi in states]
 
 
 def test_generalized_c_expectation():
@@ -235,6 +253,26 @@ def test_closed_form_passes_the_widest_coherent_state():
     # N |x_63|^2 is about 1e-10 here, far under the edge guard, and the identity still checks
     report = swanson_closed_form(0.3, coherent_state(4.75, 64))
     assert report.matrix_discrepancy < 1e-6
+
+
+def _edge_states():
+    """Accepted coherent states at the smallest dimensions and random states whose weight
+    N |x_(N-1)|^2 is about 1e-6, under the 1e-5 edge guard."""
+    rng = np.random.default_rng(17)
+    states = [coherent_state(z, n) for n, z in ((2, 0.0011), (2, 5e-4 - 4e-4j), (3, 0.01j))]
+    for n in (5, 16, 80):
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v[-1] = 1e-3 * np.linalg.norm(v[:-1]) / math.sqrt(n)
+        states.append(StateVector(v / np.linalg.norm(v)))
+    return states
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 1.2])
+def test_closed_form_includes_the_edge_weight(theta):
+    # with the lost weight subtracted the closed forms match the truncated matrices to rounding;
+    # without it, coherent:0.0011 at dimension 2 missed by 1.2e-6, above the default tolerance
+    for xi in _edge_states():
+        assert swanson_closed_form(theta, xi).matrix_discrepancy < 1e-12
 
 
 def test_swanson_moments_on_coherent_states():
@@ -392,7 +430,7 @@ def test_scan_rows_match_public_checks(theta):
 
 
 def test_quarter_turn_scan_records_both_readings():
-    table = saturation_scan("boson_rotation", dim=64)
+    table = saturation_scan("swanson", (math.pi / 4,), dim=64)
     row = table.rows[0]
     assert "functional_squared_reading" in row
     assert "functional_linear_reading" in row
@@ -400,6 +438,52 @@ def test_quarter_turn_scan_records_both_readings():
     assert table.summary["min_abs_functional_sq_minus_half"] < 1e-8
     # and no probe reaches the value 1/4 that a sum-form saturator would need
     assert table.summary["min_abs_functional_sq_minus_quarter"] > 0.2
+
+
+@pytest.mark.parametrize("s, q", [(1.0, 1.0), (0.5, 2.0), (-1.3, 0.7), (2.0, -0.25), (-1.5, -1.5)])
+def test_matrix2x2_scan_rows_equal_reports(s, q):
+    # the scan's one pass over the circle equals the one-state report bit for bit
+    ts = [i / 30 for i in range(31)]
+    table = saturation_scan("matrix2x2", (s, q), grid=ts)
+    for t, row in zip(ts, table.rows):
+        report = matrix2x2_report(s, q, math.sqrt(t), math.sqrt(1.0 - t))
+        assert row == {
+            "t": t,
+            "dS": report.deltas.dS,
+            "dSd": report.deltas.dSd,
+            "dT": report.deltas.dT,
+            "dTd": report.deltas.dTd,
+            "ur1_gap": report.ur1.gap,
+            "ur1_saturated": report.ur1.saturated,
+            "ur2_gap": report.ur2.gap,
+            "ur2_saturated": report.ur2.saturated,
+            "ur1_condition_value": report.ur1_condition_value,
+            "ur1_condition_met": report.ur1_condition_met,
+            "ur2_condition_value": report.ur2_condition_value,
+            "ur2_condition_met": report.ur2_condition_met,
+        }
+
+
+def test_matrix2x2_scan_forms_the_pair_once(monkeypatch):
+    # one pair, one [S, T] and one cross defect for the whole circle, not one per point
+    pairs, commutators = [], []
+    make_pair, commutator = uncertainty.matrix2x2_pair, fock.band_commutator
+
+    def counted_pair(s, q):
+        pairs.append(1)
+        return make_pair(s, q)
+
+    def counted_commutator(A, B):
+        commutators.append(1)
+        return commutator(A, B)
+
+    monkeypatch.setattr(uncertainty, "matrix2x2_pair", counted_pair)
+    for module in (fock, uncertainty):
+        monkeypatch.setattr(module, "band_commutator", counted_commutator)
+    table = saturation_scan("matrix2x2", (1.0, 1.0), grid=[i / 10 for i in range(11)])
+    assert len(table.rows) == 11
+    assert len(pairs) == 1
+    assert len(commutators) == 2
 
 
 def test_matrix2x2_scan_conditions():
