@@ -2,12 +2,13 @@
 
 An N-dimensional truncation of the boson pair (a, a*) and its deformations
 stands in for the unbounded operators; every identity is checked only on a
-leading "safe" block of basis indices that finite truncation should not
-corrupt.  For the semigroup checks that block is cut by the margin
-ceil(10 * alpha * sqrt(N)) of ``semigroup_band``, a heuristic that nothing
-certifies yet.  Defects come in three strengths: the weak (inner-product)
-form, the semigroup form V_S(alpha) T - T V_S(alpha) = alpha V_S(alpha), and
-the Weyl form between two semigroups.
+leading "safe" block of basis indices, read off the operators' bandwidth,
+that finite truncation cannot corrupt.  For the semigroup checks that block
+is cut by the margin ceil(10 * alpha * sqrt(N)) of ``semigroup_band``, a
+heuristic that nothing certifies yet.  Defects come in three strengths: the
+weak (inner-product) form, the semigroup form
+V_S(alpha) T - T V_S(alpha) = alpha V_S(alpha), and the Weyl form between
+two semigroups.
 
 Operators are stored only as their diagonals; construction, adjoints,
 matrix-vector products and every defect work on those (banded products, a
@@ -18,7 +19,7 @@ the Weyl block's spectral norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -127,24 +128,26 @@ class StateVector:
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """A pair (S, T) together with its certified safe rank.
-
-    ``safe_rank`` counts the leading basis vectors on which degree-1 words
-    are free of truncation artifacts; each generator application leaks at
-    most one basis index, so higher-degree checks shrink the block further.
-    """
+    """A pair (S, T) of truncated operators on the same dimension N."""
 
     S: TruncatedOperator
     T: TruncatedOperator
-    safe_rank: int = field(default=0)
 
     def __post_init__(self):
         if self.S.dim != self.T.dim:
             raise InvalidDimensionError("S and T must act on the same truncation")
-        rank = self.safe_rank if self.safe_rank else self.S.dim - 1
-        if not 0 < rank < self.S.dim:
-            raise InvalidDimensionError(f"safe_rank {rank} outside (0, {self.S.dim})")
-        object.__setattr__(self, "safe_rank", rank)
+        if self.S.dim < 2:
+            raise InvalidDimensionError(f"need dimension >= 2, got {self.S.dim}")
+
+    @property
+    def safe_rank(self):
+        """Leading basis vectors on which degree-1 words are free of truncation artifacts.
+
+        A generator of bandwidth K moves a basis vector by at most K indices,
+        so the block of the first N - max(K_S, K_T, 1) indices is certified;
+        higher-degree checks shrink it further.
+        """
+        return self.dim - max(_width(self.S.diagonals), _width(self.T.diagonals), 1)
 
     @property
     def dim(self):
@@ -179,7 +182,7 @@ def identity(n):
 
 def boson_pair(n=DEFAULT_DIM):
     """The reference model S = a, T = a*."""
-    return OperatorPair(lowering(n), raising(n), safe_rank=n - 1)
+    return OperatorPair(lowering(n), raising(n))
 
 
 def coherent_tail_mass(z, n):
@@ -222,11 +225,14 @@ def coherent_state(z, n):
 
     Components are proportional to z^k / sqrt(k!).  The discarded share of
     the norm, ``coherent_tail_mass(z, n)``, must be below 1e-12; otherwise a
-    TruncationError carrying it is raised.  Before normalizing, the
-    components are scaled by the power of two that brings their largest
-    real or imaginary part into [1, 2), so the squares inside the norm cannot
-    overflow.  That scaling is exact, so the normalized components keep their
-    bits (short of those that fall below the normal range).
+    TruncationError carrying it is raised.  Where the recurrence would pass
+    2^1000, every component so far is scaled by 2^-512, at the steps
+    ``_coherent_rescales`` reads off the closed-form magnitude.  Before
+    normalizing, the components are scaled by the power of two that brings
+    their largest real or imaginary part into [1, 2), so the squares inside
+    the norm cannot overflow.  Both scalings are exact, so the normalized
+    components keep their bits (short of those that fall below the normal
+    range, which normalization would push there anyway).
     """
     if n < 1:
         raise InvalidDimensionError(f"need dimension >= 1, got {n}")
@@ -239,12 +245,31 @@ def coherent_state(z, n):
         )
     comps = np.zeros(n, dtype=complex)
     comps[0] = 1.0
-    for k in range(1, n):
-        comps[k] = comps[k - 1] * z / math.sqrt(k)
     parts = comps.view(float)  # scaled as real and imaginary parts, so signed zeros keep their sign
+    start = 1
+    for stop in (*_coherent_rescales(abs(z), n), n):
+        for k in range(start, stop):
+            comps[k] = comps[k - 1] * z / math.sqrt(k)
+        if stop < n:
+            parts[: 2 * stop] *= 2.0**-512
+        start = stop
     parts *= math.ldexp(1.0, 1 - math.frexp(np.max(np.abs(parts)))[1])
     comps /= np.linalg.norm(comps)
     return StateVector(comps, label=f"coh({z.real:g},{z.imag:g})")
+
+
+def _coherent_rescales(mod, n):
+    """The steps k before which the recurrence, after the rescales so far, would pass 2^1000.
+
+    |z^k / sqrt(k!)| = 2^((k ln|z| - lgamma(k + 1) / 2) / ln 2) rises only up
+    to k = floor(|z|^2), so only those steps can rescale; a recurrence that
+    stays below 2^1000 never does.
+    """
+    steps = []
+    for k in range(1, min(n - 1, math.floor(mod * mod)) + 1):
+        if k * math.log2(mod) - math.lgamma(k + 1) / (2 * math.log(2)) > 1000 + 512 * len(steps):
+            steps.append(k)
+    return steps
 
 
 def basis_state(k, n):
@@ -267,14 +292,14 @@ def swanson_pair(theta, n=DEFAULT_DIM):
     c, s = math.cos(theta), math.sin(theta)
     S = TruncatedOperator.banded(c * a + 1j * s * ad)
     T = TruncatedOperator.banded(c * ad + 1j * s * a)
-    return OperatorPair(S, T, safe_rank=n - 1)
+    return OperatorPair(S, T)
 
 
 def matrix2x2_pair(s, q):
     """The 2x2 model S = [[0, s], [0, 0]], T = [[0, 0], [q, 0]]."""
     S = TruncatedOperator.banded([[0, 0], [0, 0], [s, 0]])
     T = TruncatedOperator.banded([[0, q], [0, 0], [0, 0]])
-    return OperatorPair(S, T, safe_rank=1)
+    return OperatorPair(S, T)
 
 
 # ---------------------------------------------------------------------------

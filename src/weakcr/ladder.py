@@ -15,7 +15,7 @@ checked in ladder coordinates and never formed as N x N matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,83 +100,78 @@ def tail_mass_membership(band):
     trusted under further applications.
     """
 
-    def member(state: StateVector):
-        total = state.norm
+    def member(x):
+        total = norm(x)
         if total == 0:
             return False
-        return norm(state.components[band:]) <= 1e-8 * total
+        return norm(x[band:]) <= 1e-8 * total
 
     return member
 
 
 @dataclass
 class LadderFamily:
-    """The vectors base, T base / sqrt(1!), T^2 base / sqrt(2!), ...
+    """The vectors psi_k = A^k psi_0 / sqrt(k!) as the columns of one N x L block.
 
-    ``eigen_residuals`` stays empty until eigen_check fills it.
+    The block is column-major, so each psi_k is contiguous and every
+    reduction over it (np.vdot, norm) sums in the order of a lone vector.
     """
 
-    base: StateVector
-    vectors: list
+    block: np.ndarray
     stop_reason: str
-    eigen_residuals: list = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.vectors or self.vectors[0] is not self.base:
-            raise PreconditionError("vectors[0] must be the base vector")
-        for k, v in enumerate(self.vectors):
-            if v.norm == 0:
+        for k, v in enumerate(self.block.T):
+            if norm(v) == 0:
                 raise PreconditionError(f"ladder vector {k} is zero")
 
     def __len__(self):
-        return len(self.vectors)
+        return self.block.shape[1]
 
 
 def build_ladder(op: TruncatedOperator, base: StateVector, n_max, member=None):
     """Apply ``op`` repeatedly, dividing by sqrt(k!), until n_max or rejection.
 
-    ``member`` (StateVector -> bool) models domain membership of each new
+    ``member`` (vector -> bool) models domain membership of each new
     vector; early stop is a normal outcome recorded in ``stop_reason``.
     A negative ``n_max`` raises PreconditionError.
     """
     if n_max < 0:
         raise PreconditionError(f"bad ladder length '{n_max}' (expected n_max >= 0)")
-    if base.norm == 0:
-        raise PreconditionError("base vector must be nonzero")
     if op.dim != base.dim:
         raise InvalidDimensionError("operator and base vector dimensions differ")
-    vectors = [base]
+    vectors = [base.components]
     stop_reason = f"reached n_max={n_max}"
-    current = base.components
     for k in range(1, n_max + 1):
-        current = (op @ current) / math.sqrt(k)
-        candidate = StateVector(current, label=f"{base.label}:{k}")
-        if member is not None and not member(candidate):
+        current = (op @ vectors[-1]) / math.sqrt(k)
+        if not np.isfinite(current).all():
+            raise InvalidDimensionError("state vector contains NaN or Inf")
+        if member is not None and not member(current):
             stop_reason = f"membership failed at k={k}"
             break
-        vectors.append(candidate)
-    return LadderFamily(base=base, vectors=vectors, stop_reason=stop_reason)
+        vectors.append(current)
+    return LadderFamily(block=np.array(vectors).T, stop_reason=stop_reason)
 
 
 def eigen_check(pair, fam: LadderFamily):
     """Residuals of the eigenvalue relations along a ladder built from pair.T.
 
-    For psi_k = fam.vectors[k] this checks (T S) psi_k = k psi_k together
+    For psi_k = fam.block[:, k] this checks (T S) psi_k = k psi_k together
     with the lowering action S psi_k = sqrt(k) psi_{k-1}; the returned entry
-    is the larger of the two relative residuals.  Results are also stored on
-    ``fam.eigen_residuals``.  T S acts as the matvec chain T (S psi_k).
+    is the larger of the two relative residuals.  S and T are each applied
+    once to the whole block, so T S acts as the matvec chain T (S psi_k).
     """
-    if pair.dim != fam.base.dim:
+    X = fam.block
+    if pair.dim != X.shape[0]:
         raise InvalidDimensionError("pair and family dimensions differ")
-    S, T = pair.S, pair.T
+    SX = pair.S @ X
+    TSX = pair.T @ SX
     residuals = []
-    for k, psi in enumerate(fam.vectors):
-        scale = psi.norm
-        s_psi = S @ psi.components
-        r_num = norm(T @ s_psi - k * psi.components) / scale
-        r_low = 0.0 if k == 0 else norm(s_psi - math.sqrt(k) * fam.vectors[k - 1].components) / scale
+    for k, psi in enumerate(X.T):
+        scale = norm(psi)
+        r_num = norm(TSX[:, k] - k * psi) / scale
+        r_low = 0.0 if k == 0 else norm(SX[:, k] - math.sqrt(k) * X[:, k - 1]) / scale
         residuals.append(max(r_num, r_low))
-    fam.eigen_residuals = residuals
     return residuals
 
 
@@ -211,24 +206,23 @@ def _power_apply(A, k, x):
 
 
 def _rescaled_eta(fam_xi: LadderFamily, fam_eta: LadderFamily):
-    ip0 = inner(fam_xi.base.components, fam_eta.base.components)
+    """The eta block scaled so that <xi0, eta0> = 1 (the ladder is linear in its base)."""
+    ip0 = inner(fam_xi.block[:, 0], fam_eta.block[:, 0])
     if abs(ip0) < 1e-14:
         raise NonNormalizableError(f"<xi0, eta0> = {ip0:.3e} cannot be scaled to 1")
-    scale = (1.0 / ip0).conjugate()
-    return [scale * v.components for v in fam_eta.vectors]
+    return (1.0 / ip0).conjugate() * fam_eta.block
 
 
 def biorthogonality_gram(fam_xi: LadderFamily, fam_eta: LadderFamily):
     """Gram matrix G[i, j] = <xi_i, eta_j> after scaling <xi0, eta0> = 1.
 
-    The eta family is rescaled as a whole (the ladder is linear in its base),
-    and the result should be the identity on the overlapping index range.
+    The result should be the identity on the overlapping index range.
     """
-    etas = _rescaled_eta(fam_xi, fam_eta)
-    G = np.empty((len(fam_xi), len(etas)), dtype=complex)
-    for i, xi in enumerate(fam_xi.vectors):
-        for j, eta in enumerate(etas):
-            G[i, j] = inner(xi.components, eta)
+    Y = _rescaled_eta(fam_xi, fam_eta)
+    G = np.empty((len(fam_xi), Y.shape[1]), dtype=complex)
+    for i, xi in enumerate(fam_xi.block.T):
+        for j, eta in enumerate(Y.T):
+            G[i, j] = inner(xi, eta)
     return G
 
 
@@ -270,9 +264,8 @@ def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily):
     L = min(len(fam_xi), len(fam_eta))
     if L < 1:
         raise PreconditionError("need at least one ladder vector per family")
-    etas = _rescaled_eta(fam_xi, fam_eta)
-    X = np.column_stack([v.components for v in fam_xi.vectors[:L]])
-    Y = np.column_stack(etas[:L])
+    X = fam_xi.block[:, :L]
+    Y = _rescaled_eta(fam_xi, fam_eta)[:, :L]
 
     sx, sy = (np.linalg.svd(M, compute_uv=False) for M in (X, Y))
     for name, sv in (("xi", sx), ("eta", sy)):
@@ -316,7 +309,7 @@ def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily):
 
 def restricted_spectrum(pair, fam: LadderFamily):
     """Eigenvalues of T S restricted to the ladder span, in the ladder basis."""
-    X = np.column_stack([v.components for v in fam.vectors])
+    X = fam.block
     R = np.linalg.pinv(X) @ (pair.T @ (pair.S @ X))
     evals = np.linalg.eigvals(R)
     return np.sort_complex(evals)

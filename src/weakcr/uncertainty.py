@@ -7,12 +7,14 @@ inequalities follow from the weak commutation relation [S,T] = 1:
     UR1:  |<xi, C xi>|      <=  2 max(dS, dS') max(dT, dT')
     UR2:  |Re <xi, C xi>|   <=  (dS + dS') (dT + dT')
 
-with C = 1 by default; UR2 additionally assumes [S',T] - [S,T'] = 0, whose
-defect is measured and reported rather than assumed.  The deformed-pair
-closed forms express all four deltas through the two state moments
-C_phi = <a* a> - |<a>|^2 and E_phi = Im(<a*^2> - <a*>^2) plus the exact
-weight the truncation drops, and the 2x2 model admits fully explicit
-formulas; both are cross-validated against direct matrix computation.
+with C = 1 by default; the swanson reports and scans pass the truncated
+pair's own <xi, [S, T] xi> = |xi|^2 - N |x_(N-1)|^2 instead.  UR2
+additionally assumes [S',T] - [S,T'] = 0, whose defect is measured and
+reported rather than assumed.  The deformed-pair closed forms express all
+four deltas through the two state moments C_phi = <a* a> - |<a>|^2 and
+E_phi = Im(<a*^2> - <a*>^2) plus the exact weight the truncation drops,
+and the 2x2 model admits fully explicit formulas; both are cross-validated
+against direct matrix computation.
 
 Per-state quantities come from one pass that applies S, S', T, T' and C once
 each to the N x L block of a batch of states, and reduces each state on its
@@ -73,7 +75,6 @@ class DeltaReport:
     dTd: float
     z: complex
     w: complex
-    state_norm: float
 
     def as_tuple(self):
         return (self.dS, self.dSd, self.dT, self.dTd)
@@ -116,7 +117,6 @@ def _pass(pair, states, z=None, w=None, C=None, moments=False):
             dTd=norm(Tdx - wj.conjugate() * x),
             z=zj,
             w=wj,
-            state_norm=xi.norm,
         ))
         c_exps.append(complex(xi.norm**2) if Cx is None else complex(np.vdot(x, Cx)))
     return reports, c_exps, (_moments(X, xs) if moments else None)
@@ -124,7 +124,6 @@ def _pass(pair, states, z=None, w=None, C=None, moments=False):
 
 @dataclass(frozen=True)
 class URResult:
-    kind: str
     lhs: float
     rhs: float
     gap: float  # rhs - lhs; >= 0 means the inequality holds
@@ -134,25 +133,29 @@ class URResult:
     hypothesis_violated: bool = False
 
 
-def _ur(kind, lhs, rhs, c_exp, tol, **hypothesis):
+def _ur(lhs, rhs, c_exp, tol, **hypothesis):
     gap = rhs - lhs
-    return URResult(kind=kind, lhs=lhs, rhs=rhs, gap=gap, saturated=bool(abs(gap) <= tol),
+    return URResult(lhs=lhs, rhs=rhs, gap=gap, saturated=bool(abs(gap) <= tol),
                     c_expectation=c_exp, **hypothesis)
 
 
 def _ur1(report: DeltaReport, c_exp, tol):
     rhs = 2.0 * max(report.dS, report.dSd) * max(report.dT, report.dTd)
-    return _ur("UR1", abs(c_exp), rhs, c_exp, tol)
+    return _ur(abs(c_exp), rhs, c_exp, tol)
 
 
 def _ur2(report: DeltaReport, c_exp, defect, tol):
     rhs = (report.dS + report.dSd) * (report.dT + report.dTd)
-    return _ur("UR2", abs(c_exp.real), rhs, c_exp, tol,
+    return _ur(abs(c_exp.real), rhs, c_exp, tol,
                cross_condition_defect=defect, hypothesis_violated=bool(defect > 1e-8))
 
 
 def ur1_check(pair, xi, z=None, w=None, C=None, tol=SATURATION_TOL):
-    """Max-product inequality: 2 max(dS, dS') max(dT, dT') >= |<xi, C xi>|."""
+    """Max-product inequality: 2 max(dS, dS') max(dT, dT') >= |<xi, C xi>|.
+
+    C defaults to 1, the untruncated relation; a truncated pair's own
+    commutator can be passed as C (an NCPoly or an operator).
+    """
     (report,), (c_exp,), _ = _pass(pair, [xi], z, w, C)
     return _ur1(report, c_exp, tol)
 
@@ -160,9 +163,10 @@ def ur1_check(pair, xi, z=None, w=None, C=None, tol=SATURATION_TOL):
 def ur2_check(pair, xi, C=None, tol=SATURATION_TOL):
     """Sum-product inequality: (dS + dS') (dT + dT') >= |Re <xi, C xi>|.
 
-    Needs the cross condition [S',T] - [S,T'] = 0; its defect, formed once
-    per pair, is always reported and the result is flagged
-    ``hypothesis_violated`` (never suppressed) when it exceeds 1e-8.
+    C defaults to 1, as in ``ur1_check``.  Needs the cross condition
+    [S',T] - [S,T'] = 0; its defect, formed once per pair, is always
+    reported and the result is flagged ``hypothesis_violated`` (never
+    suppressed) when it exceeds 1e-8.
     """
     (report,), (c_exp,), _ = _pass(pair, [xi], C=C)
     return _ur2(report, c_exp, pair.cross_defect, tol)
@@ -226,18 +230,18 @@ def swanson_closed_form(theta, xi: StateVector):
 
     Without the w terms these are the untruncated pair's identities.  The
     truncation also gives <xi, [S, T] xi> = 1 - w, so w is the weak-relation
-    defect on xi that UR1 and UR2 assume to be zero; past 1e-5 (above the
-    2.9e-6 of any state coherent_state accepts) a TruncationError carrying
-    w is raised instead of a report.  A squared delta below -1e-12 raises
-    as well; tiny negatives are clipped to zero.
+    defect on xi, and the swanson UR checks take 1 - w as <xi, C xi>.  Past
+    1e-5 (above the 2.9e-6 of any state coherent_state accepts) a
+    TruncationError carrying w is raised instead of a report.  A squared
+    delta below -1e-12 raises as well; tiny negatives are clipped to zero.
     """
     return _closed_form(theta, swanson_pair(theta, xi.dim), xi)[0]
 
 
 def _closed_form(theta, pair, xi):
-    """The SwansonReport and <xi, xi> of xi for ``pair = swanson_pair(theta, N)``, from one pass."""
+    """The SwansonReport and <xi, [S, T] xi> of xi for ``pair = swanson_pair(theta, N)``, from one pass."""
     (matrix,), (c_exp,), (moments,) = _pass(pair, [xi], moments=True)
-    weight = xi.dim * abs(xi.components[-1]) ** 2
+    weight = _edge_weight(xi)
     if weight > 1e-5:
         raise TruncationError(
             f"state weight N|x_(N-1)|^2 = {weight:.3e} at dimension {xi.dim} exceeds "
@@ -266,7 +270,6 @@ def _closed_form(theta, pair, xi):
         dTd=math.sqrt(max(squares["dTd"], 0.0)),
         z=matrix.z,
         w=matrix.w,
-        state_norm=xi.norm,
     )
     discrepancy = max(
         abs(a - b) for a, b in zip(closed.as_tuple(), matrix.as_tuple())
@@ -276,7 +279,12 @@ def _closed_form(theta, pair, xi):
         deltas=closed,
         matrix_deltas=matrix,
         matrix_discrepancy=discrepancy,
-    ), c_exp
+    ), c_exp - weight
+
+
+def _edge_weight(xi):
+    """w = N |x_(N-1)|^2, so that <xi, [S, T] xi> = |xi|^2 - w on a truncated swanson pair."""
+    return xi.dim * abs(xi.components[-1]) ** 2
 
 
 def _swanson_state(theta, pair, xi, tol):
@@ -383,6 +391,7 @@ def _swanson_scan(theta, dim, states, tol):
     rows = []
     pair = swanson_pair(theta, dim)
     for xi, deltas, c_exp, moments in zip(states, *_pass(pair, states, moments=True)):
+        c_exp -= _edge_weight(xi)
         ur1 = _ur1(deltas, c_exp, tol)
         ur2 = _ur2(deltas, c_exp, pair.cross_defect, tol)
         c, e = moments.C_phi, moments.E_phi

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -70,7 +70,7 @@ def gaussian_weight():
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-@lru_cache(maxsize=4096)
+@cache
 def moment(weight: Weight, k: int):
     """k-th moment of w in closed form: exact 0 for odd k, +inf marker when divergent.
 
@@ -99,12 +99,11 @@ def moment(weight: Weight, k: int):
 class MomentTable:
     """Moments mu_0 .. mu_kmax, with math.inf marking divergence."""
 
-    weight: Weight
     values: tuple
 
     @classmethod
     def build(cls, weight, k_max):
-        return cls(weight, tuple(moment(weight, k) for k in range(k_max + 1)))
+        return cls(tuple(moment(weight, k) for k in range(k_max + 1)))
 
     def get(self, k):
         return self.values[k]
@@ -279,7 +278,6 @@ def ladder_length(alpha):
 # Gauss-Hermite cross-check
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
 def _hermgauss(n):
     t, w = np.polynomial.hermite.hermgauss(n)
     # enforce exact node antisymmetry and weight symmetry so that mirrored
@@ -289,15 +287,15 @@ def _hermgauss(n):
     return t, w
 
 
-def _gauss_weighted_real(fn, n):
-    """integral of fn(x) exp(-x^2/2) dx by the n-node Gauss-Hermite rule.
+def _gauss_weighted_real(fn, rule):
+    """integral of fn(x) exp(-x^2/2) dx by the Gauss-Hermite rule (t, w) of _hermgauss(n).
 
     The rule is exact for polynomials of degree up to 2n - 1.  Mirrored node
     contributions are folded pairwise before summing, so integrands that are
     odd with sign-exact evaluation integrate to exactly zero instead of
     leaving cancellation noise at the integrand's scale.
     """
-    t, w = _hermgauss(n)
+    t, w = rule
     x = math.sqrt(2.0) * t
     contrib = w * fn(x)
     folded = contrib + contrib[::-1]
@@ -327,9 +325,10 @@ def gaussian_eigen_check(k):
     target = u_k.scaled(k)
     diff = sym - target
     symbolic = 0.0 if diff.is_zero() else max(abs(complex(c)) for c in diff.coeffs)
+    rule = _hermgauss(k + 2)
     quad_residual = 0.0
     for j in range(k + 3):
-        direct = _gauss_weighted_real(lambda x, j=j: (sym(x) * x**j).real, k + 2)
+        direct = _gauss_weighted_real(lambda x, j=j: (sym(x) * x**j).real, rule)
         via_moments = k * inner_product(u_k, monomial(j), weight)
         # normalize by the pairing's moment scale: for odd k+j both routes
         # vanish by symmetry and only scaled roundoff remains

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from math import comb, factorial
 
 import pytest
@@ -375,3 +376,17 @@ def test_ladder_truncation_failure_is_kept(tmp_path):
     report = json.loads(out.read_text())
     assert report["failures"] == ["max_eigen_residual"]
     assert max(report["results"]["eigen_residuals"]) == pytest.approx(7.17e-8, rel=1e-2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["uncertainty", "--dim", "4096", "--state", "coherent:40,0"],
+    ["uncertainty", "--model", "swanson:0.7853981633974483", "--dim", "2", "--state", "coherent:0.0011,0"],
+    ["uncertainty", "--model", "swanson:0.7853981633974483", "--dim", "3", "--state", "coherent:0.01,0"],
+])
+def test_edge_states_pass_without_warnings(capsys, argv):
+    # coherent:40 overflowed the coherent-state recurrence (exit 2); the two
+    # quarter-turn states FAILed ur1_validity against C = 1 (exit 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, *argv)
+    assert code == 0, out + err

@@ -1,6 +1,8 @@
 """Matrix-model tests: ladder matrices, coherent states, defect measures."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from weakcr.fock import (
     identity,
     inner,
     lowering,
+    matrix2x2_pair,
     quasi_strong_defect,
     raising,
     semigroup_band,
@@ -118,6 +121,24 @@ def test_coherent_state_normalizes_without_overflow(z, n):
     assert abs(phi.components[k]) == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("z, n", [(40, 4096), (38 + 5j, 4096), (45, 4096), (60j, 8192)])
+def test_coherent_state_rescales_inside_the_recurrence(z, n):
+    # z^k / sqrt(k!) itself passes the float range near k = |z|^2 (2^1153 at
+    # |z| = 40), so the recurrence rescales by powers of two as it goes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        phi = coherent_state(z, n)
+    assert phi.norm == pytest.approx(1.0, abs=1e-14)
+    # against the closed-form Poisson amplitudes e^(-x/2) |z|^k / sqrt(k!), x = |z|^2
+    x = abs(z) ** 2
+    ks = np.arange(n)
+    log_mod = np.array([k * math.log(abs(z)) - math.lgamma(k + 1) / 2 - x / 2 for k in range(n)])
+    big = log_mod > -600
+    assert np.allclose(np.abs(phi.components[big]), np.exp(log_mod[big]), rtol=1e-9, atol=0)
+    phase = np.exp(1j * math.atan2(z.imag, z.real) * ks[big]) if isinstance(z, complex) else 1.0
+    assert np.allclose(phi.components[big], np.abs(phi.components[big]) * phase, rtol=1e-9, atol=1e-300)
+
+
 @pytest.mark.parametrize("z, n", [(2, 4), (4, 40), (4, 50), (30, 64), (6, 110)])
 def test_coherent_tail_mass_is_the_regularized_gamma(z, n):
     # the discarded share of the norm is P(n, |z|^2); e^(|z|^2) minus the
@@ -156,14 +177,14 @@ def test_weak_defect_boson_exact():
 
 def test_weak_defect_degenerate_pair():
     a = lowering(16)
-    pair = OperatorPair(a, a, safe_rank=15)
+    pair = OperatorPair(a, a)
     assert weak_defect(pair) >= 1.0
 
 
 def test_weak_defect_swap_invariance():
     # weak defect of (S, T) equals that of (T', S')
     pair = swanson_pair(0.3, 32)
-    swapped = OperatorPair(pair.T.adjoint(), pair.S.adjoint(), safe_rank=pair.safe_rank)
+    swapped = OperatorPair(pair.T.adjoint(), pair.S.adjoint())
     assert abs(weak_defect(pair) - weak_defect(swapped)) < 1e-12
 
 
@@ -192,7 +213,7 @@ def test_quasi_strong_boson():
 
 def test_quasi_strong_degenerate_pair():
     a = lowering(64)
-    pair = OperatorPair(a, a, safe_rank=63)
+    pair = OperatorPair(a, a)
     # [V, a] = 0 for V = exp(alpha a), so the defect is alpha * max|V| on the band
     assert quasi_strong_defect(pair, 0.1) > 1e-3
 
@@ -212,7 +233,7 @@ def test_weyl_boson():
 
 def test_weyl_degenerate_pair():
     a = lowering(64)
-    pair = OperatorPair(a, a, safe_rank=63)
+    pair = OperatorPair(a, a)
     assert weyl_defect(pair, 0.5, 0.5) > 1e-2
 
 
@@ -245,7 +266,7 @@ def test_identity_and_pair_validation():
     with pytest.raises(InvalidDimensionError):
         OperatorPair(lowering(4), lowering(8))
     with pytest.raises(InvalidDimensionError):
-        OperatorPair(lowering(4), raising(4), safe_rank=4)
+        OperatorPair(identity(1), identity(1))
 
 
 # --- banded paths against dense oracles ----------------------------------------------
@@ -300,7 +321,35 @@ def wide_pair(n):
     a, ad = lowering(n).entries, raising(n).entries
     S = TruncatedOperator(a + 0.5 * a @ a + 0.2 * ad)
     T = TruncatedOperator(ad + 0.3 * ad @ ad)
-    return OperatorPair(S, T, safe_rank=n - 2)
+    return OperatorPair(S, T)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 128])
+def test_safe_rank_is_read_off_the_band(n):
+    # N - max(K_S, K_T, 1): N - 1 for the tridiagonal models, N - 2 at bandwidth 2
+    assert boson_pair(n).safe_rank == n - 1
+    assert swanson_pair(0.3, n).safe_rank == n - 1
+    if n >= 4:
+        assert wide_pair(n).safe_rank == n - 2
+    assert OperatorPair(identity(n), identity(n)).safe_rank == n - 1
+    assert matrix2x2_pair(1.5, -0.5).safe_rank == 1
+    assert [f.name for f in dataclasses.fields(OperatorPair)] == ["S", "T"]
+    with pytest.raises(TypeError):
+        OperatorPair(lowering(4), raising(4), safe_rank=2)
+
+
+@pytest.mark.parametrize("make", [boson_pair, lambda n: swanson_pair(0.3, n), wide_pair])
+def test_safe_rank_block_is_free_of_truncation(make):
+    # on the leading safe_rank block both degree-1 products of the N-dimensional
+    # truncation equal those of a wider one; one index more and they do not
+    n = 16
+    pair, wider = make(n), make(n + 8)
+    r = pair.safe_rank
+    for P, W in ((pair.S.entries @ pair.T.entries, wider.S.entries @ wider.T.entries),
+                 (pair.T.entries @ pair.S.entries, wider.T.entries @ wider.S.entries)):
+        assert np.array_equal(P[:r, :r], W[:r, :r])
+    assert not np.array_equal((pair.S.entries @ pair.T.entries)[: r + 1, : r + 1],
+                              (wider.S.entries @ wider.T.entries)[: r + 1, : r + 1])
 
 
 def suite_dense_matrices():

@@ -1,5 +1,6 @@
 """Ladder, biorthogonality, and intertwiner tests."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -26,6 +27,7 @@ from weakcr.fock import (
     weak_defect,
 )
 from weakcr.ladder import (
+    LadderFamily,
     biorthogonality_gram,
     build_ladder,
     commutation_power_check,
@@ -145,6 +147,24 @@ def test_kernel_vector_forms_no_svd(monkeypatch):
     assert norm(S.entries @ kernel_vector(S).components) < 1e-15
 
 
+@pytest.mark.parametrize("theta, n", [(0.0, 96), (0.3, 96), (0.45, 96), (0.5, 96), (0.0, 512), (0.3, 512),
+                                      (0.45, 512), (0.5, 512), (0.7, 512), (0.7, 300)])
+def test_kernel_vector_matches_the_closed_form_vacuum(theta, n):
+    # S x = 0 is the recurrence x_(n+1) = -i tan(t) sqrt(n/(n+1)) x_(n-1), solved by
+    # x_2m = (-i tan t)^m sqrt(C(2m, m)) / 2^m with odd components zero; T' flips i
+    pair = swanson_pair(theta, n)
+    for op, sign in ((pair.S, -1), (pair.T.adjoint(), 1)):
+        x = np.zeros(n, dtype=complex)
+        for m in range((n + 1) // 2):
+            x[2 * m] = (sign * 1j * math.tan(theta)) ** m * math.sqrt(math.comb(2 * m, m)) / 2**m
+        x /= np.linalg.norm(x)
+        v = kernel_vector(op, 1e-10).components
+        # the truncated operator has no exact kernel: where the vacuum still has
+        # weight at the edge (0.5 at 96, 0.7 at 300), the singular vector moves
+        # away from it by at most the certificate |A v|
+        assert np.max(np.abs(v - x)) <= 1e-14 + norm(op @ v)
+
+
 # --- ladder construction -------------------------------------------------------
 
 
@@ -152,8 +172,29 @@ def test_boson_ladder_is_basis():
     # sqrt(k!) cancels the ladder factors exactly
     fam = build_ladder(raising(32), basis_state(0, 32), 8)
     assert len(fam) == 9
-    for k, v in enumerate(fam.vectors):
-        assert np.allclose(v.components, basis_state(k, 32).components, atol=1e-13)
+    for k, v in enumerate(fam.block.T):
+        assert np.allclose(v, basis_state(k, 32).components, atol=1e-13)
+
+
+def test_ladder_is_one_column_major_block():
+    pair, fam_xi, fam_eta = swanson_families()
+    assert [f.name for f in dataclasses.fields(LadderFamily)] == ["block", "stop_reason"]
+    for fam in (fam_xi, fam_eta):
+        assert fam.block.shape == (96, 7)
+        assert fam.block.flags.f_contiguous
+    assert np.array_equal(fam_xi.block[:, 0], kernel_vector(pair.S, 1e-10).components)
+    # the Gram matrix sums as an np.vdot of two contiguous vectors, bit for bit
+    X, Y = fam_xi.block, fam_eta.block
+    Y = (1.0 / complex(np.vdot(Y[:, 0].copy(), X[:, 0].copy()))).conjugate() * Y
+    want = [[np.vdot(Y[:, j].copy(), X[:, i].copy()) for j in range(7)] for i in range(7)]
+    assert np.array_equal(biorthogonality_gram(fam_xi, fam_eta), np.array(want))
+
+
+def test_member_receives_a_vector():
+    seen = []
+    fam = build_ladder(raising(16), basis_state(0, 16), 3, member=lambda x: seen.append(x) or True)
+    assert [type(x) for x in seen] == [np.ndarray] * 3
+    assert all(np.array_equal(x, fam.block[:, k + 1]) for k, x in enumerate(seen))
 
 
 def test_member_always_false_keeps_base_only():
@@ -189,7 +230,6 @@ def test_boson_eigen_residuals_vanish():
     fam = build_ladder(pair.T, basis_state(0, 32), 10)
     res = eigen_check(pair, fam)
     assert max(res) < 1e-12
-    assert fam.eigen_residuals == res
 
 
 def test_swanson_eigen_residuals():
@@ -212,11 +252,11 @@ def test_eigen_check_matches_dense_number_operator():
     pair, fam_xi, _ = swanson_families(0.5)
     number_op = pair.T.entries @ pair.S.entries
     want = []
-    for k, psi in enumerate(fam_xi.vectors):
-        r_num = norm(number_op @ psi.components - k * psi.components) / psi.norm
+    for k, psi in enumerate(fam_xi.block.T):
+        r_num = norm(number_op @ psi - k * psi) / norm(psi)
         r_low = 0.0 if k == 0 else norm(
-            pair.S.entries @ psi.components - math.sqrt(k) * fam_xi.vectors[k - 1].components
-        ) / psi.norm
+            pair.S.entries @ psi - math.sqrt(k) * fam_xi.block[:, k - 1]
+        ) / norm(psi)
         want.append(max(r_num, r_low))
     got = eigen_check(pair, fam_xi)
     assert np.allclose(got, want, rtol=1e-6, atol=1e-15)
@@ -301,18 +341,18 @@ def test_ladder_matvecs_equal_dense_matrices(name):
         current = base.components
         for k in range(1, len(fam)):
             current = (dense_ladder @ current) / math.sqrt(k)
-            assert np.array_equal(fam.vectors[k].components, current)
+            assert np.array_equal(fam.block[:, k], current)
 
-    fam = build_ladder(pair.T, kernel_vector(pair.S, 1e-10), length)
+    xi = kernel_vector(pair.S, 1e-10)
+    fam = build_ladder(pair.T, xi, length)
     want = []
-    for k, psi in enumerate(fam.vectors):
-        s_psi = S @ psi.components
-        r_num = norm(T @ s_psi - k * psi.components) / psi.norm
-        r_low = 0.0 if k == 0 else norm(s_psi - math.sqrt(k) * fam.vectors[k - 1].components) / psi.norm
+    for k, psi in enumerate(fam.block.T):
+        s_psi = S @ psi
+        r_num = norm(T @ s_psi - k * psi) / norm(psi)
+        r_low = 0.0 if k == 0 else norm(s_psi - math.sqrt(k) * fam.block[:, k - 1]) / norm(psi)
         want.append(max(r_num, r_low))
     assert eigen_check(pair, fam) == want
 
-    xi = fam.base
     for k in (1, 2, 5):
         if pair.safe_rank - (k + 1) < 1:  # the truncation guard rejects every power at N <= 3
             with pytest.raises(TruncationError):
@@ -442,12 +482,11 @@ def test_number_operators_match_dense_products():
     S, T = pair.S.entries, pair.T.entries
     num_xi, num_eta = T @ S, S.conj().T @ T.conj().T
     # the dense K_eta = Y pinv(X), with the eta family scaled so that <xi0, eta0> = 1
-    X = np.column_stack([v.components for v in fam_xi.vectors])
-    scale = (1.0 / inner(fam_xi.base.components, fam_eta.base.components)).conjugate()
-    Y = scale * np.column_stack([v.components for v in fam_eta.vectors])
+    X = fam_xi.block
+    scale = (1.0 / inner(X[:, 0], fam_eta.block[:, 0])).conjugate()
+    Y = scale * fam_eta.block
     K_eta = Y @ np.linalg.pinv(X)
-    d_eta = max(norm(K_eta @ (num_xi @ x.components) - num_eta @ (K_eta @ x.components)) / x.norm
-                for x in fam_xi.vectors)
+    d_eta = max(norm(K_eta @ (num_xi @ x) - num_eta @ (K_eta @ x)) / norm(x) for x in X.T)
     assert K.intertwining_defect_eta == pytest.approx(d_eta, rel=1e-3, abs=1e-14)
     R = np.linalg.pinv(X) @ num_xi @ X
     assert np.allclose(restricted_spectrum(pair, fam_xi), np.sort_complex(np.linalg.eigvals(R)), atol=1e-12)
@@ -464,6 +503,6 @@ def test_restricted_spectrum_swanson():
 
 def test_ladder_vectors_linearly_independent():
     _, fam_xi, _ = swanson_families()
-    X = np.column_stack([v.components for v in fam_xi.vectors])
+    X = fam_xi.block
     gram = X.conj().T @ X
     assert np.linalg.eigvalsh(gram).min() > 0

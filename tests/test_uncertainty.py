@@ -139,7 +139,13 @@ def dense_cross_condition_defect(pair):
 
 def _deformed_pair(n):
     a, ad = lowering(n).entries, raising(n).entries
-    return OperatorPair(lowering(n), TruncatedOperator(ad + 0.05 * (a @ a)), safe_rank=n - 2)
+    return OperatorPair(lowering(n), TruncatedOperator(ad + 0.05 * (a @ a)))
+
+
+@pytest.mark.parametrize("n", [4, 32, 128])
+def test_deformed_pair_safe_rank_is_read_off_the_band(n):
+    # T = a* + 0.05 a^2 has bandwidth 2, so the certified block is N - 2
+    assert _deformed_pair(n).safe_rank == n - 2
 
 
 @pytest.mark.parametrize(
@@ -147,7 +153,7 @@ def _deformed_pair(n):
     [lambda: swanson_pair(0.3, 64), lambda: swanson_pair(0.6, 3), lambda: boson_pair(16),
      lambda: _deformed_pair(32), lambda: matrix2x2_pair(1.5, -0.5),
      lambda: OperatorPair(TruncatedOperator(np.arange(25.0).reshape(5, 5) * (1 + 1j)),
-                          TruncatedOperator(np.eye(5)[::-1]), safe_rank=3)],
+                          TruncatedOperator(np.eye(5)[::-1]))],
 )
 def test_cross_condition_matches_dense_oracle(make):
     pair = make()
@@ -176,7 +182,7 @@ def test_cross_condition_violation_is_flagged():
     n = 32
     a, ad = lowering(n).entries, raising(n).entries
     T = TruncatedOperator(ad + 0.05 * (a @ a))
-    pair = OperatorPair(lowering(n), T, safe_rank=n - 2)
+    pair = OperatorPair(lowering(n), T)
     assert pair.cross_defect > 1e-8
     u2 = ur2_check(pair, basis_state(0, n))
     assert u2.hypothesis_violated
@@ -495,3 +501,41 @@ def test_matrix2x2_scan_conditions():
 def test_scan_rejects_unknown_model():
     with pytest.raises(ValueError):
         saturation_scan("nonsense")
+
+
+# --- the truncation edge -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4])
+@pytest.mark.parametrize("z, n", [(0.0011, 2), (0.01, 3), (4.75, 64), (1.0, 20)])
+def test_swanson_ur_checks_use_the_truncated_commutator(theta, z, n):
+    # the truncated swanson pair has [S, T] = 1 - N e_(N-1) e_(N-1)^T, so
+    # <xi, [S, T] xi> = |xi|^2 - w with w = N |x_(N-1)|^2; with C = 1 UR1 read
+    # -2.4e-6 at (pi/4, 0.0011, 2) and -1.5e-8 at (pi/4, 0.01, 3)
+    pair = swanson_pair(theta, n)
+    xi = coherent_state(z, n)
+    w = n * abs(xi.components[-1]) ** 2
+    commutator = TruncatedOperator(pair.S.entries @ pair.T.entries - pair.T.entries @ pair.S.entries)
+    assert expectation(commutator, xi).real == pytest.approx(1.0 - w, abs=1e-15)
+    _, u1, u2 = uncertainty._swanson_state(theta, pair, xi, 1e-6)
+    assert u1.c_expectation == xi.norm**2 - w
+    assert u1.gap >= -1e-14 and u2.gap >= -1e-14
+    row = saturation_scan("swanson", (theta,), dim=n, states=[xi]).rows[0]
+    assert (row["ur1_gap"], row["ur2_gap"]) == (u1.gap, u2.gap)
+
+
+def test_quarter_turn_scan_at_the_edge_holds():
+    # at dim 20 the corners of the 3x3 grid keep w = 1.2e-11; with C = 1 the
+    # minimal UR1 gap read -9.3e-12
+    states = coherent_grid_states(20, nx=3, ny=3)
+    table = saturation_scan("swanson", (math.pi / 4,), dim=20, states=states)
+    assert table.summary["min_ur1_gap"] >= -1e-14
+
+
+def test_reports_store_no_unread_fields():
+    import dataclasses
+
+    names = {cls: [f.name for f in dataclasses.fields(cls)]
+             for cls in (uncertainty.DeltaReport, uncertainty.URResult)}
+    assert names[uncertainty.DeltaReport] == ["dS", "dSd", "dT", "dTd", "z", "w"]
+    assert "kind" not in names[uncertainty.URResult]

@@ -8,6 +8,7 @@ The adjoint pairings are checked against adaptive quadrature of the
 explicit integrand, which the implementation never samples.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ import scipy.integrate
 from numpy.polynomial.polynomial import polyval
 from scipy.special import beta
 
-from weakcr import cli
+from weakcr import cli, weights
 from weakcr.algebra import profile_from_membership
 from weakcr.errors import DomainParameterError, NotAdmissibleError, NotInL2Error
 from weakcr.weights import (
@@ -392,3 +393,26 @@ def test_in_domain_examples():
     assert in_domain(monomial(2), w)
     assert not in_domain(monomial(3), w)
     assert in_domain(PolyFunc.zero(), w)
+
+
+def test_moment_cache_keeps_every_order():
+    # a bounded LRU cache thrashed on a sequential sweep longer than its size
+    weight = rational_weight(1000.0)
+    moment.cache_clear()
+    MomentTable.build(weight, 5000)
+    MomentTable.build(weight, 5000)
+    info = moment.cache_info()
+    assert (info.hits, info.misses) == (5001, 5001)
+    assert [f.name for f in dataclasses.fields(MomentTable)] == ["values"]
+
+
+def test_gaussian_eigen_check_forms_one_rule(monkeypatch):
+    calls, hermgauss = [], weights._hermgauss
+
+    def counted(n):
+        calls.append(n)
+        return hermgauss(n)
+
+    monkeypatch.setattr(weights, "_hermgauss", counted)
+    assert gaussian_eigen_check(6).quadrature_residual < 1e-10
+    assert calls == [8]
