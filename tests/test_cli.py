@@ -111,6 +111,11 @@ def test_import_and_normal_order_load_no_scipy_integrate_or_linalg():
         modules = imported(*args)
         assert "weakcr" in modules
         assert not modules & {"scipy.integrate", "scipy.linalg"}, args
+    # the defect chain, the Weyl block's Lanczos norm included, loads no scipy
+    # at all, and its fixed start vector needs no numpy.random
+    modules = imported("-m", "weakcr.cli", "verify-cr")
+    assert not {m for m in modules if m.split(".")[0] == "scipy"}
+    assert "numpy.random" not in modules
 
 
 def test_weights_requires_one_weight(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.special import gammainc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakcr import fock
 from weakcr.errors import DomainParameterError, InvalidDimensionError, TruncationError
 from weakcr.fock import (
     OperatorPair,
@@ -33,6 +35,7 @@ from weakcr.fock import (
     quasi_strong_defect,
     raising,
     semigroup_band,
+    spectral_norm,
     swanson_pair,
     weak_defect,
     weyl_defect,
@@ -271,8 +274,8 @@ def test_identity_and_pair_validation():
 
 # --- banded paths against dense oracles ----------------------------------------------
 #
-# The library forms no dense N x N product, exponential or SVD outside the Weyl
-# block's spectral norm; these dense formulas are the reference it is tested against.
+# The defect chain forms no dense N x N product, exponential or SVD; these dense
+# formulas, the Weyl block's SVD among them, are the reference it is tested against.
 
 
 def dense_weak_defect(pair):
@@ -506,12 +509,148 @@ def test_band_expm_splits_large_norms_into_steps():
 
 
 def test_defect_chain_forms_no_dense_exponential_or_svd(monkeypatch):
+    # no dense exponential, and no SVD, eigensolver or spectral norm of a matrix
+    # whose side reaches the checked block (55 x 55); the Lanczos norm's k x k
+    # tridiagonal stays below it (k reaches 19 here).  np.linalg.norm(ord=2)
+    # reaches numpy's internal SVD, not np.linalg.svd, so it is guarded on its own.
+    pair = swanson_pair(0.3, 64)
+    band = semigroup_band(pair, 0.1)
+
     def forbidden(*args, **kwargs):
-        raise AssertionError("dense exponential or SVD of a pair matrix")
+        raise AssertionError("dense exponential of a pair matrix")
+
+    def below_block(name, real):
+        def guarded(a, *args, **kwargs):
+            if np.ndim(a) >= 2 and max(np.shape(a)[-2:]) >= band:
+                raise AssertionError(f"{name} of a {np.shape(a)} matrix; the block is {band} x {band}")
+            return real(a, *args, **kwargs)
+
+        return guarded
+
+    real_norm = np.linalg.norm
+
+    def norm(x, ord=None, *args, **kwargs):
+        if ord in (2, -2, "nuc") and np.ndim(x) >= 2 and max(np.shape(x)[-2:]) >= band:
+            raise AssertionError(f"spectral norm of a {np.shape(x)} matrix; the block is {band} x {band}")
+        return real_norm(x, ord, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "expm", forbidden)
-    monkeypatch.setattr(np.linalg, "svd", forbidden)
-    pair = swanson_pair(0.3, 64)
+    for module in (np.linalg, scipy.linalg):
+        for name in ("svd", "eigh", "eigvalsh"):
+            monkeypatch.setattr(module, name, below_block(name, getattr(module, name)))
+    monkeypatch.setattr(np.linalg, "norm", norm)
     assert weak_defect(pair) < 1e-12
     assert quasi_strong_defect(pair, 0.1) < 1e-10
     assert weyl_defect(pair, 0.1, 0.1) < 1e-10
+
+
+def weyl_block(pair, alpha, beta):
+    """Diagonals of the band x band block whose spectral norm is the Weyl defect."""
+    band = semigroup_band(pair, max(alpha, beta))
+    VS, VT = band_expm(pair.S.diagonals, alpha), band_expm(pair.T.diagonals, beta)
+    M = band_product(VS, VT, band) - math.exp(alpha * beta) * band_product(VT, VS, band)
+    return diagonals(dense(M)[:band, :band])
+
+
+def degenerate_pair(n):
+    a = lowering(n)
+    return OperatorPair(a, a)
+
+
+WEYL_MODELS = {
+    "boson": boson_pair,
+    "swanson0": lambda n: swanson_pair(0.0, n),
+    "swanson0.3": lambda n: swanson_pair(0.3, n),
+    "swanson0.55": lambda n: swanson_pair(0.55, n),
+    "wide": wide_pair,
+    "degenerate": degenerate_pair,
+}
+# one dense SVD of the 2001 x 2001 block at N = 2048 takes about 5 s, so that
+# size is checked on the pair that the benchmark and the CLI run
+WEYL_BLOCKS = [(m, n) for m in WEYL_MODELS for n in (2, 3, 16, 128, 512) if not (m == "wide" and n < 4)]
+WEYL_BLOCKS += [("swanson0.3", 2048)]
+
+
+@pytest.mark.parametrize("model, n", WEYL_BLOCKS, ids=[f"{m}-N{n}" for m, n in WEYL_BLOCKS])
+def test_spectral_norm_matches_the_dense_svd_on_weyl_blocks(model, n):
+    pair = WEYL_MODELS[model](n)
+    alpha = min(0.1, widest_alpha(pair))  # the band is one index wide at N = 2 and 3
+    D = weyl_block(pair, alpha, alpha)
+    want = float(np.linalg.norm(dense(D), ord=2))
+    got = spectral_norm(D)
+    assert abs(got - want) <= 1e-14 * want
+    assert got == spectral_norm(D.copy())
+    assert got == weyl_defect(pair, alpha, alpha)
+
+
+def rank_one(n):
+    rng = np.random.default_rng(1)
+    u, v = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    u[3:8] = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    v[1:9] = rng.standard_normal(8) - 2j * rng.standard_normal(8)
+    return np.outer(u, v.conj())
+
+
+def repeated_top(n):
+    # two copies of one banded block, so the top singular value has multiplicity 2
+    rng = np.random.default_rng(2)
+    B = np.triu(np.tril(rng.standard_normal((n // 2, n // 2)) + 1j * rng.standard_normal((n // 2, n // 2)), 3), -2)
+    return np.block([[B, np.zeros_like(B)], [np.zeros_like(B), B]])
+
+
+SPECIAL_BLOCKS = {
+    "one-by-one": lambda: np.array([[3 - 4j]]),
+    "rank-one": lambda: rank_one(40),
+    "repeated-top": lambda: repeated_top(40),
+    "repeated-diagonal": lambda: np.diag([2.0, -2.0, 2j, 1.0, 0.5] * 6),
+    "tridiagonal-toeplitz": lambda: np.eye(64, k=1) + 2 * np.eye(64) + 1j * np.eye(64, k=-1),
+}
+
+
+@pytest.mark.parametrize("name", list(SPECIAL_BLOCKS))
+def test_spectral_norm_matches_the_dense_svd_on_special_blocks(name):
+    A = SPECIAL_BLOCKS[name]()
+    want = float(np.linalg.norm(A, ord=2))
+    got = spectral_norm(diagonals(A))
+    assert abs(got - want) <= 1e-14 * want
+    assert got == spectral_norm(diagonals(A))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 1), (5, 40), (9, 7)])
+def test_spectral_norm_of_the_zero_block_is_exactly_zero(shape):
+    assert spectral_norm(np.zeros(shape, dtype=complex)) == 0.0
+
+
+def test_weyl_defect_memory_stays_below_one_dense_block():
+    # the dense SVD of the parent peaked at 141 MiB here, more than twice the
+    # 61 MiB of one dense band x band complex block
+    pair = swanson_pair(0.3, 2048)
+    band = semigroup_band(pair, 0.1)
+    tracemalloc.start()
+    try:
+        weyl_defect(pair, 0.1, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < band * band * np.dtype(complex).itemsize
+
+
+def test_semigroups_are_formed_once_per_pair(monkeypatch):
+    calls = []
+    real = band_expm
+
+    def counting(D, alpha):
+        calls.append(alpha)
+        return real(D, alpha)
+
+    monkeypatch.setattr(fock, "band_expm", counting)
+    pair = swanson_pair(0.3, 64)
+    first = (quasi_strong_defect(pair, 0.1), weyl_defect(pair, 0.1, 0.2))
+    assert calls == [0.1, 0.2]  # V_S(0.1) once, shared; V_T(0.2) once
+    assert (quasi_strong_defect(pair, 0.1), weyl_defect(pair, 0.1, 0.2)) == first
+    assert calls == [0.1, 0.2]
+    fresh = swanson_pair(0.3, 64)
+    assert (quasi_strong_defect(fresh, 0.1), weyl_defect(fresh, 0.1, 0.2)) == first
+    V = pair.semigroup("S", 0.1)
+    assert np.array_equal(V, real(pair.S.diagonals, 0.1))
+    assert not V.flags.writeable
