@@ -40,6 +40,7 @@ from .fock import (
     raising,
     swanson_pair,
     weak_defect,
+    weak_scale,
     weyl_defect,
 )
 from .ladder import (

@@ -12,8 +12,9 @@ two semigroups.
 
 Operators are stored only as their diagonals; construction, adjoints,
 matrix-vector products and every defect work on those (banded products, a
-Taylor series for exp, and a Golub-Kahan-Lanczos iteration for the Weyl
-block's spectral norm), so the defect chain forms nothing of size N x N.
+Taylor series for exp, and symmetric Lanczos on M'M, with one Krylov basis,
+for the spectral norm of the Weyl block M), so the defect chain forms
+nothing of size N x N.
 Each semigroup is formed once per pair and parameter, and shared by the
 quasi-strong and Weyl defects.
 """
@@ -315,7 +316,13 @@ def swanson_pair(theta, n=DEFAULT_DIM):
 
 
 def matrix2x2_pair(s, q):
-    """The 2x2 model S = [[0, s], [0, 0]], T = [[0, 0], [q, 0]]."""
+    """The 2x2 model S = [[0, s], [0, 0]], T = [[0, 0], [q, 0]].
+
+    Its commutator is s q diag(1, -1), so s q must be finite; that is checked
+    on Python floats, before any array product can overflow.
+    """
+    if not math.isfinite(float(abs(s)) * float(abs(q))):
+        raise DomainParameterError(f"the 2x2 model needs a finite product s q, got s = {s:g}, q = {q:g}")
     S = TruncatedOperator.banded([[0, 0], [0, 0], [s, 0]])
     T = TruncatedOperator.banded([[0, q], [0, 0], [0, 0]])
     return OperatorPair(S, T)
@@ -494,64 +501,52 @@ def band_expm(D, alpha):
     return V
 
 
-#: the Lanczos norm stops once its top Ritz triplet's residual is this share of sigma
+#: the Lanczos norm stops once its top Ritz pair's residual is this share of lambda
 _LANCZOS_TOL = 4 * _EPS
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
 
 def spectral_norm(D):
-    """Largest singular value of the matrix with diagonals D, by Golub-Kahan-Lanczos.
+    """Largest singular value of the matrix with diagonals D, by symmetric Lanczos on A'A.
 
-    Golub & Kahan (SIAM J. Numer. Anal. B 2, 1965): from a fixed unit vector
-    v_1, the steps u_j = (A v_j - beta_{j-1} u_{j-1}) / alpha_j and
-    v_{j+1} = (A' u_j - alpha_j v_j) / beta_j, each reorthogonalized against
-    every earlier u or v, give A V_k = U_k B_k with B_k upper bidiagonal
-    (alphas on the diagonal, betas above it).  The top singular triplet
-    (sigma, x, y) of B_k comes from the eigenvectors of the k x k tridiagonal
-    B_k B_k'; its Ritz triplet (sigma, U_k x, V_k y) has residual
-    beta_k |x_k|, and the iteration stops once that is at most 4 u sigma
-    (u = 2^-53), on breakdown (a zero alpha or beta) or at k = N.  A and A'
-    are each applied once per step, as one einsum over a strided window of
-    the zero-padded vector, so nothing of size N x N is formed.  The
-    all-zero matrix gives exactly 0.0, and the fixed start vector makes the
-    result the same, bit for bit, on every call.  D's slots outside the
-    matrix must be zero, as every band helper here leaves them.
+    Lanczos (Paige, IMA J. Appl. Math. 10, 1972) on the Hermitian A'A, from a
+    fixed unit vector v_1: each step takes w = A'(A v_k), alpha_k = Re<w, v_k>
+    and w - alpha_k v_k - beta_{k-1} v_{k-1}, reorthogonalized against every
+    earlier v, of norm beta_k; then A'A V_k = V_k T_k + beta_k v_{k+1} e_k'
+    with T_k the k x k tridiagonal of the alphas and betas.  The top
+    eigenpair (lambda, x) of T_k has Ritz residual beta_k |x_k|, and the
+    iteration stops once that is at most 4 u lambda (u = 2^-53), on breakdown
+    (a zero beta) or at k = N; the norm is sqrt(lambda).  This is the Krylov
+    space of Golub-Kahan bidiagonalization from the same start, with one
+    basis.  A and A' are each applied once per step, as one einsum over a
+    strided window of the zero-padded vector, so nothing of size N x N is
+    formed.  The all-zero matrix gives exactly 0.0, and the fixed start
+    vector makes the result the same, bit for bit, on every call.  D's slots
+    outside the matrix must be zero, as every band helper here leaves them.
     """
     D = np.asarray(D, dtype=complex)
     n = D.shape[1]
     if not D.any():
         return 0.0
     apply_A, apply_AH = _window_matvec(D), _window_matvec(band_adjoint(D))
-    size = min(n, 32)  # rows of U, V and T, doubled as needed
-    U, V = np.empty((size, n), dtype=complex), np.empty((size, n), dtype=complex)
-    T = np.zeros((size, size))  # B_k B_k', upper triangle
+    V = np.empty((min(n, 32), n), dtype=complex)  # the basis, rows doubled as needed
     # v_1 has equal moduli and golden-ratio phases: fixed like a seeded random
     # vector, without loading numpy.random (6 MB and 10-15 ms in a fresh interpreter)
     V[0] = np.exp(2j * math.pi * (np.arange(n) * _GOLDEN % 1.0)) / math.sqrt(n)
-    beta = 0.0
+    alphas, betas = [], []
     for k in range(n):
-        r = apply_A(V[k])
+        w = apply_AH(apply_A(V[k]))
+        alphas.append(np.vdot(V[k], w).real)
+        w -= alphas[k] * V[k]
         if k:
-            r -= beta * U[k - 1]
-        alpha = _orthogonalize(r, U[:k])
-        if k:
-            T[k - 1, k - 1] += beta * beta
-            T[k - 1, k] = beta * alpha
-        T[k, k] = alpha * alpha
-        beta = 0.0
-        if alpha:
-            U[k] = r / alpha
-            p = apply_AH(U[k]) - alpha * V[k]
-            beta = _orthogonalize(p, V[: k + 1])
-        lam, X = np.linalg.eigh(T[: k + 1, : k + 1], UPLO="U")
-        sigma = math.sqrt(lam[-1])
-        if beta * abs(X[-1, -1]) <= _LANCZOS_TOL * sigma or k + 1 == n:
-            return sigma
-        if k + 1 == size:
-            size = min(n, 2 * size)
-            grow = np.empty((size - k - 1, n), dtype=complex)
-            U, V, T = np.concatenate((U, grow)), np.concatenate((V, grow)), np.pad(T, (0, size - k - 1))
-        V[k + 1] = p / beta
+            w -= betas[k - 1] * V[k - 1]
+        betas.append(_orthogonalize(w, V[: k + 1]))
+        lam, X = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:k], 1), UPLO="U")
+        if betas[k] * abs(X[-1, -1]) <= _LANCZOS_TOL * lam[-1] or k + 1 == n:
+            return math.sqrt(lam[-1])
+        if k + 1 == len(V):
+            V = np.concatenate((V, np.empty((min(n, 2 * len(V)) - k - 1, n), dtype=complex)))
+        V[k + 1] = w / betas[k]
 
 
 def _window_matvec(D):
@@ -611,19 +606,32 @@ def weak_defect(pair):
     return block_max_abs(M, pair.safe_rank)
 
 
+def weak_scale(pair):
+    """Rounding scale of ``weak_defect``: the max-abs entry of S T on the safe block, at least 1.
+
+    Each entry of S T - T S - 1 cancels entries of S T and T S, which grow
+    like N for the boson and swanson pairs, so its rounding error grows with
+    them; the 1 is the identity's entry, as in normal-order's soundness scale.
+    """
+    return max(1.0, block_max_abs(band_product(pair.S.diagonals, pair.T.diagonals), pair.safe_rank))
+
+
 def semigroup_band(pair, alpha):
     """Safe band for semigroup checks: safe_rank minus the spreading margin.
 
     exp(alpha S) spreads mass roughly alpha*sqrt(N) indices past the diagonal
     before superexponential damping, so the band shrinks by
-    ceil(10 * alpha * sqrt(N)).
+    ceil(10 * alpha * sqrt(N)).  A margin past the float range is infinite;
+    the error message shows the margin to six significant digits.
     """
-    margin = math.ceil(10.0 * alpha * math.sqrt(pair.dim))
+    margin = 10.0 * alpha * math.sqrt(pair.dim)
+    if margin < math.inf:
+        margin = math.ceil(margin)
     band = pair.safe_rank - margin
-    if band < 1:
+    if not band >= 1:  # a NaN margin leaves no band either
         raise TruncationError(
             f"dimension {pair.dim} too small for semigroup parameter {alpha} "
-            f"(margin {margin} exhausts safe rank {pair.safe_rank})"
+            f"(margin {margin:.6g} exhausts safe rank {pair.safe_rank})"
         )
     return band
 
@@ -652,8 +660,8 @@ def weyl_defect(pair, alpha, beta):
     shared with ``quasi_strong_defect`` at the same parameter.  Of each
     product only the rows that reach the leading band x band block are
     formed, and that block's spectral norm is ``spectral_norm``'s
-    Golub-Kahan-Lanczos iteration on its diagonals, so nothing of size
-    band x band is formed.
+    Lanczos iteration on its diagonals, so nothing of size band x band is
+    formed.
     """
     if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
         raise DomainParameterError(

@@ -13,7 +13,7 @@ from test_acceptance import _run_cli, child_env
 from weakcr import cli
 from weakcr.algebra import GEN_S, GEN_T, NCPoly, normal_order, render
 from weakcr.cli import main
-from weakcr.fock import swanson_pair
+from weakcr.fock import OperatorPair, TruncatedOperator, swanson_pair
 from weakcr.uncertainty import delta_report, swanson_closed_form, ur1_check, ur2_check
 
 
@@ -395,3 +395,54 @@ def test_edge_states_pass_without_warnings(capsys, argv):
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run(capsys, *argv)
     assert code == 0, out + err
+
+
+@pytest.mark.parametrize("argv, margin", [
+    (["--alpha", "1e308"], "margin inf"),
+    (["--beta", "1e308"], "margin inf"),
+    (["--alpha", "1e300", "--dim", "4"], "margin 2e+301"),
+    (["--alpha", "3", "--beta", "3", "--dim", "256"], "margin 480"),
+])
+def test_semigroup_margin_past_the_dimension_exits_two(capsys, argv, margin):
+    # 10 alpha sqrt(N) past the float range raised a raw OverflowError in
+    # math.ceil, and 1e300 printed a 302-digit margin
+    code, out, err = run(capsys, "verify-cr", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: dimension") and f"({margin} exhausts safe rank" in err
+
+
+@pytest.mark.parametrize("model", ["boson", "swanson:0.3"])
+def test_verify_cr_weak_defect_is_relative_to_its_scale(capsys, tmp_path, model):
+    # the absolute weak defect of swanson:0.3 is 1.137e-12 here, past the
+    # tol of 1e-12, while the entries of S T it cancels reach 1.7e3 (2.0e3 for the boson)
+    out_file = tmp_path / "cr.json"
+    code, out, _ = run(capsys, "verify-cr", "--model", model, "--dim", "2048", "--out", str(out_file))
+    assert code == 0, out
+    report = json.loads(out_file.read_text())
+    results, check = report["results"], report["checks"][0]
+    assert results["weak_scale"] > 1000
+    assert check["name"] == "weak_defect"
+    assert check["value"] == results["weak_defect"] / results["weak_scale"]
+
+
+def test_verify_cr_weak_defect_still_fails_a_broken_relation(capsys, monkeypatch):
+    # scaling S by 1 + 1e-6 breaks [S, T] = 1 by 1e-6 on every diagonal entry
+    def broken(theta, n):
+        pair = swanson_pair(theta, n)
+        return OperatorPair(TruncatedOperator.banded((1 + 1e-6) * pair.S.diagonals), pair.T)
+
+    monkeypatch.setattr(cli, "swanson_pair", broken)
+    code, out, _ = run(capsys, "verify-cr", "--model", "swanson:0.3", "--dim", "2048")
+    assert code == 1
+    assert "FAIL weak_defect" in out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scan", [[], ["--scan", "circle:11"]])
+def test_matrix2x2_with_an_infinite_commutator_exits_two(capsys, scan):
+    # s q = 1e400 overflowed inside the banded [S, T] before the typed error
+    code, out, err = run(capsys, "uncertainty", "--model", "matrix2x2:1e200,1e200", *scan)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the 2x2 model needs a finite product s q")

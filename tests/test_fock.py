@@ -38,6 +38,7 @@ from weakcr.fock import (
     spectral_norm,
     swanson_pair,
     weak_defect,
+    weak_scale,
     weyl_defect,
 )
 
@@ -262,6 +263,26 @@ def test_implication_chain_all_small():
 def test_semigroup_band_exhaustion():
     with pytest.raises(TruncationError):
         quasi_strong_defect(boson_pair(16), 5.0)
+
+
+@pytest.mark.parametrize("make", [boson_pair, lambda n: swanson_pair(0.3, n), lambda n: swanson_pair(0.785, n),
+                                  lambda n: OperatorPair(lowering(n), lowering(n))])
+@pytest.mark.parametrize("n", [2, 3, 16, 128])
+def test_weak_scale_is_the_max_entry_of_st_on_the_safe_block(make, n):
+    pair = make(n)
+    k = pair.safe_rank
+    want = max(1.0, float(np.max(np.abs((pair.S.entries @ pair.T.entries)[:k, :k]))))
+    assert weak_scale(pair) == pytest.approx(want, rel=1e-15)
+
+
+def test_matrix2x2_rejects_an_infinite_commutator_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainParameterError, match="finite product s q"):
+            matrix2x2_pair(1e200, -1e200)
+        with pytest.raises(DomainParameterError):
+            matrix2x2_pair(np.float64(1e200), np.float64(1e200))
+        assert matrix2x2_pair(1e154, 1e154).dim == 2
 
 
 def test_identity_and_pair_validation():
