@@ -52,6 +52,7 @@ from .ladder import (
     intertwiners,
     kernel_vector,
     restricted_spectrum,
+    swanson_vacua,
     tail_mass_membership,
 )
 from .uncertainty import (

@@ -53,9 +53,9 @@ from .ladder import (
     build_ladder,
     eigen_check,
     intertwiners,
-    kernel_vector,
     residuals_monotone,
     restricted_spectrum,
+    swanson_vacua,
     tail_mass_membership,
 )
 from .uncertainty import (
@@ -194,12 +194,12 @@ def _parse_model(text):
     raise WeakCRError(f"unknown model {text!r} (expected {forms})")
 
 
-def _swanson_model(args):
-    """The boson or swanson pair that --model names, at dimension --dim."""
+def _swanson_theta(args):
+    """The angle theta of the boson (0) or swanson pair that --model names."""
     kind, params = _parse_model(args.model)
     if kind != "swanson":
         raise WeakCRError(f"{args.command} supports the boson and swanson models")
-    return swanson_pair(params[0], args.dim)
+    return params[0]
 
 
 def _parse_state(text, dim):
@@ -241,7 +241,7 @@ def _parse_gridspec(text):
 
 
 def cmd_verify_cr(args):
-    pair = _swanson_model(args)
+    pair = swanson_pair(_swanson_theta(args), args.dim)
     tols = _tolerances(args, weak=1e-12, quasi_strong=1e-8, weyl=1e-6)
     report = Report(
         "verify-cr",
@@ -268,11 +268,11 @@ def cmd_verify_cr(args):
 
 
 def cmd_ladder(args):
-    pair = _swanson_model(args)
+    theta = _swanson_theta(args)
     tols = _tolerances(args, residual=1e-8, gram=1e-7, intertwiner=1e-6)
+    xi0, eta0 = swanson_vacua(theta, args.dim, 1e-10)
+    pair = swanson_pair(theta, args.dim)
     member = tail_mass_membership(pair.safe_rank)
-    xi0 = kernel_vector(pair.S, 1e-10)
-    eta0 = kernel_vector(pair.T.adjoint(), 1e-10)
     fam_xi = build_ladder(pair.T, xi0, args.length, member=member)
     fam_eta = build_ladder(pair.S.adjoint(), eta0, args.length, member=member)
     residuals = eigen_check(pair, fam_xi)

@@ -48,7 +48,7 @@ class NoKernelError(WeakCRError):
 
 
 class NonNormalizableError(WeakCRError):
-    """Raised when two base vectors cannot be scaled to pairing 1."""
+    """Raised when a vacuum is not in l^2, or two base vectors cannot be scaled to pairing 1."""
 
 
 class ConditioningError(WeakCRError):

@@ -318,11 +318,19 @@ def swanson_pair(theta, n=DEFAULT_DIM):
 def matrix2x2_pair(s, q):
     """The 2x2 model S = [[0, s], [0, 0]], T = [[0, 0], [q, 0]].
 
-    Its commutator is s q diag(1, -1), so s q must be finite; that is checked
-    on Python floats, before any array product can overflow.
+    Its commutator is s q diag(1, -1), so s q must be finite, and so must
+    |s|^2 and |q|^2, which the squared norms |S xi|^2 = |s|^2 |phi_2|^2 and
+    |T xi|^2 reach; both are checked on Python floats, before any array
+    product can overflow.
     """
-    if not math.isfinite(float(abs(s)) * float(abs(q))):
+    s_abs, q_abs = float(abs(s)), float(abs(q))
+    if not math.isfinite(s_abs * q_abs):
         raise DomainParameterError(f"the 2x2 model needs a finite product s q, got s = {s:g}, q = {q:g}")
+    if not math.isfinite(max(s_abs, q_abs) * max(s_abs, q_abs)):
+        raise DomainParameterError(
+            "the 2x2 model needs finite |s|^2 and |q|^2 (|s|, |q| up to about 1.3e154), "
+            f"got s = {s:g}, q = {q:g}"
+        )
     S = TruncatedOperator.banded([[0, 0], [0, 0], [s, 0]])
     T = TruncatedOperator.banded([[0, q], [0, 0], [0, 0]])
     return OperatorPair(S, T)

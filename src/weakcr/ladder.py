@@ -35,6 +35,7 @@ from .fock import (
     hermitian_upper,
     inner,
     norm,
+    swanson_pair,
 )
 
 
@@ -90,6 +91,77 @@ def kernel_vector(A: TruncatedOperator, tol=1e-10):
     idx = int(np.argmax(np.abs(v) > 1e-12 * scale))
     phase = v[idx] / abs(v[idx])
     return StateVector(v / phase, label="ker")
+
+
+def swanson_vacua(theta, n, tol=1e-10):
+    """The vacua xi0 in ker S and eta0 in ker T' of ``swanson_pair(theta, n)``, in closed form.
+
+    S = cos(t) a + i sin(t) a* has a zero diagonal, so S x = 0 is the
+    two-term recurrence x_2m = x_(2m-2) (-i tan t) sqrt((2m-1)/(2m)) with the
+    odd components zero: a squeezed vacuum, and T' gives the same with +i.
+    Its squared norm sums to (1 - tan^2 t)^(-1/2), so it lies in l^2 iff
+    |tan t| < 1; otherwise NonNormalizableError.  Each vector is the unit
+    truncation with x_0 real and positive, as ``kernel_vector`` returns it.
+    The truncation is accepted only when the l^2 vacuum's norm past
+    dimension n (relative to its whole norm) and the certificates |S xi0|
+    and |T' eta0| are all at most ``tol``; otherwise TruncationError carries
+    that tail as ``tail_mass``.  Both gates are needed: at odd n the truncated
+    recurrence is an exact kernel vector even while the vacuum's tail is large.
+    """
+    pair = swanson_pair(theta, n)
+    tan = math.tan(theta)
+    if not abs(tan) < 1.0:
+        raise NonNormalizableError(
+            f"the vacuum of S = cos(t) a + i sin(t) a* lies in l^2 only for |tan t| < 1, "
+            f"got |tan t| = {abs(tan):.6g} at t = {theta:g}"
+        )
+    tail = math.sqrt(_vacuum_tail_share(tan * tan, (n + 1) // 2))
+    m = np.arange(1, (n + 1) // 2)
+    xi = np.zeros(n, dtype=complex)
+    xi[::2] = np.concatenate(([1.0], np.cumprod(-1j * tan * np.sqrt((2 * m - 1) / (2 * m)))))
+    xi /= np.linalg.norm(xi)
+    vacua = []
+    for name, op, x in (("S", pair.S, xi), ("T'", pair.T.adjoint(), xi.conj())):
+        residual = norm(op @ x)
+        if tail > tol or residual > tol:
+            raise TruncationError(
+                f"dimension {n} truncates the vacuum at |tan t| = {abs(tan):.6g}: its norm past "
+                f"the edge is {tail:.3e} of the whole and |{name} x| = {residual:.3e} "
+                f"(tolerance {tol:.3e})",
+                tail_mass=tail,
+            )
+        vacua.append(StateVector(x, label="ker"))
+    return tuple(vacua)
+
+
+def _vacuum_tail_share(t2, m0):
+    """Share of the squeezed vacuum's squared norm at indices 2m >= 2 m0, for tan^2 t = t2 < 1.
+
+    |x_2m|^2 = t2^m C(2m, m) / 4^m out of (1 - t2)^(-1/2) in all: the
+    negative binomial law of order 1/2.  Its first term comes from one
+    log-space value (math.lgamma) and the rest from the ratio
+    t2 (2m - 1) / (2m), so nothing overflows.  Once the partial tail passes
+    1e-6 it is one minus the head instead, exact enough and at most m0
+    terms long; the forward sum would take ~40 / (1 - t2) terms near t2 = 1.
+    """
+    if t2 == 0.0:
+        return 0.0
+    term = tail = math.exp(
+        0.5 * math.log1p(-t2) + m0 * math.log(t2)
+        + math.lgamma(2 * m0 + 1) - 2 * math.lgamma(m0 + 1) - m0 * math.log(4.0)
+    )
+    m = m0
+    while term > 1e-17 * tail and tail < 1e-6:
+        m += 1
+        term *= t2 * (2 * m - 1) / (2 * m)
+        tail += term
+    if tail < 1e-6:
+        return tail
+    term = head = math.sqrt(1.0 - t2)
+    for m in range(1, m0):
+        term *= t2 * (2 * m - 1) / (2 * m)
+        head += term
+    return max(1.0 - head, tail)
 
 
 def tail_mass_membership(band):

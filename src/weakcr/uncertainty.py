@@ -188,23 +188,28 @@ class SwansonMoments:
 def swanson_moments(xi: StateVector):
     """C_phi = <a* a> - |<a>|^2 and E_phi = Im(<a*^2> - <a*>^2) for unit xi.
 
-    a = lowering(N) and a* = raising(N) act on xi as on a batch in ``_pass``.
+    a = lowering(N) and a* = raising(N) act on xi as on a batch in ``_pass``;
+    C_phi is formed as |a xi - <a> xi|^2, without cancellation.
     """
     _require_unit(xi)
     return _moments(xi.components[:, None], [xi.components])[0]
 
 
 def _moments(X, xs):
-    """SwansonMoments of the states xs, the columns of the N x L block X."""
+    """SwansonMoments of the unit states xs, the columns of the N x L block X.
+
+    C_phi is formed as |a x - <a> x|^2, which equals <a* a> - |<a>|^2 for
+    unit x without subtracting two numbers of size |<a>|^2, whose rounding
+    (about 1e-12 at |<a>| = 50) would swamp a C_phi near zero.
+    """
     a = lowering(X.shape[0])
     ad = a.adjoint()
     aX = a @ X
     moments = []
-    for x, ax, nx, ad2x in zip(xs, aX.T, (ad @ aX).T, (ad @ (ad @ X)).T):
+    for x, ax, ad2x in zip(xs, aX.T, (ad @ (ad @ X)).T):
         mean_a = complex(np.vdot(x, ax))
-        mean_n = complex(np.vdot(x, nx))
         mean_ad2 = complex(np.vdot(x, ad2x))
-        moments.append(SwansonMoments(C_phi=mean_n.real - abs(mean_a) ** 2,
+        moments.append(SwansonMoments(C_phi=norm(ax - mean_a * x) ** 2,
                                       E_phi=(mean_ad2 - mean_a.conjugate() ** 2).imag))
     return moments
 

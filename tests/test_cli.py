@@ -93,8 +93,8 @@ def test_weights_large_alpha_passes(capsys, tmp_path, alpha):
 
 
 def test_import_and_normal_order_load_no_scipy_integrate_or_linalg():
-    # scipy.linalg loads only when a kernel vector is computed, and nothing
-    # in the package loads scipy.integrate
+    # scipy.linalg loads only when a library caller computes a kernel vector,
+    # and nothing in the package loads scipy.integrate
     def imported(*args):
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", *args],
@@ -111,11 +111,15 @@ def test_import_and_normal_order_load_no_scipy_integrate_or_linalg():
         modules = imported(*args)
         assert "weakcr" in modules
         assert not modules & {"scipy.integrate", "scipy.linalg"}, args
-    # the defect chain, the Weyl block's Lanczos norm included, loads no scipy
-    # at all, and its fixed start vector needs no numpy.random
-    modules = imported("-m", "weakcr.cli", "verify-cr")
-    assert not {m for m in modules if m.split(".")[0] == "scipy"}
-    assert "numpy.random" not in modules
+    # no subcommand loads any scipy module: the defect chain's Lanczos norm
+    # and the ladder's closed-form vacua are numpy alone, and neither needs
+    # numpy.random for a start vector
+    for argv in (["verify-cr"], ["ladder"], ["weights", "--alpha", "2"], ["normal-order", "S T"],
+                 ["uncertainty"], ["uncertainty", "--model", "matrix2x2:1,1", "--scan", "circle:11"]):
+        modules = imported("-m", "weakcr.cli", *argv)
+        assert not {m for m in modules if m.split(".")[0] == "scipy"}, argv
+        if argv[0] in ("verify-cr", "ladder"):
+            assert "numpy.random" not in modules, argv
 
 
 def test_weights_requires_one_weight(capsys):
@@ -380,17 +384,39 @@ def test_ladder_truncation_failure_is_kept(tmp_path):
     assert proc.returncode == 1
     report = json.loads(out.read_text())
     assert report["failures"] == ["max_eigen_residual"]
-    assert max(report["results"]["eigen_residuals"]) == pytest.approx(7.17e-8, rel=1e-2)
+    assert max(report["results"]["eigen_residuals"]) == pytest.approx(6.78e-8, rel=1e-2)
+
+
+@pytest.mark.parametrize("dim", ["96", "256"])
+def test_ladder_without_an_l2_vacuum_exits_two(capsys, dim):
+    # at |tan t| > 1 the truncated S still has a kernel vector at the edge,
+    # which the inverse-iteration start accepted (exit 1 on every check)
+    code, out, err = run(capsys, "ladder", "--model", "swanson:1.2", "--dim", dim)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the vacuum of S = cos(t) a + i sin(t) a* lies in l^2 only for |tan t| < 1")
+
+
+@pytest.mark.parametrize("theta, dim", [("0.7", "97"), ("0.3", "3")])
+def test_ladder_on_a_truncated_vacuum_exits_two(capsys, theta, dim):
+    # at odd dim the truncated vacuum is an exact kernel vector, but the l^2
+    # vacuum still has weight past the edge (exit 1 on the eigen checks)
+    code, out, err = run(capsys, "ladder", "--model", f"swanson:{theta}", "--dim", dim)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: dimension {dim} truncates the vacuum")
 
 
 @pytest.mark.parametrize("argv", [
     ["uncertainty", "--dim", "4096", "--state", "coherent:40,0"],
+    ["uncertainty", "--dim", "4096", "--state", "coherent:50,0"],
     ["uncertainty", "--model", "swanson:0.7853981633974483", "--dim", "2", "--state", "coherent:0.0011,0"],
     ["uncertainty", "--model", "swanson:0.7853981633974483", "--dim", "3", "--state", "coherent:0.01,0"],
 ])
 def test_edge_states_pass_without_warnings(capsys, argv):
-    # coherent:40 overflowed the coherent-state recurrence (exit 2); the two
-    # quarter-turn states FAILed ur1_validity against C = 1 (exit 1)
+    # coherent:40 overflowed the coherent-state recurrence (exit 2); C_phi at
+    # coherent:50 cancelled to a negative (dS)^2 (exit 2); the two quarter-turn
+    # states FAILed ur1_validity against C = 1 (exit 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run(capsys, *argv)
@@ -446,3 +472,22 @@ def test_matrix2x2_with_an_infinite_commutator_exits_two(capsys, scan):
     assert code == 2
     assert out == ""
     assert err.startswith("error: the 2x2 model needs a finite product s q")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scan", [[], ["--scan", "circle:11"]])
+@pytest.mark.parametrize("model", ["matrix2x2:1e200,1e-200", "matrix2x2:1e-200,1e200", "matrix2x2:1e300,1"])
+def test_matrix2x2_with_an_overflowing_square_exits_two(capsys, model, scan):
+    # s q is finite, but |S xi|^2 = |s|^2 |phi_2|^2 overflowed in the norm:
+    # a false PASS with ur1_validity = -inf, or a FAIL with None values
+    code, out, err = run(capsys, "uncertainty", "--model", model, *scan)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the 2x2 model needs finite |s|^2 and |q|^2")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scan", [[], ["--scan", "circle:11"]])
+def test_matrix2x2_at_a_large_finite_square_passes(capsys, scan):
+    code, out, err = run(capsys, "uncertainty", "--model", "matrix2x2:1e150,1e-150", *scan)
+    assert code == 0, out + err

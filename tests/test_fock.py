@@ -285,6 +285,16 @@ def test_matrix2x2_rejects_an_infinite_commutator_without_a_warning():
         assert matrix2x2_pair(1e154, 1e154).dim == 2
 
 
+def test_matrix2x2_rejects_an_overflowing_square_without_a_warning():
+    # |S xi|^2 = |s|^2 |phi_2|^2 overflows past |s| = 1.3e154 although s q is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for s, q in ((1e200, 1e-200), (1e-200, 1e200), (1e300, 1.0), (np.float64(-1e155), 1.0)):
+            with pytest.raises(DomainParameterError, match=r"finite \|s\|\^2 and \|q\|\^2"):
+                matrix2x2_pair(s, q)
+        assert matrix2x2_pair(1e150, 1e-150).dim == 2
+
+
 def test_identity_and_pair_validation():
     assert np.array_equal(identity(3).entries, np.eye(3))
     with pytest.raises(InvalidDimensionError):

@@ -36,6 +36,7 @@ from weakcr.ladder import (
     kernel_vector,
     residuals_monotone,
     restricted_spectrum,
+    swanson_vacua,
     tail_mass_membership,
 )
 from weakcr.uncertainty import delta_report
@@ -153,7 +154,8 @@ def test_kernel_vector_matches_the_closed_form_vacuum(theta, n):
     # S x = 0 is the recurrence x_(n+1) = -i tan(t) sqrt(n/(n+1)) x_(n-1), solved by
     # x_2m = (-i tan t)^m sqrt(C(2m, m)) / 2^m with odd components zero; T' flips i
     pair = swanson_pair(theta, n)
-    for op, sign in ((pair.S, -1), (pair.T.adjoint(), 1)):
+    vacua = swanson_vacua(theta, n, 1e-10)
+    for op, sign, closed in zip((pair.S, pair.T.adjoint()), (-1, 1), vacua):
         x = np.zeros(n, dtype=complex)
         for m in range((n + 1) // 2):
             x[2 * m] = (sign * 1j * math.tan(theta)) ** m * math.sqrt(math.comb(2 * m, m)) / 2**m
@@ -163,6 +165,73 @@ def test_kernel_vector_matches_the_closed_form_vacuum(theta, n):
         # weight at the edge (0.5 at 96, 0.7 at 300), the singular vector moves
         # away from it by at most the certificate |A v|
         assert np.max(np.abs(v - x)) <= 1e-14 + norm(op @ v)
+        assert np.max(np.abs(closed.components - x)) <= 1e-14
+        assert np.max(np.abs(closed.components - v)) <= 1e-14 + norm(op @ v)
+
+
+def _vacuum_tail_oracle(theta, n):
+    """Norm of the l^2 vacuum past index n over its whole norm (1 - tan^2 t)^(-1/4).
+
+    A tiny tail is summed directly over 10^5 terms; a large one is one minus
+    the head, which also covers tan^2 t so near 1 that 10^5 terms fall short.
+    """
+    t2 = math.tan(theta) ** 2
+    head_len = (n + 1) // 2
+    m = np.arange(1, head_len + 100_000)
+    squares = np.concatenate(([1.0], np.cumprod(t2 * (2 * m - 1) / (2 * m))))
+    total = 1.0 / math.sqrt(1.0 - t2)
+    share = squares[head_len:].sum() / total
+    if share > 1e-3:
+        share = 1.0 - squares[:head_len].sum() / total
+    return math.sqrt(share)
+
+
+@pytest.mark.parametrize("theta, n", [(0.0, 2), (0.3, 64), (-0.3, 65), (0.5, 96), (3.0, 97), (0.7, 300)])
+def test_swanson_vacua_are_exact_unit_kernel_vectors(theta, n):
+    pair = swanson_pair(theta, n)
+    for op, x in zip((pair.S, pair.T.adjoint()), swanson_vacua(theta, n)):
+        v = x.components
+        assert x.norm == pytest.approx(1.0, abs=1e-15)
+        assert v[0].imag == 0.0 and v[0].real > 0.0  # kernel_vector's phase convention
+        assert not v[1::2].any()
+        assert norm(op @ v) <= 1e-10
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4 + 1e-9, -math.pi / 4 - 1e-9, 1.0, 1.2, 2.0, math.pi / 2])
+@pytest.mark.parametrize("n", [2, 96])
+def test_swanson_vacua_outside_l2_raise(theta, n):
+    with pytest.raises(NonNormalizableError, match=r"\|tan t\| < 1"):
+        swanson_vacua(theta, n)
+
+
+@pytest.mark.parametrize("theta, n, tail", [
+    (0.7, 97, 8.499e-5),    # odd n: |S x| = 2.5e-16, but the vacuum has not decayed
+    (0.3, 3, 5.958e-2),
+    (0.55, 96, 2.025e-11),  # even n: the tail is below 1e-10, |S x| = 1.3e-10 is not
+    (0.785, 256, 0.7236),
+    (0.7853981, 10_000, None),
+])
+def test_swanson_vacua_reject_a_truncated_vacuum(theta, n, tail):
+    with pytest.raises(TruncationError) as exc:
+        swanson_vacua(theta, n)
+    want = _vacuum_tail_oracle(theta, n) if tail is None else tail
+    assert exc.value.tail_mass == pytest.approx(want, rel=1e-3)
+    assert f"dimension {n} truncates the vacuum" in str(exc.value)
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.3, 0.5, 0.55, 0.7, 0.785])
+@pytest.mark.parametrize("n", [3, 4, 96, 97, 256])
+def test_vacuum_tail_matches_a_direct_sum(theta, n):
+    try:
+        swanson_vacua(theta, n)
+        tail = None
+    except TruncationError as exc:
+        tail = exc.tail_mass
+    want = _vacuum_tail_oracle(theta, n)
+    if tail is None:
+        assert want <= 1e-10
+    else:
+        assert tail == pytest.approx(want, rel=1e-10)
 
 
 # --- ladder construction -------------------------------------------------------

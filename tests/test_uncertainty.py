@@ -318,12 +318,21 @@ def test_per_state_path_equals_dense_matrices(theta, n):
         assert report.as_tuple() == dense
         assert (report.z, report.w) == (z, w)
 
+        # C_phi = <a* a> - |<a>|^2, formed for unit x as |a x - <a> x|^2
         mean_a = complex(np.vdot(x, a @ x))
-        mean_n = complex(np.vdot(x, ad @ (a @ x)))
         mean_ad2 = complex(np.vdot(x, ad @ (ad @ x)))
         m = swanson_moments(xi)
-        assert m.C_phi == mean_n.real - abs(mean_a) ** 2
+        assert m.C_phi == np.linalg.norm(a @ x - mean_a * x) ** 2
         assert m.E_phi == (mean_ad2 - mean_a.conjugate() ** 2).imag
+
+
+@pytest.mark.parametrize("z", [45, 30 + 20j, 50])
+def test_cphi_of_a_far_coherent_state_does_not_cancel(z):
+    # <a* a> - |<a>|^2 lost ~1e-12 to cancellation here: a discrepancy of
+    # 9.5e-7 against the 1e-6 tol at z = 45, a negative (dS)^2 at z = 50
+    report = swanson_closed_form(0.0, coherent_state(z, 4096))
+    assert 0.0 <= report.moments.C_phi <= 1e-20
+    assert report.matrix_discrepancy <= 1e-15
 
 
 def test_cphi_nonnegative_across_states():
