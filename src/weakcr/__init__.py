@@ -42,6 +42,7 @@ from .fock import (
     weak_defect,
     weak_scale,
     weyl_defect,
+    weyl_scale,
 )
 from .ladder import (
     LadderFamily,

@@ -47,6 +47,7 @@ from .fock import (
     weak_defect,
     weak_scale,
     weyl_defect,
+    weyl_scale,
 )
 from .ladder import (
     biorthogonality_gram,
@@ -242,7 +243,7 @@ def _parse_gridspec(text):
 
 def cmd_verify_cr(args):
     pair = swanson_pair(_swanson_theta(args), args.dim)
-    tols = _tolerances(args, weak=1e-12, quasi_strong=1e-8, weyl=1e-6)
+    tols = _tolerances(args, weak=1e-12, quasi_strong=1e-8, weyl=1e-12)
     report = Report(
         "verify-cr",
         {"model": args.model, "dim": args.dim, "alpha": args.alpha, "beta": args.beta},
@@ -250,16 +251,17 @@ def cmd_verify_cr(args):
     )
     wd, ws = weak_defect(pair), weak_scale(pair)
     qd = quasi_strong_defect(pair, args.alpha)
-    yd = weyl_defect(pair, args.alpha, args.beta)
+    yd, ys = weyl_defect(pair, args.alpha, args.beta), weyl_scale(pair, args.alpha, args.beta)
     report.result("weak_defect", wd)
     report.result("weak_scale", ws)
     report.result("quasi_strong_defect", qd)
     report.result("weyl_defect", yd)
-    # the entries of S T that the weak defect cancels grow like N, so its
-    # rounding is judged relative to them
+    report.result("weyl_scale", ys)
+    # the entries of S T and of V_S V_T that the weak and Weyl defects cancel
+    # grow with N, so their rounding is judged relative to them
     report.check("weak_defect", wd / ws, tols["weak"])
     report.check("quasi_strong_defect", qd, tols["quasi_strong"])
-    report.check("weyl_defect", yd, tols["weyl"])
+    report.check("weyl_defect", yd / ys, tols["weyl"])
     print(f"model {args.model} at dimension {args.dim}:")
     print(f"  weak defect          {wd:.3e}")
     print(f"  quasi-strong defect  {qd:.3e}  (alpha={args.alpha:g})")

@@ -12,7 +12,8 @@ two semigroups.
 
 Operators are stored only as their diagonals; construction, adjoints,
 matrix-vector products and every defect work on those (banded products, a
-Taylor series for exp, and symmetric Lanczos on M'M, with one Krylov basis,
+Taylor series for exp, and the plain three-term Lanczos recurrence on M'M,
+which keeps two vectors and no basis (Paige, Linear Algebra Appl. 34, 1980),
 for the spectral norm of the Weyl block M), so the defect chain forms
 nothing of size N x N.
 Each semigroup is formed once per pair and parameter, and shared by the
@@ -515,46 +516,45 @@ _GOLDEN = (math.sqrt(5) - 1) / 2
 
 
 def spectral_norm(D):
-    """Largest singular value of the matrix with diagonals D, by symmetric Lanczos on A'A.
+    """Largest singular value of the matrix with diagonals D, by plain Lanczos on A'A.
 
-    Lanczos (Paige, IMA J. Appl. Math. 10, 1972) on the Hermitian A'A, from a
-    fixed unit vector v_1: each step takes w = A'(A v_k), alpha_k = Re<w, v_k>
-    and w - alpha_k v_k - beta_{k-1} v_{k-1}, reorthogonalized against every
-    earlier v, of norm beta_k; then A'A V_k = V_k T_k + beta_k v_{k+1} e_k'
-    with T_k the k x k tridiagonal of the alphas and betas.  The top
-    eigenpair (lambda, x) of T_k has Ritz residual beta_k |x_k|, and the
+    The three-term Lanczos recurrence on the Hermitian A'A, from a fixed unit
+    vector v_1: each step takes w = A'(A v_k), alpha_k = Re<w, v_k> and
+    w - alpha_k v_k - beta_{k-1} v_{k-1}, of norm beta_k, so only v_{k-1} and
+    v_k are kept.  The top eigenpair (lambda, x) of the k x k tridiagonal T_k
+    of the alphas and betas has Ritz residual bound beta_k |x_k|, and the
     iteration stops once that is at most 4 u lambda (u = 2^-53), on breakdown
-    (a zero beta) or at k = N; the norm is sqrt(lambda).  This is the Krylov
-    space of Golub-Kahan bidiagonalization from the same start, with one
-    basis.  A and A' are each applied once per step, as one einsum over a
-    strided window of the zero-padded vector, so nothing of size N x N is
-    formed.  The all-zero matrix gives exactly 0.0, and the fixed start
-    vector makes the result the same, bit for bit, on every call.  D's slots
-    outside the matrix must be zero, as every band helper here leaves them.
+    (a zero beta) or at k = N; the norm is sqrt(lambda).  Nothing is
+    reorthogonalized: the v lose orthogonality only along Ritz vectors that
+    have converged, and a Ritz value with a small residual bound stays
+    accurate all the same (Paige, Linear Algebra Appl. 34, 1980).  A and A'
+    are each applied once per step, as one einsum over a strided window of
+    the zero-padded vector, so nothing of size N x N is formed.  The all-zero
+    matrix gives exactly 0.0, and the fixed start vector makes the result the
+    same, bit for bit, on every call.  D's slots outside the matrix must be
+    zero, as every band helper here leaves them.
     """
     D = np.asarray(D, dtype=complex)
     n = D.shape[1]
     if not D.any():
         return 0.0
     apply_A, apply_AH = _window_matvec(D), _window_matvec(band_adjoint(D))
-    V = np.empty((min(n, 32), n), dtype=complex)  # the basis, rows doubled as needed
     # v_1 has equal moduli and golden-ratio phases: fixed like a seeded random
     # vector, without loading numpy.random (6 MB and 10-15 ms in a fresh interpreter)
-    V[0] = np.exp(2j * math.pi * (np.arange(n) * _GOLDEN % 1.0)) / math.sqrt(n)
+    v = np.exp(2j * math.pi * (np.arange(n) * _GOLDEN % 1.0)) / math.sqrt(n)
+    previous = None
     alphas, betas = [], []
     for k in range(n):
-        w = apply_AH(apply_A(V[k]))
-        alphas.append(np.vdot(V[k], w).real)
-        w -= alphas[k] * V[k]
+        w = apply_AH(apply_A(v))
+        alphas.append(np.vdot(v, w).real)
+        w -= alphas[k] * v
         if k:
-            w -= betas[k - 1] * V[k - 1]
-        betas.append(_orthogonalize(w, V[: k + 1]))
+            w -= betas[k - 1] * previous
+        betas.append(norm(w))
         lam, X = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:k], 1), UPLO="U")
         if betas[k] * abs(X[-1, -1]) <= _LANCZOS_TOL * lam[-1] or k + 1 == n:
             return math.sqrt(lam[-1])
-        if k + 1 == len(V):
-            V = np.concatenate((V, np.empty((min(n, 2 * len(V)) - k - 1, n), dtype=complex)))
-        V[k + 1] = w / betas[k]
+        previous, v = v, w / betas[k]
 
 
 def _window_matvec(D):
@@ -577,23 +577,6 @@ def _window_matvec(D):
         return np.einsum("id,id->i", rows, window)
 
     return apply
-
-
-def _orthogonalize(r, Q):
-    """Remove from r, in place, its components along the orthonormal rows of Q; return |r|.
-
-    A second Gram-Schmidt pass runs when the first leaves less than
-    1/sqrt(2) of the norm (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30,
-    1976), which is when the first pass may have lost orthogonality.
-    """
-    before = norm(r)
-    for _ in range(2):
-        r -= np.conj(Q @ r.conj()) @ Q
-        after = norm(r)
-        if after >= math.sqrt(0.5) * before:
-            break
-        before = after
-    return after
 
 
 # ---------------------------------------------------------------------------
@@ -671,13 +654,30 @@ def weyl_defect(pair, alpha, beta):
     Lanczos iteration on its diagonals, so nothing of size band x band is
     formed.
     """
-    if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
-        raise DomainParameterError(
-            f"semigroup parameters must be finite and >= 0, got ({alpha}, {beta})"
-        )
-    band = semigroup_band(pair, max(alpha, beta))
+    band = _weyl_band(pair, alpha, beta)
     VS, VT = pair.semigroup("S", alpha), pair.semigroup("T", beta)
     M = band_product(VS, VT, band)
     M -= math.exp(alpha * beta) * band_product(VT, VS, band)
     M = _leading_block(M, band)  # the full product goes before the norm makes its copies
     return spectral_norm(M)
+
+
+def weyl_scale(pair, alpha, beta):
+    """Rounding scale of ``weyl_defect``: the max-abs entry of V_S(a) V_T(b) on its band, at least 1.
+
+    The Weyl block cancels V_S V_T against e^(ab) V_T V_S, whose entries grow
+    quickly with N, so its rounding error grows with them; below 1 the
+    defect is judged absolutely, as in ``weak_scale``.  It reads the pair's
+    cached semigroups and forms one band product.
+    """
+    band = _weyl_band(pair, alpha, beta)
+    VS, VT = pair.semigroup("S", alpha), pair.semigroup("T", beta)
+    return max(1.0, block_max_abs(band_product(VS, VT, band), band))
+
+
+def _weyl_band(pair, alpha, beta):
+    if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
+        raise DomainParameterError(
+            f"semigroup parameters must be finite and >= 0, got ({alpha}, {beta})"
+        )
+    return semigroup_band(pair, max(alpha, beta))

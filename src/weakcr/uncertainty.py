@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NCPoly, fock_eval
-from .errors import ClosedFormInconsistencyError, PreconditionError, TruncationError
+from .errors import ClosedFormInconsistencyError, DomainParameterError, PreconditionError, TruncationError
 from .fock import (
     OperatorPair,
     StateVector,
@@ -133,7 +133,10 @@ class URResult:
     hypothesis_violated: bool = False
 
 
-def _ur(lhs, rhs, c_exp, tol, **hypothesis):
+def _ur(bound, lhs, rhs, c_exp, tol, **hypothesis):
+    """The URResult of lhs <= rhs; a bound past the float range has no gap to report."""
+    if not math.isfinite(rhs):
+        raise DomainParameterError(f"the {bound} overflows the float range")
     gap = rhs - lhs
     return URResult(lhs=lhs, rhs=rhs, gap=gap, saturated=bool(abs(gap) <= tol),
                     c_expectation=c_exp, **hypothesis)
@@ -141,12 +144,12 @@ def _ur(lhs, rhs, c_exp, tol, **hypothesis):
 
 def _ur1(report: DeltaReport, c_exp, tol):
     rhs = 2.0 * max(report.dS, report.dSd) * max(report.dT, report.dTd)
-    return _ur(abs(c_exp), rhs, c_exp, tol)
+    return _ur("UR1 bound 2 max(dS, dS') max(dT, dT')", abs(c_exp), rhs, c_exp, tol)
 
 
 def _ur2(report: DeltaReport, c_exp, defect, tol):
     rhs = (report.dS + report.dSd) * (report.dT + report.dTd)
-    return _ur(abs(c_exp.real), rhs, c_exp, tol,
+    return _ur("UR2 bound (dS + dS') (dT + dT')", abs(c_exp.real), rhs, c_exp, tol,
                cross_condition_defect=defect, hypothesis_violated=bool(defect > 1e-8))
 
 

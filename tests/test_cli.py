@@ -387,11 +387,11 @@ def test_ladder_truncation_failure_is_kept(tmp_path):
     assert max(report["results"]["eigen_residuals"]) == pytest.approx(6.78e-8, rel=1e-2)
 
 
-@pytest.mark.parametrize("dim", ["96", "256"])
+@pytest.mark.parametrize("dim", ["96", "256", None])
 def test_ladder_without_an_l2_vacuum_exits_two(capsys, dim):
     # at |tan t| > 1 the truncated S still has a kernel vector at the edge,
     # which the inverse-iteration start accepted (exit 1 on every check)
-    code, out, err = run(capsys, "ladder", "--model", "swanson:1.2", "--dim", dim)
+    code, out, err = run(capsys, "ladder", "--model", "swanson:1.2", *(["--dim", dim] if dim else []))
     assert code == 2
     assert out == ""
     assert err.startswith("error: the vacuum of S = cos(t) a + i sin(t) a* lies in l^2 only for |tan t| < 1")
@@ -412,11 +412,14 @@ def test_ladder_on_a_truncated_vacuum_exits_two(capsys, theta, dim):
     ["uncertainty", "--dim", "4096", "--state", "coherent:50,0"],
     ["uncertainty", "--model", "swanson:0.7853981633974483", "--dim", "2", "--state", "coherent:0.0011,0"],
     ["uncertainty", "--model", "swanson:0.7853981633974483", "--dim", "3", "--state", "coherent:0.01,0"],
+    ["uncertainty", "--model", "matrix2x2:1,1", "--scan", "circle:11"],
+    ["weights", "--gaussian"],
 ])
 def test_edge_states_pass_without_warnings(capsys, argv):
     # coherent:40 overflowed the coherent-state recurrence (exit 2); C_phi at
     # coherent:50 cancelled to a negative (dS)^2 (exit 2); the two quarter-turn
-    # states FAILed ur1_validity against C = 1 (exit 1)
+    # states FAILed ur1_validity against C = 1 (exit 1); the 2x2 scan and the
+    # Gaussian cross-check are the other runs that must pass without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run(capsys, *argv)
@@ -450,6 +453,35 @@ def test_verify_cr_weak_defect_is_relative_to_its_scale(capsys, tmp_path, model)
     assert results["weak_scale"] > 1000
     assert check["name"] == "weak_defect"
     assert check["value"] == results["weak_defect"] / results["weak_scale"]
+
+
+@pytest.mark.parametrize("model", ["boson", "swanson:0.3"])
+def test_verify_cr_weyl_defect_is_relative_to_its_scale(capsys, tmp_path, model):
+    out_file = tmp_path / "cr.json"
+    code, out, _ = run(capsys, "verify-cr", "--model", model, "--out", str(out_file))
+    assert code == 0, out
+    report = json.loads(out_file.read_text())
+    results, check = report["results"], report["checks"][2]
+    assert results["weyl_scale"] >= 1.0
+    assert check["name"] == "weyl_defect"
+    assert check["value"] == results["weyl_defect"] / results["weyl_scale"]
+    assert report["tolerances"] == {"weak": 1e-12, "quasi_strong": 1e-8, "weyl": 1e-12}
+    run(capsys, "verify-cr", "--model", model, "--tol", "1e-3", "--out", str(out_file))
+    assert json.loads(out_file.read_text())["tolerances"] == dict.fromkeys(["weak", "quasi_strong", "weyl"], 1e-3)
+
+
+@pytest.mark.parametrize("model", ["boson", "swanson:0.3"])
+def test_verify_cr_weyl_defect_fails_a_broken_relation(capsys, monkeypatch, model):
+    # scaling T by 1 + 1e-6 breaks [S, T] = 1 by 1e-6; the absolute Weyl
+    # defect read 7.8e-8 (boson), a PASS against the absolute tol of 1e-6 it had
+    def broken(theta, n):
+        pair = swanson_pair(theta, n)
+        return OperatorPair(pair.S, TruncatedOperator.banded((1 + 1e-6) * pair.T.diagonals))
+
+    monkeypatch.setattr(cli, "swanson_pair", broken)
+    code, out, _ = run(capsys, "verify-cr", "--model", model)
+    assert code == 1
+    assert "FAIL weyl_defect" in out
 
 
 def test_verify_cr_weak_defect_still_fails_a_broken_relation(capsys, monkeypatch):
@@ -491,3 +523,14 @@ def test_matrix2x2_with_an_overflowing_square_exits_two(capsys, model, scan):
 def test_matrix2x2_at_a_large_finite_square_passes(capsys, scan):
     code, out, err = run(capsys, "uncertainty", "--model", "matrix2x2:1e150,1e-150", *scan)
     assert code == 0, out + err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scan", [[], ["--scan", "circle:11"]])
+def test_matrix2x2_with_an_overflowing_ur1_bound_exits_two(capsys, scan):
+    # |s|^2 and s q are finite, but 2 max(dS, dS') max(dT, dT') = 2e308 is not:
+    # a PASS with ur1_validity = -inf, and inf gaps in the scan rows
+    code, out, err = run(capsys, "uncertainty", "--model", "matrix2x2:1e154,1e154", *scan)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the UR1 bound 2 max(dS, dS') max(dT, dT') overflows the float range\n"

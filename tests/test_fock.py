@@ -40,6 +40,7 @@ from weakcr.fock import (
     weak_defect,
     weak_scale,
     weyl_defect,
+    weyl_scale,
 )
 
 EPS = np.finfo(float).eps
@@ -629,12 +630,19 @@ def repeated_top(n):
     return np.block([[B, np.zeros_like(B)], [np.zeros_like(B), B]])
 
 
+def toeplitz(n):
+    return np.eye(n, k=1) + 2 * np.eye(n) + 1j * np.eye(n, k=-1)
+
+
 SPECIAL_BLOCKS = {
     "one-by-one": lambda: np.array([[3 - 4j]]),
     "rank-one": lambda: rank_one(40),
     "repeated-top": lambda: repeated_top(40),
     "repeated-diagonal": lambda: np.diag([2.0, -2.0, 2j, 1.0, 0.5] * 6),
-    "tridiagonal-toeplitz": lambda: np.eye(64, k=1) + 2 * np.eye(64) + 1j * np.eye(64, k=-1),
+    "tridiagonal-toeplitz": lambda: toeplitz(64),
+    # 278 steps without reorthogonalization, the longest run here, where the
+    # Lanczos vectors lose the most orthogonality
+    "tridiagonal-toeplitz-400": lambda: toeplitz(400),
 }
 
 
@@ -650,6 +658,43 @@ def test_spectral_norm_matches_the_dense_svd_on_special_blocks(name):
 @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (5, 40), (9, 7)])
 def test_spectral_norm_of_the_zero_block_is_exactly_zero(shape):
     assert spectral_norm(np.zeros(shape, dtype=complex)) == 0.0
+
+
+def scaled_T(pair, factor):
+    return OperatorPair(pair.S, TruncatedOperator.banded(factor * pair.T.diagonals))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("n", [16, 128])
+def test_weyl_scale_is_the_max_entry_of_the_product_on_the_band(theta, n):
+    pair = swanson_pair(theta, n)
+    band = semigroup_band(pair, 0.2)
+    S, T = pair.S.entries, pair.T.entries
+    want = float(np.max(np.abs((scipy.linalg.expm(0.1 * S) @ scipy.linalg.expm(0.2 * T))[:band, :band])))
+    assert weyl_scale(pair, 0.1, 0.2) == pytest.approx(max(1.0, want), rel=ROUNDING)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("n", [128, 512, 2048])
+def test_weyl_defect_is_rounding_on_its_scale(theta, n):
+    # the absolute defect grows from 1.9e-15 (N = 128) to 3.0e-12 (N = 2048)
+    # with the entries it cancels; on their scale it stays at rounding
+    pair = swanson_pair(theta, n)
+    assert weyl_defect(pair, 0.1, 0.1) / weyl_scale(pair, 0.1, 0.1) < 1e-13
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("n, broken_by", [(128, 1e-6), (2048, 1e-9)])
+def test_weyl_scale_catches_a_broken_relation(theta, n, broken_by):
+    # scaling T by 1 + eps breaks [S, T] = 1 by eps; the absolute Weyl defect
+    # read 7.8e-8 and 7.3e-8 here, under the absolute tol of 1e-6 it had
+    pair = scaled_T(swanson_pair(theta, n), 1 + broken_by)
+    assert weyl_defect(pair, 0.1, 0.1) / weyl_scale(pair, 0.1, 0.1) > 1e-12
+
+
+def test_weyl_scale_rejects_negative_parameters():
+    with pytest.raises(DomainParameterError):
+        weyl_scale(boson_pair(16), -0.1, 0.1)
 
 
 def test_weyl_defect_memory_stays_below_one_dense_block():
