@@ -37,6 +37,7 @@ from .fock import (
     lowering,
     matrix2x2_pair,
     quasi_strong_defect,
+    quasi_strong_scale,
     raising,
     swanson_pair,
     weak_defect,

@@ -2,7 +2,9 @@
 
 Words are tuples of generator tokens and polynomials map words to Gaussian
 rational coefficients, so every rewrite identity is decidable by exact
-coefficient comparison.  Normal ordering moves T (resp. T') to the left of
+coefficient comparison.  A coefficient's parts are Python ints while they
+are integral, as nearly all are, and Fractions only where a denominator
+remains.  Normal ordering moves T (resp. T') to the left of
 S (resp. S') inside each same-family block, as the relations
 
     S T  =  T S + 1           S' T'  =  T' S' - 1
@@ -32,7 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InconsistentOracleError, NonRegularLeafError
+from .errors import DomainParameterError, InconsistentOracleError, NonRegularLeafError
 
 GEN_S = "S"
 GEN_T = "T"
@@ -55,14 +57,29 @@ UNBOUNDED = math.inf
 Word = tuple  # tuple of generator tokens
 
 
+def _exact(x):
+    """x as an exact rational: an int when its value is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class GaussRational:
-    """Complex scalar a + b*i with exact rational a, b."""
+    """Complex scalar a + b*i with exact rational a, b.
+
+    Each part is a Python int while its value is integral and a Fraction
+    only once a denominator remains, so the integer coefficients that normal
+    ordering produces never pay for Fraction arithmetic.  An int and the
+    Fraction of the same value are equal, hash alike, print alike and
+    convert to the same float, so the choice is invisible outside this class.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = _exact(re)
+        self.im = _exact(im)
 
     @classmethod
     def coerce(cls, value):
@@ -74,7 +91,9 @@ class GaussRational:
 
     @classmethod
     def _try_coerce(cls, value):
-        if isinstance(value, (GaussRational, int, Fraction, float, complex)):
+        if isinstance(value, GaussRational):
+            return value
+        if isinstance(value, (int, Fraction, float, complex)):
             return cls.coerce(value)
         return None
 
@@ -114,9 +133,9 @@ class GaussRational:
         den = other.re * other.re + other.im * other.im
         if den == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
+        return GaussRational(  # through Fraction: int / int would give a float
+            Fraction(self.re * other.re + self.im * other.im, den),
+            Fraction(self.im * other.re - self.re * other.im, den),
         )
 
     def __neg__(self):
@@ -561,7 +580,9 @@ def fock_eval(p, pair):
     Coefficients drop to double precision here and only here.  The words are
     summed in one fixed order, the reverse of the rendered one (lowest degree
     first), so the floating-point result depends on the polynomial alone and
-    not on the order in which its terms were built.
+    not on the order in which its terms were built.  A coefficient or a
+    partial sum past the float range raises ``DomainParameterError`` naming
+    its word, with no numpy warning.
     """
     from .fock import TruncatedOperator
 
@@ -569,12 +590,23 @@ def fock_eval(p, pair):
     S, T = pair.S.entries, pair.T.entries
     mats = {GEN_S: S, GEN_T: T, GEN_SD: S.conj().T, GEN_TD: T.conj().T}
     acc = np.zeros_like(S)
-    for word in sorted(p.terms, key=_word_sort_key, reverse=True):
-        coeff = p.terms[word]
-        m = mats[word[0]] if word else np.eye(pair.dim, dtype=complex)
-        for g in word[1:]:
-            m = m @ mats[g]
-        acc += complex(coeff) * m
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports it
+        for word in sorted(p.terms, key=_word_sort_key, reverse=True):
+            try:
+                coeff = complex(p.terms[word])
+            except OverflowError:
+                raise DomainParameterError(
+                    f"the coefficient of {format_word(word)!r} is past the float range"
+                ) from None
+            m = mats[word[0]] if word else np.eye(pair.dim, dtype=complex)
+            for g in word[1:]:
+                m = m @ mats[g]
+            acc += coeff * m
+            if not np.isfinite(acc).all():
+                raise DomainParameterError(
+                    f"the term in {format_word(word)!r} takes the sum past the float range "
+                    f"at dimension {pair.dim}"
+                )
     return TruncatedOperator(acc)
 
 

@@ -42,12 +42,10 @@ from .expr import parse_to_poly
 from .fock import (
     basis_state,
     coherent_state,
-    quasi_strong_defect,
+    quasi_strong_with_scale,
     swanson_pair,
-    weak_defect,
-    weak_scale,
-    weyl_defect,
-    weyl_scale,
+    weak_with_scale,
+    weyl_with_scale,
 )
 from .ladder import (
     biorthogonality_gram,
@@ -243,24 +241,25 @@ def _parse_gridspec(text):
 
 def cmd_verify_cr(args):
     pair = swanson_pair(_swanson_theta(args), args.dim)
-    tols = _tolerances(args, weak=1e-12, quasi_strong=1e-8, weyl=1e-12)
+    tols = _tolerances(args, weak=1e-12, quasi_strong=1e-12, weyl=1e-12)
     report = Report(
         "verify-cr",
         {"model": args.model, "dim": args.dim, "alpha": args.alpha, "beta": args.beta},
         tols,
     )
-    wd, ws = weak_defect(pair), weak_scale(pair)
-    qd = quasi_strong_defect(pair, args.alpha)
-    yd, ys = weyl_defect(pair, args.alpha, args.beta), weyl_scale(pair, args.alpha, args.beta)
+    wd, ws = weak_with_scale(pair)
+    qd, qs = quasi_strong_with_scale(pair, args.alpha)
+    yd, ys = weyl_with_scale(pair, args.alpha, args.beta)
     report.result("weak_defect", wd)
     report.result("weak_scale", ws)
     report.result("quasi_strong_defect", qd)
+    report.result("quasi_strong_scale", qs)
     report.result("weyl_defect", yd)
     report.result("weyl_scale", ys)
-    # the entries of S T and of V_S V_T that the weak and Weyl defects cancel
-    # grow with N, so their rounding is judged relative to them
+    # the entries of S T, V_S T and V_S V_T that the defects cancel grow
+    # with N, so their rounding is judged relative to them
     report.check("weak_defect", wd / ws, tols["weak"])
-    report.check("quasi_strong_defect", qd, tols["quasi_strong"])
+    report.check("quasi_strong_defect", qd / qs, tols["quasi_strong"])
     report.check("weyl_defect", yd / ys, tols["weyl"])
     print(f"model {args.model} at dimension {args.dim}:")
     print(f"  weak defect          {wd:.3e}")

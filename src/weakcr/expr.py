@@ -1,8 +1,8 @@
 """Surface syntax for free-algebra expressions.
 
 Tokens: the generators S, T, S', T' (apostrophe marks the adjoint), the
-imaginary unit i, and numeric literals (integers or decimals, kept exact as
-rationals).  Operators by loosening precedence:
+imaginary unit i, and numeric literals, kept exact: an integer is read as an
+int and a decimal as a Fraction.  Operators by loosening precedence:
 
     ^  integer power   >   juxtaposition, *, /   >   unary -   >   binary + -
 
@@ -63,7 +63,9 @@ def _tokenize(text):
             if j < n and text[j] == ".":
                 # "1.5.3" is not 1.5 times .3, and "1." is no number
                 raise ExprSyntaxError("unexpected character '.'", line, start_col + j - i)
-            tokens.append(Token("NUM", Fraction(number.group()), line, start_col))
+            literal = number.group()
+            value = Fraction(literal) if "." in literal else int(literal)
+            tokens.append(Token("NUM", value, line, start_col))
             col += j - i
             i = j
             continue

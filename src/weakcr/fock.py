@@ -17,7 +17,8 @@ which keeps two vectors and no basis (Paige, Linear Algebra Appl. 34, 1980),
 for the spectral norm of the Weyl block M), so the defect chain forms
 nothing of size N x N.
 Each semigroup is formed once per pair and parameter, and shared by the
-quasi-strong and Weyl defects.
+quasi-strong and Weyl defects; each defect and its rounding scale are read
+off one product (the ``*_with_scale`` functions).
 """
 
 from __future__ import annotations
@@ -584,6 +585,15 @@ def _window_matvec(D):
 # ---------------------------------------------------------------------------
 
 
+def weak_with_scale(pair):
+    """``(weak_defect, weak_scale)`` from one product S T."""
+    ST = band_product(pair.S.diagonals, pair.T.diagonals)
+    scale = max(1.0, block_max_abs(ST, pair.safe_rank))
+    M = ST - band_product(pair.T.diagonals, pair.S.diagonals)
+    M[_width(M)] -= 1.0
+    return block_max_abs(M, pair.safe_rank), scale
+
+
 def weak_defect(pair):
     """Entrywise defect of the weak commutation relation on the safe block.
 
@@ -592,9 +602,7 @@ def weak_defect(pair):
     the max-abs entry of the leading block of S T - T S - 1, formed on the
     diagonals of S and T.
     """
-    M = band_commutator(pair.S.diagonals, pair.T.diagonals)
-    M[_width(M)] -= 1.0
-    return block_max_abs(M, pair.safe_rank)
+    return weak_with_scale(pair)[0]
 
 
 def weak_scale(pair):
@@ -604,7 +612,7 @@ def weak_scale(pair):
     like N for the boson and swanson pairs, so its rounding error grows with
     them; the 1 is the identity's entry, as in normal-order's soundness scale.
     """
-    return max(1.0, block_max_abs(band_product(pair.S.diagonals, pair.T.diagonals), pair.safe_rank))
+    return weak_with_scale(pair)[1]
 
 
 def semigroup_band(pair, alpha):
@@ -627,25 +635,42 @@ def semigroup_band(pair, alpha):
     return band
 
 
+def quasi_strong_with_scale(pair, alpha):
+    """``(quasi_strong_defect, quasi_strong_scale)`` from one product V_S(a) T."""
+    if not 0 <= alpha < math.inf:
+        raise DomainParameterError(f"semigroup parameter must be finite and >= 0, got {alpha}")
+    band = semigroup_band(pair, alpha)
+    T = pair.T.diagonals
+    V = pair.semigroup("S", alpha)
+    VT = band_product(V, T)
+    scale = max(1.0, block_max_abs(VT, band))
+    M = VT - band_product(T, V)
+    width = _width(V)
+    M[_width(M) - width : _width(M) + width + 1] -= alpha * V
+    return block_max_abs(M, band), scale
+
+
 def quasi_strong_defect(pair, alpha):
     """Entrywise defect of V_S(a) T - T V_S(a) = a V_S(a) on the reduced band.
 
     V_S(a) = exp(a S) is the pair's cached ``semigroup`` (band_expm); every
     product is banded.
     """
-    if not 0 <= alpha < math.inf:
-        raise DomainParameterError(f"semigroup parameter must be finite and >= 0, got {alpha}")
-    band = semigroup_band(pair, alpha)
-    T = pair.T.diagonals
-    V = pair.semigroup("S", alpha)
-    M = band_commutator(V, T)
-    width = _width(V)
-    M[_width(M) - width : _width(M) + width + 1] -= alpha * V
-    return block_max_abs(M, band)
+    return quasi_strong_with_scale(pair, alpha)[0]
 
 
-def weyl_defect(pair, alpha, beta):
-    """Spectral-norm defect of V_S(a) V_T(b) = e^(ab) V_T(b) V_S(a) on the band.
+def quasi_strong_scale(pair, alpha):
+    """Rounding scale of ``quasi_strong_defect``: the max-abs entry of V_S(a) T on its band, at least 1.
+
+    The commutator cancels V_S T against T V_S, whose entries grow roughly
+    like e^(a sqrt(N)), so its rounding error grows with them, as in
+    ``weak_scale`` and ``weyl_scale``.
+    """
+    return quasi_strong_with_scale(pair, alpha)[1]
+
+
+def weyl_with_scale(pair, alpha, beta):
+    """``(weyl_defect, weyl_scale)`` from one product V_S(a) V_T(b).
 
     Both semigroups are the pair's cached banded ``semigroup``s, so V_S is
     shared with ``quasi_strong_defect`` at the same parameter.  Of each
@@ -657,9 +682,15 @@ def weyl_defect(pair, alpha, beta):
     band = _weyl_band(pair, alpha, beta)
     VS, VT = pair.semigroup("S", alpha), pair.semigroup("T", beta)
     M = band_product(VS, VT, band)
+    scale = max(1.0, block_max_abs(M, band))
     M -= math.exp(alpha * beta) * band_product(VT, VS, band)
     M = _leading_block(M, band)  # the full product goes before the norm makes its copies
-    return spectral_norm(M)
+    return spectral_norm(M), scale
+
+
+def weyl_defect(pair, alpha, beta):
+    """Spectral-norm defect of V_S(a) V_T(b) = e^(ab) V_T(b) V_S(a) on the band."""
+    return weyl_with_scale(pair, alpha, beta)[0]
 
 
 def weyl_scale(pair, alpha, beta):
@@ -667,12 +698,9 @@ def weyl_scale(pair, alpha, beta):
 
     The Weyl block cancels V_S V_T against e^(ab) V_T V_S, whose entries grow
     quickly with N, so its rounding error grows with them; below 1 the
-    defect is judged absolutely, as in ``weak_scale``.  It reads the pair's
-    cached semigroups and forms one band product.
+    defect is judged absolutely, as in ``weak_scale``.
     """
-    band = _weyl_band(pair, alpha, beta)
-    VS, VT = pair.semigroup("S", alpha), pair.semigroup("T", beta)
-    return max(1.0, block_max_abs(band_product(VS, VT, band), band))
+    return weyl_with_scale(pair, alpha, beta)[1]
 
 
 def _weyl_band(pair, alpha, beta):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakcr.algebra import (
@@ -26,7 +26,7 @@ from weakcr.algebra import (
     profile_from_membership,
     render,
 )
-from weakcr.errors import InconsistentOracleError, NonRegularLeafError
+from weakcr.errors import DomainParameterError, InconsistentOracleError, NonRegularLeafError
 
 S = NCPoly.gen(GEN_S)
 T = NCPoly.gen(GEN_T)
@@ -41,6 +41,53 @@ words = st.lists(gens, max_size=6).map(tuple)
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 coeffs = st.builds(GaussRational, small_fractions, small_fractions)
 polys = st.dictionaries(words, coeffs, max_size=4).map(NCPoly)
+
+
+# --- exact coefficients: ints until a denominator appears ---------------------
+
+mixed_parts = st.one_of(st.integers(-6, 6), small_fractions)
+mixed_coeffs = st.builds(GaussRational, mixed_parts, mixed_parts)
+
+
+def _value(x):
+    """A GaussRational's value as a pair of Fractions, the reference type."""
+    return Fraction(x.re), Fraction(x.im)
+
+
+def _assert_exact(x, want):
+    assert _value(x) == want
+    for part in (x.re, x.im):
+        assert type(part) is (int if Fraction(part).denominator == 1 else Fraction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_coeffs, mixed_coeffs, mixed_parts)
+@example(GaussRational(Fraction(1, 2), Fraction(-3, 4)), GaussRational(Fraction(1, 2), Fraction(3, 4)), Fraction(4, 2))
+@example(GaussRational(Fraction(2, 3), 1), GaussRational(3, 0), Fraction(3, 2))
+def test_gauss_rational_matches_a_fraction_reference(x, y, scalar):
+    (a, b), (c, d), s = _value(x), _value(y), Fraction(scalar)
+    _assert_exact(x, (a, b))
+    _assert_exact(x + y, (a + c, b + d))
+    _assert_exact(x - y, (a - c, b - d))
+    _assert_exact(x * y, (a * c - b * d, a * d + b * c))
+    _assert_exact(-x, (-a, -b))
+    _assert_exact(x.conjugate(), (a, -b))
+    _assert_exact(scalar + x, (s + a, b))
+    _assert_exact(scalar - x, (s - a, -b))
+    _assert_exact(scalar * x, (s * a, s * b))
+    if c or d:
+        den = c * c + d * d
+        _assert_exact(x / y, ((a * c + b * d) / den, (b * c - a * d) / den))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    if s:
+        _assert_exact(x / scalar, (a / s, b / s))
+    assert (x == y) == ((a, b) == (c, d))
+    assert (x == scalar) == ((a, b) == (s, 0))
+    assert hash(x) == hash((a, b))
+    assert bool(x) == bool(a or b)
+    assert complex(x) == complex(a, b)
 
 
 # --- step-by-step rewriter (reference oracle) --------------------------------
@@ -403,6 +450,43 @@ def test_box_expr_adjoint():
     flipped = tree.adjoint()
     assert flipped.depth == tree.depth
     assert flipped.flatten() == adjoint(tree.flatten())
+
+
+def test_fock_eval_of_mixed_coefficients_matches_a_fraction_reference():
+    # the sum, in fock_eval's order, of complex(Fraction re, Fraction im)
+    # times each word's matrix product, bit for bit
+    import numpy as np
+
+    from weakcr.algebra import fock_eval
+    from weakcr.fock import swanson_pair
+
+    pair = swanson_pair(0.37, 16)
+    mats = {GEN_S: pair.S.entries, GEN_T: pair.T.entries}
+    mats.update({GEN_SD: mats[GEN_S].conj().T, GEN_TD: mats[GEN_T].conj().T})
+    rank = {GEN_T: 0, GEN_S: 1, GEN_TD: 2, GEN_SD: 3}
+    p = (3 * S**2 * T + GaussRational(Fraction(1, 3), -2) * Td * S
+         + GaussRational(Fraction(4, 2), Fraction(1, 7)) * Sd - Fraction(5, 2))
+    for poly in (p, normal_order(p)):
+        want = np.zeros((16, 16), dtype=complex)
+        for word in sorted(poly.terms, key=lambda w: (-len(w), [rank[g] for g in w]), reverse=True):
+            m = np.eye(16, dtype=complex)
+            for g in word:
+                m = m @ mats[g]
+            want += complex(*_value(poly.terms[word])) * m
+        assert fock_eval(poly, pair).entries.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p, word", [(10**310 * S, "'S'"), (10**306 * S**3 * T**3, "'S^3 T^3'"),
+                                     (GaussRational(1, Fraction(10**400, 3)) * T, "'T'")],
+                         ids=["coefficient", "term", "imaginary-part"])
+def test_fock_eval_past_the_float_range_names_the_word(p, word):
+    from weakcr.algebra import fock_eval
+    from weakcr.fock import boson_pair
+
+    with pytest.raises(DomainParameterError, match="float range") as info:
+        fock_eval(p, boson_pair(32))
+    assert word in str(info.value)
 
 
 # --- rendering ---------------------------------------------------------------

@@ -465,7 +465,7 @@ def test_verify_cr_weyl_defect_is_relative_to_its_scale(capsys, tmp_path, model)
     assert results["weyl_scale"] >= 1.0
     assert check["name"] == "weyl_defect"
     assert check["value"] == results["weyl_defect"] / results["weyl_scale"]
-    assert report["tolerances"] == {"weak": 1e-12, "quasi_strong": 1e-8, "weyl": 1e-12}
+    assert report["tolerances"] == {"weak": 1e-12, "quasi_strong": 1e-12, "weyl": 1e-12}
     run(capsys, "verify-cr", "--model", model, "--tol", "1e-3", "--out", str(out_file))
     assert json.loads(out_file.read_text())["tolerances"] == dict.fromkeys(["weak", "quasi_strong", "weyl"], 1e-3)
 
@@ -482,6 +482,45 @@ def test_verify_cr_weyl_defect_fails_a_broken_relation(capsys, monkeypatch, mode
     code, out, _ = run(capsys, "verify-cr", "--model", model)
     assert code == 1
     assert "FAIL weyl_defect" in out
+
+
+@pytest.mark.parametrize("model", ["boson", "swanson:0.3"])
+def test_verify_cr_quasi_strong_defect_is_relative_to_its_scale(capsys, tmp_path, model):
+    out_file = tmp_path / "cr.json"
+    code, out, _ = run(capsys, "verify-cr", "--model", model, "--dim", "2048", "--out", str(out_file))
+    assert code == 0, out
+    report = json.loads(out_file.read_text())
+    results, check = report["results"], report["checks"][1]
+    assert results["quasi_strong_scale"] > 500
+    assert check["name"] == "quasi_strong_defect"
+    assert check["value"] == results["quasi_strong_defect"] / results["quasi_strong_scale"]
+    assert check["tol"] == 1e-12
+
+
+@pytest.mark.parametrize("model", ["boson", "swanson:0.3"])
+def test_verify_cr_quasi_strong_defect_fails_a_broken_relation(capsys, monkeypatch, model):
+    # scaling T by 1 + 1e-9 breaks [S, T] = 1 by 1e-9; the absolute
+    # quasi-strong defect read 1.7e-9 (boson), a PASS against the absolute
+    # tol of 1e-8 it had
+    def broken(theta, n):
+        pair = swanson_pair(theta, n)
+        return OperatorPair(pair.S, TruncatedOperator.banded((1 + 1e-9) * pair.T.diagonals))
+
+    monkeypatch.setattr(cli, "swanson_pair", broken)
+    code, out, _ = run(capsys, "verify-cr", "--model", model, "--dim", "2048")
+    assert code == 1
+    assert "FAIL quasi_strong_defect" in out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("expr", ["1" + "0" * 310 + " S", "1" + "0" * 306 + " S^3 T^3"],
+                         ids=["coefficient", "term"])
+def test_normal_order_past_the_float_range_exits_two(capsys, expr):
+    # the coefficient 10^310 has no float; 10^306 S^3 T^3 has one, but its
+    # term overflows at dimension 32
+    code, _, err = run(capsys, "normal-order", expr)
+    assert code == 2
+    assert err.startswith("error: ") and "float range" in err
 
 
 def test_verify_cr_weak_defect_still_fails_a_broken_relation(capsys, monkeypatch):

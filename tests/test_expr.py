@@ -62,6 +62,15 @@ def test_scalar_arithmetic_stays_exact():
     assert p.coefficient((GEN_T,)) == GaussRational(Fraction(1, 3))
 
 
+def test_integer_literals_stay_ints_until_a_denominator_appears():
+    two = parse_to_poly("2 S").coefficient((GEN_S,))
+    assert type(two.re) is int and type(two.im) is int
+    third = parse_to_poly("S / 3").coefficient((GEN_S,))
+    assert type(third.re) is Fraction and third.re == Fraction(1, 3) and third.im == 0
+    assert parse_to_poly("1.5 .3 S").coefficient((GEN_S,)) == GaussRational(Fraction(9, 20))
+    assert type(parse_to_poly("1.5 2 S").coefficient((GEN_S,)).re) is int  # 3, no denominator left
+
+
 def test_complex_literals_compose():
     p = parse_to_poly("(1+2i) S")
     assert p.coefficient((GEN_S,)) == GaussRational(1, 2)

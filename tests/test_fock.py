@@ -33,14 +33,18 @@ from weakcr.fock import (
     lowering,
     matrix2x2_pair,
     quasi_strong_defect,
+    quasi_strong_scale,
+    quasi_strong_with_scale,
     raising,
     semigroup_band,
     spectral_norm,
     swanson_pair,
     weak_defect,
     weak_scale,
+    weak_with_scale,
     weyl_defect,
     weyl_scale,
+    weyl_with_scale,
 )
 
 EPS = np.finfo(float).eps
@@ -695,6 +699,55 @@ def test_weyl_scale_catches_a_broken_relation(theta, n, broken_by):
 def test_weyl_scale_rejects_negative_parameters():
     with pytest.raises(DomainParameterError):
         weyl_scale(boson_pair(16), -0.1, 0.1)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("n", [16, 128])
+def test_quasi_strong_scale_is_the_max_entry_of_the_product_on_the_band(theta, n):
+    pair = swanson_pair(theta, n)
+    band = semigroup_band(pair, 0.1)
+    S, T = pair.S.entries, pair.T.entries
+    want = float(np.max(np.abs((scipy.linalg.expm(0.1 * S) @ T)[:band, :band])))
+    assert quasi_strong_scale(pair, 0.1) == pytest.approx(max(1.0, want), rel=ROUNDING)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("n", [128, 512, 2048])
+def test_quasi_strong_defect_is_rounding_on_its_scale(theta, n):
+    # the absolute defect grows from 1e-15 (N = 128) to 6.6e-13 (N = 2048)
+    # with the entries it cancels; on their scale it stays at rounding
+    pair = swanson_pair(theta, n)
+    assert quasi_strong_defect(pair, 0.1) / quasi_strong_scale(pair, 0.1) < 1e-13
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("n, broken_by", [(128, 1e-6), (2048, 1e-9)])
+def test_quasi_strong_scale_catches_a_broken_relation(theta, n, broken_by):
+    # scaling T by 1 + 1e-9 at N = 2048 reads 1.7e-9 (theta = 0) and 1.6e-9
+    # (0.3) absolutely, a PASS against the absolute tol of 1e-8 it had
+    pair = scaled_T(swanson_pair(theta, n), 1 + broken_by)
+    assert quasi_strong_defect(pair, 0.1) / quasi_strong_scale(pair, 0.1) > 1e-12
+
+
+def test_quasi_strong_scale_rejects_negative_parameters():
+    with pytest.raises(DomainParameterError):
+        quasi_strong_scale(boson_pair(16), -0.1)
+
+
+@pytest.mark.parametrize(
+    "both, defect, scale, args",
+    [(weak_with_scale, weak_defect, weak_scale, ()),
+     (quasi_strong_with_scale, quasi_strong_defect, quasi_strong_scale, (0.1,)),
+     (weyl_with_scale, weyl_defect, weyl_scale, (0.1, 0.2))],
+    ids=["weak", "quasi_strong", "weyl"],
+)
+def test_each_defect_and_its_scale_come_from_one_product(monkeypatch, both, defect, scale, args):
+    pair = swanson_pair(0.3, 128)
+    want = (defect(pair, *args), scale(pair, *args))  # forms the semigroups first
+    calls, real = [], band_product
+    monkeypatch.setattr(fock, "band_product", lambda *a: calls.append(a) or real(*a))
+    assert both(pair, *args) == want
+    assert len(calls) == 2  # the product the scale reads, and the one it is compared with
 
 
 def test_weyl_defect_memory_stays_below_one_dense_block():
