@@ -37,13 +37,10 @@ from .fock import (
     lowering,
     matrix2x2_pair,
     quasi_strong_defect,
-    quasi_strong_scale,
     raising,
     swanson_pair,
     weak_defect,
-    weak_scale,
     weyl_defect,
-    weyl_scale,
 )
 from .ladder import (
     LadderFamily,

@@ -29,6 +29,7 @@ it, and the only outputs that need an order, the rendered text and
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -660,6 +661,8 @@ def render(p):
     """Deterministic canonical text: degree-descending, then T < S < T' < S'.
 
     The output re-parses to the same polynomial, e.g. 'T^2 S^2 + 4 T S + 2'.
+    A coefficient with more digits than ``sys.get_int_max_str_digits()``
+    raises DomainParameterError naming its word.
     """
     p = _as_poly(p)
     if not p.terms:
@@ -670,7 +673,12 @@ def render(p):
         negative = _leading_negative(coeff)
         if negative:
             coeff = -coeff
-        text = _format_magnitude(coeff)
+        try:
+            text = _format_magnitude(coeff)
+        except ValueError:  # str(int) past the interpreter's int/str conversion limit
+            limit = sys.get_int_max_str_digits()
+            msg = f"the coefficient of {format_word(word)!r} has more than {limit} digits to print"
+            raise DomainParameterError(msg) from None
         if word:
             wtext = format_word(word)
             term = wtext if text == "1" else f"{text} {wtext}"

@@ -16,6 +16,7 @@ first syntax or evaluation error in reading order is the one raised.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -64,7 +65,12 @@ def _tokenize(text):
                 # "1.5.3" is not 1.5 times .3, and "1." is no number
                 raise ExprSyntaxError("unexpected character '.'", line, start_col + j - i)
             literal = number.group()
-            value = Fraction(literal) if "." in literal else int(literal)
+            try:
+                value = Fraction(literal) if "." in literal else int(literal)
+            except ValueError:  # past the interpreter's int/str conversion limit
+                limit = sys.get_int_max_str_digits()
+                msg = f"numeric literal longer than this interpreter converts ({limit} digits)"
+                raise ExprSyntaxError(msg, line, start_col) from None
             tokens.append(Token("NUM", value, line, start_col))
             col += j - i
             i = j
@@ -187,8 +193,17 @@ def _divide(numerator, divisor):
 
 
 def parse_to_poly(text):
-    """Parse to an exact NCPoly; errors carry line and column where known."""
-    return _Parser(_tokenize(text)).parse()
+    """Parse to an exact NCPoly; errors carry line and column where known.
+
+    Nesting past the recursion limit (about 190 parentheses, or a long run
+    of unary minus signs) raises ExprSyntaxError where the parser had reached.
+    """
+    parser = _Parser(_tokenize(text))
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser.tokens[min(parser.pos, len(parser.tokens) - 1)]
+        raise ExprSyntaxError("expression nested too deeply", tok.line, tok.column) from None
 
 
 def pretty_print(p):

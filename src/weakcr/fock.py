@@ -17,8 +17,10 @@ which keeps two vectors and no basis (Paige, Linear Algebra Appl. 34, 1980),
 for the spectral norm of the Weyl block M), so the defect chain forms
 nothing of size N x N.
 Each semigroup is formed once per pair and parameter, and shared by the
-quasi-strong and Weyl defects; each defect and its rounding scale are read
-off one product (the ``*_with_scale`` functions).
+quasi-strong and Weyl defects.  Each defect and its rounding scale (the
+max-abs entry of the product it cancels, at least 1) come from one call,
+``weak_with_scale``, ``quasi_strong_with_scale`` or ``weyl_with_scale``;
+``weak_defect`` and the other ``*_defect`` functions read its first value.
 """
 
 from __future__ import annotations
@@ -438,15 +440,6 @@ def band_product(A, B, rows=None):
     return C[excess : C.shape[0] - excess]
 
 
-def hermitian_upper(D):
-    """LAPACK upper band storage of a Hermitian matrix given by its diagonals.
-
-    ab[K + i - j, j] = H[i, j] for i <= j, so ab[K] is the main diagonal
-    (the layout scipy.linalg.cholesky_banded and solveh_banded read).
-    """
-    return band_columns(D)[_width(D) :][::-1]
-
-
 def band_commutator(A, B):
     """Diagonals of A B - B A."""
     return band_product(A, B) - band_product(B, A)
@@ -586,7 +579,13 @@ def _window_matvec(D):
 
 
 def weak_with_scale(pair):
-    """``(weak_defect, weak_scale)`` from one product S T."""
+    """``(weak_defect, scale)`` from one product S T.
+
+    The scale is the max-abs entry of S T on the safe block, at least 1.
+    Each entry of S T - T S - 1 cancels entries of S T and T S, which grow
+    like N for the boson and swanson pairs, so its rounding error grows with
+    them; the 1 is the identity's entry, as in normal-order's soundness scale.
+    """
     ST = band_product(pair.S.diagonals, pair.T.diagonals)
     scale = max(1.0, block_max_abs(ST, pair.safe_rank))
     M = ST - band_product(pair.T.diagonals, pair.S.diagonals)
@@ -603,16 +602,6 @@ def weak_defect(pair):
     diagonals of S and T.
     """
     return weak_with_scale(pair)[0]
-
-
-def weak_scale(pair):
-    """Rounding scale of ``weak_defect``: the max-abs entry of S T on the safe block, at least 1.
-
-    Each entry of S T - T S - 1 cancels entries of S T and T S, which grow
-    like N for the boson and swanson pairs, so its rounding error grows with
-    them; the 1 is the identity's entry, as in normal-order's soundness scale.
-    """
-    return weak_with_scale(pair)[1]
 
 
 def semigroup_band(pair, alpha):
@@ -636,7 +625,13 @@ def semigroup_band(pair, alpha):
 
 
 def quasi_strong_with_scale(pair, alpha):
-    """``(quasi_strong_defect, quasi_strong_scale)`` from one product V_S(a) T."""
+    """``(quasi_strong_defect, scale)`` from one product V_S(a) T.
+
+    The scale is the max-abs entry of V_S(a) T on the band, at least 1.  The
+    commutator cancels V_S T against T V_S, whose entries grow roughly like
+    e^(a sqrt(N)), so its rounding error grows with them, as in
+    ``weak_with_scale`` and ``weyl_with_scale``.
+    """
     if not 0 <= alpha < math.inf:
         raise DomainParameterError(f"semigroup parameter must be finite and >= 0, got {alpha}")
     band = semigroup_band(pair, alpha)
@@ -659,27 +654,24 @@ def quasi_strong_defect(pair, alpha):
     return quasi_strong_with_scale(pair, alpha)[0]
 
 
-def quasi_strong_scale(pair, alpha):
-    """Rounding scale of ``quasi_strong_defect``: the max-abs entry of V_S(a) T on its band, at least 1.
-
-    The commutator cancels V_S T against T V_S, whose entries grow roughly
-    like e^(a sqrt(N)), so its rounding error grows with them, as in
-    ``weak_scale`` and ``weyl_scale``.
-    """
-    return quasi_strong_with_scale(pair, alpha)[1]
-
-
 def weyl_with_scale(pair, alpha, beta):
-    """``(weyl_defect, weyl_scale)`` from one product V_S(a) V_T(b).
+    """``(weyl_defect, scale)`` from one product V_S(a) V_T(b).
 
     Both semigroups are the pair's cached banded ``semigroup``s, so V_S is
     shared with ``quasi_strong_defect`` at the same parameter.  Of each
     product only the rows that reach the leading band x band block are
     formed, and that block's spectral norm is ``spectral_norm``'s
     Lanczos iteration on its diagonals, so nothing of size band x band is
-    formed.
+    formed.  The scale is the max-abs entry of V_S(a) V_T(b) on the band, at
+    least 1: the Weyl block cancels V_S V_T against e^(ab) V_T V_S, whose
+    entries grow quickly with N, so its rounding error grows with them;
+    below 1 the defect is judged absolutely, as in ``weak_with_scale``.
     """
-    band = _weyl_band(pair, alpha, beta)
+    if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
+        raise DomainParameterError(
+            f"semigroup parameters must be finite and >= 0, got ({alpha}, {beta})"
+        )
+    band = semigroup_band(pair, max(alpha, beta))
     VS, VT = pair.semigroup("S", alpha), pair.semigroup("T", beta)
     M = band_product(VS, VT, band)
     scale = max(1.0, block_max_abs(M, band))
@@ -691,21 +683,3 @@ def weyl_with_scale(pair, alpha, beta):
 def weyl_defect(pair, alpha, beta):
     """Spectral-norm defect of V_S(a) V_T(b) = e^(ab) V_T(b) V_S(a) on the band."""
     return weyl_with_scale(pair, alpha, beta)[0]
-
-
-def weyl_scale(pair, alpha, beta):
-    """Rounding scale of ``weyl_defect``: the max-abs entry of V_S(a) V_T(b) on its band, at least 1.
-
-    The Weyl block cancels V_S V_T against e^(ab) V_T V_S, whose entries grow
-    quickly with N, so its rounding error grows with them; below 1 the
-    defect is judged absolutely, as in ``weak_scale``.
-    """
-    return weyl_with_scale(pair, alpha, beta)[1]
-
-
-def _weyl_band(pair, alpha, beta):
-    if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
-        raise DomainParameterError(
-            f"semigroup parameters must be finite and >= 0, got ({alpha}, {beta})"
-        )
-    return semigroup_band(pair, max(alpha, beta))

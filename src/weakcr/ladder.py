@@ -31,8 +31,9 @@ from .fock import (
     StateVector,
     TruncatedOperator,
     _EPS,
+    _width,
+    band_columns,
     band_product,
-    hermitian_upper,
     inner,
     norm,
     swanson_pair,
@@ -57,8 +58,11 @@ def kernel_vector(A: TruncatedOperator, tol=1e-10):
     """
     import scipy.linalg  # its only user; deferred so that importing weakcr loads numpy alone
 
-    upper = hermitian_upper(band_product(A.adjoint().diagonals, A.diagonals))
-    width = upper.shape[0] - 1
+    AA = band_product(A.adjoint().diagonals, A.diagonals)
+    width = _width(AA)
+    # LAPACK upper band storage of the Hermitian A'A, ab[K + i - j, j] = H[i, j]
+    # for i <= j, so ab[K] is the main diagonal (what cholesky_banded reads)
+    upper = band_columns(AA)[width:][::-1]
     frobenius2 = float(np.sum(upper[width].real)) or 1.0  # trace of A'A
     # a few roundings of |A|_F^2 keep the factor positive definite
     upper[width] += 4 * (width + 1) * _EPS * frobenius2

@@ -523,6 +523,27 @@ def test_normal_order_past_the_float_range_exits_two(capsys, expr):
     assert err.startswith("error: ") and "float range" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["(" * 250 + "S" + ")" * 250], ["--", "S + " + "-" * 2000 + "S"]],
+                         ids=["parentheses", "unary_minus"])
+def test_normal_order_nested_too_deeply_exits_two(capsys, argv):
+    # both ran past the interpreter's recursion limit as a raw RecursionError
+    code, _, err = run(capsys, "normal-order", *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "nested too deeply" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("expr", ["1" + "0" * 5000 + " S", "10^5000", "(10^2000)^3 S"],
+                         ids=["literal", "power", "power_of_a_group"])
+def test_normal_order_past_the_int_digit_limit_exits_two(capsys, expr):
+    # the literal cannot be read and the two powers cannot be printed as
+    # decimal text (sys.get_int_max_str_digits()); all three were a raw ValueError
+    code, _, err = run(capsys, "normal-order", expr)
+    assert code == 2
+    assert err.startswith("error: ") and "digits" in err and "Traceback" not in err
+
+
 def test_verify_cr_weak_defect_still_fails_a_broken_relation(capsys, monkeypatch):
     # scaling S by 1 + 1e-6 breaks [S, T] = 1 by 1e-6 on every diagonal entry
     def broken(theta, n):

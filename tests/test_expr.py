@@ -17,7 +17,7 @@ from weakcr.algebra import (
     render,
 )
 from weakcr.cli import main
-from weakcr.errors import ExprEvalError, ExprSyntaxError, UnknownIdentifierError
+from weakcr.errors import DomainParameterError, ExprEvalError, ExprSyntaxError, UnknownIdentifierError
 from weakcr.expr import parse_to_poly, pretty_print
 
 S = NCPoly.gen(GEN_S)
@@ -119,6 +119,27 @@ def test_superscript_digit_rejected():
     with pytest.raises(ExprSyntaxError) as exc:
         parse_to_poly("S²")
     assert exc.value.column == 2
+
+
+def test_nesting_past_the_recursion_limit_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError, match="nested too deeply") as exc:
+        parse_to_poly("(" * 250 + "S" + ")" * 250)
+    assert exc.value.line == 1 and 1 < exc.value.column <= 250
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        parse_to_poly("S + " + "-" * 2000 + "S")
+    assert parse_to_poly("(" * 100 + "S" + ")" * 100) == S
+
+
+def test_over_long_literal_is_a_syntax_error_at_its_column():
+    for literal in ("1" + "0" * 5000, "0." + "0" * 5000 + "1"):
+        with pytest.raises(ExprSyntaxError, match="longer than this interpreter converts") as exc:
+            parse_to_poly("S + " + literal)
+        assert exc.value.column == 5
+
+
+def test_render_of_an_over_long_coefficient_names_its_word():
+    with pytest.raises(DomainParameterError, match="coefficient of 'S'"):
+        render(parse_to_poly("10^5000 S + T"))
 
 
 def test_division_by_word_rejected():

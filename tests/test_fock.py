@@ -27,23 +27,19 @@ from weakcr.fock import (
     coherent_state,
     coherent_tail_mass,
     diagonals,
-    hermitian_upper,
     identity,
     inner,
     lowering,
     matrix2x2_pair,
     quasi_strong_defect,
-    quasi_strong_scale,
     quasi_strong_with_scale,
     raising,
     semigroup_band,
     spectral_norm,
     swanson_pair,
     weak_defect,
-    weak_scale,
     weak_with_scale,
     weyl_defect,
-    weyl_scale,
     weyl_with_scale,
 )
 
@@ -277,7 +273,7 @@ def test_weak_scale_is_the_max_entry_of_st_on_the_safe_block(make, n):
     pair = make(n)
     k = pair.safe_rank
     want = max(1.0, float(np.max(np.abs((pair.S.entries @ pair.T.entries)[:k, :k]))))
-    assert weak_scale(pair) == pytest.approx(want, rel=1e-15)
+    assert weak_with_scale(pair)[1] == pytest.approx(want, rel=1e-15)
 
 
 def test_matrix2x2_rejects_an_infinite_commutator_without_a_warning():
@@ -511,15 +507,6 @@ def test_band_product_leading_rows_match_the_full_product(rows):
         assert np.array_equal(band_product(diagonals(X), diagonals(Y), rows), full[:, :rows])
 
 
-def test_hermitian_upper_is_the_lapack_layout():
-    rng = np.random.default_rng(5)
-    B = np.triu(np.tril(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)), 1), -1)
-    H = B.conj().T @ B + np.eye(9)  # Hermitian positive definite, bandwidth 2
-    b = rng.standard_normal(9) + 0j
-    x = scipy.linalg.solveh_banded(hermitian_upper(diagonals(H)), b)
-    assert np.allclose(H @ x, b, rtol=0, atol=1e-12)
-
-
 def test_bandwidth_follows_the_nonzero_pattern():
     assert diagonals(lowering(6).entries).shape == (3, 6)
     assert diagonals(identity(5).entries).shape == (1, 5)
@@ -675,7 +662,7 @@ def test_weyl_scale_is_the_max_entry_of_the_product_on_the_band(theta, n):
     band = semigroup_band(pair, 0.2)
     S, T = pair.S.entries, pair.T.entries
     want = float(np.max(np.abs((scipy.linalg.expm(0.1 * S) @ scipy.linalg.expm(0.2 * T))[:band, :band])))
-    assert weyl_scale(pair, 0.1, 0.2) == pytest.approx(max(1.0, want), rel=ROUNDING)
+    assert weyl_with_scale(pair, 0.1, 0.2)[1] == pytest.approx(max(1.0, want), rel=ROUNDING)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3])
@@ -683,8 +670,8 @@ def test_weyl_scale_is_the_max_entry_of_the_product_on_the_band(theta, n):
 def test_weyl_defect_is_rounding_on_its_scale(theta, n):
     # the absolute defect grows from 1.9e-15 (N = 128) to 3.0e-12 (N = 2048)
     # with the entries it cancels; on their scale it stays at rounding
-    pair = swanson_pair(theta, n)
-    assert weyl_defect(pair, 0.1, 0.1) / weyl_scale(pair, 0.1, 0.1) < 1e-13
+    defect, scale = weyl_with_scale(swanson_pair(theta, n), 0.1, 0.1)
+    assert defect / scale < 1e-13
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3])
@@ -692,13 +679,13 @@ def test_weyl_defect_is_rounding_on_its_scale(theta, n):
 def test_weyl_scale_catches_a_broken_relation(theta, n, broken_by):
     # scaling T by 1 + eps breaks [S, T] = 1 by eps; the absolute Weyl defect
     # read 7.8e-8 and 7.3e-8 here, under the absolute tol of 1e-6 it had
-    pair = scaled_T(swanson_pair(theta, n), 1 + broken_by)
-    assert weyl_defect(pair, 0.1, 0.1) / weyl_scale(pair, 0.1, 0.1) > 1e-12
+    defect, scale = weyl_with_scale(scaled_T(swanson_pair(theta, n), 1 + broken_by), 0.1, 0.1)
+    assert defect / scale > 1e-12
 
 
 def test_weyl_scale_rejects_negative_parameters():
     with pytest.raises(DomainParameterError):
-        weyl_scale(boson_pair(16), -0.1, 0.1)
+        weyl_with_scale(boson_pair(16), -0.1, 0.1)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3])
@@ -708,7 +695,7 @@ def test_quasi_strong_scale_is_the_max_entry_of_the_product_on_the_band(theta, n
     band = semigroup_band(pair, 0.1)
     S, T = pair.S.entries, pair.T.entries
     want = float(np.max(np.abs((scipy.linalg.expm(0.1 * S) @ T)[:band, :band])))
-    assert quasi_strong_scale(pair, 0.1) == pytest.approx(max(1.0, want), rel=ROUNDING)
+    assert quasi_strong_with_scale(pair, 0.1)[1] == pytest.approx(max(1.0, want), rel=ROUNDING)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3])
@@ -716,8 +703,8 @@ def test_quasi_strong_scale_is_the_max_entry_of_the_product_on_the_band(theta, n
 def test_quasi_strong_defect_is_rounding_on_its_scale(theta, n):
     # the absolute defect grows from 1e-15 (N = 128) to 6.6e-13 (N = 2048)
     # with the entries it cancels; on their scale it stays at rounding
-    pair = swanson_pair(theta, n)
-    assert quasi_strong_defect(pair, 0.1) / quasi_strong_scale(pair, 0.1) < 1e-13
+    defect, scale = quasi_strong_with_scale(swanson_pair(theta, n), 0.1)
+    assert defect / scale < 1e-13
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3])
@@ -725,25 +712,26 @@ def test_quasi_strong_defect_is_rounding_on_its_scale(theta, n):
 def test_quasi_strong_scale_catches_a_broken_relation(theta, n, broken_by):
     # scaling T by 1 + 1e-9 at N = 2048 reads 1.7e-9 (theta = 0) and 1.6e-9
     # (0.3) absolutely, a PASS against the absolute tol of 1e-8 it had
-    pair = scaled_T(swanson_pair(theta, n), 1 + broken_by)
-    assert quasi_strong_defect(pair, 0.1) / quasi_strong_scale(pair, 0.1) > 1e-12
+    defect, scale = quasi_strong_with_scale(scaled_T(swanson_pair(theta, n), 1 + broken_by), 0.1)
+    assert defect / scale > 1e-12
 
 
 def test_quasi_strong_scale_rejects_negative_parameters():
     with pytest.raises(DomainParameterError):
-        quasi_strong_scale(boson_pair(16), -0.1)
+        quasi_strong_with_scale(boson_pair(16), -0.1)
 
 
 @pytest.mark.parametrize(
-    "both, defect, scale, args",
-    [(weak_with_scale, weak_defect, weak_scale, ()),
-     (quasi_strong_with_scale, quasi_strong_defect, quasi_strong_scale, (0.1,)),
-     (weyl_with_scale, weyl_defect, weyl_scale, (0.1, 0.2))],
+    "both, defect, args",
+    [(weak_with_scale, weak_defect, ()),
+     (quasi_strong_with_scale, quasi_strong_defect, (0.1,)),
+     (weyl_with_scale, weyl_defect, (0.1, 0.2))],
     ids=["weak", "quasi_strong", "weyl"],
 )
-def test_each_defect_and_its_scale_come_from_one_product(monkeypatch, both, defect, scale, args):
+def test_each_defect_and_its_scale_come_from_one_product(monkeypatch, both, defect, args):
     pair = swanson_pair(0.3, 128)
-    want = (defect(pair, *args), scale(pair, *args))  # forms the semigroups first
+    want = both(pair, *args)  # forms the semigroups first
+    assert defect(pair, *args) == want[0]
     calls, real = [], band_product
     monkeypatch.setattr(fock, "band_product", lambda *a: calls.append(a) or real(*a))
     assert both(pair, *args) == want
