@@ -21,7 +21,6 @@ from .algebra import (
     box_level,
     fock_eval,
     is_regular,
-    multiply,
     normal_order,
     profile_from_membership,
     render,
@@ -80,6 +79,6 @@ from .weights import (
     sdagger_pair,
     weak_cr_check,
 )
-from .expr import parse_to_poly, pretty_print
+from .expr import parse_to_poly
 
 __version__ = "0.1.0"

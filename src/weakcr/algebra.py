@@ -299,11 +299,6 @@ def _as_poly(value):
     raise TypeError(f"cannot interpret {value!r} as a polynomial")
 
 
-def multiply(p, q):
-    """Free-algebra product (bilinear extension of word concatenation)."""
-    return _as_poly(p) * _as_poly(q)
-
-
 def adjoint(p):
     """Involution: adjoint(p*q) = adjoint(q)*adjoint(p), exact coefficients."""
     return _as_poly(p).adjoint()
@@ -419,27 +414,20 @@ class Regularity(NamedTuple):
     witness: tuple | None
 
 
-def _word_violation(word, profile):
-    """Reason a canonical word falls outside the regular part, or None."""
+def _word_is_regular(word, profile):
+    """A canonical word, T^r S^k or T'^r S'^k, lies in the profile's regular part."""
     letters = set(word)
     if letters <= _UNDAGGERED:
-        t_tok, s_tok = GEN_T, GEN_S
+        t_tok = GEN_T
     elif letters <= _DAGGERED:
-        t_tok, s_tok = GEN_TD, GEN_SD
-    else:
-        return "mixed"
+        t_tok = GEN_TD
+    else:  # mixed families are never regular
+        return False
     r = 0
     while r < len(word) and word[r] == t_tok:
         r += 1
-    k = len(word) - r
-    if any(g != s_tok for g in word[r:]):
-        return "non-canonical"
     bound = profile.s_bound(r)
-    if bound is None:
-        return "t-power"
-    if k > bound:
-        return "s-power"
-    return None
+    return bound is not None and len(word) - r <= bound
 
 
 def is_regular(p, profile):
@@ -451,7 +439,7 @@ def is_regular(p, profile):
     """
     q = normal_order(p)
     for word in sorted(q.terms, key=_word_sort_key):
-        if _word_violation(word, profile) is not None:
+        if not _word_is_regular(word, profile):
             return Regularity(False, word)
     return Regularity(True, None)
 

@@ -137,21 +137,24 @@ def _print_checks(report):
 def _write_out(report, path, scan_rows=None):
     if path is None:
         return
-    if path.endswith(".json"):
-        with open(path, "w") as fh:
-            fh.write(json.dumps(report, sort_keys=True, indent=2))
-            fh.write("\n")
-    elif path.endswith(".csv"):
-        if scan_rows is None:
-            raise WeakCRError("CSV output is available for scan tables only")
-        columns, rows = scan_rows
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _json_safe(v) for k, v in row.items()})
-    else:
+    if not path.endswith((".json", ".csv")):
         raise WeakCRError(f"unsupported output extension in {path!r} (use .json or .csv)")
+    if path.endswith(".csv") and scan_rows is None:
+        raise WeakCRError("CSV output is available for scan tables only")
+    try:
+        if path.endswith(".json"):
+            with open(path, "w") as fh:
+                fh.write(json.dumps(report, sort_keys=True, indent=2))
+                fh.write("\n")
+        else:
+            columns, rows = scan_rows
+            with open(path, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=columns)
+                writer.writeheader()
+                for row in rows:
+                    writer.writerow({k: _json_safe(v) for k, v in row.items()})
+    except OSError as exc:  # a missing directory, no permission, a full disk
+        raise WeakCRError(f"cannot write the report to {path!r}: {exc.strerror or exc}") from None
 
 
 @contextlib.contextmanager
@@ -271,7 +274,7 @@ def cmd_verify_cr(args):
 def cmd_ladder(args):
     theta = _swanson_theta(args)
     tols = _tolerances(args, residual=1e-8, gram=1e-7, intertwiner=1e-6)
-    xi0, eta0 = swanson_vacua(theta, args.dim, 1e-10)
+    xi0, eta0 = swanson_vacua(theta, args.dim)
     pair = swanson_pair(theta, args.dim)
     member = tail_mass_membership(pair.safe_rank)
     fam_xi = build_ladder(pair.T, xi0, args.length, member=member)
@@ -315,6 +318,18 @@ def cmd_ladder(args):
     return report
 
 
+def _rng(seed):
+    """The generator of a randomized suite; --seed must be >= 0."""
+    if seed < 0:
+        raise WeakCRError(f"--seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
+#: the highest degree n_max < 2 alpha - 3/2 ``weights`` draws (alpha up to 16001.25);
+#: each pairing convolves coefficient arrays of about twice that length
+MAX_SUITE_DEGREE = 32000
+
+
 def _weights_suite(weight, rng):
     """Eight random draws of admissible polynomial pairs for the weak-relation defect."""
     max_deg = ladder_length(weight.alpha).n_max if weight.kind == "rational" else 6
@@ -337,8 +352,13 @@ def cmd_weights(args):
     if args.gaussian == (args.alpha is not None):
         raise WeakCRError("choose exactly one of --alpha or --gaussian")
     weight = gaussian_weight() if args.gaussian else rational_weight(args.alpha)
+    if not args.gaussian and 2.0 * args.alpha - 1.5 > MAX_SUITE_DEGREE + 1:
+        raise WeakCRError(
+            f"--alpha {args.alpha:g} is too large: the suite's polynomial degree, the largest "
+            f"integer below 2 alpha - 3/2, may be at most {MAX_SUITE_DEGREE}"
+        )
     tols = _tolerances(args, weak_cr=1e-8)
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     report = Report(
         "weights",
         {"alpha": args.alpha, "gaussian": args.gaussian, "seed": args.seed},
@@ -351,7 +371,7 @@ def cmd_weights(args):
     report.result("weak_cr_defects", defects)
     report.check("max_weak_cr_defect", max(defects), tols["weak_cr"])
 
-    odd = max(abs(table.get(k)) for k in (1, 3, 5, 7) if table.get(k) != math.inf)
+    odd = max(abs(table.values[k]) for k in (1, 3, 5, 7) if table.values[k] != math.inf)
     report.check("odd_moments_zero", odd, 1e-15, passed=odd == 0.0)
 
     if args.gaussian:
@@ -392,6 +412,7 @@ def cmd_weights(args):
 
 
 def cmd_normal_order(args):
+    rng = _rng(args.seed)
     poly = parse_to_poly(args.expr)
     profile = PowerProfile.unbounded()
     if args.profile:
@@ -404,7 +425,6 @@ def cmd_normal_order(args):
     print(text)
     verdict = is_regular(canonical, profile)
 
-    rng = np.random.default_rng(args.seed)
     # the safe block (indices a word of this degree cannot push past the
     # truncation) has at least `degree` indices
     dim = max(32, 2 * poly.degree)

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import GaussRational, NCPoly, render
+from .algebra import GaussRational, NCPoly
 from .errors import ExprEvalError, ExprSyntaxError, UnknownIdentifierError
 
 _GEN_LETTERS = ("S", "T")
@@ -204,8 +204,3 @@ def parse_to_poly(text):
     except RecursionError:
         tok = parser.tokens[min(parser.pos, len(parser.tokens) - 1)]
         raise ExprSyntaxError("expression nested too deeply", tok.line, tok.column) from None
-
-
-def pretty_print(p):
-    """Canonical text form; parse_to_poly(pretty_print(p)) == p exactly."""
-    return render(p)

@@ -17,10 +17,10 @@ which keeps two vectors and no basis (Paige, Linear Algebra Appl. 34, 1980),
 for the spectral norm of the Weyl block M), so the defect chain forms
 nothing of size N x N.
 Each semigroup is formed once per pair and parameter, and shared by the
-quasi-strong and Weyl defects.  Each defect and its rounding scale (the
-max-abs entry of the product it cancels, at least 1) come from one call,
-``weak_with_scale``, ``quasi_strong_with_scale`` or ``weyl_with_scale``;
-``weak_defect`` and the other ``*_defect`` functions read its first value.
+quasi-strong and Weyl defects.  Every relation X Y - c Y X = R, and the UR2
+cross condition, is formed by ``relation_block`` on its band's rows only,
+with its rounding scale; ``weak_with_scale`` and the other ``*_with_scale``
+functions return each defect with that scale, and ``*_defect`` the defect.
 """
 
 from __future__ import annotations
@@ -182,10 +182,11 @@ class OperatorPair:
         """Entrywise defect of [S', T] = [S, T'] on the safe block, formed once per pair.
 
         Since [S, T'] = -[S', T]', the defect matrix is X + X' with X = [S', T],
-        one commutator formed on the diagonals of S and T.
+        one ``relation_block`` of the diagonals of S and T; the adjoint of its
+        leading block is the leading block of X'.
         """
-        X = band_commutator(band_adjoint(self.S.diagonals), self.T.diagonals)
-        return block_max_abs(X + band_adjoint(X), self.safe_rank)
+        X = relation_block(band_adjoint(self.S.diagonals), self.T.diagonals, self.safe_rank)[0]
+        return float(np.abs(X + band_adjoint(X)).max())
 
 
 def lowering(n):
@@ -310,8 +311,6 @@ def swanson_pair(theta, n=DEFAULT_DIM):
     At theta = 0 this is (a, a*); for every theta the pair satisfies the
     weak commutation relation on the safe block.
     """
-    if n < 2:
-        raise InvalidDimensionError(f"need dimension >= 2, got {n}")
     a, ad = lowering(n).diagonals, raising(n).diagonals
     c, s = math.cos(theta), math.sin(theta)
     S = TruncatedOperator.banded(c * a + 1j * s * ad)
@@ -440,14 +439,9 @@ def band_product(A, B, rows=None):
     return C[excess : C.shape[0] - excess]
 
 
-def band_commutator(A, B):
-    """Diagonals of A B - B A."""
-    return band_product(A, B) - band_product(B, A)
-
-
 def block_max_abs(D, k):
     """Max-abs entry of the leading k x k block of the matrix with diagonals D."""
-    return float(np.max(np.abs(_leading_block(D, k))))
+    return float(np.abs(_leading_block(D, k)).max())
 
 
 _EPS = np.finfo(float).eps / 2  # unit roundoff 2^-53
@@ -578,19 +572,37 @@ def _window_matvec(D):
 # ---------------------------------------------------------------------------
 
 
-def weak_with_scale(pair):
-    """``(weak_defect, scale)`` from one product S T.
+def relation_block(X, Y, rows, c=1.0, R=None):
+    """The leading rows x rows block of X Y - c Y X - R, on its diagonals, and its scale.
 
-    The scale is the max-abs entry of S T on the safe block, at least 1.
-    Each entry of S T - T S - 1 cancels entries of S T and T S, which grow
-    like N for the boson and swanson pairs, so its rounding error grows with
-    them; the 1 is the identity's entry, as in normal-order's soundness scale.
+    X, Y and R (None for zero, of bandwidth at most X Y's) are diagonals.  Of
+    each product only the leading ``rows`` rows are formed, each entry exactly
+    as in the full product; the block's slots outside it are zero.
+
+    The scale is the max-abs entry of X Y on the block, at least 1: each
+    entry cancels entries of X Y against c Y X, so its rounding error grows
+    with them, like N for S T on the boson and swanson pairs, roughly like
+    e^(a sqrt(N)) for V_S(a) T and quickly with N for V_S(a) V_T(b).  Below 1
+    the block is judged absolutely; the 1 is the identity's entry, as in
+    normal-order's soundness scale.
     """
-    ST = band_product(pair.S.diagonals, pair.T.diagonals)
-    scale = max(1.0, block_max_abs(ST, pair.safe_rank))
-    M = ST - band_product(pair.T.diagonals, pair.S.diagonals)
-    M[_width(M)] -= 1.0
-    return block_max_abs(M, pair.safe_rank), scale
+    M = band_product(X, Y, rows)
+    scale = max(1.0, block_max_abs(M, rows))
+    YX = band_product(Y, X, rows)
+    if c != 1:  # skipped at 1, where (1 + 0i) z could flip the sign of a zero part of z
+        YX *= c
+    M -= YX
+    if R is not None:
+        width, middle = _width(R), _width(M)
+        M[middle - width : middle + width + 1] -= R[:, : M.shape[1]]
+    return _leading_block(M, rows), scale
+
+
+def weak_with_scale(pair):
+    """``(weak_defect, scale)``: S T - T S - 1 as a ``relation_block`` on the safe block."""
+    S, T = pair.S.diagonals, pair.T.diagonals
+    block, scale = relation_block(S, T, pair.safe_rank, R=identity(pair.dim).diagonals)
+    return float(np.abs(block).max()), scale
 
 
 def weak_defect(pair):
@@ -625,47 +637,30 @@ def semigroup_band(pair, alpha):
 
 
 def quasi_strong_with_scale(pair, alpha):
-    """``(quasi_strong_defect, scale)`` from one product V_S(a) T.
+    """``(quasi_strong_defect, scale)``: V_S(a) T - T V_S(a) - a V_S(a) as a ``relation_block``.
 
-    The scale is the max-abs entry of V_S(a) T on the band, at least 1.  The
-    commutator cancels V_S T against T V_S, whose entries grow roughly like
-    e^(a sqrt(N)), so its rounding error grows with them, as in
-    ``weak_with_scale`` and ``weyl_with_scale``.
+    V_S(a) = exp(a S) is the pair's cached ``semigroup`` (band_expm).
     """
     if not 0 <= alpha < math.inf:
         raise DomainParameterError(f"semigroup parameter must be finite and >= 0, got {alpha}")
     band = semigroup_band(pair, alpha)
-    T = pair.T.diagonals
     V = pair.semigroup("S", alpha)
-    VT = band_product(V, T)
-    scale = max(1.0, block_max_abs(VT, band))
-    M = VT - band_product(T, V)
-    width = _width(V)
-    M[_width(M) - width : _width(M) + width + 1] -= alpha * V
-    return block_max_abs(M, band), scale
+    block, scale = relation_block(V, pair.T.diagonals, band, R=alpha * V)
+    return float(np.abs(block).max()), scale
 
 
 def quasi_strong_defect(pair, alpha):
-    """Entrywise defect of V_S(a) T - T V_S(a) = a V_S(a) on the reduced band.
-
-    V_S(a) = exp(a S) is the pair's cached ``semigroup`` (band_expm); every
-    product is banded.
-    """
+    """Entrywise defect of V_S(a) T - T V_S(a) = a V_S(a) on the reduced band."""
     return quasi_strong_with_scale(pair, alpha)[0]
 
 
 def weyl_with_scale(pair, alpha, beta):
-    """``(weyl_defect, scale)`` from one product V_S(a) V_T(b).
+    """``(weyl_defect, scale)``: V_S(a) V_T(b) - e^(ab) V_T(b) V_S(a) as a ``relation_block``.
 
     Both semigroups are the pair's cached banded ``semigroup``s, so V_S is
-    shared with ``quasi_strong_defect`` at the same parameter.  Of each
-    product only the rows that reach the leading band x band block are
-    formed, and that block's spectral norm is ``spectral_norm``'s
-    Lanczos iteration on its diagonals, so nothing of size band x band is
-    formed.  The scale is the max-abs entry of V_S(a) V_T(b) on the band, at
-    least 1: the Weyl block cancels V_S V_T against e^(ab) V_T V_S, whose
-    entries grow quickly with N, so its rounding error grows with them;
-    below 1 the defect is judged absolutely, as in ``weak_with_scale``.
+    shared with ``quasi_strong_defect`` at the same parameter.  The block's
+    spectral norm is ``spectral_norm``'s Lanczos iteration on its
+    diagonals, so nothing of size band x band is formed.
     """
     if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
         raise DomainParameterError(
@@ -673,11 +668,8 @@ def weyl_with_scale(pair, alpha, beta):
         )
     band = semigroup_band(pair, max(alpha, beta))
     VS, VT = pair.semigroup("S", alpha), pair.semigroup("T", beta)
-    M = band_product(VS, VT, band)
-    scale = max(1.0, block_max_abs(M, band))
-    M -= math.exp(alpha * beta) * band_product(VT, VS, band)
-    M = _leading_block(M, band)  # the full product goes before the norm makes its copies
-    return spectral_norm(M), scale
+    block, scale = relation_block(VS, VT, band, math.exp(alpha * beta))
+    return spectral_norm(block), scale
 
 
 def weyl_defect(pair, alpha, beta):

@@ -97,7 +97,11 @@ def kernel_vector(A: TruncatedOperator, tol=1e-10):
     return StateVector(v / phase, label="ker")
 
 
-def swanson_vacua(theta, n, tol=1e-10):
+#: the largest relative tail and kernel residual ``swanson_vacua`` accepts
+VACUUM_TOL = 1e-10
+
+
+def swanson_vacua(theta, n):
     """The vacua xi0 in ker S and eta0 in ker T' of ``swanson_pair(theta, n)``, in closed form.
 
     S = cos(t) a + i sin(t) a* has a zero diagonal, so S x = 0 is the
@@ -108,7 +112,7 @@ def swanson_vacua(theta, n, tol=1e-10):
     truncation with x_0 real and positive, as ``kernel_vector`` returns it.
     The truncation is accepted only when the l^2 vacuum's norm past
     dimension n (relative to its whole norm) and the certificates |S xi0|
-    and |T' eta0| are all at most ``tol``; otherwise TruncationError carries
+    and |T' eta0| are all at most ``VACUUM_TOL``; otherwise TruncationError carries
     that tail as ``tail_mass``.  Both gates are needed: at odd n the truncated
     recurrence is an exact kernel vector even while the vacuum's tail is large.
     """
@@ -127,11 +131,11 @@ def swanson_vacua(theta, n, tol=1e-10):
     vacua = []
     for name, op, x in (("S", pair.S, xi), ("T'", pair.T.adjoint(), xi.conj())):
         residual = norm(op @ x)
-        if tail > tol or residual > tol:
+        if tail > VACUUM_TOL or residual > VACUUM_TOL:
             raise TruncationError(
                 f"dimension {n} truncates the vacuum at |tan t| = {abs(tan):.6g}: its norm past "
                 f"the edge is {tail:.3e} of the whole and |{name} x| = {residual:.3e} "
-                f"(tolerance {tol:.3e})",
+                f"(tolerance {VACUUM_TOL:.3e})",
                 tail_mass=tail,
             )
         vacua.append(StateVector(x, label="ker"))

@@ -37,12 +37,12 @@ from .fock import (
     OperatorPair,
     StateVector,
     TruncatedOperator,
-    band_commutator,
     basis_state,
     coherent_state,
     lowering,
     matrix2x2_pair,
     norm,
+    relation_block,
     swanson_pair,
 )
 
@@ -332,8 +332,8 @@ class Matrix2x2Report:
 def matrix2x2_report(s, q, phi1, phi2, tol=SATURATION_TOL):
     """Everything about the model S = [[0,s],[0,0]], T = [[0,0],[q,0]].
 
-    The commutator [S, T] = s q diag(1, -1), one banded commutator of the
-    pair's diagonals, is the C fed to both inequalities; it is not the
+    The commutator [S, T] = s q diag(1, -1), the pair's ``relation_block``,
+    is the C fed to both inequalities; it is not the
     identity, so the generalized forms are the meaningful ones.  This is the
     one-state case of ``_matrix2x2_reports``.
     """
@@ -348,7 +348,7 @@ def _matrix2x2_reports(s, q, phis, tol):
     phis = [(complex(phi1), complex(phi2)) for phi1, phi2 in phis]
     states = [StateVector(np.array(phi), label="phi") for phi in phis]
     pair = matrix2x2_pair(s, q)
-    commutator = TruncatedOperator.banded(band_commutator(pair.S.diagonals, pair.T.diagonals))
+    commutator = TruncatedOperator.banded(relation_block(pair.S.diagonals, pair.T.diagonals, pair.dim)[0])
     all_deltas, c_exps, _ = _pass(pair, states, C=commutator)
     reports = []
     for (phi1, phi2), deltas, c_exp in zip(phis, all_deltas, c_exps):

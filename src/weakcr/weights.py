@@ -77,10 +77,9 @@ def moment(weight: Weight, k: int):
     Substituting t = x^4 turns the rational moment into a Beta integral,
     mu_k = B((k+1)/4, alpha - (k+1)/4) / 2, taken through lgamma so that
     no Gamma value overflows at large alpha; the Gaussian moment is
-    (k-1)!! sqrt(2 pi).  Finiteness is decided by power counting first.
+    (k-1)!! sqrt(2 pi).  Finiteness is decided by power counting first, which
+    also rejects a negative k.
     """
-    if k < 0:
-        raise DomainParameterError(f"moment order must be >= 0, got {k}")
     if not weight.moment_is_finite(k):
         return math.inf
     if k % 2 == 1:
@@ -92,7 +91,12 @@ def moment(weight: Weight, k: int):
             raise DomainParameterError(f"Gaussian moment of order {k} exceeds the float range") from None
     a = (k + 1) / 4.0
     alpha = weight.alpha
-    return 0.5 * math.exp(math.lgamma(a) + math.lgamma(alpha - a) - math.lgamma(alpha))
+    try:
+        return 0.5 * math.exp(math.lgamma(a) + math.lgamma(alpha - a) - math.lgamma(alpha))
+    except OverflowError:  # lgamma(alpha) passes the float range from alpha of about 2.5e305
+        raise DomainParameterError(
+            f"rational moment of order {k} at alpha = {alpha:g} exceeds the float range of lgamma"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -104,9 +108,6 @@ class MomentTable:
     @classmethod
     def build(cls, weight, k_max):
         return cls(tuple(moment(weight, k) for k in range(k_max + 1)))
-
-    def get(self, k):
-        return self.values[k]
 
 
 # ---------------------------------------------------------------------------

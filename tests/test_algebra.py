@@ -21,7 +21,6 @@ from weakcr.algebra import (
     adjoint,
     box_level,
     is_regular,
-    multiply,
     normal_order,
     profile_from_membership,
     render,
@@ -185,12 +184,6 @@ def test_already_canonical_fixed():
 
 
 # --- algebra laws ------------------------------------------------------------
-
-
-@settings(max_examples=60)
-@given(polys, polys)
-def test_multiply_matches_module_function(p, q):
-    assert multiply(p, q) == p * q
 
 
 @settings(max_examples=40)

@@ -544,6 +544,38 @@ def test_normal_order_past_the_int_digit_limit_exits_two(capsys, expr):
     assert err.startswith("error: ") and "digits" in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, reason",
+    [(["weights", "--alpha", "2", "--seed", "-1"], "--seed"),
+     (["normal-order", "S T", "--seed", "-1"], "--seed"),
+     (["uncertainty", "--out", "{missing}/x.json"], "cannot write"),
+     (["verify-cr", "--dim", "32", "--out", "{missing}/x.json"], "cannot write"),
+     (["weights", "--alpha", "16001.5"], "too large"),
+     (["weights", "--alpha", "1e20"], "too large"),
+     (["weights", "--alpha", "1e300"], "too large"),
+     (["weights", "--alpha", "1e308"], "too large")],
+    ids=["weights_seed", "normal_order_seed", "uncertainty_out", "verify_cr_out",
+         "alpha_past_the_bound", "alpha_1e20", "alpha_1e300", "alpha_1e308"],
+)
+def test_edge_input_exits_two(capsys, tmp_path, argv, reason):
+    # each was a raw traceback: default_rng's ValueError for a negative seed,
+    # FileNotFoundError for --out in a missing directory, rng.integers past
+    # int64 at alpha 1e20 and 1e300, and lgamma's OverflowError at 1e308
+    code, _, err = run(capsys, *(a.format(missing=tmp_path / "missing") for a in argv))
+    assert code == 2
+    assert err.startswith("error: ") and reason in err and "Traceback" not in err
+
+
+def test_weights_alpha_bound_is_the_suite_degree(capsys, monkeypatch):
+    # the bound holds the largest integer below 2 alpha - 3/2, so 3.25 (degree 4) passes at
+    # bound 4 and 3.3 (degree 5) does not
+    monkeypatch.setattr(cli, "MAX_SUITE_DEGREE", 4)
+    assert run(capsys, "weights", "--alpha", "3.25")[0] == 0
+    code, _, err = run(capsys, "weights", "--alpha", "3.3")
+    assert code == 2 and "at most 4" in err
+
+
 def test_verify_cr_weak_defect_still_fails_a_broken_relation(capsys, monkeypatch):
     # scaling S by 1 + 1e-6 breaks [S, T] = 1 by 1e-6 on every diagonal entry
     def broken(theta, n):

@@ -18,7 +18,7 @@ from weakcr.algebra import (
 )
 from weakcr.cli import main
 from weakcr.errors import DomainParameterError, ExprEvalError, ExprSyntaxError, UnknownIdentifierError
-from weakcr.expr import parse_to_poly, pretty_print
+from weakcr.expr import parse_to_poly
 
 S = NCPoly.gen(GEN_S)
 T = NCPoly.gen(GEN_T)
@@ -174,7 +174,7 @@ polys = st.dictionaries(words, coeffs, max_size=4).map(NCPoly)
 @settings(max_examples=120)
 @given(polys)
 def test_render_round_trip(p):
-    assert parse_to_poly(pretty_print(p)) == p
+    assert parse_to_poly(render(p)) == p
 
 
 @settings(max_examples=60)

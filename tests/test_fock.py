@@ -34,6 +34,7 @@ from weakcr.fock import (
     quasi_strong_defect,
     quasi_strong_with_scale,
     raising,
+    relation_block,
     semigroup_band,
     spectral_norm,
     swanson_pair,
@@ -722,13 +723,13 @@ def test_quasi_strong_scale_rejects_negative_parameters():
 
 
 @pytest.mark.parametrize(
-    "both, defect, args",
-    [(weak_with_scale, weak_defect, ()),
-     (quasi_strong_with_scale, quasi_strong_defect, (0.1,)),
-     (weyl_with_scale, weyl_defect, (0.1, 0.2))],
+    "both, defect, args, band",
+    [(weak_with_scale, weak_defect, (), lambda pair: pair.safe_rank),
+     (quasi_strong_with_scale, quasi_strong_defect, (0.1,), lambda pair: semigroup_band(pair, 0.1)),
+     (weyl_with_scale, weyl_defect, (0.1, 0.2), lambda pair: semigroup_band(pair, 0.2))],
     ids=["weak", "quasi_strong", "weyl"],
 )
-def test_each_defect_and_its_scale_come_from_one_product(monkeypatch, both, defect, args):
+def test_each_defect_and_its_scale_come_from_one_product(monkeypatch, both, defect, args, band):
     pair = swanson_pair(0.3, 128)
     want = both(pair, *args)  # forms the semigroups first
     assert defect(pair, *args) == want[0]
@@ -736,6 +737,25 @@ def test_each_defect_and_its_scale_come_from_one_product(monkeypatch, both, defe
     monkeypatch.setattr(fock, "band_product", lambda *a: calls.append(a) or real(*a))
     assert both(pair, *args) == want
     assert len(calls) == 2  # the product the scale reads, and the one it is compared with
+    assert [a[2:] for a in calls] == [(band(pair),)] * 2  # each formed on the band's rows only
+
+
+@pytest.mark.parametrize("rows", [1, 5, 9, 12])
+@pytest.mark.parametrize("c, with_R", [(1.0, False), (1.0, True), (-2.5, True), (0.5 + 1j, False)])
+def test_relation_block_is_the_leading_block_of_the_dense_relation(rows, c, with_R):
+    rng = np.random.default_rng(rows)
+    n = 12
+
+    def banded(lower, upper):
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return np.triu(np.tril(A, upper), -lower)
+
+    X, Y, R = banded(2, 1), banded(1, 3), banded(1, 2)
+    want = X @ Y - c * (Y @ X) - (R if with_R else 0)
+    block, scale = relation_block(diagonals(X), diagonals(Y), rows, c, diagonals(R) if with_R else None)
+    assert block.shape[1] == rows
+    assert np.allclose(dense(block), want[:rows, :rows], rtol=0, atol=ROUNDING * 10)
+    assert scale == pytest.approx(max(1.0, np.max(np.abs((X @ Y)[:rows, :rows]))), rel=ROUNDING)
 
 
 def test_weyl_defect_memory_stays_below_one_dense_block():

@@ -154,7 +154,7 @@ def test_kernel_vector_matches_the_closed_form_vacuum(theta, n):
     # S x = 0 is the recurrence x_(n+1) = -i tan(t) sqrt(n/(n+1)) x_(n-1), solved by
     # x_2m = (-i tan t)^m sqrt(C(2m, m)) / 2^m with odd components zero; T' flips i
     pair = swanson_pair(theta, n)
-    vacua = swanson_vacua(theta, n, 1e-10)
+    vacua = swanson_vacua(theta, n)
     for op, sign, closed in zip((pair.S, pair.T.adjoint()), (-1, 1), vacua):
         x = np.zeros(n, dtype=complex)
         for m in range((n + 1) // 2):

@@ -162,15 +162,15 @@ def test_cross_condition_matches_dense_oracle(make):
 
 
 def test_ur2_check_forms_the_cross_defect_once(monkeypatch):
-    calls, commutator = [], fock.band_commutator
+    calls, relation = [], fock.relation_block
 
-    def counted(A, B):
+    def counted(*args):
         calls.append(1)
-        return commutator(A, B)
+        return relation(*args)
 
     pair = swanson_pair(0.3, 32)
     for module in (fock, uncertainty):
-        monkeypatch.setattr(module, "band_commutator", counted, raising=False)
+        monkeypatch.setattr(module, "relation_block", counted)
     reports = [ur2_check(pair, coherent_state(0.1 * k, 32)) for k in range(10)]
     assert len(calls) == 1
     (defect,) = {u.cross_condition_defect for u in reports}
@@ -482,19 +482,19 @@ def test_matrix2x2_scan_rows_equal_reports(s, q):
 def test_matrix2x2_scan_forms_the_pair_once(monkeypatch):
     # one pair, one [S, T] and one cross defect for the whole circle, not one per point
     pairs, commutators = [], []
-    make_pair, commutator = uncertainty.matrix2x2_pair, fock.band_commutator
+    make_pair, relation = uncertainty.matrix2x2_pair, fock.relation_block
 
     def counted_pair(s, q):
         pairs.append(1)
         return make_pair(s, q)
 
-    def counted_commutator(A, B):
+    def counted_commutator(*args):
         commutators.append(1)
-        return commutator(A, B)
+        return relation(*args)
 
     monkeypatch.setattr(uncertainty, "matrix2x2_pair", counted_pair)
     for module in (fock, uncertainty):
-        monkeypatch.setattr(module, "band_commutator", counted_commutator)
+        monkeypatch.setattr(module, "relation_block", counted_commutator)
     table = saturation_scan("matrix2x2", (1.0, 1.0), grid=[i / 10 for i in range(11)])
     assert len(table.rows) == 11
     assert len(pairs) == 1

@@ -141,11 +141,17 @@ def test_divergent_moment_marker():
     assert moment(rational_weight(2.0), 8) == math.inf
 
 
+def test_rational_moment_past_the_lgamma_range_is_a_typed_error():
+    # lgamma(1e308) overflows, which was a raw OverflowError
+    with pytest.raises(DomainParameterError, match="float range of lgamma"):
+        moment(rational_weight(1e308), 0)
+
+
 def test_moment_table():
     table = MomentTable.build(rational_weight(2.0), 8)
-    assert table.get(0) == pytest.approx(rational_moment_oracle(2.0, 0), rel=1e-10)
-    assert table.get(3) == 0.0
-    assert table.get(8) == math.inf
+    assert table.values[0] == pytest.approx(rational_moment_oracle(2.0, 0), rel=1e-10)
+    assert table.values[3] == 0.0
+    assert table.values[8] == math.inf
 
 
 # --- inner products -------------------------------------------------------------
