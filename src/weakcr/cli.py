@@ -14,13 +14,15 @@ are randomized, also accept --seed.
 Exit status is 0 when every check passes, 1 when a check fails, and 2 for a
 bad argument or a failed precondition; reports are byte-identical across
 runs with identical inputs.
+
+Each subcommand imports the layers it drives when it runs, so a call loads
+only those: compiling a layer module costs more than most subcommands' work.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import sys
@@ -28,51 +30,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import (
-    PowerProfile,
-    UNBOUNDED,
-    fock_eval,
-    format_word,
-    is_regular,
-    normal_order,
-    render,
-)
 from .errors import WeakCRError
-from .expr import parse_to_poly
-from .fock import (
-    basis_state,
-    coherent_state,
-    quasi_strong_with_scale,
-    swanson_pair,
-    weak_with_scale,
-    weyl_with_scale,
-)
-from .ladder import (
-    biorthogonality_gram,
-    build_ladder,
-    eigen_check,
-    intertwiners,
-    residuals_monotone,
-    restricted_spectrum,
-    swanson_vacua,
-    tail_mass_membership,
-)
-from .uncertainty import (
-    _swanson_state,
-    coherent_grid_states,
-    matrix2x2_report,
-    saturation_scan,
-)
-from .weights import (
-    MomentTable,
-    PolyFunc,
-    gaussian_eigen_check,
-    gaussian_weight,
-    ladder_length,
-    monomial,
-    rational_weight,
-    weak_cr_check,
-)
 
 
 def _json_safe(value):
@@ -134,19 +92,29 @@ def _print_checks(report):
         print(json.dumps({"failures": report["failures"]}), file=sys.stderr)
 
 
+def _check_out(args):
+    """Reject an --out the report cannot be written as, before any work is done."""
+    path = args.out
+    if path is None or path.endswith(".json"):
+        return
+    if not path.endswith(".csv"):
+        raise WeakCRError(f"unsupported output extension in {path!r} (use .json or .csv)")
+    if not getattr(args, "scan", None):
+        raise WeakCRError("CSV output is available for scan tables only")
+
+
 def _write_out(report, path, scan_rows=None):
+    """Write the report to a path ``_check_out`` accepted (.csv only with scan rows)."""
     if path is None:
         return
-    if not path.endswith((".json", ".csv")):
-        raise WeakCRError(f"unsupported output extension in {path!r} (use .json or .csv)")
-    if path.endswith(".csv") and scan_rows is None:
-        raise WeakCRError("CSV output is available for scan tables only")
     try:
         if path.endswith(".json"):
             with open(path, "w") as fh:
                 fh.write(json.dumps(report, sort_keys=True, indent=2))
                 fh.write("\n")
         else:
+            import csv
+
             columns, rows = scan_rows
             with open(path, "w", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=columns)
@@ -205,6 +173,8 @@ def _swanson_theta(args):
 
 
 def _parse_state(text, dim):
+    from .fock import basis_state, coherent_state
+
     forms = "coherent:re,im or basis:k"
     kind, _, arg = text.partition(":")
     with _bad_value("state", text, forms):
@@ -243,6 +213,8 @@ def _parse_gridspec(text):
 
 
 def cmd_verify_cr(args):
+    from .fock import quasi_strong_with_scale, swanson_pair, weak_with_scale, weyl_with_scale
+
     pair = swanson_pair(_swanson_theta(args), args.dim)
     tols = _tolerances(args, weak=1e-12, quasi_strong=1e-12, weyl=1e-12)
     report = Report(
@@ -272,6 +244,18 @@ def cmd_verify_cr(args):
 
 
 def cmd_ladder(args):
+    from .fock import swanson_pair
+    from .ladder import (
+        biorthogonality_gram,
+        build_ladder,
+        eigen_check,
+        intertwiners,
+        residuals_monotone,
+        restricted_spectrum,
+        swanson_vacua,
+        tail_mass_membership,
+    )
+
     theta = _swanson_theta(args)
     tols = _tolerances(args, residual=1e-8, gram=1e-7, intertwiner=1e-6)
     xi0, eta0 = swanson_vacua(theta, args.dim)
@@ -332,6 +316,8 @@ MAX_SUITE_DEGREE = 32000
 
 def _weights_suite(weight, rng):
     """Eight random draws of admissible polynomial pairs for the weak-relation defect."""
+    from .weights import PolyFunc, ladder_length, monomial
+
     max_deg = ladder_length(weight.alpha).n_max if weight.kind == "rational" else 6
     pairs = []
     for _ in range(8):
@@ -349,6 +335,15 @@ def _weights_suite(weight, rng):
 
 
 def cmd_weights(args):
+    from .weights import (
+        MomentTable,
+        gaussian_eigen_check,
+        gaussian_weight,
+        ladder_length,
+        rational_weight,
+        weak_cr_check,
+    )
+
     if args.gaussian == (args.alpha is not None):
         raise WeakCRError("choose exactly one of --alpha or --gaussian")
     weight = gaussian_weight() if args.gaussian else rational_weight(args.alpha)
@@ -411,9 +406,26 @@ def cmd_weights(args):
     return report
 
 
+#: the largest truncation of ``normal-order``'s dense soundness check, 2 x degree; it
+#: holds about eight dense complex arrays of that side (64 MB each at 2048)
+MAX_SOUNDNESS_DIM = 2048
+
+
 def cmd_normal_order(args):
+    from .algebra import PowerProfile, UNBOUNDED, fock_eval, format_word, is_regular, normal_order, render
+    from .expr import parse_to_poly
+    from .fock import swanson_pair
+
     rng = _rng(args.seed)
     poly = parse_to_poly(args.expr)
+    # the safe block (indices a word of this degree cannot push past the
+    # truncation) has at least `degree` indices
+    dim = max(32, 2 * poly.degree)
+    if dim > MAX_SOUNDNESS_DIM:
+        raise WeakCRError(
+            f"expression of degree {poly.degree} is too large: its soundness check needs "
+            f"dimension {dim}, at most {MAX_SOUNDNESS_DIM} (degree {MAX_SOUNDNESS_DIM // 2})"
+        )
     profile = PowerProfile.unbounded()
     if args.profile:
         with _bad_value("profile", args.profile, "nonincreasing m0,m1,... >= 0, 'inf' for unbounded"):
@@ -425,9 +437,6 @@ def cmd_normal_order(args):
     print(text)
     verdict = is_regular(canonical, profile)
 
-    # the safe block (indices a word of this degree cannot push past the
-    # truncation) has at least `degree` indices
-    dim = max(32, 2 * poly.degree)
     block = dim - max(poly.degree, 1)
     soundness = 0.0
     scale = 1.0
@@ -461,6 +470,9 @@ def cmd_normal_order(args):
 
 
 def cmd_uncertainty(args):
+    from .fock import swanson_pair
+    from .uncertainty import _swanson_state, coherent_grid_states, matrix2x2_report, saturation_scan
+
     kind, params = _parse_model(args.model)
     tols = {**_tolerances(args, saturation=1e-6), "validity": 1e-8}
     tol = tols["saturation"]
@@ -597,6 +609,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args)
         report = args.func(args)
         data = report.finalize()
         _print_checks(data)

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NCPoly, fock_eval
 from .errors import ClosedFormInconsistencyError, DomainParameterError, PreconditionError, TruncationError
 from .fock import (
     OperatorPair,
@@ -102,8 +101,11 @@ def _pass(pair, states, z=None, w=None, C=None, moments=False):
         _require_unit(xi)
     xs = [xi.components for xi in states]
     X = np.array(xs).T
-    if isinstance(C, NCPoly):
-        C = fock_eval(C, pair)
+    if C is not None and not isinstance(C, TruncatedOperator):
+        from .algebra import NCPoly, fock_eval  # only a polynomial C needs the algebra
+
+        if isinstance(C, NCPoly):
+            C = fock_eval(C, pair)
     SX, SdX, TX, TdX = ((A @ X).T for A in (pair.S, pair.S.adjoint(), pair.T, pair.T.adjoint()))
     CX = [None] * len(xs) if C is None else (C @ X).T
     reports, c_exps = [], []

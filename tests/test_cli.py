@@ -1,5 +1,6 @@
 """CLI contract tests: documented payloads, determinism, exit codes."""
 
+import importlib
 import json
 import math
 import subprocess
@@ -10,7 +11,8 @@ from math import comb, factorial
 import pytest
 from test_acceptance import _run_cli, child_env
 
-from weakcr import cli
+import weakcr
+from weakcr import algebra, cli, expr, fock, uncertainty, weights
 from weakcr.algebra import GEN_S, GEN_T, NCPoly, normal_order, render
 from weakcr.cli import main
 from weakcr.fock import OperatorPair, TruncatedOperator, swanson_pair
@@ -94,32 +96,71 @@ def test_weights_large_alpha_passes(capsys, tmp_path, alpha):
 
 def test_import_and_normal_order_load_no_scipy_integrate_or_linalg():
     # scipy.linalg loads only when a library caller computes a kernel vector,
-    # and nothing in the package loads scipy.integrate
-    def imported(*args):
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", *args],
-            capture_output=True, text=True, timeout=120, env=child_env(),
-        )
+    # and nothing in the package loads scipy.integrate; each subcommand loads
+    # only the layers it drives, and the package alone loads none
+    def imported(*argv):
+        # sys.modules at exit rather than -X importtime, which does not list a
+        # module the package namespace loads through importlib
+        run = (f"sys.argv = ['weakcr', *{list(argv)!r}]; runpy.run_module('weakcr.cli', run_name='__main__')"
+               if argv else "import weakcr")
+        code = "import atexit, runpy, sys\natexit.register(lambda: print(*sys.modules, sep='\\n', file=sys.stderr))\n" + run
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr[-2000:]
-        return {
-            line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.splitlines()
-            if line.startswith("import time:")
-        }
+        return set(proc.stderr.splitlines())
 
-    for args in (["-c", "import weakcr"], ["-m", "weakcr.cli", "normal-order", "S T"]):
-        modules = imported(*args)
-        assert "weakcr" in modules
-        assert not modules & {"scipy.integrate", "scipy.linalg"}, args
+    def layers(modules):
+        return {m for m in modules if m.startswith("weakcr.")}
+
+    modules = imported()
+    assert "weakcr" in modules
+    assert layers(modules) == set()
+    assert "numpy" not in modules
     # no subcommand loads any scipy module: the defect chain's Lanczos norm
     # and the ladder's closed-form vacua are numpy alone, and neither needs
     # numpy.random for a start vector
-    for argv in (["verify-cr"], ["ladder"], ["weights", "--alpha", "2"], ["normal-order", "S T"],
-                 ["uncertainty"], ["uncertainty", "--model", "matrix2x2:1,1", "--scan", "circle:11"]):
-        modules = imported("-m", "weakcr.cli", *argv)
+    fock_only = {"weakcr.errors", "weakcr.fock"}
+    for argv, expected in (
+        (["verify-cr"], fock_only),
+        (["ladder"], fock_only | {"weakcr.ladder"}),
+        (["weights", "--alpha", "2"], {"weakcr.errors", "weakcr.weights"}),
+        (["normal-order", "S T"], fock_only | {"weakcr.algebra", "weakcr.expr"}),
+        (["uncertainty"], fock_only | {"weakcr.uncertainty"}),
+        (["uncertainty", "--model", "matrix2x2:1,1", "--scan", "circle:11"], fock_only | {"weakcr.uncertainty"}),
+    ):
+        modules = imported(*argv)
+        assert "weakcr" in modules
+        assert layers(modules) == expected, argv
+        assert "csv" not in modules, argv
         assert not {m for m in modules if m.split(".")[0] == "scipy"}, argv
         if argv[0] in ("verify-cr", "ladder"):
             assert "numpy.random" not in modules, argv
+
+
+def test_namespace_resolves_each_name_on_first_use():
+    # the names the package re-exported eagerly before it loaded them on use
+    homes = {
+        "algebra": "GEN_S GEN_SD GEN_T GEN_TD UNBOUNDED BoxExpr GaussRational NCPoly PowerProfile adjoint "
+                   "box_level fock_eval is_regular normal_order profile_from_membership render",
+        "fock": "OperatorPair StateVector TruncatedOperator basis_state boson_pair coherent_state identity "
+                "lowering matrix2x2_pair quasi_strong_defect raising swanson_pair weak_defect weyl_defect",
+        "ladder": "LadderFamily biorthogonality_gram build_ladder commutation_power_check eigen_check "
+                  "intertwiners kernel_vector restricted_spectrum swanson_vacua tail_mass_membership",
+        "uncertainty": "DeltaReport URResult delta delta_report matrix2x2_report saturation_scan "
+                       "swanson_closed_form ur1_check ur2_check",
+        "weights": "MomentTable PolyFunc Weight apply_S apply_T gaussian_eigen_check gaussian_weight "
+                   "inner_product ladder_length moment rational_weight sdagger_pair weak_cr_check",
+        "expr": "parse_to_poly",
+    }
+    names = {name: module for module, text in homes.items() for name in text.split()}
+    assert len(names) == 63
+    assert sorted(weakcr.__all__) == sorted(names)
+    for name, module in names.items():
+        assert getattr(weakcr, name) is getattr(importlib.import_module(f"weakcr.{module}"), name), name
+        assert name in dir(weakcr)
+    assert weakcr.fock is fock
+    assert {"fock", "cli", "__version__"} <= set(dir(weakcr))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        weakcr.no_such_name  # noqa: B018
 
 
 def test_weights_requires_one_weight(capsys):
@@ -182,6 +223,36 @@ def test_csv_rejected_for_non_scan(capsys, tmp_path):
     code, _, err = run(capsys, "verify-cr", "--dim", "32", "--out", str(out_file))
     assert code == 2
     assert "scan tables only" in err
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [(["verify-cr", "--out", "x.txt"], "unsupported output extension"),
+     (["verify-cr", "--out", "x.csv"], "scan tables only"),
+     (["ladder", "--out", "x"], "unsupported output extension"),
+     (["weights", "--gaussian", "--out", "x.csv"], "scan tables only"),
+     (["normal-order", "S T", "--out", "x.json.txt"], "unsupported output extension"),
+     (["uncertainty", "--out", "x.csv"], "scan tables only"),
+     (["uncertainty", "--model", "matrix2x2:1,1", "--scan", "circle:11", "--out", "x.tsv"],
+      "unsupported output extension")],
+    ids=["verify_cr_txt", "verify_cr_csv", "ladder_bare", "weights_csv", "normal_order_txt",
+         "uncertainty_csv", "scan_tsv"],
+)
+def test_bad_out_extension_exits_two_before_any_work(capsys, monkeypatch, tmp_path, argv, reason):
+    # both were found only after the whole report had printed with its verdict
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a layer ran before --out was checked")
+
+    for module, name in ((fock, "swanson_pair"), (expr, "parse_to_poly"), (algebra, "normal_order"),
+                         (weights, "gaussian_weight"), (weights, "rational_weight"),
+                         (uncertainty, "saturation_scan"), (uncertainty, "matrix2x2_report")):
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and reason in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failing_check_gives_exit_one(capsys):
@@ -349,7 +420,7 @@ def test_normal_order_soundness_catches_a_dropped_term(capsys, monkeypatch, expr
     def unsound(p):
         return NCPoly({w: c for w, c in normal_order(p).terms.items() if w != dropped})
 
-    monkeypatch.setattr(cli, "normal_order", unsound)
+    monkeypatch.setattr(algebra, "normal_order", unsound)
     code, out, _ = run(capsys, "normal-order", expr)
     assert code == 1
     assert "FAIL fock_soundness" in out
@@ -478,7 +549,7 @@ def test_verify_cr_weyl_defect_fails_a_broken_relation(capsys, monkeypatch, mode
         pair = swanson_pair(theta, n)
         return OperatorPair(pair.S, TruncatedOperator.banded((1 + 1e-6) * pair.T.diagonals))
 
-    monkeypatch.setattr(cli, "swanson_pair", broken)
+    monkeypatch.setattr(fock, "swanson_pair", broken)
     code, out, _ = run(capsys, "verify-cr", "--model", model)
     assert code == 1
     assert "FAIL weyl_defect" in out
@@ -506,7 +577,7 @@ def test_verify_cr_quasi_strong_defect_fails_a_broken_relation(capsys, monkeypat
         pair = swanson_pair(theta, n)
         return OperatorPair(pair.S, TruncatedOperator.banded((1 + 1e-9) * pair.T.diagonals))
 
-    monkeypatch.setattr(cli, "swanson_pair", broken)
+    monkeypatch.setattr(fock, "swanson_pair", broken)
     code, out, _ = run(capsys, "verify-cr", "--model", model, "--dim", "2048")
     assert code == 1
     assert "FAIL quasi_strong_defect" in out
@@ -567,6 +638,28 @@ def test_edge_input_exits_two(capsys, tmp_path, argv, reason):
     assert err.startswith("error: ") and reason in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_normal_order_past_the_soundness_dimension_exits_two(capsys, monkeypatch):
+    # the dense check at dimension 2 x degree holds about eight dim x dim complex
+    # arrays, so S^5000 asked for about 10 GB; the cap acts before any rewrite
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the rewrite ran past the cap")
+
+    monkeypatch.setattr(algebra, "normal_order", forbidden)
+    code, out, err = run(capsys, "normal-order", "S^1100")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "degree 1100" in err and "at most 2048" in err
+
+
+def test_normal_order_soundness_cap_is_twice_the_degree(capsys, monkeypatch):
+    # a cap of 64 admits degree 32 and rejects degree 33
+    monkeypatch.setattr(cli, "MAX_SOUNDNESS_DIM", 64)
+    assert run(capsys, "normal-order", "S^32")[0] == 0
+    code, _, err = run(capsys, "normal-order", "S^33")
+    assert code == 2 and "at most 64" in err
+
+
 def test_weights_alpha_bound_is_the_suite_degree(capsys, monkeypatch):
     # the bound holds the largest integer below 2 alpha - 3/2, so 3.25 (degree 4) passes at
     # bound 4 and 3.3 (degree 5) does not
@@ -582,7 +675,7 @@ def test_verify_cr_weak_defect_still_fails_a_broken_relation(capsys, monkeypatch
         pair = swanson_pair(theta, n)
         return OperatorPair(TruncatedOperator.banded((1 + 1e-6) * pair.S.diagonals), pair.T)
 
-    monkeypatch.setattr(cli, "swanson_pair", broken)
+    monkeypatch.setattr(fock, "swanson_pair", broken)
     code, out, _ = run(capsys, "verify-cr", "--model", "swanson:0.3", "--dim", "2048")
     assert code == 1
     assert "FAIL weak_defect" in out

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from weakcr import fock, uncertainty
+from weakcr import algebra, fock, uncertainty
 from weakcr.algebra import NCPoly, fock_eval
 from weakcr.errors import PreconditionError, TruncationError
 from weakcr.fock import (
@@ -199,13 +199,13 @@ def test_ur1_with_explicit_centers():
 
 
 def test_polynomial_c_is_evaluated_once_per_pass(monkeypatch):
-    calls, evaluate = [], uncertainty.fock_eval
+    calls, evaluate = [], algebra.fock_eval
 
     def counted(p, pair):
         calls.append(1)
         return evaluate(p, pair)
 
-    monkeypatch.setattr(uncertainty, "fock_eval", counted)
+    monkeypatch.setattr(algebra, "fock_eval", counted)
     S, T = NCPoly.gen("S"), NCPoly.gen("T")
     C = S * T - T * S + S * S
     pair = swanson_pair(0.3, 32)
