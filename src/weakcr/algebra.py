@@ -247,6 +247,16 @@ class NCPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if len(self.terms) == 1:  # (c w)^n = c^n w^n, with c^n by squaring
+            ((word, coeff),) = self.terms.items()
+            power, base, e = _ONE, coeff, n
+            while e:
+                if e & 1:
+                    power = power * base
+                e >>= 1
+                if e:
+                    base = base * base
+            return NCPoly.from_word(word * n, power)
         out = NCPoly.one()
         for _ in range(n):
             out = out * self
@@ -414,6 +424,14 @@ class Regularity(NamedTuple):
     witness: tuple | None
 
 
+#: the adjacent pairs normal ordering rewrites; a word without them is canonical
+_REWRITTEN = frozenset(((GEN_S, GEN_T), (GEN_SD, GEN_TD)))
+
+
+def _is_canonical(word):
+    return _REWRITTEN.isdisjoint(zip(word, word[1:]))
+
+
 def _word_is_regular(word, profile):
     """A canonical word, T^r S^k or T'^r S'^k, lies in the profile's regular part."""
     letters = set(word)
@@ -435,9 +453,12 @@ def is_regular(p, profile):
 
     A polynomial is regular when every canonical word is a same-family block
     T^r S^k (or T'^r S'^k) with r <= n0 and k <= m[r].  Returns the first
-    violating word as witness otherwise.
+    violating word as witness otherwise.  A polynomial whose words are all
+    canonical already is its own canonical form and is not rewritten again.
     """
-    q = normal_order(p)
+    q = _as_poly(p)
+    if not all(_is_canonical(word) for word in q.terms):
+        q = normal_order(q)
     for word in sorted(q.terms, key=_word_sort_key):
         if not _word_is_regular(word, profile):
             return Regularity(False, word)
@@ -562,6 +583,11 @@ def profile_from_membership(member: Callable[[int, int], bool], degree_cap: int)
 # ---------------------------------------------------------------------------
 
 
+#: while every entry of every partial product and sum is bounded below this,
+#: none can reach the float range's top (2^1024), rounding included
+_FINITE_BOUND = 2.0**1000
+
+
 def fock_eval(p, pair):
     """Substitute the pair's dense matrices for the generators and evaluate.
 
@@ -569,34 +595,85 @@ def fock_eval(p, pair):
     Coefficients drop to double precision here and only here.  The words are
     summed in one fixed order, the reverse of the rendered one (lowest degree
     first), so the floating-point result depends on the polynomial alone and
-    not on the order in which its terms were built.  A coefficient or a
-    partial sum past the float range raises ``DomainParameterError`` naming
-    its word, with no numpy warning.
+    not on the order in which its terms were built.  Each word's product is
+    formed left to right from its first letter, but starts from the partial
+    product of its longest common prefix with the word before it: the same
+    floating-point chain, so the same bits.  Only that one partial product
+    is kept from word to word; a word sharing less with the next word than
+    with the one before leaves none, and the next word starts afresh.
+
+    A coefficient or a partial sum past the float range raises
+    ``DomainParameterError`` naming its word, with no numpy warning.  Every
+    entry of a word's partial products and term is at most
+    max(1, |c|) * prod max(1, ||L||_F) over its letters, and the sum at most
+    the sum of these bounds; while that running bound stays below 2^1000
+    nothing is checked, and past it every partial product and every partial
+    sum is, so an overflowing word stops at its first non-finite product.
     """
     from .fock import TruncatedOperator
 
-    p = _as_poly(p)
+    return TruncatedOperator(_word_sum(_as_poly(p), pair))  # the letters are freed by now
+
+
+def _word_sum(p, pair):
+    """The dense sum of ``fock_eval``, in its order and with its checks."""
     S, T = pair.S.entries, pair.T.entries
     mats = {GEN_S: S, GEN_T: T, GEN_SD: S.conj().T, GEN_TD: T.conj().T}
+    words = sorted(p.terms, key=_word_sort_key, reverse=True)
     acc = np.zeros_like(S)
-    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports it
-        for word in sorted(p.terms, key=_word_sort_key, reverse=True):
+    bound, saved, saved_len = 0.0, None, 0
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness checks below report it
+        # Frobenius norms, read off the diagonals; S' has the norm of S
+        norm_s, norm_t = (max(1.0, math.sqrt(np.vdot(D, D).real))
+                          for D in (pair.S.diagonals, pair.T.diagonals))
+        norms = {GEN_S: norm_s, GEN_SD: norm_s, GEN_T: norm_t, GEN_TD: norm_t}
+        for i, word in enumerate(words):
             try:
                 coeff = complex(p.terms[word])
             except OverflowError:
                 raise DomainParameterError(
                     f"the coefficient of {format_word(word)!r} is past the float range"
                 ) from None
-            m = mats[word[0]] if word else np.eye(pair.dim, dtype=complex)
-            for g in word[1:]:
+            term_bound = max(1.0, math.hypot(coeff.real, coeff.imag))
+            for g in word:
+                term_bound *= norms[g]
+            bound += term_bound
+            checked = not bound < _FINITE_BOUND  # a NaN bound is checked too
+            if saved_len:
+                m, k = saved, saved_len
+            elif word:
+                m, k = mats[word[0]], 1
+            else:
+                m, k = np.eye(pair.dim, dtype=complex), 0
+            keep = _common_prefix(word, words[i + 1]) if i + 1 < len(words) else 0
+            saved, saved_len = (m, k) if k and keep == k else (None, 0)
+            for g in word[k:]:
                 m = m @ mats[g]
+                k += 1
+                if checked and not np.isfinite(m).all():
+                    _raise_past_float_range(word, pair.dim)
+                if k == keep:
+                    saved, saved_len = m, k
             acc += coeff * m
-            if not np.isfinite(acc).all():
-                raise DomainParameterError(
-                    f"the term in {format_word(word)!r} takes the sum past the float range "
-                    f"at dimension {pair.dim}"
-                )
-    return TruncatedOperator(acc)
+            if checked and not np.isfinite(acc).all():
+                _raise_past_float_range(word, pair.dim)
+    return acc
+
+
+def _common_prefix(a, b):
+    """Length of the longest common prefix of two words."""
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+def _raise_past_float_range(word, dim):
+    raise DomainParameterError(
+        f"the term in {format_word(word)!r} takes the sum past the float range at dimension {dim}"
+    )
 
 
 # ---------------------------------------------------------------------------

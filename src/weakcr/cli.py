@@ -406,8 +406,9 @@ def cmd_weights(args):
     return report
 
 
-#: the largest truncation of ``normal-order``'s dense soundness check, 2 x degree; it
-#: holds about eight dense complex arrays of that side (64 MB each at 2048)
+#: the largest truncation of ``normal-order``'s dense soundness check, 2 x degree; at
+#: its peak it holds eleven dense complex arrays of that side, eight of them inside
+#: ``fock_eval`` (64 MB each at 2048)
 MAX_SOUNDNESS_DIM = 2048
 
 

@@ -367,11 +367,15 @@ def _diagonal_view(padded, width):
 def diagonals(entries):
     """Diagonals of a dense square matrix; the bandwidth is its nonzero pattern's.
 
-    A wide (even full) matrix is stored exactly, only with more diagonals.
+    The bandwidth is read off which diagonals of the nonzero mask, viewed at
+    full width, hold a True.  A wide (even full) matrix is stored exactly,
+    only with more diagonals.
     """
     n = entries.shape[0]
-    rows, cols = np.nonzero(entries)
-    width = int(abs(rows - cols).max(initial=0))
+    nonzero = np.zeros((n, 3 * n - 2), dtype=bool)  # every diagonal fits at width n - 1
+    np.not_equal(entries, 0, out=nonzero[:, n - 1 : 2 * n - 1])
+    used = np.flatnonzero(_diagonal_view(nonzero, n - 1).any(axis=1))
+    width = int(max(n - 1 - used[0], used[-1] - (n - 1))) if used.size else 0
     padded = np.zeros((n, n + 2 * width), dtype=complex)
     padded[:, width : width + n] = entries
     return _diagonal_view(padded, width).copy()

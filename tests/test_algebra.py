@@ -170,6 +170,37 @@ def test_swapped_t_and_s_powers():
     assert normal_order(S * T**2) == T**2 * S + 2 * T
 
 
+def _looped_power(base, n):
+    out = NCPoly.one()
+    for _ in range(n):
+        out = out * base
+    return out
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize(
+    "base",
+    [NCPoly({(): GaussRational(Fraction(2, 3), -1)}), GaussRational(0, 3) * S * Td, -2 * Sd**2 * T,
+     S + T, NCPoly.zero()],
+    ids=["scalar", "single-word", "single-word-squared", "multi-term", "zero"],
+)
+def test_power_matches_the_looped_product(base, n):
+    got = base**n
+    want = _looped_power(base, n)
+    assert got == want
+    for word, coeff in got.terms.items():  # exact parts: ints stay ints
+        _assert_exact(coeff, _value(want.terms[word]))
+
+
+def test_monomial_power_is_formed_as_one_word():
+    # one S repeated 20000 times, formed as a single word rather than 20000
+    # successive products of growing tuples
+    from weakcr.expr import parse_to_poly
+
+    assert parse_to_poly("S^20000") == NCPoly.from_word((GEN_S,) * 20000)
+    assert parse_to_poly("(2 S T')^300") == NCPoly.from_word((GEN_S, GEN_TD) * 300, 2**300)
+
+
 def test_mixed_family_words_are_inert():
     p = S * Td
     assert normal_order(p) == p
@@ -322,6 +353,19 @@ def test_is_regular_t_power_bound():
     assert not is_regular(T, profile).ok
 
 
+_PROFILES = [PowerProfile.unbounded(), PowerProfile((3, 2)), PowerProfile((2,), n0=0),
+             PowerProfile((UNBOUNDED, 2, 1), UNBOUNDED)]
+
+
+@settings(max_examples=100)
+@given(polys)
+def test_is_regular_reads_the_canonical_form_once(p):
+    # the verdict and witness of a polynomial and of its canonical form agree,
+    # whether or not the polynomial was canonical to begin with
+    for profile in _PROFILES:
+        assert is_regular(p, profile) == is_regular(normal_order(p), profile)
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         PowerProfile((1, 2))
@@ -436,6 +480,138 @@ def test_fock_eval_ignores_term_order(p):
             shuffled = NCPoly(dict(items))
             assert shuffled == poly and hash(shuffled) == hash(poly)
             assert fock_eval(shuffled, pair).entries.tobytes() == want
+
+
+def _fock_eval_oracle(p, pair):
+    # the per-word loop fock_eval had before it reused prefixes: every word's
+    # product from its first letter, and the whole sum checked after each word
+    import numpy as np
+
+    from weakcr.algebra import _word_sort_key
+    from weakcr.fock import TruncatedOperator
+
+    S_, T_ = pair.S.entries, pair.T.entries
+    mats = {GEN_S: S_, GEN_T: T_, GEN_SD: S_.conj().T, GEN_TD: T_.conj().T}
+    acc = np.zeros_like(S_)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for word in sorted(p.terms, key=_word_sort_key, reverse=True):
+            m = mats[word[0]] if word else np.eye(pair.dim, dtype=complex)
+            for g in word[1:]:
+                m = m @ mats[g]
+            acc += complex(p.terms[word]) * m
+            assert np.isfinite(acc).all()
+    return TruncatedOperator(acc)
+
+
+# words sharing prefixes in every pattern: a stem, its prefixes, its
+# extensions, and siblings branching off at every length, the empty word too
+stemmed_polys = st.tuples(st.lists(gens, max_size=7).map(tuple),
+                          st.lists(st.tuples(st.integers(0, 7), st.lists(gens, max_size=3).map(tuple), mixed_coeffs),
+                                   min_size=1, max_size=8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stemmed_polys)
+def test_fock_eval_matches_the_per_word_oracle_bit_for_bit(case):
+    from weakcr.algebra import fock_eval
+    from weakcr.fock import boson_pair, swanson_pair
+
+    stem, branches = case
+    p = NCPoly({stem[:cut] + tail: coeff for cut, tail, coeff in branches})
+    for pair in (boson_pair(12), swanson_pair(0.0, 12), swanson_pair(0.37, 12)):
+        for poly in (p, normal_order(p)):
+            got = fock_eval(poly, pair)
+            want = _fock_eval_oracle(poly, pair)
+            assert got.entries.tobytes() == want.entries.tobytes()
+            assert got.diagonals.tobytes() == want.diagonals.tobytes()
+
+
+def test_fock_eval_holds_at_most_one_dense_array_more_than_the_oracle():
+    # a degree-100 canonical form: 51 words T^r S^r, each sharing its T-run
+    # with the next, so one partial product is kept from word to word
+    import tracemalloc
+
+    from weakcr.algebra import fock_eval
+    from weakcr.fock import swanson_pair
+
+    dim = 128
+    pair = swanson_pair(0.37, dim)
+    q = normal_order(S**50 * T**50)
+    assert q.degree == 100
+    peaks = []
+    for evaluate in (_fock_eval_oracle, fock_eval):
+        tracemalloc.start()
+        try:
+            evaluate(q, pair)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    oracle, ours = peaks
+    assert ours <= oracle + 16 * dim * dim
+
+
+def _counting_pair(S_entries, T_entries):
+    # a stand-in pair whose dense letters count the matrix products formed from them
+    import types
+
+    import numpy as np
+
+    from weakcr.fock import TruncatedOperator
+
+    products = []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            products.append(1)
+            return super().__matmul__(other)
+
+    def letter(entries):
+        op = TruncatedOperator(entries)
+        return types.SimpleNamespace(entries=op.entries.view(Counted), diagonals=op.diagonals)
+
+    return types.SimpleNamespace(S=letter(S_entries), T=letter(T_entries), dim=len(S_entries)), products
+
+
+def test_fock_eval_starts_each_word_from_the_previous_words_prefix():
+    # S^6 T^6 = sum_r c_r T^r S^r: T^r S^r starts from the T^(r-1) its
+    # predecessor kept and needs r + 1 products (one for T S), 26 in all,
+    # where forming each word from its first letter takes 2r - 1, 36 in all
+    from weakcr.algebra import fock_eval
+    from weakcr.fock import swanson_pair
+
+    real = swanson_pair(0.37, 16)
+    pair, products = _counting_pair(real.S.entries, real.T.entries)
+    q = normal_order(S**6 * T**6)
+    assert fock_eval(q, pair).entries.tobytes() == _fock_eval_oracle(q, real).entries.tobytes()
+    assert len(products) == 26
+    # four siblings S T x share the partial S T: 2 products, then 1 each
+    products.clear()
+    p = S * T * (Sd + Td + S + T)
+    assert fock_eval(p, pair).entries.tobytes() == _fock_eval_oracle(p, real).entries.tobytes()
+    assert len(products) == 5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "p, word",
+    [(S**20, "'S^20'"), (Fraction(1, 10**200) * S**14, "'S^14'"), (S**11 * T**3, "'S^11 T^3'")],
+    ids=["unit-coefficient", "tiny-coefficient", "tiny-letter-after"],
+)
+def test_overflowing_word_stops_at_its_first_non_finite_product(p, word):
+    # S has entries 1e30 on a 4 x 4 pair: the product of k copies has entries
+    # 4^(k-1) 1e30k, finite up to k = 10 and past the float range at k = 11,
+    # so each word fails after 10 products, however many letters it has.  A
+    # tiny coefficient or a tiny letter T (entries 1e-200) after the overflow
+    # keeps the term's own size small, but not its partial products.
+    import numpy as np
+
+    from weakcr.algebra import fock_eval
+
+    pair, products = _counting_pair(np.full((4, 4), 1e30, dtype=complex), np.full((4, 4), 1e-200, dtype=complex))
+    with pytest.raises(DomainParameterError, match="float range") as info:
+        fock_eval(p, pair)
+    assert word in str(info.value) and "dimension 4" in str(info.value)
+    assert len(products) == 10
 
 
 def test_box_expr_adjoint():

@@ -389,9 +389,14 @@ def test_safe_rank_block_is_free_of_truncation(make):
 
 
 def suite_dense_matrices():
-    """The wide, full 5 x 5, deformed and 2 x 2 matrices the suite builds densely."""
+    """The wide, full 5 x 5, deformed and 2 x 2 matrices the suite builds densely,
+    and the two ends of the bandwidth search: no nonzero, and one far off the diagonal."""
     a, ad = lowering(8).entries, raising(8).entries
+    one_entry = np.zeros((6, 6), dtype=complex)
+    one_entry[4, 1] = 2 - 1j
     return {
+        "zero": np.zeros((6, 6), dtype=complex),
+        "one-off-diagonal": one_entry,
         "wide-S": a + 0.5 * a @ a + 0.2 * ad,
         "wide-T": ad + 0.3 * ad @ ad,
         "full5x5": np.arange(25.0).reshape(5, 5) * (1 + 1j),
@@ -408,6 +413,8 @@ def test_dense_constructor_round_trips_exactly(name):
     op = TruncatedOperator(A)
     assert np.array_equal(op.entries, A)
     assert np.array_equal(op.diagonals, diagonals(A))
+    rows, cols = np.nonzero(A)
+    assert op.diagonals.shape == (2 * abs(rows - cols).max(initial=0) + 1, len(A))
 
 
 def test_band_constructor_ignores_slots_outside_the_matrix():
