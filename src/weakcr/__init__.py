@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 #: each layer module and the names the package re-exports from it
 _EXPORTS = {
     "algebra": (
-        "GEN_S", "GEN_SD", "GEN_T", "GEN_TD", "UNBOUNDED", "BoxExpr", "GaussRational",
-        "NCPoly", "PowerProfile", "adjoint", "box_level", "fock_eval", "is_regular",
-        "normal_order", "profile_from_membership", "render",
+        "GEN_S", "GEN_SD", "GEN_T", "GEN_TD", "UNBOUNDED", "GaussRational", "NCPoly",
+        "PowerProfile", "adjoint", "fock_eval", "is_regular", "normal_order",
+        "profile_from_membership", "render",
     ),
     "fock": (
         "OperatorPair", "StateVector", "TruncatedOperator", "basis_state", "boson_pair",
@@ -27,9 +27,9 @@ _EXPORTS = {
         "raising", "swanson_pair", "weak_defect", "weyl_defect",
     ),
     "ladder": (
-        "LadderFamily", "biorthogonality_gram", "build_ladder", "commutation_power_check",
-        "eigen_check", "intertwiners", "kernel_vector", "restricted_spectrum",
-        "swanson_vacua", "tail_mass_membership",
+        "LadderFamily", "biorthogonality_gram", "build_ladder", "eigen_check",
+        "intertwiners", "kernel_vector", "restricted_spectrum", "swanson_vacua",
+        "tail_mass_membership",
     ),
     "uncertainty": (
         "DeltaReport", "URResult", "delta", "delta_report", "matrix2x2_report",

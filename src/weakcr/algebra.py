@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainParameterError, InconsistentOracleError, NonRegularLeafError
+from .errors import DomainParameterError, InconsistentOracleError
 
 GEN_S = "S"
 GEN_T = "T"
@@ -463,90 +463,6 @@ def is_regular(p, profile):
         if not _word_is_regular(word, profile):
             return Regularity(False, word)
     return Regularity(True, None)
-
-
-# ---------------------------------------------------------------------------
-# box-product trees (the partial-product filtration)
-# ---------------------------------------------------------------------------
-
-
-class BoxExpr:
-    """Binary tree whose leaves are polynomials and whose nodes are box products."""
-
-    __slots__ = ("poly", "left", "right")
-
-    def __init__(self, poly=None, left=None, right=None):
-        if (poly is None) == (left is None or right is None):
-            raise ValueError("a BoxExpr is either a leaf or has two children")
-        self.poly = poly
-        self.left = left
-        self.right = right
-
-    @classmethod
-    def leaf(cls, poly):
-        return cls(poly=_as_poly(poly))
-
-    @classmethod
-    def box(cls, left, right):
-        if not isinstance(left, BoxExpr):
-            left = cls.leaf(left)
-        if not isinstance(right, BoxExpr):
-            right = cls.leaf(right)
-        return cls(left=left, right=right)
-
-    @property
-    def is_leaf(self):
-        return self.poly is not None
-
-    @property
-    def depth(self):
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth, self.right.depth)
-
-    def leaves(self):
-        if self.is_leaf:
-            yield self.poly
-        else:
-            yield from self.left.leaves()
-            yield from self.right.leaves()
-
-    def flatten(self):
-        """Free product of all leaves, left to right."""
-        out = NCPoly.one()
-        for leaf in self.leaves():
-            out = out * leaf
-        return out
-
-    def adjoint(self):
-        if self.is_leaf:
-            return BoxExpr.leaf(self.poly.adjoint())
-        return BoxExpr(left=self.right.adjoint(), right=self.left.adjoint())
-
-
-class BoxLevelReport(NamedTuple):
-    level: int
-    effective_level: int
-    flattened: NCPoly
-
-
-def box_level(expr, profile):
-    """Filtration level of a box tree, with a flattening attempt.
-
-    The structural level is the tree depth.  When the flattened free product
-    of the leaves is itself regular, the element already lies at level 0 and
-    the report says so via ``effective_level``.
-    """
-    for leaf in expr.leaves():
-        verdict = is_regular(leaf, profile)
-        if not verdict.ok:
-            raise NonRegularLeafError(
-                f"box leaf contains non-regular word {format_word(verdict.witness)!r}"
-            )
-    level = expr.depth
-    flattened = expr.flatten()
-    effective = 0 if is_regular(flattened, profile).ok else level
-    return BoxLevelReport(level, effective, flattened)
 
 
 def profile_from_membership(member: Callable[[int, int], bool], degree_cap: int):

@@ -407,8 +407,8 @@ def cmd_weights(args):
 
 
 #: the largest truncation of ``normal-order``'s dense soundness check, 2 x degree; at
-#: its peak it holds eleven dense complex arrays of that side, eight of them inside
-#: ``fock_eval`` (64 MB each at 2048)
+#: its peak it holds at most nine dense complex arrays of that side: eight inside
+#: ``fock_eval`` and the kept block of the first sum (64 MB each at 2048)
 MAX_SOUNDNESS_DIM = 2048
 
 
@@ -428,7 +428,7 @@ def cmd_normal_order(args):
             f"dimension {dim}, at most {MAX_SOUNDNESS_DIM} (degree {MAX_SOUNDNESS_DIM // 2})"
         )
     profile = PowerProfile.unbounded()
-    if args.profile:
+    if args.profile is not None:
         with _bad_value("profile", args.profile, "nonincreasing m0,m1,... >= 0, 'inf' for unbounded"):
             entries = [UNBOUNDED if v in ("inf", "oo") else int(v) for v in args.profile.split(",")]
             profile = PowerProfile(entries)
@@ -445,10 +445,13 @@ def cmd_normal_order(args):
         # boson model plus a seeded deformed pair; the rewrite must be sound
         # on the safe block for any pair satisfying the relation
         for pair in (swanson_pair(0.0, dim), swanson_pair(rng.uniform(0, 0.6), dim)):
-            a = fock_eval(poly, pair).entries[:block, :block]
+            # only the block of the first sum is kept while the second is formed,
+            # and neither sum once the pair's maxima are read
+            a = fock_eval(poly, pair).entries[:block, :block].copy()
             b = fock_eval(canonical, pair).entries[:block, :block]
             soundness = max(soundness, float(np.max(np.abs(a - b))))
             scale = max(scale, float(np.max(np.abs(a))))
+            del a, b
 
     report = Report(
         "normal-order",

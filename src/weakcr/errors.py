@@ -78,10 +78,6 @@ class ClosedFormInconsistencyError(WeakCRError):
     """Raised when a closed-form variance comes out negative beyond roundoff."""
 
 
-class NonRegularLeafError(WeakCRError):
-    """Raised when a box-product tree has a leaf outside the regular part."""
-
-
 class ExprSyntaxError(WeakCRError):
     """Syntax error in an operator expression; carries line and column."""
 

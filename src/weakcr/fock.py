@@ -206,8 +206,8 @@ def identity(n):
 
 
 def boson_pair(n=DEFAULT_DIM):
-    """The reference model S = a, T = a*."""
-    return OperatorPair(lowering(n), raising(n))
+    """The reference model S = a, T = a*: the swanson pair at theta = 0, to the bit."""
+    return swanson_pair(0.0, n)
 
 
 def coherent_tail_mass(z, n):

@@ -260,31 +260,6 @@ def residuals_monotone(residuals):
     return all(b >= a for a, b in zip(residuals, residuals[1:]))
 
 
-def commutation_power_check(pair, xi: StateVector, k: int):
-    """Residual of S T^k xi - T^k S xi - k T^(k-1) xi in the matrix model."""
-    if k < 1:
-        raise PreconditionError(f"power must be >= 1, got {k}")
-    if pair.dim != xi.dim:
-        raise InvalidDimensionError("pair and state dimensions differ")
-    guard = pair.safe_rank - (k + 1)
-    if guard < 1:
-        raise TruncationError(f"dimension {pair.dim} too small for power {k}")
-    tail = norm(xi.components[guard:])
-    if tail > 1e-10 * xi.norm:
-        raise TruncationError(f"state reaches within {k + 1} indices of the truncation edge", tail_mass=tail)
-    S, T = pair.S, pair.T
-    tk_prev_xi = _power_apply(T, k - 1, xi.components)
-    resid = S @ (T @ tk_prev_xi) - _power_apply(T, k, S @ xi.components) - k * tk_prev_xi
-    return norm(resid)
-
-
-def _power_apply(A, k, x):
-    """A^k x as k matvecs."""
-    for _ in range(k):
-        x = A @ x
-    return x
-
-
 def _rescaled_eta(fam_xi: LadderFamily, fam_eta: LadderFamily):
     """The eta block scaled so that <xi0, eta0> = 1 (the ladder is linear in its base)."""
     ip0 = inner(fam_xi.block[:, 0], fam_eta.block[:, 0])

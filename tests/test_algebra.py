@@ -14,18 +14,16 @@ from weakcr.algebra import (
     GEN_T,
     GEN_TD,
     UNBOUNDED,
-    BoxExpr,
     GaussRational,
     NCPoly,
     PowerProfile,
     adjoint,
-    box_level,
     is_regular,
     normal_order,
     profile_from_membership,
     render,
 )
-from weakcr.errors import DomainParameterError, InconsistentOracleError, NonRegularLeafError
+from weakcr.errors import DomainParameterError, InconsistentOracleError
 
 S = NCPoly.gen(GEN_S)
 T = NCPoly.gen(GEN_T)
@@ -168,6 +166,13 @@ def test_general_power_pattern_daggered(k):
 def test_swapped_t_and_s_powers():
     # S T^2 = T^2 S + 2 T (the transpose pattern of the S-power identity)
     assert normal_order(S * T**2) == T**2 * S + 2 * T
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_commutator_with_t_power(k):
+    # [S, T^k] = k T^(k-1) and [S', T'^k] = -k T'^(k-1), exactly, for every k
+    assert normal_order(S * T**k - T**k * S) == k * T ** (k - 1)
+    assert normal_order(Sd * Td**k - Td**k * Sd) == -k * Td ** (k - 1)
 
 
 def _looped_power(base, n):
@@ -378,37 +383,6 @@ def test_profile_validation():
     assert PowerProfile.unbounded().s_bound(10 ** 6) is UNBOUNDED
 
 
-def test_box_level_leaf_and_flatten():
-    profile = PowerProfile.unbounded()
-    leaf = BoxExpr.leaf(T * S + 1)
-    assert box_level(leaf, profile) == (0, 0, T * S + 1)
-
-    tree = BoxExpr.box(S, T)
-    report = box_level(tree, profile)
-    assert report.level == 1
-    assert report.effective_level == 0  # flattens to T S + 1, regular
-    assert normal_order(report.flattened) == T * S + 1
-
-
-def test_box_level_mixed_not_flattenable():
-    profile = PowerProfile.unbounded()
-    report = box_level(BoxExpr.box(S, Td), profile)
-    assert report.level == 1
-    assert report.effective_level == 1
-
-
-def test_box_level_rejects_non_regular_leaf():
-    with pytest.raises(NonRegularLeafError):
-        box_level(BoxExpr.leaf(S * Td), PowerProfile.unbounded())
-
-
-def test_box_depth_nesting():
-    inner = BoxExpr.box(S, Td)
-    outer = BoxExpr.box(inner, BoxExpr.leaf(T))
-    assert outer.depth == 2
-    assert BoxExpr.box(T, outer).depth == 3
-
-
 def test_profile_from_membership_constant_true():
     profile = profile_from_membership(lambda r, k: True, 5)
     assert profile.n0 == 5
@@ -612,13 +586,6 @@ def test_overflowing_word_stops_at_its_first_non_finite_product(p, word):
         fock_eval(p, pair)
     assert word in str(info.value) and "dimension 4" in str(info.value)
     assert len(products) == 10
-
-
-def test_box_expr_adjoint():
-    tree = BoxExpr.box(BoxExpr.box(S, T), BoxExpr.leaf(Td))
-    flipped = tree.adjoint()
-    assert flipped.depth == tree.depth
-    assert flipped.flatten() == adjoint(tree.flatten())
 
 
 def test_fock_eval_of_mixed_coefficients_matches_a_fraction_reference():

@@ -139,12 +139,12 @@ def test_import_and_normal_order_load_no_scipy_integrate_or_linalg():
 def test_namespace_resolves_each_name_on_first_use():
     # the names the package re-exported eagerly before it loaded them on use
     homes = {
-        "algebra": "GEN_S GEN_SD GEN_T GEN_TD UNBOUNDED BoxExpr GaussRational NCPoly PowerProfile adjoint "
-                   "box_level fock_eval is_regular normal_order profile_from_membership render",
+        "algebra": "GEN_S GEN_SD GEN_T GEN_TD UNBOUNDED GaussRational NCPoly PowerProfile adjoint "
+                   "fock_eval is_regular normal_order profile_from_membership render",
         "fock": "OperatorPair StateVector TruncatedOperator basis_state boson_pair coherent_state identity "
                 "lowering matrix2x2_pair quasi_strong_defect raising swanson_pair weak_defect weyl_defect",
-        "ladder": "LadderFamily biorthogonality_gram build_ladder commutation_power_check eigen_check "
-                  "intertwiners kernel_vector restricted_spectrum swanson_vacua tail_mass_membership",
+        "ladder": "LadderFamily biorthogonality_gram build_ladder eigen_check intertwiners kernel_vector "
+                  "restricted_spectrum swanson_vacua tail_mass_membership",
         "uncertainty": "DeltaReport URResult delta delta_report matrix2x2_report saturation_scan "
                        "swanson_closed_form ur1_check ur2_check",
         "weights": "MomentTable PolyFunc Weight apply_S apply_T gaussian_eigen_check gaussian_weight "
@@ -152,7 +152,7 @@ def test_namespace_resolves_each_name_on_first_use():
         "expr": "parse_to_poly",
     }
     names = {name: module for module, text in homes.items() for name in text.split()}
-    assert len(names) == 63
+    assert len(names) == 60
     assert sorted(weakcr.__all__) == sorted(names)
     for name, module in names.items():
         assert getattr(weakcr, name) is getattr(importlib.import_module(f"weakcr.{module}"), name), name
@@ -625,9 +625,10 @@ def test_normal_order_past_the_int_digit_limit_exits_two(capsys, expr):
      (["weights", "--alpha", "16001.5"], "too large"),
      (["weights", "--alpha", "1e20"], "too large"),
      (["weights", "--alpha", "1e300"], "too large"),
-     (["weights", "--alpha", "1e308"], "too large")],
+     (["weights", "--alpha", "1e308"], "too large"),
+     (["normal-order", "S", "--profile", ""], "bad profile")],
     ids=["weights_seed", "normal_order_seed", "uncertainty_out", "verify_cr_out",
-         "alpha_past_the_bound", "alpha_1e20", "alpha_1e300", "alpha_1e308"],
+         "alpha_past_the_bound", "alpha_1e20", "alpha_1e300", "alpha_1e308", "empty_profile"],
 )
 def test_edge_input_exits_two(capsys, tmp_path, argv, reason):
     # each was a raw traceback: default_rng's ValueError for a negative seed,
@@ -650,6 +651,28 @@ def test_normal_order_past_the_soundness_dimension_exits_two(capsys, monkeypatch
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "degree 1100" in err and "at most 2048" in err
+
+
+def test_normal_order_soundness_check_holds_one_sum_at_a_time(capsys):
+    # the check once kept both sums of the first pair, as views of whole dim x dim
+    # arrays, while it formed the second pair's: two arrays past fock_eval's own peak
+    import tracemalloc
+
+    from weakcr.expr import parse_to_poly
+
+    text, dim = "T^64 S^64", 256  # canonical already, at twice its degree
+    assert run(capsys, "normal-order", text)[0] == 0  # and loads the layers first
+    peaks = []
+    for evaluate in (lambda: algebra.fock_eval(parse_to_poly(text), swanson_pair(0.0, dim)),
+                     lambda: run(capsys, "normal-order", text)):
+        tracemalloc.start()
+        try:
+            evaluate()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    own, check = peaks
+    assert check < own + 16 * dim * dim  # one complex dim x dim array
 
 
 def test_normal_order_soundness_cap_is_twice_the_degree(capsys, monkeypatch):

@@ -165,6 +165,15 @@ def test_swanson_reduces_to_boson():
     assert np.allclose(pair.T.entries, raising(8).entries)
 
 
+@pytest.mark.parametrize("n", [2, 33])
+def test_boson_pair_is_the_cli_boson_model_to_the_bit(n):
+    # T was once the adjoint of the lowering matrix, whose imaginary parts are -0.0,
+    # while --model boson is the swanson pair at theta = 0, with +0.0
+    pair, model = boson_pair(n), swanson_pair(0.0, n)
+    assert pair.S.diagonals.tobytes() == model.S.diagonals.tobytes()
+    assert pair.T.diagonals.tobytes() == model.T.diagonals.tobytes()
+
+
 def test_swanson_quarter_turn_matches_rotated_pair():
     pair = swanson_pair(math.pi / 4, 8)
     a, ad = lowering(8).entries, raising(8).entries

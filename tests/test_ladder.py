@@ -30,7 +30,6 @@ from weakcr.ladder import (
     LadderFamily,
     biorthogonality_gram,
     build_ladder,
-    commutation_power_check,
     eigen_check,
     intertwiners,
     kernel_vector,
@@ -346,49 +345,6 @@ def test_residual_monotonicity_is_reported_not_asserted():
     assert flag == all(b >= a for a, b in zip(res, res[1:]))
 
 
-# --- iterated commutation -------------------------------------------------------
-
-
-def test_power_check_weak_relation_case():
-    pair = boson_pair(32)
-    assert commutation_power_check(pair, basis_state(0, 32), 1) < 1e-12
-
-
-def test_power_check_k3():
-    pair = boson_pair(32)
-    assert commutation_power_check(pair, basis_state(2, 32), 3) < 1e-10
-
-
-def test_power_check_kernel_case():
-    # S xi0 = 0 turns the identity into S T^k xi0 = k T^(k-1) xi0
-    pair = boson_pair(32)
-    xi0 = kernel_vector(pair.S, 1e-10)
-    assert commutation_power_check(pair, xi0, 4) < 1e-10
-
-
-def test_power_check_swanson():
-    pair = swanson_pair(0.3, 64)
-    xi0 = kernel_vector(pair.S, 1e-10)
-    assert commutation_power_check(pair, xi0, 3) < 1e-10
-
-
-@pytest.mark.parametrize("k", [1, 2, 5])
-def test_power_check_matches_matrix_power(k):
-    pair = swanson_pair(0.3, 64)
-    xi = basis_state(3, 64)
-    S, T = pair.S.entries, pair.T.entries
-    tk_prev = np.linalg.matrix_power(T, k - 1)
-    tk = T @ tk_prev
-    want = norm(S @ (tk @ xi.components) - tk @ (S @ xi.components) - k * (tk_prev @ xi.components))
-    assert commutation_power_check(pair, xi, k) == pytest.approx(want, abs=1e-12)
-
-
-def test_power_check_truncation_guard():
-    pair = boson_pair(16)
-    with pytest.raises(TruncationError):
-        commutation_power_check(pair, basis_state(13, 16), 3)
-
-
 # --- banded matvecs against the dense matrices -----------------------------------
 
 EXACT_PAIRS = {f"swanson{theta}-N{n}": (lambda theta=theta, n=n: swanson_pair(theta, n))
@@ -421,19 +377,6 @@ def test_ladder_matvecs_equal_dense_matrices(name):
         r_low = 0.0 if k == 0 else norm(s_psi - math.sqrt(k) * fam.block[:, k - 1]) / norm(psi)
         want.append(max(r_num, r_low))
     assert eigen_check(pair, fam) == want
-
-    for k in (1, 2, 5):
-        if pair.safe_rank - (k + 1) < 1:  # the truncation guard rejects every power at N <= 3
-            with pytest.raises(TruncationError):
-                commutation_power_check(pair, xi, k)
-            continue
-        tk_prev = xi.components
-        for _ in range(k - 1):
-            tk_prev = T @ tk_prev
-        tk_s = S @ xi.components
-        for _ in range(k):
-            tk_s = T @ tk_s
-        assert commutation_power_check(pair, xi, k) == norm(S @ (T @ tk_prev) - tk_s - k * tk_prev)
 
 
 def test_truncation_chain_stays_banded_in_memory():
