@@ -345,6 +345,55 @@ def test_residual_monotonicity_is_reported_not_asserted():
     assert flag == all(b >= a for a, b in zip(res, res[1:]))
 
 
+# --- [S, T^k] xi = k T^(k-1) xi on the truncated operators -------------------------
+
+
+def _power_residual(pair, xi, k):
+    """||S T^k xi - T^k S xi - k T^(k-1) xi|| through the banded matvecs."""
+    tk_prev = xi.components
+    for _ in range(k - 1):
+        tk_prev = pair.T @ tk_prev
+    tk_s = pair.S @ xi.components
+    for _ in range(k):
+        tk_s = pair.T @ tk_s
+    return norm(pair.S @ (pair.T @ tk_prev) - tk_s - k * tk_prev)
+
+
+def test_power_check_weak_relation_case():
+    pair = boson_pair(32)
+    assert _power_residual(pair, basis_state(0, 32), 1) < 1e-12
+
+
+def test_power_check_k3():
+    pair = boson_pair(32)
+    assert _power_residual(pair, basis_state(2, 32), 3) < 1e-10
+
+
+def test_power_check_kernel_case():
+    # S xi0 = 0 turns the identity into S T^k xi0 = k T^(k-1) xi0
+    pair = boson_pair(32)
+    xi0 = kernel_vector(pair.S, 1e-10)
+    assert _power_residual(pair, xi0, 4) < 1e-10
+
+
+def test_power_check_swanson():
+    pair = swanson_pair(0.3, 64)
+    xi0 = kernel_vector(pair.S, 1e-10)
+    assert _power_residual(pair, xi0, 3) < 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_power_check_matches_matrix_power(k):
+    pair = swanson_pair(0.3, 64)
+    xi = basis_state(3, 64)
+    S, T = pair.S.entries, pair.T.entries
+    tk_prev = np.linalg.matrix_power(T, k - 1)
+    tk = T @ tk_prev
+    want = norm(S @ (tk @ xi.components) - tk @ (S @ xi.components) - k * (tk_prev @ xi.components))
+    assert want < 1e-10
+    assert _power_residual(pair, xi, k) == pytest.approx(want, abs=1e-12)
+
+
 # --- banded matvecs against the dense matrices -----------------------------------
 
 EXACT_PAIRS = {f"swanson{theta}-N{n}": (lambda theta=theta, n=n: swanson_pair(theta, n))
