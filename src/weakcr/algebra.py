@@ -21,6 +21,11 @@ in place.  Canonical words therefore consist of maximal blocks of the form
 T^r S^k (or T'^r S'^k) separated by family changes; mixed words survive
 verbatim, which is what keeps them out of the regular part.
 
+``probe_mismatches`` checks a rewrite exactly: it compares both sides, mod a
+prime, on random vectors under Bargmann's integer form of a and a*, for the
+boson pair and a seeded deformed pair.  ``fock_eval`` evaluates a polynomial
+in a truncated float matrix model instead.
+
 A polynomial's term order carries no meaning: equality and hashing ignore
 it, and the only outputs that need an order, the rendered text and
 ``fock_eval``'s floating-point sum, both sort the words by one key.
@@ -492,6 +497,92 @@ def profile_from_membership(member: Callable[[int, int], bool], degree_cap: int)
         if b > a:
             raise InconsistentOracleError(f"oracle produced non-monotone profile {m}")
     return PowerProfile(tuple(m), n0)
+
+
+# ---------------------------------------------------------------------------
+# exact probe check of a rewrite
+# ---------------------------------------------------------------------------
+
+
+#: the largest prime below 2^31 that is 5 mod 8: 2 is no square mod it, so
+#: 2^((p-1)/4) is a square root of -1, and a sum of two products of residues fits in int64
+PROBE_PRIME = 2147483629
+_PROBE_I = pow(2, (PROBE_PRIME - 1) // 4, PROBE_PRIME)
+
+
+def probe_mismatches(p, q, rng):
+    """How many of two exact probes tell p and q apart as operators; 0 when p = q.
+
+    In Bargmann's coordinates r_m = x_m / sqrt(m!) (Comm. Pure Appl. Math.
+    14, 1961), a and a* are integer maps: (a r)_m = (m+1) r_(m+1) and
+    (a* r)_m = r_(m-1).  With c^2 + s^2 = 1 the letters
+
+        S = c a + i s a*    T = c a* + i s a    S' = c a* - i s a    T' = c a - i s a*
+
+    satisfy S T - T S = 1 and S' T' - T' S' = -1.  One probe takes the boson
+    pair (c, s) = (1, 0), on which S' = T; the other the point
+    ((u^2 - v^2), 2uv) / (u^2 + v^2) of the circle, u and v drawn mod
+    p = PROBE_PRIME with u^2 + v^2 nonzero.  Each compares y^T p x with
+    y^T q x mod p, x drawn on the first D + 1 indices and y on 2D + 1, D the
+    degree: no word reaches the end of the vectors, so the model is exact,
+    and polynomials equal under the relations never disagree.  Nor can a
+    difference hide outside x's support: a nonzero a*^j a^k of degree at most
+    D shows on e_k, k <= D (on 32 indices, say, a^32 would vanish).  So a
+    difference that is nonzero as an operator on either pair passes both
+    probes with probability about (2D + 2) / p at most (Schwartz-Zippel; x
+    and y enter with degree 2, u and v with 2D).  Words apply right to left,
+    in an order where words sharing a suffix share its partial vectors.  A
+    coefficient whose denominator p divides raises ``DomainParameterError``.
+    """
+    p, q = _as_poly(p), _as_poly(q)
+    mod = PROBE_PRIME
+    diff = {}  # reversed word -> residue of its coefficient in p - q
+    for poly, sign in ((p, 1), (q, -1)):
+        for word, coeff in poly.terms.items():
+            rev = word[::-1]
+            diff[rev] = (diff.get(rev, 0) + sign * _residue(word, coeff)) % mod
+    words = sorted(w for w, r in diff.items() if r)
+    support = max(p.degree, q.degree) + 1
+    n = 2 * support - 1
+    u = v = 0
+    while not (u * u + v * v) % mod:
+        u, v = (int(t) for t in rng.integers(0, mod, 2))
+    norm = pow(u * u + v * v, -1, mod)
+    steps = np.arange(1, n + 1)
+    mismatches = 0
+    for c, s in ((1, 0), ((u * u - v * v) * norm % mod, 2 * u * v * norm % mod)):
+        i_s = _PROBE_I * s % mod
+        # each letter as its a-coefficient times (m+1), and its a*-coefficient
+        letters = {g: (alpha * steps % mod, beta) for g, (alpha, beta) in (
+            (GEN_S, (c, i_s)), (GEN_T, (i_s, c)), (GEN_SD, (-i_s % mod, c)), (GEN_TD, (c, -i_s % mod)))}
+        x = np.zeros(n, dtype=np.int64)
+        x[:support] = rng.integers(0, mod, support)
+        y = rng.integers(0, mod, n)
+        stack, prev, total = [x], (), 0  # stack[k]: x after the first k letters of prev
+        for word in words:
+            del stack[_common_prefix(prev, word) + 1:]
+            for g in word[len(stack) - 1:]:
+                weights, beta = letters[g]
+                r, out = stack[-1], np.zeros(n, dtype=np.int64)
+                out[:-1] = weights[:-1] * r[1:]
+                out[1:] += beta * r[:-1]
+                stack.append(out % mod)
+            total += diff[word] * int((y * stack[-1] % mod).sum())
+            prev = word
+        mismatches += total % mod != 0
+    return mismatches
+
+
+def _residue(word, coeff):
+    """The coefficient of ``word`` mod PROBE_PRIME, i read as its square root of -1."""
+    try:
+        re, im = (x.numerator * pow(x.denominator, -1, PROBE_PRIME) for x in (coeff.re, coeff.im))
+    except ValueError:  # no inverse: the prime divides the denominator
+        raise DomainParameterError(
+            f"the coefficient of {format_word(word)!r} has a denominator divisible by {PROBE_PRIME}, "
+            "the prime of the exact check"
+        ) from None
+    return (re + _PROBE_I * im) % PROBE_PRIME
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from test_acceptance import _run_cli, child_env
 
 import weakcr
 from weakcr import algebra, cli, expr, fock, uncertainty, weights
-from weakcr.algebra import GEN_S, GEN_T, NCPoly, normal_order, render
+from weakcr.algebra import GEN_S, GEN_T, GEN_TD, NCPoly, normal_order, render
 from weakcr.cli import main
+from weakcr.expr import parse_to_poly
 from weakcr.fock import OperatorPair, TruncatedOperator, swanson_pair
 from weakcr.uncertainty import delta_report, swanson_closed_form, ur1_check, ur2_check
 
@@ -123,7 +124,7 @@ def test_import_and_normal_order_load_no_scipy_integrate_or_linalg():
         (["verify-cr"], fock_only),
         (["ladder"], fock_only | {"weakcr.ladder"}),
         (["weights", "--alpha", "2"], {"weakcr.errors", "weakcr.weights"}),
-        (["normal-order", "S T"], fock_only | {"weakcr.algebra", "weakcr.expr"}),
+        (["normal-order", "S T"], {"weakcr.errors", "weakcr.algebra", "weakcr.expr"}),
         (["uncertainty"], fock_only | {"weakcr.uncertainty"}),
         (["uncertainty", "--model", "matrix2x2:1,1", "--scan", "circle:11"], fock_only | {"weakcr.uncertainty"}),
     ):
@@ -394,17 +395,19 @@ def test_normal_order_beyond_default_dimension_checks_a_positive_band(capsys, ex
     assert "PASS fock_soundness" in out
 
 
-@pytest.mark.parametrize("expr", ["S^5 T^5", "S^7 T^7", "S^10 T^10"])
-def test_normal_order_soundness_is_relative_to_entry_scale(capsys, tmp_path, expr):
-    # entries of S^10 T^10 reach ~1e14 on the block, so rounding alone
-    # exceeds an absolute 1e-10
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("expr", ["S^40 T^40", "S^60 T^60", "S'^20 T'^20"])
+def test_normal_order_high_degree_rewrite_passes(capsys, tmp_path, expr):
+    # the dense float check read 2.5e-10, 3.8e-6 and 2.1e-9 here against its
+    # 1e-10: rounding, reported as a FAIL of a correct rewrite
     out_file = tmp_path / "normal.json"
     code, out, _ = run(capsys, "normal-order", expr, "--out", str(out_file))
     assert code == 0
+    assert "PASS fock_soundness = 0 (tol 0)" in out
     report = json.loads(out_file.read_text())
-    results, (check,) = report["results"], report["checks"]
-    assert results["soundness_scale"] >= 1.0
-    assert check["value"] == results["soundness_defect"] / results["soundness_scale"]
+    assert sorted(report["results"]) == ["canonical", "regular", "witness"]
+    assert report["tolerances"] == {}
+    assert report["checks"] == [{"name": "fock_soundness", "value": 0, "tol": 0, "pass": True}]
 
 
 @pytest.mark.parametrize(
@@ -412,18 +415,40 @@ def test_normal_order_soundness_is_relative_to_entry_scale(capsys, tmp_path, exp
     [
         ("S^5 T^5", ()),
         ("S^10 T^10", ()),
-        # 40 T^39 only shows from row 39 on, so this needs a block of >= 40 indices
         ("S T^40", (GEN_T,) * 39),
+        # every canonical term in turn, at degree 80 in both families
+        ("S^40 T^40", None),
+        ("S'^40 T'^40", None),
+        # 0.5^2000 has no float: the dense check compared 0 with 0 and passed
+        ("0.5^2000 S T", ()),
     ],
 )
 def test_normal_order_soundness_catches_a_dropped_term(capsys, monkeypatch, expr, dropped):
-    def unsound(p):
-        return NCPoly({w: c for w, c in normal_order(p).terms.items() if w != dropped})
+    for seed in ("0", "1", "2", "977"):  # the correct rewrite passes on every seed
+        assert run(capsys, "normal-order", expr, "--seed", seed)[0] == 0
+    words = list(normal_order(parse_to_poly(expr)).terms) if dropped is None else [dropped]
+    for word in words:
+        def unsound(p, word=word):
+            return NCPoly({w: c for w, c in normal_order(p).terms.items() if w != word})
 
-    monkeypatch.setattr(algebra, "normal_order", unsound)
-    code, out, _ = run(capsys, "normal-order", expr)
+        monkeypatch.setattr(algebra, "normal_order", unsound)
+        code, out, _ = run(capsys, "normal-order", expr)
+        assert code == 1, word
+        # both probes see it: x spans e_0 .. e_degree, where no term of the
+        # difference vanishes (on e_0 .. e_31 the boson pair's a^40 did)
+        assert "FAIL fock_soundness = 2 (tol 0)" in out, word
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_normal_order_soundness_catches_a_mixed_family_swap(capsys, monkeypatch, tmp_path, seed):
+    # S T' and T' S are distinct canonical words; on the boson pair S = T' = a,
+    # so only the deformed pair tells them apart, and one probe of two disagrees
+    monkeypatch.setattr(algebra, "normal_order", lambda p: NCPoly.from_word((GEN_TD, GEN_S)))
+    out_file = tmp_path / "normal.json"
+    code, out, _ = run(capsys, "normal-order", "S T'", "--seed", seed, "--out", str(out_file))
     assert code == 1
-    assert "FAIL fock_soundness" in out
+    assert "FAIL fock_soundness = 1 (tol 0)" in out
+    assert json.loads(out_file.read_text())["failures"] == ["fock_soundness"]
 
 
 def test_normal_order_high_degree_finishes():
@@ -584,14 +609,32 @@ def test_verify_cr_quasi_strong_defect_fails_a_broken_relation(capsys, monkeypat
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("expr", ["1" + "0" * 310 + " S", "1" + "0" * 306 + " S^3 T^3"],
-                         ids=["coefficient", "term"])
-def test_normal_order_past_the_float_range_exits_two(capsys, expr):
-    # the coefficient 10^310 has no float; 10^306 S^3 T^3 has one, but its
-    # term overflows at dimension 32
-    code, _, err = run(capsys, "normal-order", expr)
+@pytest.mark.parametrize("expr", ["1" + "0" * 310 + " S", "1" + "0" * 306 + " S^3 T^3", "2^3000 S T"],
+                         ids=["coefficient", "term", "power"])
+def test_normal_order_past_the_float_range_passes(capsys, expr):
+    # the dense float check exited 2 on each: 10^310 and 2^3000 have no float,
+    # and the term 10^306 S^3 T^3 overflowed at dimension 32
+    code, out, err = run(capsys, "normal-order", expr)
+    assert code == 0, err
+    assert "PASS fock_soundness" in out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_normal_order_denominator_of_the_probe_prime_exits_two(capsys):
+    # the exact check reads coefficients mod 2147483629, where 1/2147483629 has no value
+    code, out, err = run(capsys, "normal-order", "S/2147483629")
     assert code == 2
-    assert err.startswith("error: ") and "float range" in err
+    assert out == ""
+    assert err.startswith("error: the coefficient of 'S' has a denominator divisible by 2147483629")
+    assert "Traceback" not in err
+
+
+def test_normal_order_has_no_tol(capsys):
+    # its check is exact, so there is no tolerance to override
+    with pytest.raises(SystemExit) as exc:
+        main(["normal-order", "S", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -640,9 +683,8 @@ def test_edge_input_exits_two(capsys, tmp_path, argv, reason):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_normal_order_past_the_soundness_dimension_exits_two(capsys, monkeypatch):
-    # the dense check at dimension 2 x degree holds about eight dim x dim complex
-    # arrays, so S^5000 asked for about 10 GB; the cap acts before any rewrite
+def test_normal_order_past_the_degree_cap_exits_two(capsys, monkeypatch):
+    # the cap acts before any rewrite
     def forbidden(*args, **kwargs):
         raise AssertionError("the rewrite ran past the cap")
 
@@ -650,15 +692,13 @@ def test_normal_order_past_the_soundness_dimension_exits_two(capsys, monkeypatch
     code, out, err = run(capsys, "normal-order", "S^1100")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "degree 1100" in err and "at most 2048" in err
+    assert err.startswith("error: expression of degree 1100 is too large") and "at most 1024" in err
 
 
 def test_normal_order_soundness_check_holds_one_sum_at_a_time(capsys):
     # the check once kept both sums of the first pair, as views of whole dim x dim
     # arrays, while it formed the second pair's: two arrays past fock_eval's own peak
     import tracemalloc
-
-    from weakcr.expr import parse_to_poly
 
     text, dim = "T^64 S^64", 256  # canonical already, at twice its degree
     assert run(capsys, "normal-order", text)[0] == 0  # and loads the layers first
@@ -675,12 +715,11 @@ def test_normal_order_soundness_check_holds_one_sum_at_a_time(capsys):
     assert check < own + 16 * dim * dim  # one complex dim x dim array
 
 
-def test_normal_order_soundness_cap_is_twice_the_degree(capsys, monkeypatch):
-    # a cap of 64 admits degree 32 and rejects degree 33
-    monkeypatch.setattr(cli, "MAX_SOUNDNESS_DIM", 64)
+def test_normal_order_degree_cap_admits_its_degree(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_NORMAL_ORDER_DEGREE", 32)
     assert run(capsys, "normal-order", "S^32")[0] == 0
     code, _, err = run(capsys, "normal-order", "S^33")
-    assert code == 2 and "at most 64" in err
+    assert code == 2 and "at most 32" in err
 
 
 def test_weights_alpha_bound_is_the_suite_degree(capsys, monkeypatch):
