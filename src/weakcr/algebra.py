@@ -9,12 +9,9 @@ S (resp. S') inside each same-family block, as the relations
 
     S T  =  T S + 1           S' T'  =  T' S' - 1
 
-dictate.  It sweeps each word one letter at a time and keeps the canonical
-form of what it has read as an exact {word: int} map, merging like terms as
-it goes.  One letter costs one application of the boson identity
-T^r S^k T = T^(r+1) S^k + k T^r S^(k-1) (-k for the primed family) per live
-term, so a word costs O(letters * live terms), not the exponential number
-of paths a step-by-step rewriter follows.
+dictate.  ``normal_order`` reads each word one maximal run of equal letters
+at a time through the boson block identity, so S^n T^n costs O(n^2), not the
+exponential number of paths a step-by-step rewriter follows.
 
 Adjacent generators from *different* families carry no relation and are left
 in place.  Canonical words therefore consist of maximal blocks of the form
@@ -36,6 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from itertools import groupby
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -319,46 +317,24 @@ def adjoint(p):
     return _as_poly(p).adjoint()
 
 
-#: the letter T (resp. T') is reordered past, and the sign of that commutator
+#: the run T^m (resp. T'^m) is reordered past, and the sign of that commutator
 _PARTNER = {GEN_T: (GEN_S, 1), GEN_TD: (GEN_SD, -1)}
-
-
-def _times_letter(state, g):
-    """Canonical ``state * g``, by T^r S^k T = T^(r+1) S^k + sign*k T^r S^(k-1).
-
-    Only the trailing S-run of g's family matters; an S is appended, and
-    so is a T that finds no S of its family at the end.
-    """
-    if g not in _PARTNER:
-        return {w + (g,): n for w, n in state.items()}
-    s, sign = _PARTNER[g]
-    out = {}
-    for w, n in state.items():
-        i = len(w)
-        while i and w[i - 1] == s:
-            i -= 1
-        if i < len(w):
-            word = w[:-1]
-            out[word] = out.get(word, 0) + sign * (len(w) - i) * n
-        word = w[:i] + (g,) + w[i:]
-        out[word] = out.get(word, 0) + n
-    return out
 
 
 def normal_order(p):
     """Rewrite to canonical form: T left of S within each same-family block.
 
-    Each word is read left to right, keeping the canonical form of the part
-    read so far as an exact {word: int} map with like terms merged, and
-    multiplying it on the right by the next letter with
-    T^r S^k T = T^(r+1) S^k + k T^r S^(k-1) (-k for the primed family); a
-    letter of the other family is simply adjoined.  Summed over a block this
-    is the boson normal-ordering identity
-    S^k T^r = sum_j j! C(k,j) C(r,j) (+-1)^j T^(r-j) S^(k-j).  A word costs
-    O(letters * live terms) dict updates; each output word then takes one
-    coefficient multiply.  The canonical form is unique, so the result does
-    not depend on the order of the input terms, and its own term order
-    carries no meaning.
+    Each word is read left to right one maximal run at a time, keeping the
+    canonical form of the part read so far as an exact {word: int} map with
+    like terms merged.  A run T^m (or T'^m) meets each term's trailing S^k
+    (or S'^k) through the boson identity
+    S^k T^m = sum_j j! C(k,j) C(m,j) (+-1)^j T^(m-j) S^(k-j); any other run
+    is appended whole.  The state stays canonical, so a block that a
+    commutator term empties lets its neighbours meet:
+    S' S T T' = S' T S T' + T' S' - 1.  Per run and live term, each key costs
+    O(word length), so S^n T^n is quadratic in n.  The canonical form is
+    unique, so the result does not depend on the order of the input terms,
+    and its own term order carries no meaning.
     """
     p = _as_poly(p)
     return _collect((w, coeff * n) for word, coeff in p.terms.items() for w, n in _sweep(word).items())
@@ -367,8 +343,27 @@ def normal_order(p):
 def _sweep(word):
     """Canonical form of one word as an exact {word: int} map."""
     state = {(): 1}
-    for g in word:
-        state = _times_letter(state, g)
+    for g, run in groupby(word):
+        run = tuple(run)
+        if g not in _PARTNER:
+            state = {w + run: n for w, n in state.items()}
+            continue
+        s, sign = _PARTNER[g]
+        m = len(run)
+        out = {}
+        for w, n in state.items():
+            i = len(w)
+            while i and w[i - 1] == s:
+                i -= 1
+            if i == len(w):  # no S to pass: the run is appended whole
+                out[w + run] = out.get(w + run, 0) + n
+                continue
+            k, c = len(w) - i, n
+            for j in range(min(k, m) + 1):  # c = n j! C(k,j) C(m,j) sign^j
+                key = w[:i] + run[j:] + w[i + j:]
+                out[key] = out.get(key, 0) + c
+                c = sign * c * (k - j) * (m - j) // (j + 1)
+        state = out
     return state
 
 
@@ -446,9 +441,7 @@ def _word_is_regular(word, profile):
         t_tok = GEN_TD
     else:  # mixed families are never regular
         return False
-    r = 0
-    while r < len(word) and word[r] == t_tok:
-        r += 1
+    r = word.count(t_tok)  # canonical, so every T leads
     bound = profile.s_bound(r)
     return bound is not None and len(word) - r <= bound
 
@@ -697,14 +690,9 @@ def format_word(word):
     if not word:
         return "1"
     pieces = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        run = j - i
-        pieces.append(word[i] if run == 1 else f"{word[i]}^{run}")
-        i = j
+    for g, run in groupby(word):
+        n = len(tuple(run))
+        pieces.append(g if n == 1 else f"{g}^{n}")
     return " ".join(pieces)
 
 

@@ -210,8 +210,19 @@ def test_mixed_family_words_are_inert():
     p = S * Td
     assert normal_order(p) == p
     q = Td * S * Sd * T
-    # only the trailing same-family pair is inert here; S Sd and Sd T mix families
+    # no two adjacent letters here share a family, so there is nothing to rewrite
     assert normal_order(q) == q
+
+
+@pytest.mark.parametrize("p, want", [
+    (Sd * S * T * Td, Sd * T * S * Td + Td * Sd - 1),
+    (Sd**2 * S * T * Td**2, Sd**2 * T * S * Td**2 + Td**2 * Sd**2 - 4 * Td * Sd + 2),
+    (S * Sd * Td * T, S * Td * Sd * T - T * S - 1),
+], ids=["S' S T T'", "S'^2 S T T'^2", "S S' T' T"])
+def test_emptied_block_joins_its_neighbours(p, want):
+    # the commutator term of the inner block leaves its outer neighbours adjacent,
+    # and they rewrite in turn: ordering each block of the input alone misses that
+    assert normal_order(p) == want
 
 
 def test_already_canonical_fixed():
@@ -287,7 +298,7 @@ def test_sweep_matches_step_by_step_rewriter(p, strategy):
     assert normal_order(p) == rewrite_oracle(p, strategy)
 
 
-@pytest.mark.parametrize("k, r", [(20, 20), (15, 25)])
+@pytest.mark.parametrize("k, r", [(20, 20), (15, 25), (300, 200)])
 @pytest.mark.parametrize("family, sign", [((GEN_S, GEN_T), 1), ((GEN_SD, GEN_TD), -1)])
 def test_block_closed_form(k, r, family, sign):
     s, t = family
