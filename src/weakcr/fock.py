@@ -12,10 +12,11 @@ two semigroups.
 
 Operators are stored only as their diagonals; construction, adjoints,
 matrix-vector products and every defect work on those (banded products, a
-Taylor series for exp, and the plain three-term Lanczos recurrence on M'M,
-which keeps two vectors and no basis (Paige, Linear Algebra Appl. 34, 1980),
-for the spectral norm of the Weyl block M), so the defect chain forms
-nothing of size N x N.
+Taylor series for exp that forms each term only on the diagonals the
+generator's nonzero ones can reach, with the bits of the full-band series,
+and the plain three-term Lanczos recurrence on M'M, which keeps two vectors
+and no basis (Paige, Linear Algebra Appl. 34, 1980), for the spectral norm
+of the Weyl block M), so the defect chain forms nothing of size N x N.
 Each semigroup is formed once per pair and parameter, and shared by the
 quasi-strong and Weyl defects.  Every relation X Y - c Y X = R, and the UR2
 cross condition, is formed by ``relation_block`` on its band's rows only,
@@ -391,8 +392,19 @@ def _dense(D):
 
 def _leading_block(D, k):
     """Diagonals of the leading k x k block (slots outside it zeroed, diagonals missing it dropped)."""
-    width = min(_width(D), k - 1)
-    B = D[_width(D) - width : _width(D) + width + 1, :k].copy()
+    outer = _width(D)
+    width = min(outer, k - 1)
+    return _clear_outside(D[outer - width : outer + width + 1, :k].copy())
+
+
+def _middle(D, width):
+    """The view of D's diagonals at offsets -width..width (width at most D's)."""
+    return D[_width(D) - width : _width(D) + width + 1]
+
+
+def _clear_outside(B):
+    """Zero, in place, B's slots outside its k x k matrix, k = B.shape[1] > its bandwidth."""
+    width, k = _width(B), B.shape[1]
     for d in range(1, width + 1):
         B[width + d, k - d :] = 0
         B[width - d, :d] = 0
@@ -443,11 +455,6 @@ def band_product(A, B, rows=None):
     return C[excess : C.shape[0] - excess]
 
 
-def block_max_abs(D, k):
-    """Max-abs entry of the leading k x k block of the matrix with diagonals D."""
-    return float(np.abs(_leading_block(D, k)).max())
-
-
 _EPS = np.finfo(float).eps / 2  # unit roundoff 2^-53
 
 #: theta_m of Al-Mohy & Higham (2011) for unit roundoff 2^-53 (the values
@@ -469,8 +476,16 @@ def band_expm(D, alpha):
     Steps s and degree m minimise s * m subject to ||alpha A||_1 / s <= theta_m
     (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)); the series of each
     step stops early once two consecutive terms fall below unit roundoff
-    relative to the partial sum.  Each term widens the band by K, so the
-    result has bandwidth at most s * m * K.
+    relative to the partial sum.
+
+    If A's nonzero diagonals sit at offsets lo, lo + g, ..., hi (g the gcd of
+    their differences), term j can reach only the offsets j lo + g t up to
+    j hi, so only those inside +-(N - 1) are held and formed: each from term
+    j - 1 by one shifted product per nonzero diagonal of A, in ascending
+    offset.  That is the order in which ``band_product`` adds them, and the
+    products it adds beyond them are zeros, so every entry has the bits of
+    the full-band series.  The result keeps the full band of the last term,
+    min(j K, N - 1) for bandwidth K, whose unreached diagonals are zero.
     """
     A = alpha * D
     norm1 = float(np.max(np.sum(np.abs(band_columns(A)), axis=0)))
@@ -479,23 +494,40 @@ def band_expm(D, alpha):
         key=lambda sm: (sm[0] * sm[1], sm[1]),
     )
     A /= steps
-    n = D.shape[1]
-    widest = min(degree * _width(D), n - 1)
+    width, n = _width(D), D.shape[1]
+    used = [d for d in range(-width, width + 1) if A[width + d].any()] or [0]  # [0] for alpha A = 0
+    lo, hi = used[0], used[-1]
+    g = math.gcd(*(d - lo for d in used)) or 1
+    widest = min(degree * width, n - 1)
     total = np.zeros((2 * widest + 1, n), dtype=complex)
     total[widest] = 1.0
-    term = np.ones((1, n), dtype=complex)
+    term, first = np.ones((1, n), dtype=complex), 0  # term j's diagonals, at offsets first + g t
     previous, bound = 0.0, 1.0  # bound >= max|total|, so max|total| is read only near the end
     for j in range(1, degree + 1):
-        term = band_product(A, term)
+        # with B = term j - 1, padded by K zeros on each side: (A B)[i, i + e] gets
+        # A[i, i + d] B[i + d, i + e] for each d, as in band_product
+        padded = np.zeros((len(term), n + 2 * width), dtype=complex)
+        padded[:, width : width + n] = term
+        # term j's offsets j lo + g t inside +-(N - 1): t from low, count of them
+        low = max(0, -((j * lo + n - 1) // g))
+        count = min(j * (hi - lo), n - 1 - j * lo) // g - low + 1
+        reached = j * lo + g * low
+        term = np.zeros((max(count, 0), n), dtype=complex)
+        for d in used:
+            t = (d + first - reached) // g  # where B's first diagonal lands
+            s, stop = max(0, -t), min(len(padded), count - t)
+            if s < stop:
+                term[t + s : t + stop] += A[width + d] * padded[s:stop, width + d : width + d + n]
+        first = reached
         term /= j
-        width = _width(term)
-        total[widest - width : widest + width + 1] += term
-        size = float(np.max(np.abs(term)))
+        total[widest + first : widest + first + g * len(term) : g] += term
+        size = float(np.max(np.abs(term), initial=0.0))
         bound += size
         if size + previous <= _EPS * bound and size + previous <= _EPS * np.max(np.abs(total)):
             break
         previous = size
-    total = total[widest - width : widest + width + 1]
+    reach = min(j * width, n - 1)  # the last term's whole band, as the full-band series holds it
+    total = total[widest - reach : widest + reach + 1]
     V = total
     for _ in range(steps - 1):
         V = band_product(total, V)
@@ -534,19 +566,22 @@ def spectral_norm(D):
     # v_1 has equal moduli and golden-ratio phases: fixed like a seeded random
     # vector, without loading numpy.random (6 MB and 10-15 ms in a fresh interpreter)
     v = np.exp(2j * math.pi * (np.arange(n) * _GOLDEN % 1.0)) / math.sqrt(n)
-    previous = None
-    alphas, betas = [], []
+    previous, beta = None, 0.0
+    tridiagonal = np.zeros((1, 1))  # T_k in its leading k x k block, upper triangle only
     for k in range(n):
+        if k == len(tridiagonal):  # doubled, up to N x N
+            tridiagonal = np.pad(tridiagonal, (0, min(k, n - k)))
         w = apply_AH(apply_A(v))
-        alphas.append(np.vdot(v, w).real)
-        w -= alphas[k] * v
+        alpha = tridiagonal[k, k] = np.vdot(v, w).real
+        w -= alpha * v
         if k:
-            w -= betas[k - 1] * previous
-        betas.append(norm(w))
-        lam, X = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:k], 1), UPLO="U")
-        if betas[k] * abs(X[-1, -1]) <= _LANCZOS_TOL * lam[-1] or k + 1 == n:
+            w -= beta * previous
+            tridiagonal[k - 1, k] = beta
+        beta = norm(w)
+        lam, X = np.linalg.eigh(tridiagonal[: k + 1, : k + 1], UPLO="U")
+        if beta * abs(X[-1, -1]) <= _LANCZOS_TOL * lam[-1] or k + 1 == n:
             return math.sqrt(lam[-1])
-        previous, v = v, w / betas[k]
+        previous, v = v, w / beta
 
 
 def _window_matvec(D):
@@ -591,15 +626,17 @@ def relation_block(X, Y, rows, c=1.0, R=None):
     normal-order's soundness scale.
     """
     M = band_product(X, Y, rows)
-    scale = max(1.0, block_max_abs(M, rows))
-    YX = band_product(Y, X, rows)
+    width = min(_width(M), M.shape[1] - 1)  # the block's bandwidth
+    M = _clear_outside(_middle(M, width))
+    scale = max(1.0, float(np.abs(M).max()))
+    YX = _middle(band_product(Y, X, rows), width)
     if c != 1:  # skipped at 1, where (1 + 0i) z could flip the sign of a zero part of z
         YX *= c
     M -= YX
     if R is not None:
-        width, middle = _width(R), _width(M)
-        M[middle - width : middle + width + 1] -= R[:, : M.shape[1]]
-    return _leading_block(M, rows), scale
+        reach = min(_width(R), width)
+        M[width - reach : width + reach + 1] -= _middle(R, reach)[:, : M.shape[1]]
+    return _clear_outside(M), scale
 
 
 def weak_with_scale(pair):

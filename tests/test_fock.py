@@ -22,7 +22,6 @@ from weakcr.fock import (
     band_expm,
     band_product,
     basis_state,
-    block_max_abs,
     boson_pair,
     coherent_state,
     coherent_tail_mass,
@@ -534,18 +533,97 @@ def test_bandwidth_follows_the_nonzero_pattern():
     assert diagonals(wide_pair(8).S.entries).shape == (5, 8)
 
 
-def test_block_max_abs_reads_only_the_block():
-    A = np.arange(36, dtype=complex).reshape(6, 6)
-    for k in (1, 3, 6):
-        assert block_max_abs(diagonals(A), k) == np.max(np.abs(A[:k, :k]))
-
-
 def test_band_expm_splits_large_norms_into_steps():
     # ||alpha S||_1 is about 40 here, beyond the largest Taylor degree's theta
     S = swanson_pair(0.3, 96).S.entries
     E = scipy.linalg.expm(2.0 * S)
     V = dense(band_expm(diagonals(S), 2.0))
     assert np.max(np.abs(V - E)) <= ROUNDING * np.max(np.abs(E))
+
+
+def _band_expm_oracle(D, alpha):
+    """The full-band Taylor series: every term multiplied on all of its diagonals."""
+    A = alpha * D
+    norm1 = float(np.max(np.sum(np.abs(band_columns(A)), axis=0)))
+    steps, degree = min(
+        ((max(1, math.ceil(norm1 / theta)), m) for m, theta in fock._TAYLOR_THETA.items()),
+        key=lambda sm: (sm[0] * sm[1], sm[1]),
+    )
+    A /= steps
+    n = D.shape[1]
+    widest = min(degree * fock._width(D), n - 1)
+    total = np.zeros((2 * widest + 1, n), dtype=complex)
+    total[widest] = 1.0
+    term = np.ones((1, n), dtype=complex)
+    previous, bound = 0.0, 1.0  # bound >= max|total|, so max|total| is read only near the end
+    for j in range(1, degree + 1):
+        term = band_product(A, term)
+        term /= j
+        width = fock._width(term)
+        total[widest - width : widest + width + 1] += term
+        size = float(np.max(np.abs(term)))
+        bound += size
+        if size + previous <= fock._EPS * bound and size + previous <= fock._EPS * np.max(np.abs(total)):
+            break
+        previous = size
+    total = total[widest - width : widest + width + 1]
+    V = total
+    for _ in range(steps - 1):
+        V = band_product(total, V)
+    return V
+
+
+def _random_band(offsets, width):
+    """Diagonals of bandwidth ``width``, random on ``offsets`` and zero elsewhere."""
+
+    def make(n):
+        rng = np.random.default_rng([n, width, *(d + width for d in offsets)])
+        D = np.zeros((2 * width + 1, n), dtype=complex)
+        for d in offsets:
+            rows = slice(max(0, -d), min(n, n - d))  # i with i + d inside the matrix
+            k = len(range(n)[rows])
+            D[width + d, rows] = rng.normal(size=k) + 1j * rng.normal(size=k)
+        return D
+
+    return make
+
+
+def _letter(make_pair, letter):
+    """Diagonals of one letter (S, T, S' or T') of the pair make_pair(n)."""
+
+    def make(n):
+        op = getattr(make_pair(n), letter[0])
+        return (op.adjoint() if letter.endswith("'") else op).diagonals
+
+    return make
+
+
+EXPM_BANDS = {
+    f"swanson{theta}-{letter}": _letter(lambda n, theta=theta: swanson_pair(theta, n), letter)
+    for theta in (0.0, 0.3, 0.785, 1.2) for letter in ("S", "T", "S'", "T'")
+}
+EXPM_BANDS.update({
+    "tridiagonal": _random_band((-1, 0, 1), 1),  # a nonzero main diagonal: step 1
+    "pentadiagonal-odd": _random_band((-1, 1), 2),  # zero even offsets, zero outer diagonals
+    "pentadiagonal-even": _random_band((-2, 0, 2), 2),  # step 2 from offset -2
+    "upper": _random_band((1, 3), 3),  # upper diagonals only, a zero one between
+})
+EXPM_CASES = [(name, n) for name in EXPM_BANDS for n in (2, 3, 5, 16, 128)]
+TWO_BY_TWO = {
+    f"2x2({s},{q})-{letter}": _letter(lambda n, s=s, q=q: matrix2x2_pair(s, q), letter)
+    for s, q in ((1.5, 0.7), (1.5, -0.5)) for letter in "ST"
+}
+EXPM_BANDS.update(TWO_BY_TWO)
+EXPM_CASES += [(name, 2) for name in TWO_BY_TWO]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0, 3.0])  # 3 takes several squaring steps
+@pytest.mark.parametrize("name, n", EXPM_CASES, ids=[f"{m}-N{n}" for m, n in EXPM_CASES])
+def test_band_expm_has_the_bits_of_the_full_band_series(name, n, alpha):
+    D = EXPM_BANDS[name](n)
+    got, want = band_expm(D, alpha), _band_expm_oracle(D, alpha)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_defect_chain_forms_no_dense_exponential_or_svd(monkeypatch):
@@ -772,6 +850,16 @@ def test_relation_block_is_the_leading_block_of_the_dense_relation(rows, c, with
     assert block.shape[1] == rows
     assert np.allclose(dense(block), want[:rows, :rows], rtol=0, atol=ROUNDING * 10)
     assert scale == pytest.approx(max(1.0, np.max(np.abs((X @ Y)[:rows, :rows]))), rel=ROUNDING)
+    # the bits of the copy-based formula: X Y - c Y X - R cut to its leading block
+    XY = band_product(diagonals(X), diagonals(Y), rows)
+    YX = band_product(diagonals(Y), diagonals(X), rows)
+    M = XY - (YX if c == 1 else c * YX)
+    if with_R:
+        DR, middle = diagonals(R), fock._width(M)
+        M[middle - fock._width(DR) : middle + fock._width(DR) + 1] -= DR[:, :rows]
+    want_block = fock._leading_block(M, rows)
+    assert (block.shape, block.tobytes()) == (want_block.shape, want_block.tobytes())
+    assert scale == max(1.0, float(np.abs(fock._leading_block(XY, rows)).max()))
 
 
 def test_weyl_defect_memory_stays_below_one_dense_block():
