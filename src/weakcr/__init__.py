@@ -19,7 +19,7 @@ _EXPORTS = {
     "algebra": (
         "GEN_S", "GEN_SD", "GEN_T", "GEN_TD", "UNBOUNDED", "GaussRational", "NCPoly",
         "PowerProfile", "adjoint", "fock_eval", "is_regular", "normal_order",
-        "profile_from_membership", "render",
+        "render",
     ),
     "fock": (
         "OperatorPair", "StateVector", "TruncatedOperator", "basis_state", "boson_pair",

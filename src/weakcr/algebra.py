@@ -34,11 +34,11 @@ import math
 import sys
 from fractions import Fraction
 from itertools import groupby
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainParameterError, InconsistentOracleError
+from .errors import DomainParameterError
 
 GEN_S = "S"
 GEN_T = "T"
@@ -461,35 +461,6 @@ def is_regular(p, profile):
         if not _word_is_regular(word, profile):
             return Regularity(False, word)
     return Regularity(True, None)
-
-
-def profile_from_membership(member: Callable[[int, int], bool], degree_cap: int):
-    """Build a power profile from a domain-membership oracle.
-
-    ``member(r, k)`` decides whether the domain condition for the canonical
-    monomial T^r S^k holds.  m[r] is the largest k <= degree_cap accepted at
-    T-power r (0 when none is), for r up to the largest accepted T-power.
-    A non-monotone oracle is rejected.
-    """
-    if degree_cap < 0:
-        raise ValueError("degree_cap must be nonnegative")
-    n0 = 0
-    for r in range(degree_cap, -1, -1):
-        if member(r, 0):
-            n0 = r
-            break
-    m = []
-    for r in range(n0 + 1):
-        best = 0
-        for k in range(degree_cap, -1, -1):
-            if member(r, k):
-                best = k
-                break
-        m.append(best)
-    for a, b in zip(m, m[1:]):
-        if b > a:
-            raise InconsistentOracleError(f"oracle produced non-monotone profile {m}")
-    return PowerProfile(tuple(m), n0)
 
 
 # ---------------------------------------------------------------------------

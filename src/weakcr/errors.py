@@ -70,10 +70,6 @@ class NotAdmissibleError(WeakCRError):
     """Raised when a function pair is outside the operator domain."""
 
 
-class InconsistentOracleError(WeakCRError):
-    """Raised when a membership oracle yields a non-monotone power profile."""
-
-
 class ClosedFormInconsistencyError(WeakCRError):
     """Raised when a closed-form variance comes out negative beyond roundoff."""
 

@@ -11,21 +11,23 @@ V_S(alpha) T - T V_S(alpha) = alpha V_S(alpha), and the Weyl form between
 two semigroups.
 
 Operators are stored only as their diagonals; construction, adjoints,
-matrix-vector products and every defect work on those (banded products, a
-Taylor series for exp that forms each term only on the diagonals the
-generator's nonzero ones can reach, with the bits of the full-band series,
-and the plain three-term Lanczos recurrence on M'M, which keeps two vectors
-and no basis (Paige, Linear Algebra Appl. 34, 1980), for the spectral norm
-of the Weyl block M), so the defect chain forms nothing of size N x N.
-Each semigroup is formed once per pair and parameter, and shared by the
-quasi-strong and Weyl defects.  Every relation X Y - c Y X = R, and the UR2
-cross condition, is formed by ``relation_block`` on its band's rows only,
-with its rounding scale; ``weak_with_scale`` and the other ``*_with_scale``
-functions return each defect with that scale, and ``*_defect`` the defect.
+matrix-vector products and every defect work on those (banded products, the
+closed form exp(alpha (x a + y a*)) = exp(alpha y a*) exp(alpha x a)
+exp(alpha^2 x y / 2) for each semigroup, taken in steps where the one
+product would cancel, and the plain three-term Lanczos recurrence on M'M,
+which keeps two vectors and no basis (Paige, Linear Algebra Appl. 34,
+1980), for the spectral norm of the Weyl block M), so the defect chain
+forms nothing of size N x N.  Each semigroup is formed once per pair and
+parameter, and shared by the quasi-strong and Weyl defects.  Every
+relation X Y - c Y X = R, and the UR2 cross condition, is formed by
+``relation_block`` on its band's rows only, with its rounding scale;
+``weak_with_scale`` and the other ``*_with_scale`` functions return each
+defect with that scale, and ``*_defect`` the defect.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -164,12 +166,26 @@ class OperatorPair:
     def semigroup(self, generator, alpha):
         """Diagonals of V_S(alpha) = exp(alpha S) ("S") or V_T(alpha) ("T"), formed once per pair.
 
-        The quasi-strong and Weyl defects at the same parameter share V_S.
-        The cached array is read-only, since every caller reads the same one.
+        The generator must be x a + y a* (DomainParameterError otherwise).
+        V is W^s, with W = V(alpha / s) the closed form of ``_exp_ladder``.
+        That one product loses digits to cancellation as
+        alpha min(|x|, |y|) sqrt(N) grows (at min(|x|, |y|) = 0 it is
+        triangular and nothing cancels), so s = ceil(alpha min(|x|, |y|)
+        sqrt(N) / 2) steps hold that quantity at 2 or less in each factor.
+        The divisor 2 is measured, not derived: in one product,
+        swanson:0.5 at alpha = 1, N = 512 read a Weyl defect of 7.3e-12 on
+        its scale, a false FAIL, and in its 6 steps 5.4e-14.  The
+        quasi-strong and Weyl defects at the same parameter share V_S.  The
+        cached array is read-only, since every caller reads the same one.
         """
         key = (generator, alpha)
         if key not in self._semigroups:
-            V = band_expm(getattr(self, generator).diagonals, alpha)
+            x, y = _ladder_coefficients(getattr(self, generator).diagonals)
+            steps = max(1, math.ceil(alpha * min(abs(x), abs(y)) * math.sqrt(self.dim) / 2))
+            W = _exp_ladder(x, y, alpha / steps, self.dim)
+            V = W
+            for _ in range(steps - 1):
+                V = band_product(W, V)
             V.flags.writeable = False
             self._semigroups[key] = V
         return self._semigroups[key]
@@ -457,81 +473,69 @@ def band_product(A, B, rows=None):
 
 _EPS = np.finfo(float).eps / 2  # unit roundoff 2^-53
 
-#: theta_m of Al-Mohy & Higham (2011) for unit roundoff 2^-53 (the values
-#: scipy.sparse.linalg.expm_multiply uses): the largest ||A||_1 for which the
-#: degree-m Taylor polynomial of exp(A) is accurate to that roundoff.
-_TAYLOR_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
-    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
-    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
-    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.70, 40: 6.00,
-    45: 7.20, 50: 8.50, 55: 9.90,
-}
 
+def _ladder_coefficients(D):
+    """(x, y) with A = x a + y a* for the matrix A with diagonals D.
 
-def band_expm(D, alpha):
-    """Diagonals of exp(alpha A) by a truncated Taylor series on the diagonals.
-
-    Steps s and degree m minimise s * m subject to ||alpha A||_1 / s <= theta_m
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)); the series of each
-    step stops early once two consecutive terms fall below unit roundoff
-    relative to the partial sum.
-
-    If A's nonzero diagonals sit at offsets lo, lo + g, ..., hi (g the gcd of
-    their differences), term j can reach only the offsets j lo + g t up to
-    j hi, so only those inside +-(N - 1) are held and formed: each from term
-    j - 1 by one shifted product per nonzero diagonal of A, in ascending
-    offset.  That is the order in which ``band_product`` adds them, and the
-    products it adds beyond them are zeros, so every entry has the bits of
-    the full-band series.  The result keeps the full band of the last term,
-    min(j K, N - 1) for bandwidth K, whose unreached diagonals are zero.
+    x and y are read off the first entries of the +1 and -1 diagonals; every
+    entry must match x sqrt(k + 1) and y sqrt(k + 1) to within a few
+    roundings (8 u relative), and every other diagonal must be zero.  Any
+    other generator raises DomainParameterError.
     """
-    A = alpha * D
-    norm1 = float(np.max(np.sum(np.abs(band_columns(A)), axis=0)))
-    steps, degree = min(
-        ((max(1, math.ceil(norm1 / theta)), m) for m, theta in _TAYLOR_THETA.items()),
-        key=lambda sm: (sm[0] * sm[1], sm[1]),
-    )
-    A /= steps
     width, n = _width(D), D.shape[1]
-    used = [d for d in range(-width, width + 1) if A[width + d].any()] or [0]  # [0] for alpha A = 0
-    lo, hi = used[0], used[-1]
-    g = math.gcd(*(d - lo for d in used)) or 1
-    widest = min(degree * width, n - 1)
-    total = np.zeros((2 * widest + 1, n), dtype=complex)
-    total[widest] = 1.0
-    term, first = np.ones((1, n), dtype=complex), 0  # term j's diagonals, at offsets first + g t
-    previous, bound = 0.0, 1.0  # bound >= max|total|, so max|total| is read only near the end
-    for j in range(1, degree + 1):
-        # with B = term j - 1, padded by K zeros on each side: (A B)[i, i + e] gets
-        # A[i, i + d] B[i + d, i + e] for each d, as in band_product
-        padded = np.zeros((len(term), n + 2 * width), dtype=complex)
-        padded[:, width : width + n] = term
-        # term j's offsets j lo + g t inside +-(N - 1): t from low, count of them
-        low = max(0, -((j * lo + n - 1) // g))
-        count = min(j * (hi - lo), n - 1 - j * lo) // g - low + 1
-        reached = j * lo + g * low
-        term = np.zeros((max(count, 0), n), dtype=complex)
-        for d in used:
-            t = (d + first - reached) // g  # where B's first diagonal lands
-            s, stop = max(0, -t), min(len(padded), count - t)
-            if s < stop:
-                term[t + s : t + stop] += A[width + d] * padded[s:stop, width + d : width + d + n]
-        first = reached
-        term /= j
-        total[widest + first : widest + first + g * len(term) : g] += term
-        size = float(np.max(np.abs(term), initial=0.0))
-        bound += size
-        if size + previous <= _EPS * bound and size + previous <= _EPS * np.max(np.abs(total)):
+    x = y = 0j
+    want = np.zeros_like(D)
+    if width:
+        x, y = complex(D[width + 1, 0]), complex(D[width - 1, 1])
+        root = np.sqrt(np.arange(1.0, n))
+        want[width + 1, : n - 1] = x * root
+        want[width - 1, 1:] = y * root
+    if not np.all(np.abs(D - want) <= 8 * _EPS * np.abs(want)):
+        raise DomainParameterError(
+            "semigroups are formed in closed form only for generators x a + y a*"
+        )
+    return x, y
+
+
+def _exp_lowering(z, n):
+    """Diagonals of the upper triangular exp(z a): entry (k, k + d) is z^d / d! sqrt((k+1)...(k+d)).
+
+    Diagonal d is diagonal d - 1 times z sqrt(k + d) / d.  Once
+    |z| sqrt(N + d) / (d + 1) < 1/2, each later diagonal is less than half the
+    one before, so the recurrence stops at the first diagonal below unit
+    roundoff of the largest: all that it leaves out is smaller than that.
+    """
+    root = np.sqrt(np.arange(n))
+    rows, largest = [np.ones(n, dtype=complex)], 1.0
+    for d in range(1, n):
+        row = rows[-1][: n - d] * root[d:] * (z / d)
+        size = float(np.max(np.abs(row)))
+        if size < _EPS * largest and abs(z) * math.sqrt(n + d) / (d + 1) < 0.5:
             break
-        previous = size
-    reach = min(j * width, n - 1)  # the last term's whole band, as the full-band series holds it
-    total = total[widest - reach : widest + reach + 1]
-    V = total
-    for _ in range(steps - 1):
-        V = band_product(total, V)
-    return V
+        largest = max(largest, size)
+        rows.append(row)
+    width = len(rows) - 1
+    E = np.zeros((2 * width + 1, n), dtype=complex)
+    for d, row in enumerate(rows):
+        E[width + d, : n - d] = row
+    return E
+
+
+def _exp_ladder(x, y, alpha, n):
+    """Diagonals of the N x N block of exp(alpha (x a + y a*)) on the untruncated space.
+
+    [a, a*] = 1 is central, so exp(alpha (x a + y a*)) =
+    exp(alpha y a*) exp(alpha x a) exp(alpha^2 x y / 2), the Heisenberg
+    group's disentangling identity.  The first factor is lower and the second
+    upper triangular, so their product's inner index runs only up to
+    min(i, j): the product of the truncated triangles is the block itself.
+    Its offsets run from -K_lower to K_upper, so it is kept at the wider of
+    the two bandwidths; the diagonals dropped are zero.
+    """
+    upper = _exp_lowering(alpha * x, n)
+    lower = band_adjoint(_exp_lowering((alpha * y).conjugate(), n))  # exp(w a*) = exp(conj(w) a)'
+    width = max(_width(lower), _width(upper))
+    return _middle(band_product(lower, upper), width) * cmath.exp(alpha * alpha * x * y / 2)
 
 
 #: the Lanczos norm stops once its top Ritz pair's residual is this share of lambda
@@ -680,7 +684,7 @@ def semigroup_band(pair, alpha):
 def quasi_strong_with_scale(pair, alpha):
     """``(quasi_strong_defect, scale)``: V_S(a) T - T V_S(a) - a V_S(a) as a ``relation_block``.
 
-    V_S(a) = exp(a S) is the pair's cached ``semigroup`` (band_expm).
+    V_S(a) = exp(a S) is the pair's cached closed-form ``semigroup``.
     """
     if not 0 <= alpha < math.inf:
         raise DomainParameterError(f"semigroup parameter must be finite and >= 0, got {alpha}")

@@ -337,16 +337,3 @@ def gaussian_eigen_check(k):
         scale = max(1.0, abs(via_moments), abs_scale)
         quad_residual = max(quad_residual, abs(direct - via_moments) / scale)
     return GaussianEigenCheck(symbolic, quad_residual)
-
-
-def monomial_domain_oracle(weight: Weight):
-    """Membership oracle for power profiles over the monomial family.
-
-    member(r, k) accepts the canonical monomial T^r S^k when the top degree
-    it reaches, x^(r+k), still lies in the domain.
-    """
-
-    def member(r, k):
-        return in_domain(monomial(r + k), weight)
-
-    return member

@@ -20,10 +20,9 @@ from weakcr.algebra import (
     adjoint,
     is_regular,
     normal_order,
-    profile_from_membership,
     render,
 )
-from weakcr.errors import DomainParameterError, InconsistentOracleError
+from weakcr.errors import DomainParameterError
 
 S = NCPoly.gen(GEN_S)
 T = NCPoly.gen(GEN_T)
@@ -392,33 +391,6 @@ def test_profile_validation():
     assert p.s_bound(2) == 1
     assert p.s_bound(3) is None
     assert PowerProfile.unbounded().s_bound(10 ** 6) is UNBOUNDED
-
-
-def test_profile_from_membership_constant_true():
-    profile = profile_from_membership(lambda r, k: True, 5)
-    assert profile.n0 == 5
-    assert profile.m == (5, 5, 5, 5, 5, 5)
-
-
-def test_profile_from_membership_constant_false():
-    profile = profile_from_membership(lambda r, k: False, 5)
-    assert profile.n0 == 0
-    assert profile.m == (0,)
-
-
-def test_profile_from_membership_budget_oracle():
-    # admit T^r S^k while r + k <= 3
-    profile = profile_from_membership(lambda r, k: r + k <= 3, 6)
-    assert profile.n0 == 3
-    assert profile.m == (3, 2, 1, 0)
-
-
-def test_profile_from_membership_rejects_non_monotone():
-    def member(r, k):
-        return k <= 1 if r == 0 else (r <= 2 and k <= 2)
-
-    with pytest.raises(InconsistentOracleError):
-        profile_from_membership(member, 6)
 
 
 # --- matrix evaluation ---------------------------------------------------------

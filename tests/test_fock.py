@@ -19,7 +19,6 @@ from weakcr.fock import (
     TruncatedOperator,
     band_adjoint,
     band_columns,
-    band_expm,
     band_product,
     basis_state,
     boson_pair,
@@ -325,10 +324,21 @@ def dense_weak_defect(pair):
     return float(np.max(np.abs(M[: pair.safe_rank, : pair.safe_rank])))
 
 
+def untruncated_exp(A, alpha):
+    """The N x N block of exp(alpha A) on the untruncated space, for A = x a + y a*.
+
+    It is the leading block of the exponential of the same generator
+    truncated at 2N, whose edge lies N indices further out.
+    """
+    n = len(A)
+    wider = A[0, 1] * lowering(2 * n).entries + A[1, 0] * raising(2 * n).entries
+    return scipy.linalg.expm(alpha * wider)[:n, :n]
+
+
 def dense_quasi_strong_defect(pair, alpha):
     band = semigroup_band(pair, alpha)
     S, T = pair.S.entries, pair.T.entries
-    V = scipy.linalg.expm(alpha * S)
+    V = untruncated_exp(S, alpha)
     M = V @ T - T @ V - alpha * V
     return float(np.max(np.abs(M[:band, :band]))), float(np.max(np.abs(V)) * np.max(np.abs(T)))
 
@@ -336,7 +346,7 @@ def dense_quasi_strong_defect(pair, alpha):
 def dense_weyl_defect(pair, alpha, beta):
     band = semigroup_band(pair, max(alpha, beta))
     S, T = pair.S.entries, pair.T.entries
-    VS, VT = scipy.linalg.expm(alpha * S), scipy.linalg.expm(beta * T)
+    VS, VT = untruncated_exp(S, alpha), untruncated_exp(T, beta)
     M = VS @ VT - math.exp(alpha * beta) * (VT @ VS)
     scale = math.exp(alpha * beta) * np.linalg.norm(VS, 1) * np.linalg.norm(VT, 1)
     return float(np.linalg.norm(M[:band, :band], ord=2)), float(scale)
@@ -469,18 +479,25 @@ def test_banded_defects_match_dense_oracles(name, n, make, which):
     pair = make()
     alpha = {"zero": 0.0, "0.1": 0.1, "widest": widest_alpha(pair)}[which]
     S = pair.S.entries
-    E = scipy.linalg.expm(alpha * S)
-    V = dense(band_expm(diagonals(S), alpha))
-    assert np.max(np.abs(V - E)) <= ROUNDING * np.max(np.abs(E))
-
     scale = float(np.max(np.abs(S)) * np.max(np.abs(pair.T.entries)))
     assert abs(weak_defect(pair) - dense_weak_defect(pair)) <= ROUNDING * max(1.0, scale)
     try:
-        want, q_scale = dense_quasi_strong_defect(pair, alpha)
+        band = semigroup_band(pair, alpha)
     except TruncationError:
         with pytest.raises(TruncationError):
             quasi_strong_defect(pair, alpha)
         return
+    if name == "wide":  # a generator outside x a + y a* has no closed-form semigroup
+        for defect, args in ((quasi_strong_defect, (alpha,)), (weyl_defect, (alpha, alpha))):
+            with pytest.raises(DomainParameterError):
+                defect(pair, *args)
+        return
+    # the closed form is the block of the untruncated operator; in steps it
+    # loses that exactness near the edge, so it is compared on the band
+    E = untruncated_exp(S, alpha)[:band, :band]
+    V = dense(pair.semigroup("S", alpha))[:band, :band]
+    assert np.max(np.abs(V - E)) <= ROUNDING * np.max(np.abs(E))
+    want, q_scale = dense_quasi_strong_defect(pair, alpha)
     assert abs(quasi_strong_defect(pair, alpha) - want) <= ROUNDING * q_scale
     for beta in (0.0, alpha):
         want, w_scale = dense_weyl_defect(pair, alpha, beta)
@@ -534,19 +551,41 @@ def test_bandwidth_follows_the_nonzero_pattern():
 
 
 def test_band_expm_splits_large_norms_into_steps():
-    # ||alpha S||_1 is about 40 here, beyond the largest Taylor degree's theta
-    S = swanson_pair(0.3, 96).S.entries
-    E = scipy.linalg.expm(2.0 * S)
-    V = dense(band_expm(diagonals(S), 2.0))
+    # the semigroup at alpha = 2 takes ceil(2 sin(0.3) sqrt(512) / 2) = 7 steps;
+    # its band is the 58 rows that the margin of 453 leaves
+    pair = swanson_pair(0.3, 512)
+    band = semigroup_band(pair, 2.0)
+    E = scipy.linalg.expm(2.0 * pair.S.entries)[:band, :band]
+    V = dense(pair.semigroup("S", 2.0))[:band, :band]
     assert np.max(np.abs(V - E)) <= ROUNDING * np.max(np.abs(E))
 
 
+#: theta_m of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011) for unit
+#: roundoff 2^-53 (the values scipy.sparse.linalg.expm_multiply uses): the
+#: largest ||A||_1 for which the degree-m Taylor polynomial of exp(A) is
+#: accurate to that roundoff.
+_TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
+    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
+    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
+    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.70, 40: 6.00,
+    45: 7.20, 50: 8.50, 55: 9.90,
+}
+
+
 def _band_expm_oracle(D, alpha):
-    """The full-band Taylor series: every term multiplied on all of its diagonals."""
+    """exp(alpha A) of the truncated A by the full-band Taylor series.
+
+    Steps s and degree m minimise s * m subject to ||alpha A||_1 / s <= theta_m;
+    the series of each step stops once two consecutive terms fall below unit
+    roundoff relative to the partial sum, and every term is multiplied on all
+    of its diagonals.
+    """
     A = alpha * D
     norm1 = float(np.max(np.sum(np.abs(band_columns(A)), axis=0)))
     steps, degree = min(
-        ((max(1, math.ceil(norm1 / theta)), m) for m, theta in fock._TAYLOR_THETA.items()),
+        ((max(1, math.ceil(norm1 / theta)), m) for m, theta in _TAYLOR_THETA.items()),
         key=lambda sm: (sm[0] * sm[1], sm[1]),
     )
     A /= steps
@@ -602,12 +641,13 @@ EXPM_BANDS = {
     f"swanson{theta}-{letter}": _letter(lambda n, theta=theta: swanson_pair(theta, n), letter)
     for theta in (0.0, 0.3, 0.785, 1.2) for letter in ("S", "T", "S'", "T'")
 }
-EXPM_BANDS.update({
-    "tridiagonal": _random_band((-1, 0, 1), 1),  # a nonzero main diagonal: step 1
-    "pentadiagonal-odd": _random_band((-1, 1), 2),  # zero even offsets, zero outer diagonals
-    "pentadiagonal-even": _random_band((-2, 0, 2), 2),  # step 2 from offset -2
-    "upper": _random_band((1, 3), 3),  # upper diagonals only, a zero one between
-})
+RANDOM_BANDS = {
+    "tridiagonal": _random_band((-1, 0, 1), 1),  # a nonzero main diagonal
+    "pentadiagonal-odd": _random_band((-1, 1), 2),  # random +-1 diagonals, zero outer ones
+    "pentadiagonal-even": _random_band((-2, 0, 2), 2),
+    "upper": _random_band((1, 3), 3),
+}
+EXPM_BANDS.update(RANDOM_BANDS)
 EXPM_CASES = [(name, n) for name in EXPM_BANDS for n in (2, 3, 5, 16, 128)]
 TWO_BY_TWO = {
     f"2x2({s},{q})-{letter}": _letter(lambda n, s=s, q=q: matrix2x2_pair(s, q), letter)
@@ -617,13 +657,75 @@ EXPM_BANDS.update(TWO_BY_TWO)
 EXPM_CASES += [(name, 2) for name in TWO_BY_TWO]
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0, 3.0])  # 3 takes several squaring steps
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0, 3.0])  # 1 and 3 take several steps at theta > 0
 @pytest.mark.parametrize("name, n", EXPM_CASES, ids=[f"{m}-N{n}" for m, n in EXPM_CASES])
 def test_band_expm_has_the_bits_of_the_full_band_series(name, n, alpha):
-    D = EXPM_BANDS[name](n)
-    got, want = band_expm(D, alpha), _band_expm_oracle(D, alpha)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    """The closed-form semigroup against the full-band Taylor series, over its grid.
+
+    A one-sided generator x a or y a* (the letters at theta = 0 and the 2 x 2
+    ones) is triangular, so the exponential of its truncation is the block of
+    the untruncated one and the two agree everywhere; a two-sided one agrees
+    on the semigroup band (empty at alpha = 3 for these N).  The random bands
+    are not x a + y a*, so they raise the typed error, except the two whose
+    2 x 2 truncation keeps one entry on each of the +-1 diagonals only.
+    """
+    op = TruncatedOperator.banded(EXPM_BANDS[name](n))
+    pair = OperatorPair(op, op)
+    if name in RANDOM_BANDS and not (n == 2 and name in ("pentadiagonal-odd", "upper")):
+        with pytest.raises(DomainParameterError):
+            pair.semigroup("S", alpha)
+        return
+    V = dense(pair.semigroup("S", alpha))
+    want = dense(_band_expm_oracle(op.diagonals, alpha))
+    one_sided = not (np.any(np.tril(op.entries)) and np.any(np.triu(op.entries)))
+    rows = n if one_sided else max(0, pair.safe_rank - math.ceil(10 * alpha * math.sqrt(n)))
+    assert np.isfinite(V).all()
+    error = np.abs(V - want)[:rows, :rows]
+    assert np.all(error <= 16 * EPS * np.abs(want).max())
+
+
+@pytest.mark.parametrize("generator", ["S", "T"])
+@pytest.mark.parametrize("theta", [0.0, 0.3, 0.785])
+@pytest.mark.parametrize("n", [128, 512, 2048])
+def test_semigroup_matches_the_taylor_oracle_on_its_band(n, theta, generator):
+    # at most 6.4 ulps of max|V| apart here (theta = 0.785, N = 2048, in two steps)
+    pair = swanson_pair(theta, n)
+    band = semigroup_band(pair, 0.1)
+    V = dense(pair.semigroup(generator, 0.1))[:band, :band]
+    want = dense(_band_expm_oracle(getattr(pair, generator).diagonals, 0.1))[:band, :band]
+    assert np.max(np.abs(V - want)) <= 8 * EPS * np.max(np.abs(want))
+    if n <= 512:
+        E = scipy.linalg.expm(0.1 * getattr(pair, generator).entries)[:band, :band]
+        assert np.max(np.abs(V - E)) <= 8 * EPS * np.max(np.abs(E))
+
+
+def _off_ladder_generators(n):
+    a, ad = lowering(n).entries, raising(n).entries
+    constant = np.eye(n, k=1) + 0.5 * np.eye(n, k=-1)  # +-1 diagonals without the sqrt(k + 1)
+    return {
+        "wide": a + 0.5 * a @ a + 0.2 * ad,
+        "with-diagonal": a + ad + 1e-3 * np.eye(n),
+        "constant-off-diagonals": constant,
+        "one-entry-off": a + 1e-9 * np.eye(n, k=1) * (np.arange(n) == 3),
+        "identity": np.eye(n),
+    }
+
+
+@pytest.mark.parametrize("name", list(_off_ladder_generators(8)))
+def test_semigroup_of_a_generator_outside_x_a_plus_y_adjoint_is_a_typed_error(name):
+    op = TruncatedOperator(_off_ladder_generators(8)[name])
+    pair = OperatorPair(op, swanson_pair(0.3, 8).T)
+    with pytest.raises(DomainParameterError, match="x a \\+ y a\\*"):
+        pair.semigroup("S", 0.1)
+    assert pair.semigroup("T", 0.1).shape[1] == 8  # the ladder-form partner still forms
+
+
+@pytest.mark.parametrize("s, q", [(1.5, 0.7), (1.5, -0.5), (-2.0, 3j)])
+def test_two_by_two_semigroups_form_in_closed_form(s, q):
+    # S = s a and T = q a* at N = 2, so V_S(t) = 1 + t s a and V_T(t) = 1 + t q a*
+    pair = matrix2x2_pair(s, q)
+    assert np.allclose(dense(pair.semigroup("S", 0.4)), [[1, 0.4 * s], [0, 1]], rtol=0, atol=EPS)
+    assert np.allclose(dense(pair.semigroup("T", 0.4)), [[1, 0], [0.4 * q, 1]], rtol=0, atol=EPS)
 
 
 def test_defect_chain_forms_no_dense_exponential_or_svd(monkeypatch):
@@ -662,10 +764,15 @@ def test_defect_chain_forms_no_dense_exponential_or_svd(monkeypatch):
     assert weyl_defect(pair, 0.1, 0.1) < 1e-10
 
 
-def weyl_block(pair, alpha, beta):
-    """Diagonals of the band x band block whose spectral norm is the Weyl defect."""
+def weyl_block(pair, alpha, beta, semigroup=None):
+    """Diagonals of the band x band block whose spectral norm is the Weyl defect.
+
+    ``semigroup(generator, parameter)`` forms V_S and V_T: the pair's own by
+    default, the Taylor oracle's for a pair outside x a + y a*.
+    """
+    semigroup = semigroup or pair.semigroup
     band = semigroup_band(pair, max(alpha, beta))
-    VS, VT = band_expm(pair.S.diagonals, alpha), band_expm(pair.T.diagonals, beta)
+    VS, VT = semigroup("S", alpha), semigroup("T", beta)
     M = band_product(VS, VT, band) - math.exp(alpha * beta) * band_product(VT, VS, band)
     return diagonals(dense(M)[:band, :band])
 
@@ -693,12 +800,19 @@ WEYL_BLOCKS += [("swanson0.3", 2048)]
 def test_spectral_norm_matches_the_dense_svd_on_weyl_blocks(model, n):
     pair = WEYL_MODELS[model](n)
     alpha = min(0.1, widest_alpha(pair))  # the band is one index wide at N = 2 and 3
-    D = weyl_block(pair, alpha, alpha)
+    if model == "wide":
+        D = weyl_block(pair, alpha, alpha, lambda g, t: _band_expm_oracle(getattr(pair, g).diagonals, t))
+    else:
+        D = weyl_block(pair, alpha, alpha)
     want = float(np.linalg.norm(dense(D), ord=2))
     got = spectral_norm(D)
     assert abs(got - want) <= 1e-14 * want
     assert got == spectral_norm(D.copy())
-    assert got == weyl_defect(pair, alpha, alpha)
+    if model == "wide":
+        with pytest.raises(DomainParameterError):
+            weyl_defect(pair, alpha, alpha)
+    else:
+        assert got == weyl_defect(pair, alpha, alpha)
 
 
 def rank_one(n):
@@ -878,13 +992,13 @@ def test_weyl_defect_memory_stays_below_one_dense_block():
 
 def test_semigroups_are_formed_once_per_pair(monkeypatch):
     calls = []
-    real = band_expm
+    real = fock._exp_ladder
 
-    def counting(D, alpha):
+    def counting(x, y, alpha, n):
         calls.append(alpha)
-        return real(D, alpha)
+        return real(x, y, alpha, n)
 
-    monkeypatch.setattr(fock, "band_expm", counting)
+    monkeypatch.setattr(fock, "_exp_ladder", counting)
     pair = swanson_pair(0.3, 64)
     first = (quasi_strong_defect(pair, 0.1), weyl_defect(pair, 0.1, 0.2))
     assert calls == [0.1, 0.2]  # V_S(0.1) once, shared; V_T(0.2) once
@@ -893,5 +1007,5 @@ def test_semigroups_are_formed_once_per_pair(monkeypatch):
     fresh = swanson_pair(0.3, 64)
     assert (quasi_strong_defect(fresh, 0.1), weyl_defect(fresh, 0.1, 0.2)) == first
     V = pair.semigroup("S", 0.1)
-    assert np.array_equal(V, real(pair.S.diagonals, 0.1))
+    assert np.array_equal(V, real(math.cos(0.3), 1j * math.sin(0.3), 0.1, 64))  # one step here
     assert not V.flags.writeable

@@ -18,7 +18,6 @@ from numpy.polynomial.polynomial import polyval
 from scipy.special import beta
 
 from weakcr import cli, weights
-from weakcr.algebra import profile_from_membership
 from weakcr.errors import DomainParameterError, NotAdmissibleError, NotInL2Error
 from weakcr.weights import (
     GaussianEigenCheck,
@@ -33,7 +32,6 @@ from weakcr.weights import (
     ladder_length,
     moment,
     monomial,
-    monomial_domain_oracle,
     rational_weight,
     sdagger_pair,
     weak_cr_check,
@@ -379,19 +377,6 @@ def test_gaussian_eigen_quadrature_cross_check():
     check = gaussian_eigen_check(4)
     assert isinstance(check, GaussianEigenCheck)
     assert check.quadrature_residual < 1e-10
-
-
-# --- membership oracle --------------------------------------------------------------
-
-
-def test_monomial_oracle_matches_ladder_length():
-    w = rational_weight(2.0)
-    member = monomial_domain_oracle(w)
-    assert member(0, 2) and not member(0, 3)
-    profile = profile_from_membership(member, 5)
-    assert profile.m[0] == 2
-    assert profile.n0 == 2
-    assert profile.m == (2, 1, 0)
 
 
 def test_in_domain_examples():
