@@ -28,8 +28,7 @@ _EXPORTS = {
     ),
     "ladder": (
         "LadderFamily", "biorthogonality_gram", "build_ladder", "eigen_check",
-        "intertwiners", "kernel_vector", "restricted_spectrum", "swanson_vacua",
-        "tail_mass_membership",
+        "intertwiners", "kernel_vector", "restricted_spectrum", "tail_mass_membership",
     ),
     "uncertainty": (
         "DeltaReport", "URResult", "delta", "delta_report", "matrix2x2_report",

@@ -251,16 +251,15 @@ def cmd_ladder(args):
         build_ladder,
         eigen_check,
         intertwiners,
+        kernel_vector,
         residuals_monotone,
         restricted_spectrum,
-        swanson_vacua,
         tail_mass_membership,
     )
 
-    theta = _swanson_theta(args)
     tols = _tolerances(args, residual=1e-8, gram=1e-7, intertwiner=1e-6)
-    xi0, eta0 = swanson_vacua(theta, args.dim)
-    pair = swanson_pair(theta, args.dim)
+    pair = swanson_pair(_swanson_theta(args), args.dim)
+    xi0, eta0 = kernel_vector(pair.S), kernel_vector(pair.T.adjoint())
     member = tail_mass_membership(pair.safe_rank)
     fam_xi = build_ladder(pair.T, xi0, args.length, member=member)
     fam_eta = build_ladder(pair.S.adjoint(), eta0, args.length, member=member)

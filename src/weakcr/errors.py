@@ -33,20 +33,6 @@ class PreconditionError(WeakCRError):
     """Raised when an input violates a documented precondition."""
 
 
-class NoKernelError(WeakCRError):
-    """Raised when no numerical kernel vector exists below tolerance.
-
-    ``sigma_min`` holds |A v| for the unit vector v that inverse iteration
-    settled on: an upper bound on the smallest singular value of A, and equal
-    to it up to rounding once the iteration has converged.  The message says
-    when it has not (nearly equal smallest singular values).
-    """
-
-    def __init__(self, msg, sigma_min=None):
-        super().__init__(msg)
-        self.sigma_min = sigma_min
-
-
 class NonNormalizableError(WeakCRError):
     """Raised when a vacuum is not in l^2, or two base vectors cannot be scaled to pairing 1."""
 

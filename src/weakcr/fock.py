@@ -446,11 +446,6 @@ def band_adjoint(D):
     return _shifted(D[::-1], 1).conj()
 
 
-def band_columns(D):
-    """Column-indexed diagonals, C[K + d, j] = A[j - d, j] (LAPACK-style layout)."""
-    return _shifted(D, -1)
-
-
 def band_product(A, B, rows=None):
     """Diagonals of the product of two matrices given by their diagonals.
 
@@ -480,7 +475,7 @@ def _ladder_coefficients(D):
     x and y are read off the first entries of the +1 and -1 diagonals; every
     entry must match x sqrt(k + 1) and y sqrt(k + 1) to within a few
     roundings (8 u relative), and every other diagonal must be zero.  Any
-    other generator raises DomainParameterError.
+    other operator raises DomainParameterError.
     """
     width, n = _width(D), D.shape[1]
     x = y = 0j
@@ -492,7 +487,7 @@ def _ladder_coefficients(D):
         want[width - 1, 1:] = y * root
     if not np.all(np.abs(D - want) <= 8 * _EPS * np.abs(want)):
         raise DomainParameterError(
-            "semigroups are formed in closed form only for generators x a + y a*"
+            "the closed-form semigroups and vacua need an operator x a + y a*"
         )
     return x, y
 

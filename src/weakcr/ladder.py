@@ -1,6 +1,9 @@
 """Eigenvector ladders, biorthogonal families, and intertwining operators.
 
-Starting from a kernel vector xi0 of S, the vectors xi_k = T^k xi0 / sqrt(k!)
+The vacua are closed forms: ``kernel_vector`` solves A v = 0 for any
+A = x a + y a* by its two-term recurrence, with verdicts on whether the
+vacuum lies in l^2 and whether the truncation holds it.  Starting from the
+kernel vector xi0 of S, the vectors xi_k = T^k xi0 / sqrt(k!)
 are eigenvectors of the number-like operator T S with eigenvalue k; the
 mirror family eta_r = (S')^r eta0 / sqrt(r!) built on a kernel vector of T'
 is biorthogonal to it after normalizing <xi0, eta0> = 1.  The basis-exchange
@@ -22,130 +25,59 @@ import numpy as np
 from .errors import (
     ConditioningError,
     InvalidDimensionError,
-    NoKernelError,
     NonNormalizableError,
     PreconditionError,
     TruncationError,
 )
-from .fock import (
-    StateVector,
-    TruncatedOperator,
-    _EPS,
-    _width,
-    band_columns,
-    band_product,
-    inner,
-    norm,
-    swanson_pair,
-)
+from .fock import StateVector, TruncatedOperator, _ladder_coefficients, inner, norm
 
 
-def kernel_vector(A: TruncatedOperator, tol=1e-10):
-    """Unit-norm numerical kernel vector of A, with the certificate |A v|.
-
-    Inverse iteration on the banded Hermitian matrix A'A + eps I (a banded
-    Cholesky factor, solved at most 8 times) converges to the right singular
-    vector of the smallest singular value; the shift eps, a rounding-sized
-    multiple of |A|_F^2, keeps the factorization positive definite.  Each
-    solve shrinks the component along the next singular value sigma_2 by
-    (sigma_min^2 + eps) / (sigma_2^2 + eps), so the vector settles only when
-    sigma_2^2 >> eps, and close pairs of small singular values can leave it
-    unsettled.  Since |A v| >= sigma_min for every unit v, the vector is
-    accepted only when |A v| <= ``tol``; otherwise NoKernelError carries
-    |A v| as ``sigma_min``, an upper bound, and its message says when the
-    iteration did not settle.  The phase is fixed so the first non-negligible
-    component is positive real, which makes the result deterministic.
-    """
-    import scipy.linalg  # its only user; deferred so that importing weakcr loads numpy alone
-
-    AA = band_product(A.adjoint().diagonals, A.diagonals)
-    width = _width(AA)
-    # LAPACK upper band storage of the Hermitian A'A, ab[K + i - j, j] = H[i, j]
-    # for i <= j, so ab[K] is the main diagonal (what cholesky_banded reads)
-    upper = band_columns(AA)[width:][::-1]
-    frobenius2 = float(np.sum(upper[width].real)) or 1.0  # trace of A'A
-    # a few roundings of |A|_F^2 keep the factor positive definite
-    upper[width] += 4 * (width + 1) * _EPS * frobenius2
-    factor = scipy.linalg.cholesky_banded(upper)
-    # a fixed random start: deterministic, and no symmetry of A makes it
-    # orthogonal to the kernel (a constant vector can be)
-    v = np.random.default_rng(0).standard_normal(A.dim).astype(complex)
-    settled = False
-    for _ in range(8):
-        w = scipy.linalg.cho_solve_banded((factor, False), v)
-        w /= np.linalg.norm(w)
-        overlap = np.vdot(w, v)
-        w *= overlap / (abs(overlap) or 1.0)  # v's phase, so |w - v| is the step's angle
-        settled = np.linalg.norm(w - v) <= 8 * _EPS
-        v = w
-        if settled:
-            break
-    residual = norm(A @ v)
-    if residual > tol:
-        unsettled = "" if settled else (
-            "; inverse iteration did not settle in 8 solves, so |A v| may exceed "
-            "the smallest singular value"
-        )
-        raise NoKernelError(
-            f"no kernel vector: |A v| = {residual:.3e} exceeds tolerance {tol:.3e} "
-            f"(|A v| >= smallest singular value){unsettled}",
-            sigma_min=residual,
-        )
-    scale = np.max(np.abs(v))
-    idx = int(np.argmax(np.abs(v) > 1e-12 * scale))
-    phase = v[idx] / abs(v[idx])
-    return StateVector(v / phase, label="ker")
-
-
-#: the largest relative tail and kernel residual ``swanson_vacua`` accepts
+#: the largest relative tail and kernel residual ``kernel_vector`` accepts
 VACUUM_TOL = 1e-10
 
 
-def swanson_vacua(theta, n):
-    """The vacua xi0 in ker S and eta0 in ker T' of ``swanson_pair(theta, n)``, in closed form.
+def kernel_vector(A: TruncatedOperator, tol=VACUUM_TOL):
+    """The unit vacuum v of A = x a + y a* (A v = 0), in closed form.
 
-    S = cos(t) a + i sin(t) a* has a zero diagonal, so S x = 0 is the
-    two-term recurrence x_2m = x_(2m-2) (-i tan t) sqrt((2m-1)/(2m)) with the
-    odd components zero: a squeezed vacuum, and T' gives the same with +i.
-    Its squared norm sums to (1 - tan^2 t)^(-1/2), so it lies in l^2 iff
-    |tan t| < 1; otherwise NonNormalizableError.  Each vector is the unit
-    truncation with x_0 real and positive, as ``kernel_vector`` returns it.
-    The truncation is accepted only when the l^2 vacuum's norm past
-    dimension n (relative to its whole norm) and the certificates |S xi0|
-    and |T' eta0| are all at most ``VACUUM_TOL``; otherwise TruncationError carries
-    that tail as ``tail_mass``.  Both gates are needed: at odd n the truncated
-    recurrence is an exact kernel vector even while the vacuum's tail is large.
+    x and y are read off A's +-1 diagonals as for the semigroups; any other
+    operator raises DomainParameterError.  A v = 0 is the two-term recurrence
+    v_2m = v_(2m-2) (-y/x) sqrt((2m-1)/(2m)) with the odd components zero: a
+    squeezed vacuum (S = cos(t) a + i sin(t) a* has -y/x = -i tan t).  Its
+    squared norm sums to (1 - |y/x|^2)^(-1/2), so it lies in l^2 iff
+    |y/x| < 1; otherwise, and at x = 0, NonNormalizableError.  The vector is
+    the unit truncation with v_0 real and positive.  It is accepted only when
+    the l^2 vacuum's norm past dimension N (relative to its whole norm) and
+    the certificate |A v| are both at most ``tol``; otherwise TruncationError
+    carries that tail as ``tail_mass``.  Both gates are needed: at odd N the
+    truncated recurrence is an exact kernel vector even while the vacuum's
+    tail is large.
     """
-    pair = swanson_pair(theta, n)
-    tan = math.tan(theta)
-    if not abs(tan) < 1.0:
+    x, y = _ladder_coefficients(A.diagonals)
+    if not abs(y) < abs(x):
         raise NonNormalizableError(
-            f"the vacuum of S = cos(t) a + i sin(t) a* lies in l^2 only for |tan t| < 1, "
-            f"got |tan t| = {abs(tan):.6g} at t = {theta:g}"
+            f"the vacuum of A = x a + y a* lies in l^2 only for |y/x| < 1, "
+            f"got |x| = {abs(x):.6g} and |y| = {abs(y):.6g}"
         )
-    tail = math.sqrt(_vacuum_tail_share(tan * tan, (n + 1) // 2))
+    ratio, n = -y / x, A.dim
+    tail = math.sqrt(_vacuum_tail_share(abs(ratio) ** 2, (n + 1) // 2))
     m = np.arange(1, (n + 1) // 2)
-    xi = np.zeros(n, dtype=complex)
-    xi[::2] = np.concatenate(([1.0], np.cumprod(-1j * tan * np.sqrt((2 * m - 1) / (2 * m)))))
-    xi /= np.linalg.norm(xi)
-    vacua = []
-    for name, op, x in (("S", pair.S, xi), ("T'", pair.T.adjoint(), xi.conj())):
-        residual = norm(op @ x)
-        if tail > VACUUM_TOL or residual > VACUUM_TOL:
-            raise TruncationError(
-                f"dimension {n} truncates the vacuum at |tan t| = {abs(tan):.6g}: its norm past "
-                f"the edge is {tail:.3e} of the whole and |{name} x| = {residual:.3e} "
-                f"(tolerance {VACUUM_TOL:.3e})",
-                tail_mass=tail,
-            )
-        vacua.append(StateVector(x, label="ker"))
-    return tuple(vacua)
+    v = np.zeros(n, dtype=complex)
+    v[::2] = np.concatenate(([1.0], np.cumprod(ratio * np.sqrt((2 * m - 1) / (2 * m)))))
+    v /= np.linalg.norm(v)
+    residual = norm(A @ v)
+    if tail > tol or residual > tol:
+        raise TruncationError(
+            f"dimension {n} truncates the vacuum at |y/x| = {abs(ratio):.6g}: its norm past "
+            f"the edge is {tail:.3e} of the whole and |A v| = {residual:.3e} (tolerance {tol:.3e})",
+            tail_mass=tail,
+        )
+    return StateVector(v, label="ker")
 
 
 def _vacuum_tail_share(t2, m0):
-    """Share of the squeezed vacuum's squared norm at indices 2m >= 2 m0, for tan^2 t = t2 < 1.
+    """Share of the squeezed vacuum's squared norm at indices 2m >= 2 m0, for |y/x|^2 = t2 < 1.
 
-    |x_2m|^2 = t2^m C(2m, m) / 4^m out of (1 - t2)^(-1/2) in all: the
+    |v_2m|^2 = t2^m C(2m, m) / 4^m out of (1 - t2)^(-1/2) in all: the
     negative binomial law of order 1/2.  Its first term comes from one
     log-space value (math.lgamma) and the rest from the ratio
     t2 (2m - 1) / (2m), so nothing overflows.  Once the partial tail passes

@@ -95,19 +95,32 @@ def test_weights_large_alpha_passes(capsys, tmp_path, alpha):
     assert checks["max_weak_cr_defect"] < 1e-8
 
 
+#: the library's truncation chain, from the pair through the vacua and defects to the intertwiners
+TRUNCATION_CHAIN = """
+from weakcr.fock import quasi_strong_defect, swanson_pair, weak_defect, weyl_defect
+from weakcr.ladder import build_ladder, intertwiners, kernel_vector
+pair = swanson_pair(0.3, 256)
+xi0, eta0 = kernel_vector(pair.S), kernel_vector(pair.T.adjoint())
+weak_defect(pair), quasi_strong_defect(pair, 0.1), weyl_defect(pair, 0.1, 0.1)
+intertwiners(pair, build_ladder(pair.T, xi0, 6), build_ladder(pair.S.adjoint(), eta0, 6))
+"""
+
+
 def test_import_and_normal_order_load_no_scipy_integrate_or_linalg():
-    # scipy.linalg loads only when a library caller computes a kernel vector,
-    # and nothing in the package loads scipy.integrate; each subcommand loads
-    # only the layers it drives, and the package alone loads none
-    def imported(*argv):
+    # nothing in the package loads any scipy module, neither a subcommand nor
+    # the library's truncation chain; each subcommand loads only the layers it
+    # drives, and the package alone loads none
+    def loaded(run):
         # sys.modules at exit rather than -X importtime, which does not list a
         # module the package namespace loads through importlib
-        run = (f"sys.argv = ['weakcr', *{list(argv)!r}]; runpy.run_module('weakcr.cli', run_name='__main__')"
-               if argv else "import weakcr")
         code = "import atexit, runpy, sys\natexit.register(lambda: print(*sys.modules, sep='\\n', file=sys.stderr))\n" + run
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr[-2000:]
         return set(proc.stderr.splitlines())
+
+    def imported(*argv):
+        return loaded(f"sys.argv = ['weakcr', *{list(argv)!r}]; runpy.run_module('weakcr.cli', run_name='__main__')"
+                      if argv else "import weakcr")
 
     def layers(modules):
         return {m for m in modules if m.startswith("weakcr.")}
@@ -135,6 +148,9 @@ def test_import_and_normal_order_load_no_scipy_integrate_or_linalg():
         assert not {m for m in modules if m.split(".")[0] == "scipy"}, argv
         if argv[0] in ("verify-cr", "ladder"):
             assert "numpy.random" not in modules, argv
+    modules = loaded(TRUNCATION_CHAIN)
+    assert layers(modules) == fock_only | {"weakcr.ladder"}
+    assert not {m for m in modules if m.split(".")[0] == "scipy"}
 
 
 def test_namespace_resolves_each_name_on_first_use():
@@ -145,7 +161,7 @@ def test_namespace_resolves_each_name_on_first_use():
         "fock": "OperatorPair StateVector TruncatedOperator basis_state boson_pair coherent_state identity "
                 "lowering matrix2x2_pair quasi_strong_defect raising swanson_pair weak_defect weyl_defect",
         "ladder": "LadderFamily biorthogonality_gram build_ladder eigen_check intertwiners kernel_vector "
-                  "restricted_spectrum swanson_vacua tail_mass_membership",
+                  "restricted_spectrum tail_mass_membership",
         "uncertainty": "DeltaReport URResult delta delta_report matrix2x2_report saturation_scan "
                        "swanson_closed_form ur1_check ur2_check",
         "weights": "MomentTable PolyFunc Weight apply_S apply_T gaussian_eigen_check gaussian_weight "
@@ -153,7 +169,7 @@ def test_namespace_resolves_each_name_on_first_use():
         "expr": "parse_to_poly",
     }
     names = {name: module for module, text in homes.items() for name in text.split()}
-    assert len(names) == 59
+    assert len(names) == 58
     assert sorted(weakcr.__all__) == sorted(names)
     for name, module in names.items():
         assert getattr(weakcr, name) is getattr(importlib.import_module(f"weakcr.{module}"), name), name
@@ -490,7 +506,7 @@ def test_ladder_without_an_l2_vacuum_exits_two(capsys, dim):
     code, out, err = run(capsys, "ladder", "--model", "swanson:1.2", *(["--dim", dim] if dim else []))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: the vacuum of S = cos(t) a + i sin(t) a* lies in l^2 only for |tan t| < 1")
+    assert err.startswith("error: the vacuum of A = x a + y a* lies in l^2 only for |y/x| < 1")
 
 
 @pytest.mark.parametrize("theta, dim", [("0.7", "97"), ("0.3", "3")])

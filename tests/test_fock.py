@@ -18,7 +18,6 @@ from weakcr.fock import (
     OperatorPair,
     TruncatedOperator,
     band_adjoint,
-    band_columns,
     band_product,
     basis_state,
     boson_pair,
@@ -352,6 +351,11 @@ def dense_weyl_defect(pair, alpha, beta):
     return float(np.linalg.norm(M[:band, :band], ord=2)), float(scale)
 
 
+def band_columns(D):
+    """Column-indexed diagonals, C[K + d, j] = A[j - d, j] (LAPACK-style layout)."""
+    return fock._shifted(D, -1)
+
+
 def dense(D):
     """The full matrix with diagonals D."""
     n, width = D.shape[1], D.shape[0] // 2
@@ -550,7 +554,7 @@ def test_bandwidth_follows_the_nonzero_pattern():
     assert diagonals(wide_pair(8).S.entries).shape == (5, 8)
 
 
-def test_band_expm_splits_large_norms_into_steps():
+def test_semigroup_splits_large_norms_into_steps():
     # the semigroup at alpha = 2 takes ceil(2 sin(0.3) sqrt(512) / 2) = 7 steps;
     # its band is the 58 rows that the margin of 453 leaves
     pair = swanson_pair(0.3, 512)

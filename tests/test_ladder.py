@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from weakcr.errors import (
-    NoKernelError,
+    DomainParameterError,
     NonNormalizableError,
     PreconditionError,
     TruncationError,
 )
 from weakcr.fock import (
+    StateVector,
     TruncatedOperator,
     basis_state,
     boson_pair,
@@ -35,7 +36,6 @@ from weakcr.ladder import (
     kernel_vector,
     residuals_monotone,
     restricted_spectrum,
-    swanson_vacua,
     tail_mass_membership,
 )
 from weakcr.uncertainty import delta_report
@@ -71,11 +71,34 @@ def test_kernel_of_swanson_matches_recursion():
     assert abs(xi0.components[0].imag) < 1e-12
 
 
+def _lowering_with_second_singular_value(sigma2, n=512):
+    # lowering(n) has kernel e0; scaling its (0, 1) entry makes sigma_2 = sigma2
+    entries = lowering(n).entries.copy()
+    entries[0, 1] = sigma2
+    return TruncatedOperator(entries)
+
+
 def test_kernel_vector_rejects_invertible():
-    with pytest.raises(NoKernelError) as exc:
-        kernel_vector(identity(8), 1e-10)
-    assert exc.value.sigma_min == pytest.approx(1.0)
-    assert "did not settle" not in str(exc.value)
+    # neither operator is x a + y a*: the identity has a main diagonal, and the
+    # rescaled lowering's +1 diagonal is not x sqrt(k + 1)
+    for op in (identity(8), _lowering_with_second_singular_value(1e-4)):
+        with pytest.raises(DomainParameterError, match=r"x a \+ y a\*"):
+            kernel_vector(op, 1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 16, 512])
+def test_kernel_vector_of_raising_is_not_normalizable(n):
+    # a* = 0 a + 1 a* has x = 0: its truncation has the kernel e_(N-1), which no l^2 vacuum reaches
+    with pytest.raises(NonNormalizableError, match=r"\|y/x\| < 1"):
+        kernel_vector(raising(n), 1e-10)
+
+
+@pytest.mark.parametrize("s, q", [(1.5, -0.5), (1.5, 0.7)])
+def test_two_by_two_vacua_are_e0(s, q):
+    # S = s a and T' = conj(q) a on C^2, so both vacua are e0 to the bit
+    pair = matrix2x2_pair(s, q)
+    for op in (pair.S, pair.T.adjoint()):
+        assert np.array_equal(kernel_vector(op).components, basis_state(0, 2).components)
 
 
 def svd_kernel_vector(A):
@@ -86,6 +109,10 @@ def svd_kernel_vector(A):
     return v * abs(v[idx]) / v[idx], float(s[-1])
 
 
+#: the (theta, n) below whose truncation cuts the vacuum (tail or |A v| above 1e-10)
+TRUNCATED_VACUA = {(0.3, 3), (0.6, 3), (0.3, 16), (0.6, 16), (0.6, 96)}
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.3, 0.6])
 @pytest.mark.parametrize("n", [3, 16, 96, 128, 512])
 @pytest.mark.parametrize("adjoint", [False, True])
@@ -93,49 +120,19 @@ def test_kernel_vector_matches_svd_oracle(theta, n, adjoint):
     pair = swanson_pair(theta, n)
     A = pair.T.adjoint() if adjoint else pair.S
     want, sigma_min = svd_kernel_vector(A)
-    if sigma_min > 1e-10:
-        with pytest.raises(NoKernelError) as exc:
+    if (theta, n) in TRUNCATED_VACUA:
+        with pytest.raises(TruncationError) as exc:
             kernel_vector(A, 1e-10)
-        assert exc.value.sigma_min == pytest.approx(sigma_min, rel=1e-2)
+        assert exc.value.tail_mass == pytest.approx(_vacuum_tail_oracle(theta, n), rel=1e-10)
+        if n == 96:  # even the truncation has no kernel vector: sigma_min is about 1.7e-8
+            assert sigma_min > 1e-10
         return
     v = kernel_vector(A, 1e-10).components
-    assert abs(np.vdot(want, v)) == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(v - want)) < 1e-12
-    # the certificate |A v| is as good as the SVD vector's, up to rounding
-    assert norm(A.entries @ v) <= (1 + 1e-9) * max(norm(A.entries @ want), 1e-15)
-
-
-def test_no_kernel_certificate_tracks_sigma_min():
-    # theta = 0.6 at N = 96: the kernel does not fit, sigma_min is about 1.7e-8
-    S = swanson_pair(0.6, 96).S
-    _, sigma_min = svd_kernel_vector(S)
-    with pytest.raises(NoKernelError) as exc:
-        kernel_vector(S, 1e-10)
-    assert abs(exc.value.sigma_min - sigma_min) <= 1e-2 * sigma_min
-    assert exc.value.sigma_min >= sigma_min * (1 - 1e-12)  # |A v| never undercuts sigma_min
-
-
-def _lowering_with_second_singular_value(sigma2, n=512):
-    # lowering(n) has kernel e0; scaling its (0, 1) entry makes sigma_2 = sigma2
-    entries = lowering(n).entries.copy()
-    entries[0, 1] = sigma2
-    return TruncatedOperator(entries)
-
-
-def test_kernel_vector_reports_an_unsettled_iteration():
-    # sigma_2^2 = 1e-12 lies far below the shift (about 1.7e-10 at this size), so
-    # 8 solves cannot separate e0 from e1 although sigma_min = 0
-    with pytest.raises(NoKernelError) as exc:
-        kernel_vector(_lowering_with_second_singular_value(1e-6), 1e-10)
-    assert "did not settle in 8 solves" in str(exc.value)
-    assert 1e-10 < exc.value.sigma_min <= 1e-6
-
-
-def test_kernel_vector_separates_a_small_second_singular_value():
-    # sigma_2^2 = 1e-8 is well above the shift, so the iteration settles on e0
-    v = kernel_vector(_lowering_with_second_singular_value(1e-4), 1e-10).components
-    assert abs(v[0]) == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(v[1:])) < 1e-12
+    residual = norm(A.entries @ v)
+    assert residual <= 1e-10
+    # the truncated l^2 vacuum is not the truncation's singular vector at the
+    # edge: the two part by at most the certificate |A v|
+    assert np.max(np.abs(v - want)) <= 1e-14 + residual
 
 
 def test_kernel_vector_forms_no_svd(monkeypatch):
@@ -153,19 +150,12 @@ def test_kernel_vector_matches_the_closed_form_vacuum(theta, n):
     # S x = 0 is the recurrence x_(n+1) = -i tan(t) sqrt(n/(n+1)) x_(n-1), solved by
     # x_2m = (-i tan t)^m sqrt(C(2m, m)) / 2^m with odd components zero; T' flips i
     pair = swanson_pair(theta, n)
-    vacua = swanson_vacua(theta, n)
-    for op, sign, closed in zip((pair.S, pair.T.adjoint()), (-1, 1), vacua):
+    for op, sign in ((pair.S, -1), (pair.T.adjoint(), 1)):
         x = np.zeros(n, dtype=complex)
         for m in range((n + 1) // 2):
             x[2 * m] = (sign * 1j * math.tan(theta)) ** m * math.sqrt(math.comb(2 * m, m)) / 2**m
         x /= np.linalg.norm(x)
-        v = kernel_vector(op, 1e-10).components
-        # the truncated operator has no exact kernel: where the vacuum still has
-        # weight at the edge (0.5 at 96, 0.7 at 300), the singular vector moves
-        # away from it by at most the certificate |A v|
-        assert np.max(np.abs(v - x)) <= 1e-14 + norm(op @ v)
-        assert np.max(np.abs(closed.components - x)) <= 1e-14
-        assert np.max(np.abs(closed.components - v)) <= 1e-14 + norm(op @ v)
+        assert np.max(np.abs(kernel_vector(op, 1e-10).components - x)) <= 1e-14
 
 
 def _vacuum_tail_oracle(theta, n):
@@ -188,10 +178,11 @@ def _vacuum_tail_oracle(theta, n):
 @pytest.mark.parametrize("theta, n", [(0.0, 2), (0.3, 64), (-0.3, 65), (0.5, 96), (3.0, 97), (0.7, 300)])
 def test_swanson_vacua_are_exact_unit_kernel_vectors(theta, n):
     pair = swanson_pair(theta, n)
-    for op, x in zip((pair.S, pair.T.adjoint()), swanson_vacua(theta, n)):
+    for op in (pair.S, pair.T.adjoint()):
+        x = kernel_vector(op)
         v = x.components
         assert x.norm == pytest.approx(1.0, abs=1e-15)
-        assert v[0].imag == 0.0 and v[0].real > 0.0  # kernel_vector's phase convention
+        assert v[0].imag == 0.0 and v[0].real > 0.0  # the phase convention
         assert not v[1::2].any()
         assert norm(op @ v) <= 1e-10
 
@@ -199,8 +190,10 @@ def test_swanson_vacua_are_exact_unit_kernel_vectors(theta, n):
 @pytest.mark.parametrize("theta", [math.pi / 4 + 1e-9, -math.pi / 4 - 1e-9, 1.0, 1.2, 2.0, math.pi / 2])
 @pytest.mark.parametrize("n", [2, 96])
 def test_swanson_vacua_outside_l2_raise(theta, n):
-    with pytest.raises(NonNormalizableError, match=r"\|tan t\| < 1"):
-        swanson_vacua(theta, n)
+    pair = swanson_pair(theta, n)
+    for op in (pair.S, pair.T.adjoint()):
+        with pytest.raises(NonNormalizableError, match=r"\|y/x\| < 1"):
+            kernel_vector(op)
 
 
 @pytest.mark.parametrize("theta, n, tail", [
@@ -211,18 +204,20 @@ def test_swanson_vacua_outside_l2_raise(theta, n):
     (0.7853981, 10_000, None),
 ])
 def test_swanson_vacua_reject_a_truncated_vacuum(theta, n, tail):
-    with pytest.raises(TruncationError) as exc:
-        swanson_vacua(theta, n)
+    pair = swanson_pair(theta, n)
     want = _vacuum_tail_oracle(theta, n) if tail is None else tail
-    assert exc.value.tail_mass == pytest.approx(want, rel=1e-3)
-    assert f"dimension {n} truncates the vacuum" in str(exc.value)
+    for op in (pair.S, pair.T.adjoint()):
+        with pytest.raises(TruncationError) as exc:
+            kernel_vector(op)
+        assert exc.value.tail_mass == pytest.approx(want, rel=1e-3)
+        assert f"dimension {n} truncates the vacuum" in str(exc.value)
 
 
 @pytest.mark.parametrize("theta", [0.1, 0.3, 0.5, 0.55, 0.7, 0.785])
 @pytest.mark.parametrize("n", [3, 4, 96, 97, 256])
 def test_vacuum_tail_matches_a_direct_sum(theta, n):
     try:
-        swanson_vacua(theta, n)
+        kernel_vector(swanson_pair(theta, n).S)
         tail = None
     except TruncationError as exc:
         tail = exc.tail_mass
@@ -284,8 +279,6 @@ def test_build_ladder_rejects_negative_length():
 
 
 def test_build_ladder_rejects_zero_base():
-    from weakcr.fock import StateVector
-
     with pytest.raises(PreconditionError):
         build_ladder(raising(8), StateVector(np.zeros(8)), 3)
 
@@ -310,7 +303,7 @@ def test_swanson_eigen_residuals():
 @pytest.mark.parametrize("theta", [0.0, 0.3])
 def test_eigen_residuals_stay_at_rounding_level_at_n512(theta):
     # an SVD kernel vector carries ~1e-16 noise in its tail, which T^6 lifts
-    # to 1e-7 at N = 512 and fails the 1e-8 tolerance; inverse iteration does not
+    # to 1e-7 at N = 512 and fails the 1e-8 tolerance; the closed-form vacuum does not
     pair, fam_xi, _ = swanson_families(theta, dim=512)
     assert len(fam_xi) == 7
     assert max(eigen_check(pair, fam_xi)) < 1e-12
@@ -408,8 +401,18 @@ def test_ladder_matvecs_equal_dense_matrices(name):
     S, T = pair.S.entries, pair.T.entries
     Sd, Td = S.conj().T, T.conj().T
     length = min(6, pair.dim - 1)  # at N = 2 and 3 the boson ladders vanish after N - 1 steps
+
+    def vacuum(op):
+        if name != "swanson0.3-N3":
+            return kernel_vector(op, 1e-10)
+        # N = 3 cuts the l^2 vacuum (its tail is 6e-2), so the base is the
+        # truncation's own kernel vector, from the SVD oracle
+        with pytest.raises(TruncationError):
+            kernel_vector(op, 1e-10)
+        return StateVector(svd_kernel_vector(op)[0])
+
     for op, dense, ladder_op, dense_ladder in ((pair.S, S, pair.T, T), (pair.T.adjoint(), Td, pair.S.adjoint(), Sd)):
-        base = kernel_vector(op, 1e-10)
+        base = vacuum(op)
         assert np.array_equal(op @ base.components, dense @ base.components)  # the certificate's residual
         fam = build_ladder(ladder_op, base, length)
         current = base.components
@@ -417,8 +420,7 @@ def test_ladder_matvecs_equal_dense_matrices(name):
             current = (dense_ladder @ current) / math.sqrt(k)
             assert np.array_equal(fam.block[:, k], current)
 
-    xi = kernel_vector(pair.S, 1e-10)
-    fam = build_ladder(pair.T, xi, length)
+    fam = build_ladder(pair.T, vacuum(pair.S), length)
     want = []
     for k, psi in enumerate(fam.block.T):
         s_psi = S @ psi
@@ -431,8 +433,6 @@ def test_ladder_matvecs_equal_dense_matrices(name):
 def test_truncation_chain_stays_banded_in_memory():
     # one dense N x N complex matrix at N = 2048 is 64 MiB; the chain keeps
     # only diagonals, vectors and N x L ladder blocks
-    import scipy.linalg  # noqa: F401 -- kernel_vector imports it on first use, outside the measurement
-
     n = 2048
     tracemalloc.start()
     try:
