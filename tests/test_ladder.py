@@ -135,6 +135,18 @@ def test_kernel_vector_matches_svd_oracle(theta, n, adjoint):
     assert np.max(np.abs(v - want)) <= 1e-14 + residual
 
 
+def test_no_kernel_certificate_tracks_sigma_min():
+    # theta = 0.6 at N = 96: the kernel does not fit, sigma_min is about 1.7e-8
+    S = swanson_pair(0.6, 96).S
+    _, sigma_min = svd_kernel_vector(S)
+    with pytest.raises(TruncationError):
+        kernel_vector(S, 1e-10)
+    # the truncated vacuum that a loose tolerance accepts carries the certificate
+    r = norm(S.entries @ kernel_vector(S, 1.0).components)
+    assert r >= sigma_min * (1 - 1e-12)  # |A v| never undercuts sigma_min
+    assert r <= 2 * sigma_min
+
+
 def test_kernel_vector_forms_no_svd(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("SVD of a pair matrix")
