@@ -267,51 +267,35 @@ def coherent_state(z, n):
 
     Components are proportional to z^k / sqrt(k!).  The discarded share of
     the norm, ``coherent_tail_mass(z, n)``, must be below 1e-12; otherwise a
-    TruncationError carrying it is raised.  Where the recurrence would pass
-    2^1000, every component so far is scaled by 2^-512, at the steps
-    ``_coherent_rescales`` reads off the closed-form magnitude.  Before
-    normalizing, the components are scaled by the power of two that brings
-    their largest real or imaginary part into [1, 2), so the squares inside
-    the norm cannot overflow.  Both scalings are exact, so the normalized
-    components keep their bits (short of those that fall below the normal
-    range, which normalization would push there anyway).
+    TruncationError carrying it is raised (a NaN z is a DomainParameterError).
+    |z^k / sqrt(k!)| rises to its mode floor(|z|^2) and falls after it, so
+    the ratio recurrence x_k = x_(k-1) z / sqrt(k) runs outward from
+    x_m = 1, with m = min(floor(|z|^2), n - 1): up by the ratios, down by
+    their reciprocals.  No component leaves [0, 1], so nothing overflows;
+    components far from the mode underflow to subnormals or zero, as
+    normalization would make them anyway.  Phase convention: x_m is real and
+    positive.  For |z| < 1 that is x_0; otherwise the state differs from
+    the one with x_0 > 0 by the global phase e^(-i m arg z), which no
+    expectation, delta or uncertainty report reads.
     """
     if n < 1:
         raise InvalidDimensionError(f"need dimension >= 1, got {n}")
     z = complex(z)
+    if cmath.isnan(z):
+        raise DomainParameterError(f"coherent-state eigenvalue z must not be NaN, got {z}")
     tail = coherent_tail_mass(z, n)
     if tail >= 1e-12:
         raise TruncationError(
             f"coherent-state tail mass {tail:.3e} at dimension {n} exceeds 1e-12",
             tail_mass=tail,
         )
-    comps = np.zeros(n, dtype=complex)
-    comps[0] = 1.0
-    parts = comps.view(float)  # scaled as real and imaginary parts, so signed zeros keep their sign
-    start = 1
-    for stop in (*_coherent_rescales(abs(z), n), n):
-        for k in range(start, stop):
-            comps[k] = comps[k - 1] * z / math.sqrt(k)
-        if stop < n:
-            parts[: 2 * stop] *= 2.0**-512
-        start = stop
-    parts *= math.ldexp(1.0, 1 - math.frexp(np.max(np.abs(parts)))[1])
+    m = min(math.floor(abs(z) ** 2), n - 1)
+    ratio = z / np.sqrt(np.arange(1, n))  # x_k / x_(k-1) at k = 1..n-1
+    comps = np.ones(n, dtype=complex)
+    comps[m + 1 :] = np.cumprod(ratio[m:])
+    comps[:m] = np.cumprod(1 / ratio[:m][::-1])[::-1]
     comps /= np.linalg.norm(comps)
     return StateVector(comps, label=f"coh({z.real:g},{z.imag:g})")
-
-
-def _coherent_rescales(mod, n):
-    """The steps k before which the recurrence, after the rescales so far, would pass 2^1000.
-
-    |z^k / sqrt(k!)| = 2^((k ln|z| - lgamma(k + 1) / 2) / ln 2) rises only up
-    to k = floor(|z|^2), so only those steps can rescale; a recurrence that
-    stays below 2^1000 never does.
-    """
-    steps = []
-    for k in range(1, min(n - 1, math.floor(mod * mod)) + 1):
-        if k * math.log2(mod) - math.lgamma(k + 1) / (2 * math.log(2)) > 1000 + 512 * len(steps):
-            steps.append(k)
-    return steps
 
 
 def basis_state(k, n):

@@ -47,7 +47,8 @@ def kernel_vector(A: TruncatedOperator, tol=VACUUM_TOL):
     |y/x| < 1; otherwise, and at x = 0, NonNormalizableError.  The vector is
     the unit truncation with v_0 real and positive.  It is accepted only when
     the l^2 vacuum's norm past dimension N (relative to its whole norm) and
-    the certificate |A v| are both at most ``tol``; otherwise TruncationError
+    the certificate |A v| / s, on the operator's scale
+    s = sqrt(|x|^2 + |y|^2), are both at most ``tol``; otherwise TruncationError
     carries that tail as ``tail_mass``.  Both gates are needed: at odd N the
     truncated recurrence is an exact kernel vector even while the vacuum's
     tail is large.
@@ -64,11 +65,12 @@ def kernel_vector(A: TruncatedOperator, tol=VACUUM_TOL):
     v = np.zeros(n, dtype=complex)
     v[::2] = np.concatenate(([1.0], np.cumprod(ratio * np.sqrt((2 * m - 1) / (2 * m)))))
     v /= np.linalg.norm(v)
-    residual = norm(A @ v)
+    residual = norm(A @ v) / math.hypot(abs(x), abs(y))
     if tail > tol or residual > tol:
         raise TruncationError(
             f"dimension {n} truncates the vacuum at |y/x| = {abs(ratio):.6g}: its norm past "
-            f"the edge is {tail:.3e} of the whole and |A v| = {residual:.3e} (tolerance {tol:.3e})",
+            f"the edge is {tail:.3e} of the whole and |A v| / s = {residual:.3e}, "
+            f"s = sqrt(|x|^2 + |y|^2) (tolerance {tol:.3e})",
             tail_mass=tail,
         )
     return StateVector(v, label="ker")

@@ -1,10 +1,12 @@
 """Matrix-model tests: ladder matrices, coherent states, defect measures."""
 
+import cmath
 import dataclasses
 import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -76,8 +78,9 @@ def test_adjoint_is_involution():
 
 
 def test_coherent_state_vacuum():
-    phi = coherent_state(0.0, 5)
-    assert np.allclose(phi.components, basis_state(0, 5).components)
+    # m = 0 and every ratio z / sqrt(k) is 0, so the recurrence gives e0 exactly
+    for n in (1, 2, 5, 64):
+        assert np.array_equal(coherent_state(0.0, n).components, basis_state(0, n).components)
 
 
 def test_coherent_state_is_eigenvector():
@@ -100,23 +103,42 @@ def test_coherent_state_tail_mass_guard():
     with pytest.raises(TruncationError) as exc:
         coherent_state(2.0, 4)
     assert exc.value.tail_mass > 1e-12
+    with pytest.raises(TruncationError) as exc:  # an infinite z has its whole norm past any dimension
+        coherent_state(complex("inf"), 8)
+    assert exc.value.tail_mass == 1.0
+
+
+def _coherent_oracle(z, n):
+    """The unit truncation of the coherent state to 50 digits, phased so that x_m > 0.
+
+    m = min(floor(|z|^2), n - 1).  The plain recurrence x_k = x_(k-1) z / sqrt(k)
+    from x_0 = 1 runs in mpmath, whose exponent range has no float limit, and
+    is divided by its x_m.
+    """
+    with mpmath.workdps(50):
+        w, v = mpmath.mpc(complex(z)), [mpmath.mpc(1)]
+        for k in range(1, n):
+            v.append(v[-1] * w / mpmath.sqrt(k))
+        mode = v[min(math.floor(abs(z) ** 2), n - 1)]
+        v = [c / mode for c in v]
+        total = mpmath.sqrt(mpmath.fsum(abs(c) ** 2 for c in v))
+        return np.array([complex(c / total) for c in v])
+
+
+def _assert_near_coherent_oracle(phi, z, n):
+    # within 16 u (u = 2^-53) of the largest component, in the x_m > 0 convention
+    want = _coherent_oracle(z, n)
+    assert np.max(np.abs(phi.components - want)) <= 16 * 2.0**-53 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("z, n", [(27, 1024), (26, 1024), (20 - 15j, 1024), (5j, 80), (1.2, 40)])
 def test_coherent_state_normalizes_without_overflow(z, n):
-    # at |z| = 27 the squares inside the norm pass the float range (about 1e316)
-    # although the components and the tail guard do not; a power-of-two rescale
-    # keeps them in range and, being exact, the bits of the plain normalization
-    comps = np.zeros(n, dtype=complex)
-    comps[0] = 1.0
-    for k in range(1, n):
-        comps[k] = comps[k - 1] * complex(z) / math.sqrt(k)
+    # at |z| = 27 the squares of z^k / sqrt(k!) pass the float range (about
+    # 1e316) although the tail guard does not; run from the mode, no
+    # component passes 1
     phi = coherent_state(z, n)
     assert phi.norm == pytest.approx(1.0, abs=1e-14)
-    peak = float(np.max(np.abs(comps)))
-    if peak < 1e150:
-        normal = np.abs(comps) > 1e-290 * peak
-        assert np.array_equal(phi.components[normal], (comps / np.linalg.norm(comps))[normal])
+    _assert_near_coherent_oracle(phi, z, n)
     # |c_k|^2 is the Poisson weight e^(-x) x^k / k!, x = |z|^2, at its mode
     x = abs(z) ** 2
     k = int(x)
@@ -125,21 +147,46 @@ def test_coherent_state_normalizes_without_overflow(z, n):
 
 
 @pytest.mark.parametrize("z, n", [(40, 4096), (38 + 5j, 4096), (45, 4096), (60j, 8192)])
-def test_coherent_state_rescales_inside_the_recurrence(z, n):
+def test_coherent_state_past_the_float_range(z, n):
     # z^k / sqrt(k!) itself passes the float range near k = |z|^2 (2^1153 at
-    # |z| = 40), so the recurrence rescales by powers of two as it goes
+    # |z| = 40); the recurrence from the mode never leaves [0, 1]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         phi = coherent_state(z, n)
     assert phi.norm == pytest.approx(1.0, abs=1e-14)
+    _assert_near_coherent_oracle(phi, z, n)
     # against the closed-form Poisson amplitudes e^(-x/2) |z|^k / sqrt(k!), x = |z|^2
     x = abs(z) ** 2
     ks = np.arange(n)
     log_mod = np.array([k * math.log(abs(z)) - math.lgamma(k + 1) / 2 - x / 2 for k in range(n)])
     big = log_mod > -600
     assert np.allclose(np.abs(phi.components[big]), np.exp(log_mod[big]), rtol=1e-9, atol=0)
-    phase = np.exp(1j * math.atan2(z.imag, z.real) * ks[big]) if isinstance(z, complex) else 1.0
+    # the phase relative to the mode m, whose component is real and positive
+    m = math.floor(x)
+    phase = np.exp(1j * cmath.phase(z) * (ks[big] - m))
     assert np.allclose(phi.components[big], np.abs(phi.components[big]) * phase, rtol=1e-9, atol=1e-300)
+
+
+@pytest.mark.parametrize("z, n", [(0.7, 32), (-2.5, 64), (27, 1024), (-45, 4096)])
+def test_coherent_state_of_real_z_is_real(z, n):
+    assert not coherent_state(z, n).components.imag.any()
+
+
+@pytest.mark.parametrize("z, n", [(0.7j, 32), (-2.5j, 64), (35j, 2048), (60j, 8192)])
+def test_coherent_state_of_imaginary_z_alternates(z, n):
+    # x_k is a real multiple of i^(k - m), m = floor(|z|^2): every other component
+    # is real and the rest imaginary, exactly (35j has m = 1225, odd)
+    comps = coherent_state(z, n).components
+    m = math.floor(abs(z) ** 2)
+    assert not comps[m % 2 :: 2].imag.any()
+    assert not comps[1 - m % 2 :: 2].real.any()
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex(0, float("nan")), complex(float("nan"), 1)])
+def test_coherent_state_of_a_nan_is_a_typed_error(z):
+    # its tail mass is NaN, which the tail guard alone would let through
+    with pytest.raises(DomainParameterError, match="z must not be NaN"):
+        coherent_state(z, 8)
 
 
 @pytest.mark.parametrize("z, n", [(2, 4), (4, 40), (4, 50), (30, 64), (6, 110)])
@@ -578,7 +625,7 @@ _TAYLOR_THETA = {
 }
 
 
-def _band_expm_oracle(D, alpha):
+def _taylor_semigroup_oracle(D, alpha):
     """exp(alpha A) of the truncated A by the full-band Taylor series.
 
     Steps s and degree m minimise s * m subject to ||alpha A||_1 / s <= theta_m;
@@ -680,7 +727,7 @@ def test_band_expm_has_the_bits_of_the_full_band_series(name, n, alpha):
             pair.semigroup("S", alpha)
         return
     V = dense(pair.semigroup("S", alpha))
-    want = dense(_band_expm_oracle(op.diagonals, alpha))
+    want = dense(_taylor_semigroup_oracle(op.diagonals, alpha))
     one_sided = not (np.any(np.tril(op.entries)) and np.any(np.triu(op.entries)))
     rows = n if one_sided else max(0, pair.safe_rank - math.ceil(10 * alpha * math.sqrt(n)))
     assert np.isfinite(V).all()
@@ -696,7 +743,7 @@ def test_semigroup_matches_the_taylor_oracle_on_its_band(n, theta, generator):
     pair = swanson_pair(theta, n)
     band = semigroup_band(pair, 0.1)
     V = dense(pair.semigroup(generator, 0.1))[:band, :band]
-    want = dense(_band_expm_oracle(getattr(pair, generator).diagonals, 0.1))[:band, :band]
+    want = dense(_taylor_semigroup_oracle(getattr(pair, generator).diagonals, 0.1))[:band, :band]
     assert np.max(np.abs(V - want)) <= 8 * EPS * np.max(np.abs(want))
     if n <= 512:
         E = scipy.linalg.expm(0.1 * getattr(pair, generator).entries)[:band, :band]
@@ -805,7 +852,7 @@ def test_spectral_norm_matches_the_dense_svd_on_weyl_blocks(model, n):
     pair = WEYL_MODELS[model](n)
     alpha = min(0.1, widest_alpha(pair))  # the band is one index wide at N = 2 and 3
     if model == "wide":
-        D = weyl_block(pair, alpha, alpha, lambda g, t: _band_expm_oracle(getattr(pair, g).diagonals, t))
+        D = weyl_block(pair, alpha, alpha, lambda g, t: _taylor_semigroup_oracle(getattr(pair, g).diagonals, t))
     else:
         D = weyl_block(pair, alpha, alpha)
     want = float(np.linalg.norm(dense(D), ord=2))

@@ -147,6 +147,18 @@ def test_no_kernel_certificate_tracks_sigma_min():
     assert r <= 2 * sigma_min
 
 
+@pytest.mark.parametrize("theta, n", [(0.6, 128), (0.3, 64), (0.0, 16)])
+def test_kernel_vector_certificate_is_on_the_operators_scale(theta, n):
+    # |A v| grows with c, so an absolute certificate refused 10^3 S at
+    # (0.6, 128) with |A v| = 5.95e-8; on the scale sqrt(|x|^2 + |y|^2) the
+    # vacuum of c A is that of A
+    S = swanson_pair(theta, n).S
+    want = kernel_vector(S).components
+    for c in (1e3, 1e6):
+        got = kernel_vector(TruncatedOperator.banded(c * S.diagonals)).components
+        assert np.array_equal(got, want)
+
+
 def test_kernel_vector_forms_no_svd(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("SVD of a pair matrix")
