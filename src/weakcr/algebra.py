@@ -58,8 +58,6 @@ _DAGGERED = frozenset((GEN_SD, GEN_TD))
 #: marker for an unbounded power-profile entry
 UNBOUNDED = math.inf
 
-Word = tuple  # tuple of generator tokens
-
 
 def _exact(x):
     """x as an exact rational: an int when its value is integral, else a Fraction."""

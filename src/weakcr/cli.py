@@ -245,6 +245,8 @@ def cmd_verify_cr(args):
 
 
 def cmd_ladder(args):
+    from dataclasses import asdict
+
     from .fock import swanson_pair
     from .ladder import (
         biorthogonality_gram,
@@ -281,12 +283,8 @@ def cmd_ladder(args):
     report.result("residuals_monotone", residuals_monotone(residuals))
     report.result("gram_defect", gram_defect)
     report.result("restricted_spectrum", [v.real for v in evals])
-    report.result("condition_numbers", list(K.condition_numbers))
-    report.result("inverse_defect", K.inverse_defect)
-    report.result("intertwining_defect_eta", K.intertwining_defect_eta)
-    report.result("intertwining_defect_xi", K.intertwining_defect_xi)
-    report.result("riesz_positive", K.riesz.positive)
-    report.result("orthonormality_defect", K.riesz.orthonormality_defect)
+    for key, value in asdict(K).items():
+        report.result(key, value)
     report.check("max_eigen_residual", max(residuals), tols["residual"])
     report.check("gram_defect", gram_defect, tols["gram"])
     report.check("spectrum_defect", spectrum_defect, tols["intertwiner"])

@@ -459,17 +459,20 @@ def _ladder_coefficients(D):
     x and y are read off the first entries of the +1 and -1 diagonals; every
     entry must match x sqrt(k + 1) and y sqrt(k + 1) to within a few
     roundings (8 u relative), and every other diagonal must be zero.  Any
-    other operator raises DomainParameterError.
+    other operator raises DomainParameterError.  The match is taken on the
+    unit scale, D / m against (x / m) sqrt(k + 1) with m = max|D|, so
+    entries near the float range do not overflow.
     """
     width, n = _width(D), D.shape[1]
     x = y = 0j
+    m = float(np.abs(D).max()) or 1.0
     want = np.zeros_like(D)
     if width:
         x, y = complex(D[width + 1, 0]), complex(D[width - 1, 1])
         root = np.sqrt(np.arange(1.0, n))
-        want[width + 1, : n - 1] = x * root
-        want[width - 1, 1:] = y * root
-    if not np.all(np.abs(D - want) <= 8 * _EPS * np.abs(want)):
+        want[width + 1, : n - 1] = x / m * root
+        want[width - 1, 1:] = y / m * root
+    if not np.all(np.abs(D / m - want) <= 8 * _EPS * np.abs(want)):
         raise DomainParameterError(
             "the closed-form semigroups and vacua need an operator x a + y a*"
         )
@@ -543,8 +546,6 @@ def spectral_norm(D):
     """
     D = np.asarray(D, dtype=complex)
     n = D.shape[1]
-    if not D.any():
-        return 0.0
     apply_A, apply_AH = _window_matvec(D), _window_matvec(band_adjoint(D))
     # v_1 has equal moduli and golden-ratio phases: fixed like a seeded random
     # vector, without loading numpy.random (6 MB and 10-15 ms in a fresh interpreter)

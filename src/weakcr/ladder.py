@@ -65,7 +65,7 @@ def kernel_vector(A: TruncatedOperator, tol=VACUUM_TOL):
     v = np.zeros(n, dtype=complex)
     v[::2] = np.concatenate(([1.0], np.cumprod(ratio * np.sqrt((2 * m - 1) / (2 * m)))))
     v /= np.linalg.norm(v)
-    residual = norm(A @ v) / math.hypot(abs(x), abs(y))
+    residual = norm((A @ v) / math.hypot(abs(x), abs(y)))
     if tail > tol or residual > tol:
         raise TruncationError(
             f"dimension {n} truncates the vacuum at |y/x| = {abs(ratio):.6g}: its norm past "
@@ -216,28 +216,21 @@ def biorthogonality_gram(fam_xi: LadderFamily, fam_eta: LadderFamily):
 
 
 @dataclass(frozen=True)
-class RieszDiagnostics:
-    """The orthonormalization the xi family induces.
-
-    ``positive`` records whether the symmetrized restriction of K_eta to the
-    xi-span is positive definite, and when it is, ``orthonormality_defect``
-    is the max-abs deviation of the Gram matrix of e_j = K_eta^(1/2) xi_j
-    from the identity.
-    """
-
-    positive: bool
-    orthonormality_defect: float | None
-
-
-@dataclass(frozen=True)
 class IntertwinerPair:
-    """Conditioning and defects of the basis-exchange maps between the two ladders."""
+    """Conditioning and defects of the basis-exchange maps between the two ladders.
+
+    The fields are the ``ladder`` report's keys.  ``riesz_positive`` records
+    whether the symmetrized restriction of K_eta to the xi-span is positive
+    definite, and when it is, ``orthonormality_defect`` is the max-abs
+    deviation of the Gram matrix of e_j = K_eta^(1/2) xi_j from the identity.
+    """
 
     condition_numbers: tuple
     inverse_defect: float
     intertwining_defect_eta: float
     intertwining_defect_xi: float
-    riesz: RieszDiagnostics
+    riesz_positive: bool
+    orthonormality_defect: float | None
 
 
 def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily):
@@ -245,7 +238,10 @@ def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily):
 
     With the first L vectors of each family as the columns of X and Y,
     K_xi = X Y^+ maps eta_j to xi_j and K_eta = Y X^+ maps xi_j to eta_j;
-    neither N x N map is formed, only the L x N pseudoinverses and X = Q R.
+    neither N x N map is formed.  Each family is factored once, by a thin
+    SVD M = U diag(s) V': s gives the condition number s_0 / s_(L-1), the
+    pseudoinverse is M^+ = V diag(1/s) U', and U is the orthonormal frame of
+    the xi-span in which X = U R with R = diag(s) V'.
     Reported defects: K_eta K_xi - 1 on the eta-span, in eta coordinates
     (Y^+ Y)(X^+ X)(Y^+ Y) - 1, and the intertwining defects
     K_eta (T S) - (S' T') K_eta on xi vectors (resp. the mirror for K_xi).
@@ -256,13 +252,12 @@ def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily):
     X = fam_xi.block[:, :L]
     Y = _rescaled_eta(fam_xi, fam_eta)[:, :L]
 
-    sx, sy = (np.linalg.svd(M, compute_uv=False) for M in (X, Y))
-    for name, sv in (("xi", sx), ("eta", sy)):
+    svds = [np.linalg.svd(M, full_matrices=False) for M in (X, Y)]
+    for name, (_, sv, _) in zip(("xi", "eta"), svds):
         if sv[-1] <= np.finfo(float).eps * sv[0] * X.shape[0]:
             raise ConditioningError(f"{name} family is numerically singular")
-
-    X_pinv = np.linalg.pinv(X)
-    Y_pinv = np.linalg.pinv(Y)
+    (Ux, sx, Vhx), (_, sy, _) = svds
+    X_pinv, Y_pinv = ((Vh.conj().T / sv) @ U.conj().T for U, sv, Vh in svds)
     PX, PY = X_pinv @ X, Y_pinv @ Y
     inverse_defect = float(np.max(np.abs(PY @ PX @ PY - np.eye(L))))
 
@@ -274,9 +269,8 @@ def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily):
     d_eta = max(norm(D_eta[:, j]) / norm(X[:, j]) for j in range(L))
     d_xi = max(norm(D_xi[:, j]) / norm(Y[:, j]) for j in range(L))
 
-    # restriction of K_eta to the xi-span, in the orthonormal frame Q of X = Q R
-    Q, R = np.linalg.qr(X)
-    A = (Q.conj().T @ Y) @ (X_pinv @ Q)
+    # restriction of K_eta to the xi-span in the frame U: U' Y X^+ U = (U' Y) V diag(1/s)
+    A = (Ux.conj().T @ Y) @ (Vhx.conj().T / sx)
     H = (A + A.conj().T) / 2.0
     evals, evecs = np.linalg.eigh(H)
     positive = bool(evals.min() > -1e-10)
@@ -284,6 +278,7 @@ def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily):
     if positive:
         # e_j = K_eta^(1/2) xi_j has frame coordinates H^(1/2) R[:, j]
         H_plus = (evecs * np.clip(evals, 0.0, None)) @ evecs.conj().T
+        R = sx[:, None] * Vhx
         gram = R.conj().T @ H_plus @ R
         ortho_defect = float(np.max(np.abs(gram - np.eye(L))))
 
@@ -292,7 +287,8 @@ def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily):
         inverse_defect=inverse_defect,
         intertwining_defect_eta=float(d_eta),
         intertwining_defect_xi=float(d_xi),
-        riesz=RieszDiagnostics(positive, ortho_defect),
+        riesz_positive=positive,
+        orthonormality_defect=ortho_defect,
     )
 
 

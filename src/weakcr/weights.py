@@ -254,8 +254,6 @@ def ladder_length(alpha):
     boundary case where the floor formula overshoots the constructive value.
     """
     weight = rational_weight(alpha)
-    if not in_domain(monomial(0), weight):
-        raise DomainParameterError(f"constant function not in domain at alpha={alpha}")
     strict_bound = 2.0 * alpha - 1.5
     # x^n (n >= 1) is in the domain iff its top moment 2n + 2 is finite, that
     # is n < strict_bound: start next to the bound and settle it with the
@@ -288,17 +286,15 @@ def _hermgauss(n):
     return t, w
 
 
-def _gauss_weighted_real(fn, rule):
-    """integral of fn(x) exp(-x^2/2) dx by the Gauss-Hermite rule (t, w) of _hermgauss(n).
+def _gauss_weighted_real(values, w):
+    """integral of f(x) exp(-x^2/2) dx from ``values`` = f(sqrt(2) t) on the rule (t, w) of _hermgauss(n).
 
     The rule is exact for polynomials of degree up to 2n - 1.  Mirrored node
     contributions are folded pairwise before summing, so integrands that are
     odd with sign-exact evaluation integrate to exactly zero instead of
     leaving cancellation noise at the integrand's scale.
     """
-    t, w = rule
-    x = math.sqrt(2.0) * t
-    contrib = w * fn(x)
+    contrib = w * values
     folded = contrib + contrib[::-1]
     return math.sqrt(2.0) * 0.5 * float(np.sum(folded))
 
@@ -316,7 +312,8 @@ def gaussian_eigen_check(k):
     k <x^k, x^j> for j <= k+2, with the left side integrated by Gauss-Hermite
     quadrature rather than through the closed-form moments; it is relative
     to the moment scale, which reaches ~1e10 by k = 10.  The integrands have
-    degree at most 2k + 2, so one rule of k + 2 nodes integrates them exactly.
+    degree at most 2k + 2, so one rule of k + 2 nodes integrates them exactly,
+    and T S x^k is evaluated at its nodes once for every j.
     """
     if k < 0:
         raise DomainParameterError(f"power must be >= 0, got {k}")
@@ -326,10 +323,12 @@ def gaussian_eigen_check(k):
     target = u_k.scaled(k)
     diff = sym - target
     symbolic = 0.0 if diff.is_zero() else max(abs(complex(c)) for c in diff.coeffs)
-    rule = _hermgauss(k + 2)
+    t, w = _hermgauss(k + 2)
+    x = math.sqrt(2.0) * t
+    sym_x = sym(x)
     quad_residual = 0.0
     for j in range(k + 3):
-        direct = _gauss_weighted_real(lambda x, j=j: (sym(x) * x**j).real, rule)
+        direct = _gauss_weighted_real((sym_x * x**j).real, w)
         via_moments = k * inner_product(u_k, monomial(j), weight)
         # normalize by the pairing's moment scale: for odd k+j both routes
         # vanish by symmetry and only scaled roundoff remains

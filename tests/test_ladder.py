@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from weakcr.errors import (
     NonNormalizableError,
     PreconditionError,
     TruncationError,
+    WeakCRError,
 )
 from weakcr.fock import (
     StateVector,
@@ -154,9 +156,23 @@ def test_kernel_vector_certificate_is_on_the_operators_scale(theta, n):
     # vacuum of c A is that of A
     S = swanson_pair(theta, n).S
     want = kernel_vector(S).components
-    for c in (1e3, 1e6):
+    for c in (1e3, 1e6, 2.0**500, 2.0**1000):
         got = kernel_vector(TruncatedOperator.banded(c * S.diagonals)).components
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("x, y", [(1e307, 1e300), (1e200, 1e190), (1e308 + 1e308j, 0.0)])
+def test_kernel_vector_near_the_float_range_ends_cleanly(x, y):
+    # x sqrt(k + 1) and |A v| are read on the unit scale, so entries near the
+    # float range give a vacuum or a typed refusal, never a numpy overflow
+    A = TruncatedOperator.banded([[0.0, y], [0.0, 0.0], [x, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            v = kernel_vector(A)
+        except WeakCRError:
+            return
+    assert np.array_equal(v.components, [1.0, 0.0])
 
 
 def test_kernel_vector_forms_no_svd(monkeypatch):
@@ -532,8 +548,8 @@ def test_boson_intertwiners_trivial():
     assert K.inverse_defect < 1e-12
     assert K.intertwining_defect_eta < 1e-12
     assert K.intertwining_defect_xi < 1e-12
-    assert K.riesz.positive
-    assert K.riesz.orthonormality_defect < 1e-12
+    assert K.riesz_positive
+    assert K.orthonormality_defect < 1e-12
 
 
 def test_swanson_intertwiners():
@@ -554,8 +570,70 @@ def test_inverse_defect_within_conditioning_bound():
 def test_swanson_orthonormalization():
     pair, fam_xi, fam_eta = swanson_families(length=4)
     K = intertwiners(pair, fam_xi, fam_eta)
-    assert K.riesz.positive
-    assert K.riesz.orthonormality_defect < 1e-5
+    assert K.riesz_positive
+    assert K.orthonormality_defect < 1e-5
+
+
+def _intertwiners_by_pinv_and_qr(pair, fam_xi, fam_eta):
+    """The IntertwinerPair fields from value-only SVDs, np.linalg.pinv and X = Q R."""
+    L = min(len(fam_xi), len(fam_eta))
+    X = fam_xi.block[:, :L]
+    Y = ((1.0 / inner(X[:, 0], fam_eta.block[:, 0])).conjugate() * fam_eta.block)[:, :L]
+    sx, sy = (np.linalg.svd(M, compute_uv=False) for M in (X, Y))
+    X_pinv, Y_pinv = np.linalg.pinv(X), np.linalg.pinv(Y)
+    PX, PY = X_pinv @ X, Y_pinv @ Y
+    S, T = pair.S, pair.T
+    Sd, Td = S.adjoint(), T.adjoint()
+    D_eta = Y @ (X_pinv @ (T @ (S @ X))) - Sd @ (Td @ (Y @ PX))
+    D_xi = X @ (Y_pinv @ (Sd @ (Td @ Y))) - T @ (S @ (X @ PY))
+    Q, R = np.linalg.qr(X)
+    A = (Q.conj().T @ Y) @ (X_pinv @ Q)
+    evals, evecs = np.linalg.eigh((A + A.conj().T) / 2.0)
+    positive = bool(evals.min() > -1e-10)
+    H_plus = (evecs * np.clip(evals, 0.0, None)) @ evecs.conj().T
+    return {
+        "condition_numbers": (sx[0] / sx[-1], sy[0] / sy[-1]),
+        "inverse_defect": float(np.max(np.abs(PY @ PX @ PY - np.eye(L)))),
+        "intertwining_defect_eta": max(norm(D_eta[:, j]) / norm(X[:, j]) for j in range(L)),
+        "intertwining_defect_xi": max(norm(D_xi[:, j]) / norm(Y[:, j]) for j in range(L)),
+        "riesz_positive": positive,
+        "orthonormality_defect": float(np.max(np.abs(R.conj().T @ H_plus @ R - np.eye(L)))) if positive else None,
+    }
+
+
+@pytest.mark.parametrize("theta, n, length", [(0.3, 96, 6), (0.0, 64, 6), (0.45, 512, 12), (0.7, 300, 10)])
+def test_intertwiners_match_the_pinv_and_qr_oracle(theta, n, length):
+    # one thin SVD per family gives the fields of the separate factorizations,
+    # within roundoff amplified by the conditioning
+    pair, fam_xi, fam_eta = swanson_families(theta, n, length)
+    got = dataclasses.asdict(intertwiners(pair, fam_xi, fam_eta))
+    want = _intertwiners_by_pinv_and_qr(pair, fam_xi, fam_eta)
+    assert got.keys() == want.keys()
+    for a, b in zip(got["condition_numbers"], want["condition_numbers"]):
+        assert abs(a - b) <= 1e-12 * b
+    kappa, u = max(want["condition_numbers"]), np.finfo(float).eps / 2
+    assert got["riesz_positive"] is want["riesz_positive"] is True
+    for key in ("inverse_defect", "intertwining_defect_eta", "intertwining_defect_xi"):
+        assert abs(got[key] - want[key]) <= 10 * u * kappa, key
+    assert abs(got["orthonormality_defect"] - want["orthonormality_defect"]) <= 10 * u * kappa**2
+
+
+def test_intertwiners_factor_each_family_once(monkeypatch):
+    calls, svd = [], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a second factorization of a ladder block")
+
+    pair, fam_xi, fam_eta = swanson_families()
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "pinv", forbidden)
+    monkeypatch.setattr(np.linalg, "qr", forbidden)
+    intertwiners(pair, fam_xi, fam_eta)
+    assert len(calls) == 2
 
 
 # --- restricted spectrum --------------------------------------------------------------

@@ -359,6 +359,11 @@ def test_ladder_length_settles_on_the_moment_test(alpha):
     assert not weight.moment_is_finite(2 * n + 4)
 
 
+def test_ladder_length_just_past_the_integrability_edge():
+    # the constant's top moment, order 2, is finite for every alpha > 3/4
+    assert ladder_length(math.nextafter(0.75, 1.0)).n_max == 0
+
+
 def test_ladder_length_rejects_small_alpha():
     with pytest.raises(DomainParameterError):
         ladder_length(0.5)
@@ -377,6 +382,27 @@ def test_gaussian_eigen_quadrature_cross_check():
     check = gaussian_eigen_check(4)
     assert isinstance(check, GaussianEigenCheck)
     assert check.quadrature_residual < 1e-10
+
+
+def _quadrature_residual_per_j(k):
+    """The quadrature residual with T S x^k evaluated at the nodes afresh for every j."""
+    weight, u_k = gaussian_weight(), monomial(k)
+    sym = apply_T(apply_S(u_k))
+    t, w = weights._hermgauss(k + 2)
+    residual = 0.0
+    for j in range(k + 3):
+        x = math.sqrt(2.0) * t
+        contrib = w * (sym(x) * x**j).real
+        direct = math.sqrt(2.0) * 0.5 * float(np.sum(contrib + contrib[::-1]))
+        via_moments = k * inner_product(u_k, monomial(j), weight)
+        scale = max(1.0, abs(via_moments), k * moment(weight, k + j + (k + j) % 2))
+        residual = max(residual, abs(direct - via_moments) / scale)
+    return residual
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_gaussian_quadrature_evaluates_the_eigenfunction_once(k):
+    assert gaussian_eigen_check(k).quadrature_residual == _quadrature_residual_per_j(k)
 
 
 def test_in_domain_examples():
