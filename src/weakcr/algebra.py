@@ -594,7 +594,7 @@ def _word_sum(p, pair):
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness checks below report it
         # Frobenius norms, read off the diagonals; S' has the norm of S
         norm_s, norm_t = (max(1.0, math.sqrt(np.vdot(D, D).real))
-                          for D in (pair.S.diagonals, pair.T.diagonals))
+                          for D in (pair.S.band.diagonals, pair.T.band.diagonals))
         norms = {GEN_S: norm_s, GEN_SD: norm_s, GEN_T: norm_t, GEN_TD: norm_t}
         for i, word in enumerate(words):
             try:

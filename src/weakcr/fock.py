@@ -2,22 +2,24 @@
 
 An N-dimensional truncation of the boson pair (a, a*) and its deformations
 stands in for the unbounded operators; every identity is checked only on a
-leading "safe" block of basis indices, read off the operators' bandwidth,
-that finite truncation cannot corrupt.  For the semigroup checks that block
-is cut by the margin ceil(10 * alpha * sqrt(N)) of ``semigroup_band``, a
+leading "safe" block of basis indices, read off the operators' band, that
+finite truncation cannot corrupt.  For the semigroup checks that block is
+cut by the margin ceil(10 * alpha * sqrt(N)) of ``semigroup_band``, a
 heuristic that nothing certifies yet.  Defects come in three strengths: the
 weak (inner-product) form, the semigroup form
 V_S(alpha) T - T V_S(alpha) = alpha V_S(alpha), and the Weyl form between
 two semigroups.
 
-Operators are stored only as their diagonals; construction, adjoints,
-matrix-vector products and every defect work on those (banded products, the
-closed form exp(alpha (x a + y a*)) = exp(alpha y a*) exp(alpha x a)
-exp(alpha^2 x y / 2) for each semigroup, taken in steps where the one
-product would cancel, and the plain three-term Lanczos recurrence on M'M,
-which keeps two vectors and no basis (Paige, Linear Algebra Appl. 34,
-1980), for the spectral norm of the Weyl block M), so the defect chain
-forms nothing of size N x N.  Each semigroup is formed once per pair and
+Operators are stored only as a ``Band``, their diagonals at offsets lo..hi;
+construction, adjoints, matrix-vector products and every defect work on
+those (banded products, the closed form exp(alpha (x a + y a*)) =
+exp(alpha y a*) exp(alpha x a) exp(alpha^2 x y / 2) for each semigroup,
+taken in steps where the one product would cancel, and the plain three-term
+Lanczos recurrence on M'M, which keeps two vectors and no basis (Paige,
+Linear Algebra Appl. 34, 1980), for the spectral norm of the Weyl block M),
+so the defect chain forms nothing of size N x N.  Each band's offsets are
+fixed when it is built, so a triangular semigroup is stored and multiplied
+on its one side only.  Each semigroup is formed once per pair and
 parameter, and shared by the quasi-strong and Weyl defects.  Every
 relation X Y - c Y X = R, and the UR2 cross condition, is formed by
 ``relation_block`` on its band's rows only, with its rounding scale;
@@ -31,6 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,14 +56,31 @@ def norm(u):
     return float(np.linalg.norm(np.asarray(u).reshape(-1)))
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class TruncatedOperator:
-    """N x N complex matrix of bandwidth K, stored only as its (2K+1) x N diagonals.
+class Band(NamedTuple):
+    """A matrix's diagonals at offsets lo..hi: ``diagonals[r, i] = A[i, i + lo + r]``.
 
-    ``TruncatedOperator(entries)`` reads a dense matrix once; ``banded(D)`` takes diagonals.
+    The slots where i + lo + r falls outside the matrix hold zeros, and every
+    helper below keeps them so.  ``diagonals`` may have fewer columns than
+    the matrix has: then it holds that many leading rows.
     """
 
+    lo: int
     diagonals: np.ndarray
+
+    @property
+    def hi(self):
+        return self.lo + len(self.diagonals) - 1
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class TruncatedOperator:
+    """N x N complex matrix stored only as its ``Band``, the diagonals at offsets lo..hi.
+
+    ``TruncatedOperator(entries)`` reads a dense matrix once, and its band is
+    the nonzero pattern's; ``banded((lo, D))`` takes diagonals.
+    """
+
+    band: Band
 
     def __init__(self, entries):
         arr = np.asarray(entries, dtype=complex)
@@ -68,47 +88,59 @@ class TruncatedOperator:
             raise InvalidDimensionError(f"entries must be a square matrix, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise InvalidDimensionError("entries contain NaN or Inf")
-        vars(self).update(diagonals=diagonals(arr))
+        vars(self).update(band=diagonals(arr))
 
     @classmethod
-    def banded(cls, D):
-        """The operator with D[K + d, i] = A[i, i + d]; slots outside the matrix are ignored."""
-        D = np.asarray(D, dtype=complex)
-        if D.ndim != 2 or D.shape[0] % 2 == 0 or D.shape[1] < 1:
-            raise InvalidDimensionError(f"diagonals must be (2K+1) x N with N >= 1, got shape {D.shape}")
+    def banded(cls, band):
+        """The operator with D[r, i] = A[i, i + lo + r], for band = (lo, D).
+
+        Slots outside the matrix are ignored, and diagonals that miss it dropped.
+        """
+        lo, D = band
+        D = np.array(D, dtype=complex)
+        if D.ndim != 2 or D.shape[0] < 1 or D.shape[1] < 1:
+            raise InvalidDimensionError(f"diagonals must be a rows x N array with rows, N >= 1, got shape {D.shape}")
+        if not isinstance(lo, (int, np.integer)):
+            raise InvalidDimensionError(f"the lowest offset must be an integer, got {lo!r}")
         if not np.isfinite(D).all():
             raise InvalidDimensionError("diagonals contain NaN or Inf")
         op = cls.__new__(cls)
-        vars(op).update(diagonals=_leading_block(D, D.shape[1]))
+        vars(op).update(band=_leading_block(Band(int(lo), D), D.shape[1]))
         return op
 
     @property
     def dim(self):
-        return self.diagonals.shape[1]
+        return self.band.diagonals.shape[1]
 
     @property
     def entries(self):
         """The dense N x N matrix, rebuilt on request (for oracles and word evaluation)."""
-        return _dense(self.diagonals)
+        return _dense(self.band)
 
     def adjoint(self):
         return self._adjoint
 
     @cached_property
     def _adjoint(self):  # formed once: per-state code applies S' and T' to every state
-        return TruncatedOperator.banded(band_adjoint(self.diagonals))
+        return TruncatedOperator.banded(band_adjoint(self.band))
 
     def __matmul__(self, x):
-        """A x for a vector or an N x L block of columns, on the diagonals."""
-        D, n = self.diagonals, self.dim
+        """A x for a vector or an N x L block of columns, on the diagonals.
+
+        Diagonal 0 comes first, then +1, -1, +2, -2, ..., each skipped where
+        the band has none.
+        """
+        (lo, D), hi, n = self.band, self.band.hi, self.dim
         x = np.asarray(x)
         if x.ndim == 2:
             D = D[:, :, None]
-        width = _width(D)
-        y = D[width] * x
-        for d in range(1, width + 1):
-            y[: n - d] += D[width + d, : n - d] * x[d:]
-            y[d:] += D[width - d, d:] * x[: n - d]
+        # the zeros take x's memory order, as the product D[-lo] * x does
+        y = D[-lo] * x if lo <= 0 <= hi else np.zeros_like(x, dtype=np.result_type(D, x))
+        for d in range(1, max(hi, -lo) + 1):
+            if lo <= d <= hi:
+                y[: n - d] += D[d - lo, : n - d] * x[d:]
+            if lo <= -d <= hi:
+                y[d:] += D[-d - lo, d:] * x[: n - d]
         return y
 
 
@@ -153,18 +185,20 @@ class OperatorPair:
     def safe_rank(self):
         """Leading basis vectors on which degree-1 words are free of truncation artifacts.
 
-        A generator of bandwidth K moves a basis vector by at most K indices,
-        so the block of the first N - max(K_S, K_T, 1) indices is certified;
-        higher-degree checks shrink it further.
+        A generator with offsets lo..hi moves a basis vector by at most
+        max(-lo, hi) indices, so the block of the first N minus the largest
+        such reach of S and T (at least 1) is certified; higher-degree checks
+        shrink it further.
         """
-        return self.dim - max(_width(self.S.diagonals), _width(self.T.diagonals), 1)
+        S, T = self.S.band, self.T.band
+        return self.dim - max(-S.lo, S.hi, -T.lo, T.hi, 1)
 
     @property
     def dim(self):
         return self.S.dim
 
     def semigroup(self, generator, alpha):
-        """Diagonals of V_S(alpha) = exp(alpha S) ("S") or V_T(alpha) ("T"), formed once per pair.
+        """Band of V_S(alpha) = exp(alpha S) ("S") or V_T(alpha) ("T"), formed once per pair.
 
         The generator must be x a + y a* (DomainParameterError otherwise).
         V is W^s, with W = V(alpha / s) the closed form of ``_exp_ladder``.
@@ -176,17 +210,18 @@ class OperatorPair:
         swanson:0.5 at alpha = 1, N = 512 read a Weyl defect of 7.3e-12 on
         its scale, a false FAIL, and in its 6 steps 5.4e-14.  The
         quasi-strong and Weyl defects at the same parameter share V_S.  The
-        cached array is read-only, since every caller reads the same one.
+        cached band's array is read-only, since every caller reads the same
+        one.
         """
         key = (generator, alpha)
         if key not in self._semigroups:
-            x, y = _ladder_coefficients(getattr(self, generator).diagonals)
+            x, y = _ladder_coefficients(getattr(self, generator).band)
             steps = max(1, math.ceil(alpha * min(abs(x), abs(y)) * math.sqrt(self.dim) / 2))
             W = _exp_ladder(x, y, alpha / steps, self.dim)
             V = W
             for _ in range(steps - 1):
                 V = band_product(W, V)
-            V.flags.writeable = False
+            V.diagonals.flags.writeable = False
             self._semigroups[key] = V
         return self._semigroups[key]
 
@@ -199,18 +234,20 @@ class OperatorPair:
         """Entrywise defect of [S', T] = [S, T'] on the safe block, formed once per pair.
 
         Since [S, T'] = -[S', T]', the defect matrix is X + X' with X = [S', T],
-        one ``relation_block`` of the diagonals of S and T; the adjoint of its
-        leading block is the leading block of X'.
+        one ``relation_block`` of the bands of S and T; the adjoint of its
+        leading block is the leading block of X'.  The two are added on the
+        union of their offsets.
         """
-        X = relation_block(band_adjoint(self.S.diagonals), self.T.diagonals, self.safe_rank)[0]
-        return float(np.abs(X + band_adjoint(X)).max())
+        X = relation_block(band_adjoint(self.S.band), self.T.band, self.safe_rank)[0]
+        lo, hi = min(X.lo, -X.hi), max(X.hi, -X.lo)
+        return float(np.abs(_on_offsets(X, lo, hi) + _on_offsets(band_adjoint(X), lo, hi)).max())
 
 
 def lowering(n):
     """Annihilation matrix: entry sqrt(j+1) at (j, j+1)."""
     if n < 2:
         raise InvalidDimensionError(f"need dimension >= 2, got {n}")
-    return TruncatedOperator.banded([np.zeros(n), np.zeros(n), np.sqrt(np.arange(1, n + 1))])
+    return TruncatedOperator.banded((1, [np.sqrt(np.arange(1, n + 1))]))
 
 
 def raising(n):
@@ -219,7 +256,7 @@ def raising(n):
 
 
 def identity(n):
-    return TruncatedOperator.banded(np.ones((1, n)))
+    return TruncatedOperator.banded((0, np.ones((1, n))))
 
 
 def boson_pair(n=DEFAULT_DIM):
@@ -312,10 +349,11 @@ def swanson_pair(theta, n=DEFAULT_DIM):
     At theta = 0 this is (a, a*); for every theta the pair satisfies the
     weak commutation relation on the safe block.
     """
-    a, ad = lowering(n).diagonals, raising(n).diagonals
+    a = _on_offsets(lowering(n).band, -1, 1)  # a and a* both at offsets -1..1
+    ad = band_adjoint(Band(-1, a)).diagonals
     c, s = math.cos(theta), math.sin(theta)
-    S = TruncatedOperator.banded(c * a + 1j * s * ad)
-    T = TruncatedOperator.banded(c * ad + 1j * s * a)
+    S = TruncatedOperator.banded((-1, c * a + 1j * s * ad))
+    T = TruncatedOperator.banded((-1, c * ad + 1j * s * a))
     return OperatorPair(S, T)
 
 
@@ -335,8 +373,8 @@ def matrix2x2_pair(s, q):
             "the 2x2 model needs finite |s|^2 and |q|^2 (|s|, |q| up to about 1.3e154), "
             f"got s = {s:g}, q = {q:g}"
         )
-    S = TruncatedOperator.banded([[0, 0], [0, 0], [s, 0]])
-    T = TruncatedOperator.banded([[0, q], [0, 0], [0, 0]])
+    S = TruncatedOperator.banded((1, [[s, 0]]))
+    T = TruncatedOperator.banded((-1, [[0, q]]))
     return OperatorPair(S, T)
 
 
@@ -346,132 +384,152 @@ def matrix2x2_pair(s, q):
 #
 # Every pair in this package is banded (boson, swanson and 2x2 pairs are
 # tridiagonal), so the defect chain works on diagonals, never on dense N x N
-# products.  A matrix of bandwidth K is held as a (2K+1) x N array D with
-# D[K + d, i] = A[i, i + d] and zeros where i + d falls outside [0, N).
+# products.  A matrix is held as a Band (lo, D): D has one row per offset
+# lo..hi, D[r, i] = A[i, i + lo + r], and zeros where i + lo + r falls
+# outside [0, N).  Each band gets its offsets once, where it is built:
+# ``diagonals`` reads them off the nonzero pattern, ``band_adjoint`` turns
+# lo..hi into -hi..-lo, ``band_product`` adds them, and the closed-form
+# factors of ``_exp_ladder`` are triangular.  No helper scans its operands
+# for zero diagonals, so a diagonal is either stored or known to be zero.
 
 
-def _width(D):
-    return D.shape[0] // 2
+def _zero_band(n):
+    return Band(0, np.zeros((1, n), dtype=complex))
 
 
-def _diagonal_view(padded, width):
-    """The diagonals, as a strided view, of an n x (n + 2K) array holding A at column offset K.
+def _diagonal_view(padded, lo, rows):
+    """Diagonals lo..lo + rows - 1, as a strided view, of an n x (n + 2P) array holding A at column offset P.
 
-    Entry (i, i + d) sits at flat offset i (n + 2K + 1) + K + d; slots outside A hit the padding.
+    Entry (i, i + d) sits at flat offset i (n + 2P + 1) + P + d; slots outside A hit the padding.
     """
+    n = padded.shape[0]
     step = padded.strides[1]
-    return np.ndarray(
-        (2 * width + 1, padded.shape[0]), padded.dtype, padded, strides=(step, padded.strides[0] + step)
-    )
+    start = ((padded.shape[1] - n) // 2 + lo) * step
+    return np.ndarray((rows, n), padded.dtype, padded, start, strides=(step, padded.strides[0] + step))
 
 
 def diagonals(entries):
-    """Diagonals of a dense square matrix; the bandwidth is its nonzero pattern's.
+    """The ``Band`` of a dense square matrix: the offsets of its nonzero pattern.
 
-    The bandwidth is read off which diagonals of the nonzero mask, viewed at
-    full width, hold a True.  A wide (even full) matrix is stored exactly,
-    only with more diagonals.
+    The offsets are read off which diagonals of the nonzero mask, viewed at
+    full width, hold a True (the zero matrix keeps its main diagonal).  A
+    wide (even full) matrix is stored exactly, only with more diagonals.
     """
     n = entries.shape[0]
-    nonzero = np.zeros((n, 3 * n - 2), dtype=bool)  # every diagonal fits at width n - 1
+    nonzero = np.zeros((n, 3 * n - 2), dtype=bool)  # every diagonal fits at padding n - 1
     np.not_equal(entries, 0, out=nonzero[:, n - 1 : 2 * n - 1])
-    used = np.flatnonzero(_diagonal_view(nonzero, n - 1).any(axis=1))
-    width = int(max(n - 1 - used[0], used[-1] - (n - 1))) if used.size else 0
-    padded = np.zeros((n, n + 2 * width), dtype=complex)
-    padded[:, width : width + n] = entries
-    return _diagonal_view(padded, width).copy()
+    used = np.flatnonzero(_diagonal_view(nonzero, 1 - n, 2 * n - 1).any(axis=1))
+    lo, hi = (int(used[0]) + 1 - n, int(used[-1]) + 1 - n) if used.size else (0, 0)
+    reach = max(-lo, hi)
+    padded = np.zeros((n, n + 2 * reach), dtype=complex)
+    padded[:, reach : reach + n] = entries
+    return Band(lo, _diagonal_view(padded, lo, hi - lo + 1).copy())
 
 
-def _dense(D):
-    """The dense matrix with diagonals D, whose slots outside the matrix are zero."""
-    width, n = _width(D), D.shape[1]
-    padded = np.zeros((n, n + 2 * width), dtype=D.dtype)
-    _diagonal_view(padded, width)[...] = D
-    return padded[:, width : width + n].copy()
+def _dense(band):
+    """The dense matrix of a band whose slots outside the matrix are zero."""
+    reach, n = max(-band.lo, band.hi, 0), band.diagonals.shape[1]
+    padded = np.zeros((n, n + 2 * reach), dtype=band.diagonals.dtype)
+    _diagonal_view(padded, band.lo, len(band.diagonals))[...] = band.diagonals
+    return padded[:, reach : reach + n].copy()
 
 
-def _leading_block(D, k):
-    """Diagonals of the leading k x k block (slots outside it zeroed, diagonals missing it dropped)."""
-    outer = _width(D)
-    width = min(outer, k - 1)
-    return _clear_outside(D[outer - width : outer + width + 1, :k].copy())
+def _on_offsets(band, lo, hi):
+    """The band's diagonals at offsets lo..hi, a range holding its own; the others are zero."""
+    D = np.zeros((hi - lo + 1, band.diagonals.shape[1]), dtype=band.diagonals.dtype)
+    D[band.lo - lo : band.hi - lo + 1] = band.diagonals
+    return D
 
 
-def _middle(D, width):
-    """The view of D's diagonals at offsets -width..width (width at most D's)."""
-    return D[_width(D) - width : _width(D) + width + 1]
+def _leading_block(band, k):
+    """The band of the leading k x k block, k at most its columns: offsets cut to |d| < k.
 
-
-def _clear_outside(B):
-    """Zero, in place, B's slots outside its k x k matrix, k = B.shape[1] > its bandwidth."""
-    width, k = _width(B), B.shape[1]
-    for d in range(1, width + 1):
-        B[width + d, k - d :] = 0
-        B[width - d, :d] = 0
-    return B
-
-
-def _shifted(D, sign):
-    """G[K + d, i] = D[K + d, i + sign * d], zero where that leaves the matrix.
-
-    With D padded by K zeros on each side, row r of G starts sign * r entries
-    further along than row 0, so G is one strided read of the padded copy.
+    The result is a view of the band's diagonals, whose slots outside the
+    block are zeroed in place.
     """
-    width, n = _width(D), D.shape[1]
-    padded = np.zeros((2 * width + 1, n + 2 * width), dtype=D.dtype)
-    padded[:, width : width + n] = D
+    lo, hi = max(band.lo, 1 - k), min(band.hi, k - 1)
+    if lo > hi:
+        return _zero_band(k)
+    D = band.diagonals[lo - band.lo : hi - band.lo + 1, :k]
+    for r in range(len(D)):
+        d = lo + r
+        if d > 0:
+            D[r, k - d :] = 0
+        elif d < 0:
+            D[r, :-d] = 0
+    return Band(lo, D)
+
+
+def band_adjoint(band):
+    """Band of A' from A's, at offsets -hi..-lo: A'[i, i + d] = conj(A[i + d, i]).
+
+    Row r of A', at offset d = r - hi, is A's diagonal -d read d entries
+    further along, zero where that leaves the matrix.  With A's rows reversed
+    and padded by P = max(-lo, hi) zeros on each side, row r starts r entries
+    further along than row 0, so A' is one strided read of the padded copy.
+    """
+    lo, D, n = -band.hi, band.diagonals[::-1], band.diagonals.shape[1]
+    reach = max(-band.lo, band.hi, 0)
+    padded = np.zeros((len(D), n + 2 * reach), dtype=D.dtype)
+    padded[:, reach : reach + n] = D
     step = padded.strides[1]
-    strides = (padded.strides[0] + sign * step, step)
-    return np.ndarray(D.shape, D.dtype, padded, (1 - sign) * width * step, strides).copy()
-
-
-def band_adjoint(D):
-    """Diagonals of A' from those of A: A'[i, i + d] = conj(A[i + d, i])."""
-    return _shifted(D[::-1], 1).conj()
+    shifted = np.ndarray(D.shape, D.dtype, padded, (reach + lo) * step, (padded.strides[0] + step, step))
+    return Band(lo, shifted.conj())
 
 
 def band_product(A, B, rows=None):
-    """Diagonals of the product of two matrices given by their diagonals.
+    """Band of the product of two matrices given by their bands.
 
-    With ``rows``, only the product's leading ``rows`` rows are formed, so the
-    result has that many columns; each entry is computed exactly as in the
-    full product.
+    Its offsets are lo_A + lo_B..hi_A + hi_B, cut to the matrix; each entry
+    sums A[i, i + a] B[i + a, i + a + b] over A's stored offsets a in
+    ascending order, so only products with a stored factor are formed.  With
+    ``rows``, only the product's leading ``rows`` rows are formed, so the
+    result has that many columns and no offset below 1 - rows; each entry is
+    computed exactly as in the full product.  A product with no offset left
+    is the zero band.
     """
-    ka, kb, n = _width(A), _width(B), A.shape[1]
+    n = A.diagonals.shape[1]
     m = n if rows is None else min(rows, n)
-    # B's columns padded by ka zeros on each side, so every shift below is a slice
-    padded = np.zeros((2 * kb + 1, n + 2 * ka), dtype=B.dtype)
-    padded[:, ka : ka + n] = B
-    C = np.zeros((2 * (ka + kb) + 1, m), dtype=np.result_type(A, B))
-    for r in range(2 * ka + 1):
-        # with d = r - ka: C[i, i + d + f] += A[i, i + d] * B[i + d, i + d + f]
-        C[r : r + 2 * kb + 1] += A[r, :m] * padded[:, r : r + m]
-    excess = max(0, ka + kb - (n - 1))  # diagonals beyond the matrix are all zero
-    return C[excess : C.shape[0] - excess]
+    left = max(0, -A.lo)
+    # B's columns padded by zeros, so every shift below is a slice
+    padded = np.zeros((len(B.diagonals), n + left + max(0, A.hi)), dtype=B.diagonals.dtype)
+    padded[:, left : left + n] = B.diagonals
+    C = np.zeros((A.hi + B.hi - A.lo - B.lo + 1, m), dtype=np.result_type(A.diagonals, B.diagonals))
+    for r in range(len(A.diagonals)):
+        # with a = A.lo + r: C[i, i + a + b] += A[i, i + a] * B[i + a, i + a + b]
+        start = left + A.lo + r
+        C[r : r + len(B.diagonals)] += A.diagonals[r, :m] * padded[:, start : start + m]
+    lo, hi = max(A.lo + B.lo, 1 - m), min(A.hi + B.hi, n - 1)  # the others are all zero
+    if lo > hi:
+        return _zero_band(m)
+    return Band(lo, C[lo - A.lo - B.lo : hi - A.lo - B.lo + 1])
 
 
 _EPS = np.finfo(float).eps / 2  # unit roundoff 2^-53
 
 
-def _ladder_coefficients(D):
-    """(x, y) with A = x a + y a* for the matrix A with diagonals D.
+def _ladder_coefficients(band):
+    """(x, y) with A = x a + y a* for the matrix A with this band.
 
-    x and y are read off the first entries of the +1 and -1 diagonals; every
-    entry must match x sqrt(k + 1) and y sqrt(k + 1) to within a few
-    roundings (8 u relative), and every other diagonal must be zero.  Any
-    other operator raises DomainParameterError.  The match is taken on the
-    unit scale, D / m against (x / m) sqrt(k + 1) with m = max|D|, so
-    entries near the float range do not overflow.
+    x and y are read off the first entries of the +1 and -1 diagonals, and
+    are 0 where the band has no such diagonal; every entry must match
+    x sqrt(k + 1) and y sqrt(k + 1) to within a few roundings (8 u relative),
+    and every other diagonal must be zero.  Any other operator raises
+    DomainParameterError.  The match is taken on the unit scale, D / m
+    against (x / m) sqrt(k + 1) with m = max|D|, so entries near the float
+    range do not overflow.
     """
-    width, n = _width(D), D.shape[1]
+    (lo, D), n = band, band.diagonals.shape[1]
     x = y = 0j
     m = float(np.abs(D).max()) or 1.0
     want = np.zeros_like(D)
-    if width:
-        x, y = complex(D[width + 1, 0]), complex(D[width - 1, 1])
-        root = np.sqrt(np.arange(1.0, n))
-        want[width + 1, : n - 1] = x / m * root
-        want[width - 1, 1:] = y / m * root
+    root = np.sqrt(np.arange(1.0, n))
+    if lo <= 1 <= band.hi:
+        x = complex(D[1 - lo, 0])
+        want[1 - lo, : n - 1] = x / m * root
+    if lo <= -1 <= band.hi:
+        y = complex(D[-1 - lo, 1])
+        want[-1 - lo, 1:] = y / m * root
     if not np.all(np.abs(D / m - want) <= 8 * _EPS * np.abs(want)):
         raise DomainParameterError(
             "the closed-form semigroups and vacua need an operator x a + y a*"
@@ -480,7 +538,7 @@ def _ladder_coefficients(D):
 
 
 def _exp_lowering(z, n):
-    """Diagonals of the upper triangular exp(z a): entry (k, k + d) is z^d / d! sqrt((k+1)...(k+d)).
+    """Band of the upper triangular exp(z a), offsets 0..K: entry (k, k + d) is z^d / d! sqrt((k+1)...(k+d)).
 
     Diagonal d is diagonal d - 1 times z sqrt(k + d) / d.  Once
     |z| sqrt(N + d) / (d + 1) < 1/2, each later diagonal is less than half the
@@ -496,28 +554,26 @@ def _exp_lowering(z, n):
             break
         largest = max(largest, size)
         rows.append(row)
-    width = len(rows) - 1
-    E = np.zeros((2 * width + 1, n), dtype=complex)
+    E = np.zeros((len(rows), n), dtype=complex)
     for d, row in enumerate(rows):
-        E[width + d, : n - d] = row
-    return E
+        E[d, : n - d] = row
+    return Band(0, E)
 
 
 def _exp_ladder(x, y, alpha, n):
-    """Diagonals of the N x N block of exp(alpha (x a + y a*)) on the untruncated space.
+    """Band of the N x N block of exp(alpha (x a + y a*)) on the untruncated space.
 
     [a, a*] = 1 is central, so exp(alpha (x a + y a*)) =
     exp(alpha y a*) exp(alpha x a) exp(alpha^2 x y / 2), the Heisenberg
     group's disentangling identity.  The first factor is lower and the second
     upper triangular, so their product's inner index runs only up to
     min(i, j): the product of the truncated triangles is the block itself.
-    Its offsets run from -K_lower to K_upper, so it is kept at the wider of
-    the two bandwidths; the diagonals dropped are zero.
+    Its offsets run from -K_lower to K_upper, and only those are formed.
     """
     upper = _exp_lowering(alpha * x, n)
     lower = band_adjoint(_exp_lowering((alpha * y).conjugate(), n))  # exp(w a*) = exp(conj(w) a)'
-    width = max(_width(lower), _width(upper))
-    return _middle(band_product(lower, upper), width) * cmath.exp(alpha * alpha * x * y / 2)
+    V = band_product(lower, upper)
+    return Band(V.lo, V.diagonals * cmath.exp(alpha * alpha * x * y / 2))
 
 
 #: the Lanczos norm stops once its top Ritz pair's residual is this share of lambda
@@ -525,8 +581,8 @@ _LANCZOS_TOL = 4 * _EPS
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
 
-def spectral_norm(D):
-    """Largest singular value of the matrix with diagonals D, by plain Lanczos on A'A.
+def spectral_norm(band):
+    """Largest singular value of the matrix with this band, by plain Lanczos on A'A.
 
     The three-term Lanczos recurrence on the Hermitian A'A, from a fixed unit
     vector v_1: each step takes w = A'(A v_k), alpha_k = Re<w, v_k> and
@@ -539,14 +595,14 @@ def spectral_norm(D):
     have converged, and a Ritz value with a small residual bound stays
     accurate all the same (Paige, Linear Algebra Appl. 34, 1980).  A and A'
     are each applied once per step, as one einsum over a strided window of
-    the zero-padded vector, so nothing of size N x N is formed.  The all-zero
-    matrix gives exactly 0.0, and the fixed start vector makes the result the
-    same, bit for bit, on every call.  D's slots outside the matrix must be
-    zero, as every band helper here leaves them.
+    the zero-padded vector, on the band's own offsets only, so nothing of
+    size N x N is formed.  The all-zero matrix gives exactly 0.0, and the
+    fixed start vector makes the result the same, bit for bit, on every call.
+    The band's slots outside the matrix must be zero, as every band helper
+    here leaves them.
     """
-    D = np.asarray(D, dtype=complex)
-    n = D.shape[1]
-    apply_A, apply_AH = _window_matvec(D), _window_matvec(band_adjoint(D))
+    n = band.diagonals.shape[1]
+    apply_A, apply_AH = _window_matvec(band), _window_matvec(band_adjoint(band))
     # v_1 has equal moduli and golden-ratio phases: fixed like a seeded random
     # vector, without loading numpy.random (6 MB and 10-15 ms in a fresh interpreter)
     v = np.exp(2j * math.pi * (np.arange(n) * _GOLDEN % 1.0)) / math.sqrt(n)
@@ -568,23 +624,24 @@ def spectral_norm(D):
         previous, v = v, w / beta
 
 
-def _window_matvec(D):
-    """x -> A x for the matrix with diagonals D, as one einsum over shifted copies of x.
+def _window_matvec(band):
+    """x -> A x for the matrix with this band, as one einsum over shifted copies of x.
 
-    Row i of the window is the zero-padded x from index i - K on, a strided
-    view, so (A x)[i] = sum_d D[d, i] window[i, d].  D is read as its
+    Row i of the window is the zero-padded x from index i + lo on, a strided
+    view, so (A x)[i] = sum_r D[r, i] window[i, r].  D is read as its
     contiguous transpose, so each row's sum runs over adjacent entries: at
     N = 10^4 that makes the Weyl block's norm 2.5 times as fast as summing
     down the diagonals.
     """
-    width, n = _width(D), D.shape[1]
+    (lo, D), n = band, band.diagonals.shape[1]
+    left = max(0, -lo)
     rows = np.ascontiguousarray(D.T)
-    padded = np.zeros(n + 2 * width, dtype=complex)
+    padded = np.zeros(n + left + max(0, band.hi), dtype=complex)
     step = padded.strides[0]
-    window = np.ndarray(rows.shape, complex, padded, strides=(step, step))
+    window = np.ndarray(rows.shape, complex, padded, (left + lo) * step, (step, step))
 
     def apply(x):
-        padded[width : width + n] = x
+        padded[left : left + n] = x
         return np.einsum("id,id->i", rows, window)
 
     return apply
@@ -596,11 +653,13 @@ def _window_matvec(D):
 
 
 def relation_block(X, Y, rows, c=1.0, R=None):
-    """The leading rows x rows block of X Y - c Y X - R, on its diagonals, and its scale.
+    """The ``Band`` of the leading rows x rows block of X Y - c Y X - R, and its scale.
 
-    X, Y and R (None for zero, of bandwidth at most X Y's) are diagonals.  Of
-    each product only the leading ``rows`` rows are formed, each entry exactly
-    as in the full product; the block's slots outside it are zero.
+    X, Y and R (None for zero) are bands.  X Y and Y X share the offsets
+    lo_X + lo_Y..hi_X + hi_Y, and the block holds those and R's, cut to
+    |d| < rows.  Of each product only the leading ``rows`` rows are formed,
+    each entry exactly as in the full product; the block's slots outside it
+    are zero.
 
     The scale is the max-abs entry of X Y on the block, at least 1: each
     entry cancels entries of X Y against c Y X, so its rounding error grows
@@ -609,25 +668,25 @@ def relation_block(X, Y, rows, c=1.0, R=None):
     the block is judged absolutely; the 1 is the identity's entry, as in
     normal-order's soundness scale.
     """
-    M = band_product(X, Y, rows)
-    width = min(_width(M), M.shape[1] - 1)  # the block's bandwidth
-    M = _clear_outside(_middle(M, width))
-    scale = max(1.0, float(np.abs(M).max()))
-    YX = _middle(band_product(Y, X, rows), width)
+    M = _leading_block(band_product(X, Y, rows), rows)
+    scale = max(1.0, float(np.abs(M.diagonals).max()))
+    YX = _leading_block(band_product(Y, X, rows), rows).diagonals  # on M's offsets
     if c != 1:  # skipped at 1, where (1 + 0i) z could flip the sign of a zero part of z
         YX *= c
-    M -= YX
+    M.diagonals[...] -= YX
     if R is not None:
-        reach = min(_width(R), width)
-        M[width - reach : width + reach + 1] -= _middle(R, reach)[:, : M.shape[1]]
-    return _clear_outside(M), scale
+        lo, hi = max(R.lo, 1 - rows), min(R.hi, rows - 1)  # R's offsets in the block
+        if lo <= hi:
+            if lo < M.lo or hi > M.hi:  # R reaches offsets that X Y does not
+                M = Band(min(lo, M.lo), _on_offsets(M, min(lo, M.lo), max(hi, M.hi)))
+            M.diagonals[lo - M.lo : hi - M.lo + 1] -= R.diagonals[lo - R.lo : hi - R.lo + 1, :rows]
+    return _leading_block(M, rows), scale
 
 
 def weak_with_scale(pair):
     """``(weak_defect, scale)``: S T - T S - 1 as a ``relation_block`` on the safe block."""
-    S, T = pair.S.diagonals, pair.T.diagonals
-    block, scale = relation_block(S, T, pair.safe_rank, R=identity(pair.dim).diagonals)
-    return float(np.abs(block).max()), scale
+    block, scale = relation_block(pair.S.band, pair.T.band, pair.safe_rank, R=identity(pair.dim).band)
+    return float(np.abs(block.diagonals).max()), scale
 
 
 def weak_defect(pair):
@@ -670,8 +729,8 @@ def quasi_strong_with_scale(pair, alpha):
         raise DomainParameterError(f"semigroup parameter must be finite and >= 0, got {alpha}")
     band = semigroup_band(pair, alpha)
     V = pair.semigroup("S", alpha)
-    block, scale = relation_block(V, pair.T.diagonals, band, R=alpha * V)
-    return float(np.abs(block).max()), scale
+    block, scale = relation_block(V, pair.T.band, band, R=Band(V.lo, alpha * V.diagonals))
+    return float(np.abs(block.diagonals).max()), scale
 
 
 def quasi_strong_defect(pair, alpha):
@@ -684,8 +743,8 @@ def weyl_with_scale(pair, alpha, beta):
 
     Both semigroups are the pair's cached banded ``semigroup``s, so V_S is
     shared with ``quasi_strong_defect`` at the same parameter.  The block's
-    spectral norm is ``spectral_norm``'s Lanczos iteration on its
-    diagonals, so nothing of size band x band is formed.
+    spectral norm is ``spectral_norm``'s Lanczos iteration on its band, so
+    nothing of size band x band is formed.
     """
     if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
         raise DomainParameterError(

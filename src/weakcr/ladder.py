@@ -53,7 +53,7 @@ def kernel_vector(A: TruncatedOperator, tol=VACUUM_TOL):
     truncated recurrence is an exact kernel vector even while the vacuum's
     tail is large.
     """
-    x, y = _ladder_coefficients(A.diagonals)
+    x, y = _ladder_coefficients(A.band)
     if not abs(y) < abs(x):
         raise NonNormalizableError(
             f"the vacuum of A = x a + y a* lies in l^2 only for |y/x| < 1, "

@@ -350,7 +350,7 @@ def _matrix2x2_reports(s, q, phis, tol):
     phis = [(complex(phi1), complex(phi2)) for phi1, phi2 in phis]
     states = [StateVector(np.array(phi), label="phi") for phi in phis]
     pair = matrix2x2_pair(s, q)
-    commutator = TruncatedOperator.banded(relation_block(pair.S.diagonals, pair.T.diagonals, pair.dim)[0])
+    commutator = TruncatedOperator.banded(relation_block(pair.S.band, pair.T.band, pair.dim)[0])
     all_deltas, c_exps, _ = _pass(pair, states, C=commutator)
     reports = []
     for (phi1, phi2), deltas, c_exp in zip(phis, all_deltas, c_exps):

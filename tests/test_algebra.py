@@ -480,7 +480,7 @@ def test_fock_eval_matches_the_per_word_oracle_bit_for_bit(case):
             got = fock_eval(poly, pair)
             want = _fock_eval_oracle(poly, pair)
             assert got.entries.tobytes() == want.entries.tobytes()
-            assert got.diagonals.tobytes() == want.diagonals.tobytes()
+            assert (got.band.lo, got.band.diagonals.tobytes()) == (want.band.lo, want.band.diagonals.tobytes())
 
 
 def test_fock_eval_holds_at_most_one_dense_array_more_than_the_oracle():
@@ -524,7 +524,7 @@ def _counting_pair(S_entries, T_entries):
 
     def letter(entries):
         op = TruncatedOperator(entries)
-        return types.SimpleNamespace(entries=op.entries.view(Counted), diagonals=op.diagonals)
+        return types.SimpleNamespace(entries=op.entries.view(Counted), band=op.band)
 
     return types.SimpleNamespace(S=letter(S_entries), T=letter(T_entries), dim=len(S_entries)), products
 

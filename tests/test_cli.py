@@ -600,7 +600,7 @@ def test_verify_cr_weyl_defect_fails_a_broken_relation(capsys, monkeypatch, mode
     # defect read 7.8e-8 (boson), a PASS against the absolute tol of 1e-6 it had
     def broken(theta, n):
         pair = swanson_pair(theta, n)
-        return OperatorPair(pair.S, TruncatedOperator.banded((1 + 1e-6) * pair.T.diagonals))
+        return OperatorPair(pair.S, TruncatedOperator.banded((pair.T.band.lo, (1 + 1e-6) * pair.T.band.diagonals)))
 
     monkeypatch.setattr(fock, "swanson_pair", broken)
     code, out, _ = run(capsys, "verify-cr", "--model", model)
@@ -628,7 +628,7 @@ def test_verify_cr_quasi_strong_defect_fails_a_broken_relation(capsys, monkeypat
     # tol of 1e-8 it had
     def broken(theta, n):
         pair = swanson_pair(theta, n)
-        return OperatorPair(pair.S, TruncatedOperator.banded((1 + 1e-9) * pair.T.diagonals))
+        return OperatorPair(pair.S, TruncatedOperator.banded((pair.T.band.lo, (1 + 1e-9) * pair.T.band.diagonals)))
 
     monkeypatch.setattr(fock, "swanson_pair", broken)
     code, out, _ = run(capsys, "verify-cr", "--model", model, "--dim", "2048")
@@ -763,7 +763,7 @@ def test_verify_cr_weak_defect_still_fails_a_broken_relation(capsys, monkeypatch
     # scaling S by 1 + 1e-6 breaks [S, T] = 1 by 1e-6 on every diagonal entry
     def broken(theta, n):
         pair = swanson_pair(theta, n)
-        return OperatorPair(TruncatedOperator.banded((1 + 1e-6) * pair.S.diagonals), pair.T)
+        return OperatorPair(TruncatedOperator.banded((pair.S.band.lo, (1 + 1e-6) * pair.S.band.diagonals)), pair.T)
 
     monkeypatch.setattr(fock, "swanson_pair", broken)
     code, out, _ = run(capsys, "verify-cr", "--model", "swanson:0.3", "--dim", "2048")

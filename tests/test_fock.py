@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from weakcr import fock
 from weakcr.errors import DomainParameterError, InvalidDimensionError, TruncationError
 from weakcr.fock import (
+    Band,
     OperatorPair,
     TruncatedOperator,
     band_adjoint,
@@ -214,8 +215,8 @@ def test_boson_pair_is_the_cli_boson_model_to_the_bit(n):
     # T was once the adjoint of the lowering matrix, whose imaginary parts are -0.0,
     # while --model boson is the swanson pair at theta = 0, with +0.0
     pair, model = boson_pair(n), swanson_pair(0.0, n)
-    assert pair.S.diagonals.tobytes() == model.S.diagonals.tobytes()
-    assert pair.T.diagonals.tobytes() == model.T.diagonals.tobytes()
+    for got, want in ((pair.S.band, model.S.band), (pair.T.band, model.T.band)):
+        assert (got.lo, got.diagonals.tobytes()) == (want.lo, want.diagonals.tobytes())
 
 
 def test_swanson_quarter_turn_matches_rotated_pair():
@@ -398,19 +399,125 @@ def dense_weyl_defect(pair, alpha, beta):
     return float(np.linalg.norm(M[:band, :band], ord=2)), float(scale)
 
 
-def band_columns(D):
-    """Column-indexed diagonals, C[K + d, j] = A[j - d, j] (LAPACK-style layout)."""
-    return fock._shifted(D, -1)
+def band_columns(band):
+    """Column-indexed diagonals, C[r, j] = A[j - d, j] with d = lo + r (LAPACK-style layout)."""
+    width = max(-band.lo, band.hi, 0)
+    return _centered_shifted(centered(band), -1)[width + band.lo : width + band.hi + 1]
 
 
-def dense(D):
-    """The full matrix with diagonals D."""
-    n, width = D.shape[1], D.shape[0] // 2
+def dense(band):
+    """The full matrix of a band (lo, D)."""
+    lo, D = band
+    n = D.shape[1]
     out = np.zeros((n, n), dtype=D.dtype)
-    for d in range(-width, width + 1):
+    for r in range(len(D)):
+        d = lo + r
         for i in range(max(0, -d), min(n, n - d)):
-            out[i, i + d] = D[width + d, i]
+            out[i, i + d] = D[r, i]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the centered layout, kept as the bit oracle of the band helpers: a matrix
+# of bandwidth K is a (2K+1) x N array D with D[K + d, i] = A[i, i + d]
+# ---------------------------------------------------------------------------
+
+
+def _width(D):
+    return D.shape[0] // 2
+
+
+def centered(band):
+    """The centered (2K+1) x N diagonals of a band, K = max(-lo, hi, 0)."""
+    width = max(-band.lo, band.hi, 0)
+    D = np.zeros((2 * width + 1, band.diagonals.shape[1]), dtype=band.diagonals.dtype)
+    D[width + band.lo : width + band.hi + 1] = band.diagonals
+    return D
+
+
+def as_band(D):
+    """The band (lo = -K) of centered diagonals."""
+    return Band(-_width(D), D)
+
+
+def _centered_shifted(D, sign):
+    """G[K + d, i] = D[K + d, i + sign * d], zero where that leaves the matrix."""
+    width, n = _width(D), D.shape[1]
+    padded = np.zeros((2 * width + 1, n + 2 * width), dtype=D.dtype)
+    padded[:, width : width + n] = D
+    step = padded.strides[1]
+    strides = (padded.strides[0] + sign * step, step)
+    return np.ndarray(D.shape, D.dtype, padded, (1 - sign) * width * step, strides).copy()
+
+
+def centered_adjoint(D):
+    """Diagonals of A' from those of A: A'[i, i + d] = conj(A[i + d, i])."""
+    return _centered_shifted(D[::-1], 1).conj()
+
+
+def centered_product(A, B, rows=None):
+    """Diagonals of the product, every stored diagonal multiplied, zero or not."""
+    ka, kb, n = _width(A), _width(B), A.shape[1]
+    m = n if rows is None else min(rows, n)
+    padded = np.zeros((2 * kb + 1, n + 2 * ka), dtype=B.dtype)
+    padded[:, ka : ka + n] = B
+    C = np.zeros((2 * (ka + kb) + 1, m), dtype=np.result_type(A, B))
+    for r in range(2 * ka + 1):
+        C[r : r + 2 * kb + 1] += A[r, :m] * padded[:, r : r + m]
+    excess = max(0, ka + kb - (n - 1))  # diagonals beyond the matrix are all zero
+    return C[excess : C.shape[0] - excess]
+
+
+def _middle(D, width):
+    return D[_width(D) - width : _width(D) + width + 1]
+
+
+def _centered_clear_outside(B):
+    width, k = _width(B), B.shape[1]
+    for d in range(1, width + 1):
+        B[width + d, k - d :] = 0
+        B[width - d, :d] = 0
+    return B
+
+
+def centered_semigroup(pair, generator, alpha):
+    """The closed-form semigroup of ``OperatorPair.semigroup``, formed in the centered layout."""
+    x, y = fock._ladder_coefficients(getattr(pair, generator).band)
+    n = pair.dim
+    steps = max(1, math.ceil(alpha * min(abs(x), abs(y)) * math.sqrt(n) / 2))
+    upper = centered(fock._exp_lowering(alpha / steps * x, n))
+    lower = centered_adjoint(centered(fock._exp_lowering((alpha / steps * y).conjugate(), n)))
+    width = max(_width(lower), _width(upper))
+    W = _middle(centered_product(lower, upper), width) * cmath.exp((alpha / steps) ** 2 * x * y / 2)
+    V = W
+    for _ in range(steps - 1):
+        V = centered_product(W, V)
+    return V
+
+
+def centered_relation_block(X, Y, rows, c=1.0, R=None):
+    """``relation_block`` in the centered layout: the block's diagonals and its scale."""
+    M = centered_product(X, Y, rows)
+    width = min(_width(M), M.shape[1] - 1)
+    M = _centered_clear_outside(_middle(M, width))
+    scale = max(1.0, float(np.abs(M).max()))
+    YX = _middle(centered_product(Y, X, rows), width)
+    if c != 1:
+        YX *= c
+    M -= YX
+    if R is not None:
+        reach = min(_width(R), width)
+        M[width - reach : width + reach + 1] -= _middle(R, reach)[:, : M.shape[1]]
+    return _centered_clear_outside(M), scale
+
+
+def assert_same_bits(band, D):
+    """The band holds D's diagonals at its offsets to the bit, and D is zero on all others."""
+    width = _width(D)
+    assert band.diagonals.shape[1] == D.shape[1]
+    assert -width <= band.lo and band.hi <= width
+    assert band.diagonals.tobytes() == D[width + band.lo : width + band.hi + 1].tobytes()
+    assert not D[: width + band.lo].any() and not D[width + band.hi + 1 :].any()
 
 
 def widest_alpha(pair):
@@ -481,29 +588,36 @@ def test_dense_constructor_round_trips_exactly(name):
     A = suite_dense_matrices()[name]
     op = TruncatedOperator(A)
     assert np.array_equal(op.entries, A)
-    assert np.array_equal(op.diagonals, diagonals(A))
+    assert op.band.lo == diagonals(A).lo and np.array_equal(op.band.diagonals, diagonals(A).diagonals)
     rows, cols = np.nonzero(A)
-    assert op.diagonals.shape == (2 * abs(rows - cols).max(initial=0) + 1, len(A))
+    lo, hi = (int((cols - rows).min()), int((cols - rows).max())) if rows.size else (0, 0)
+    assert (op.band.lo, op.band.hi, op.band.diagonals.shape) == (lo, hi, (hi - lo + 1, len(A)))
 
 
 def test_band_constructor_ignores_slots_outside_the_matrix():
-    op = TruncatedOperator.banded(np.arange(1.0, 13.0).reshape(3, 4))
+    op = TruncatedOperator.banded((-1, np.arange(1.0, 13.0).reshape(3, 4)))
     want = [[5, 9, 0, 0], [2, 6, 10, 0], [0, 3, 7, 11], [0, 0, 4, 8]]
     assert np.array_equal(op.entries, want)
-    assert np.array_equal(op.diagonals, diagonals(np.array(want, dtype=complex)))
-    wider = TruncatedOperator.banded(np.ones((7, 2)))  # diagonals past the matrix are dropped
-    assert wider.diagonals.shape == (3, 2)
+    assert op.band.lo == -1 and np.array_equal(op.band.diagonals, diagonals(np.array(want, dtype=complex)).diagonals)
+    wider = TruncatedOperator.banded((-3, np.ones((7, 2))))  # diagonals past the matrix are dropped
+    assert (wider.band.lo, wider.band.diagonals.shape) == (-1, (3, 2))
     assert np.array_equal(wider.entries, np.ones((2, 2)))
+    upper = TruncatedOperator.banded((0, np.ones((2, 3))))  # an even number of rows is a band too
+    assert np.array_equal(upper.entries, np.triu(np.tril(np.ones((3, 3)), 1)))
+    beyond = TruncatedOperator.banded((5, np.ones((1, 3))))  # no diagonal meets the matrix
+    assert (beyond.band.lo, beyond.band.hi) == (0, 0) and not beyond.entries.any()
 
 
 @pytest.mark.parametrize(
-    "D",
-    [np.ones((2, 4)), np.where(np.eye(3, 4, 1) > 0, np.nan, 1.0), np.zeros((3, 0)), np.ones(4)],
+    "band",
+    # two rows centered on the main diagonal would start at offset -1/2
+    [(-0.5, np.ones((2, 4))), (-1, np.where(np.eye(3, 4, 1) > 0, np.nan, 1.0)), (-1, np.zeros((3, 0))),
+     (0, np.ones(4))],
     ids=["even-rows", "nan", "no-columns", "one-dimensional"],
 )
-def test_band_constructor_rejects_malformed_diagonals(D):
+def test_band_constructor_rejects_malformed_diagonals(band):
     with pytest.raises(InvalidDimensionError):
-        TruncatedOperator.banded(D)
+        TruncatedOperator.banded(band)
 
 
 @pytest.mark.parametrize("name", list(suite_dense_matrices()))
@@ -569,16 +683,15 @@ def test_band_storage_round_trips(n):
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     B = np.triu(np.tril(rng.standard_normal((n, n)), 2), -1)  # bandwidth 2, or less at small n
     DA, DB = diagonals(A), diagonals(B)
-    assert DA.shape == (2 * n - 1, n)  # a full matrix keeps every diagonal
+    assert (DA.lo, DA.hi) == (1 - n, n - 1)  # a full matrix keeps every diagonal
     assert np.array_equal(dense(DA), A)
     assert np.array_equal(dense(band_adjoint(DA)), A.conj().T)
     for X, Y in ((DA, DB), (DB, DA), (DB, DB)):
         assert np.allclose(dense(band_product(X, Y)), dense(X) @ dense(Y), rtol=0, atol=ROUNDING * n * 10)
     cols = band_columns(DA)
-    width = n - 1
-    for d in range(-width, width + 1):
+    for d in range(DA.lo, DA.hi + 1):
         for j in range(max(0, d), min(n, n + d)):
-            assert cols[width + d, j] == A[j - d, j]
+            assert cols[d - DA.lo, j] == A[j - d, j]
 
 
 @pytest.mark.parametrize("rows", [1, 3, 8, 9, 20])
@@ -588,17 +701,25 @@ def test_band_product_leading_rows_match_the_full_product(rows):
     B = np.triu(np.tril(rng.standard_normal((9, 9)), 1), -4)
     for X, Y in ((A, B), (B, A), (A, A)):
         full = band_product(diagonals(X), diagonals(Y))
-        assert np.array_equal(band_product(diagonals(X), diagonals(Y), rows), full[:, :rows])
+        got = band_product(diagonals(X), diagonals(Y), rows)
+        assert (got.lo, got.hi) == (max(full.lo, 1 - min(rows, 9)), full.hi)
+        assert np.array_equal(got.diagonals, full.diagonals[got.lo - full.lo :, :rows])
+        assert not full.diagonals[: got.lo - full.lo, :rows].any()  # no entry in the leading rows
 
 
 def test_bandwidth_follows_the_nonzero_pattern():
-    assert diagonals(lowering(6).entries).shape == (3, 6)
-    assert diagonals(identity(5).entries).shape == (1, 5)
-    assert diagonals(np.zeros((4, 4))).shape == (1, 4)
+    def offsets(A):
+        band = diagonals(A)
+        assert band.diagonals.shape == (band.hi - band.lo + 1, len(A))
+        return band.lo, band.hi
+
+    assert offsets(lowering(6).entries) == (1, 1)
+    assert offsets(identity(5).entries) == (0, 0)
+    assert offsets(np.zeros((4, 4))) == (0, 0)
     corner = np.zeros((5, 5))
     corner[4, 0] = 1.0
-    assert diagonals(corner).shape == (9, 5)
-    assert diagonals(wide_pair(8).S.entries).shape == (5, 8)
+    assert offsets(corner) == (-4, -4)
+    assert offsets(wide_pair(8).S.entries) == (-1, 2)
 
 
 def test_semigroup_splits_large_norms_into_steps():
@@ -625,31 +746,32 @@ _TAYLOR_THETA = {
 }
 
 
-def _taylor_semigroup_oracle(D, alpha):
-    """exp(alpha A) of the truncated A by the full-band Taylor series.
+def _taylor_semigroup_oracle(band, alpha):
+    """The band of exp(alpha A) of the truncated A by the full-band Taylor series.
 
     Steps s and degree m minimise s * m subject to ||alpha A||_1 / s <= theta_m;
     the series of each step stops once two consecutive terms fall below unit
     roundoff relative to the partial sum, and every term is multiplied on all
-    of its diagonals.
+    of its diagonals, in the centered layout.
     """
+    D = centered(band)
     A = alpha * D
-    norm1 = float(np.max(np.sum(np.abs(band_columns(A)), axis=0)))
+    norm1 = float(np.max(np.sum(np.abs(_centered_shifted(A, -1)), axis=0)))
     steps, degree = min(
         ((max(1, math.ceil(norm1 / theta)), m) for m, theta in _TAYLOR_THETA.items()),
         key=lambda sm: (sm[0] * sm[1], sm[1]),
     )
     A /= steps
     n = D.shape[1]
-    widest = min(degree * fock._width(D), n - 1)
+    widest = min(degree * _width(D), n - 1)
     total = np.zeros((2 * widest + 1, n), dtype=complex)
     total[widest] = 1.0
     term = np.ones((1, n), dtype=complex)
     previous, bound = 0.0, 1.0  # bound >= max|total|, so max|total| is read only near the end
     for j in range(1, degree + 1):
-        term = band_product(A, term)
+        term = centered_product(A, term)
         term /= j
-        width = fock._width(term)
+        width = _width(term)
         total[widest - width : widest + width + 1] += term
         size = float(np.max(np.abs(term)))
         bound += size
@@ -659,12 +781,12 @@ def _taylor_semigroup_oracle(D, alpha):
     total = total[widest - width : widest + width + 1]
     V = total
     for _ in range(steps - 1):
-        V = band_product(total, V)
-    return V
+        V = centered_product(total, V)
+    return as_band(V)
 
 
 def _random_band(offsets, width):
-    """Diagonals of bandwidth ``width``, random on ``offsets`` and zero elsewhere."""
+    """The band at offsets -width..width, random on ``offsets`` and zero elsewhere."""
 
     def make(n):
         rng = np.random.default_rng([n, width, *(d + width for d in offsets)])
@@ -673,17 +795,17 @@ def _random_band(offsets, width):
             rows = slice(max(0, -d), min(n, n - d))  # i with i + d inside the matrix
             k = len(range(n)[rows])
             D[width + d, rows] = rng.normal(size=k) + 1j * rng.normal(size=k)
-        return D
+        return Band(-width, D)
 
     return make
 
 
 def _letter(make_pair, letter):
-    """Diagonals of one letter (S, T, S' or T') of the pair make_pair(n)."""
+    """The band of one letter (S, T, S' or T') of the pair make_pair(n)."""
 
     def make(n):
         op = getattr(make_pair(n), letter[0])
-        return (op.adjoint() if letter.endswith("'") else op).diagonals
+        return (op.adjoint() if letter.endswith("'") else op).band
 
     return make
 
@@ -727,7 +849,7 @@ def test_band_expm_has_the_bits_of_the_full_band_series(name, n, alpha):
             pair.semigroup("S", alpha)
         return
     V = dense(pair.semigroup("S", alpha))
-    want = dense(_taylor_semigroup_oracle(op.diagonals, alpha))
+    want = dense(_taylor_semigroup_oracle(op.band, alpha))
     one_sided = not (np.any(np.tril(op.entries)) and np.any(np.triu(op.entries)))
     rows = n if one_sided else max(0, pair.safe_rank - math.ceil(10 * alpha * math.sqrt(n)))
     assert np.isfinite(V).all()
@@ -743,7 +865,7 @@ def test_semigroup_matches_the_taylor_oracle_on_its_band(n, theta, generator):
     pair = swanson_pair(theta, n)
     band = semigroup_band(pair, 0.1)
     V = dense(pair.semigroup(generator, 0.1))[:band, :band]
-    want = dense(_taylor_semigroup_oracle(getattr(pair, generator).diagonals, 0.1))[:band, :band]
+    want = dense(_taylor_semigroup_oracle(getattr(pair, generator).band, 0.1))[:band, :band]
     assert np.max(np.abs(V - want)) <= 8 * EPS * np.max(np.abs(want))
     if n <= 512:
         E = scipy.linalg.expm(0.1 * getattr(pair, generator).entries)[:band, :band]
@@ -768,7 +890,7 @@ def test_semigroup_of_a_generator_outside_x_a_plus_y_adjoint_is_a_typed_error(na
     pair = OperatorPair(op, swanson_pair(0.3, 8).T)
     with pytest.raises(DomainParameterError, match="x a \\+ y a\\*"):
         pair.semigroup("S", 0.1)
-    assert pair.semigroup("T", 0.1).shape[1] == 8  # the ladder-form partner still forms
+    assert pair.semigroup("T", 0.1).diagonals.shape[1] == 8  # the ladder-form partner still forms
 
 
 @pytest.mark.parametrize("s, q", [(1.5, 0.7), (1.5, -0.5), (-2.0, 3j)])
@@ -816,7 +938,7 @@ def test_defect_chain_forms_no_dense_exponential_or_svd(monkeypatch):
 
 
 def weyl_block(pair, alpha, beta, semigroup=None):
-    """Diagonals of the band x band block whose spectral norm is the Weyl defect.
+    """The band of the band x band block whose spectral norm is the Weyl defect.
 
     ``semigroup(generator, parameter)`` forms V_S and V_T: the pair's own by
     default, the Taylor oracle's for a pair outside x a + y a*.
@@ -824,8 +946,8 @@ def weyl_block(pair, alpha, beta, semigroup=None):
     semigroup = semigroup or pair.semigroup
     band = semigroup_band(pair, max(alpha, beta))
     VS, VT = semigroup("S", alpha), semigroup("T", beta)
-    M = band_product(VS, VT, band) - math.exp(alpha * beta) * band_product(VT, VS, band)
-    return diagonals(dense(M)[:band, :band])
+    P, Q = band_product(VS, VT, band), band_product(VT, VS, band)  # on the same offsets
+    return diagonals(dense(Band(P.lo, P.diagonals - math.exp(alpha * beta) * Q.diagonals))[:band, :band])
 
 
 def degenerate_pair(n):
@@ -852,13 +974,13 @@ def test_spectral_norm_matches_the_dense_svd_on_weyl_blocks(model, n):
     pair = WEYL_MODELS[model](n)
     alpha = min(0.1, widest_alpha(pair))  # the band is one index wide at N = 2 and 3
     if model == "wide":
-        D = weyl_block(pair, alpha, alpha, lambda g, t: _taylor_semigroup_oracle(getattr(pair, g).diagonals, t))
+        D = weyl_block(pair, alpha, alpha, lambda g, t: _taylor_semigroup_oracle(getattr(pair, g).band, t))
     else:
         D = weyl_block(pair, alpha, alpha)
     want = float(np.linalg.norm(dense(D), ord=2))
     got = spectral_norm(D)
     assert abs(got - want) <= 1e-14 * want
-    assert got == spectral_norm(D.copy())
+    assert got == spectral_norm(Band(D.lo, D.diagonals.copy()))
     if model == "wide":
         with pytest.raises(DomainParameterError):
             weyl_defect(pair, alpha, alpha)
@@ -908,11 +1030,11 @@ def test_spectral_norm_matches_the_dense_svd_on_special_blocks(name):
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (5, 40), (9, 7)])
 def test_spectral_norm_of_the_zero_block_is_exactly_zero(shape):
-    assert spectral_norm(np.zeros(shape, dtype=complex)) == 0.0
+    assert spectral_norm(Band(-(shape[0] // 2), np.zeros(shape, dtype=complex))) == 0.0
 
 
 def scaled_T(pair, factor):
-    return OperatorPair(pair.S, TruncatedOperator.banded(factor * pair.T.diagonals))
+    return OperatorPair(pair.S, TruncatedOperator.banded((pair.T.band.lo, factor * pair.T.band.diagonals)))
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3])
@@ -1012,19 +1134,19 @@ def test_relation_block_is_the_leading_block_of_the_dense_relation(rows, c, with
     X, Y, R = banded(2, 1), banded(1, 3), banded(1, 2)
     want = X @ Y - c * (Y @ X) - (R if with_R else 0)
     block, scale = relation_block(diagonals(X), diagonals(Y), rows, c, diagonals(R) if with_R else None)
-    assert block.shape[1] == rows
+    assert block.diagonals.shape[1] == rows
     assert np.allclose(dense(block), want[:rows, :rows], rtol=0, atol=ROUNDING * 10)
     assert scale == pytest.approx(max(1.0, np.max(np.abs((X @ Y)[:rows, :rows]))), rel=ROUNDING)
     # the bits of the copy-based formula: X Y - c Y X - R cut to its leading block
     XY = band_product(diagonals(X), diagonals(Y), rows)
     YX = band_product(diagonals(Y), diagonals(X), rows)
-    M = XY - (YX if c == 1 else c * YX)
+    M = centered(XY) - (centered(YX) if c == 1 else c * centered(YX))
     if with_R:
-        DR, middle = diagonals(R), fock._width(M)
-        M[middle - fock._width(DR) : middle + fock._width(DR) + 1] -= DR[:, :rows]
-    want_block = fock._leading_block(M, rows)
-    assert (block.shape, block.tobytes()) == (want_block.shape, want_block.tobytes())
-    assert scale == max(1.0, float(np.abs(fock._leading_block(XY, rows)).max()))
+        DR, middle = centered(diagonals(R)), _width(M)
+        M[middle - _width(DR) : middle + _width(DR) + 1] -= DR[:, :rows]
+    want_block = _centered_clear_outside(_middle(M, min(_width(M), rows - 1)).copy())
+    assert_same_bits(block, want_block)
+    assert scale == max(1.0, float(np.abs(dense(XY)[:rows, :rows]).max()))
 
 
 def test_weyl_defect_memory_stays_below_one_dense_block():
@@ -1057,6 +1179,110 @@ def test_semigroups_are_formed_once_per_pair(monkeypatch):
     assert calls == [0.1, 0.2]
     fresh = swanson_pair(0.3, 64)
     assert (quasi_strong_defect(fresh, 0.1), weyl_defect(fresh, 0.1, 0.2)) == first
-    V = pair.semigroup("S", 0.1)
-    assert np.array_equal(V, real(math.cos(0.3), 1j * math.sin(0.3), 0.1, 64))  # one step here
-    assert not V.flags.writeable
+    V, W = pair.semigroup("S", 0.1), real(math.cos(0.3), 1j * math.sin(0.3), 0.1, 64)  # one step here
+    assert V.lo == W.lo and np.array_equal(V.diagonals, W.diagonals)
+    assert not V.diagonals.flags.writeable
+
+
+def bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+BIT_MODELS = [("boson", 0.0)] + [(f"swanson{theta}", theta) for theta in (0.3, 0.785, 1.2)]
+BIT_CASES = [(name, theta, n) for name, theta in BIT_MODELS for n in (2, 3, 128, 512)]
+
+
+def assert_chain_keeps_its_bits(pair, alpha, beta):
+    """Semigroups, relation blocks and the three defects with scales against the centered layout."""
+    S, T = centered(pair.S.band), centered(pair.T.band)
+    for generator, parameter in (("S", alpha), ("T", beta)):
+        assert_same_bits(pair.semigroup(generator, parameter), centered_semigroup(pair, generator, parameter))
+    VS, VT = centered_semigroup(pair, "S", alpha), centered_semigroup(pair, "T", beta)
+    # weak: S T - T S - 1 on the safe block
+    want, want_scale = centered_relation_block(S, T, pair.safe_rank, R=np.ones((1, pair.dim), dtype=complex))
+    block, scale = relation_block(pair.S.band, pair.T.band, pair.safe_rank, R=identity(pair.dim).band)
+    assert_same_bits(block, want)
+    assert bits(scale) == bits(want_scale)
+    assert bits(*weak_with_scale(pair)) == bits(np.abs(want).max(), want_scale)
+    # the cross condition [S', T] + [S', T]'
+    X = centered_relation_block(centered_adjoint(S), T, pair.safe_rank)[0]
+    assert bits(pair.cross_defect) == bits(np.abs(X + centered_adjoint(X)).max())
+    # quasi-strong: V_S T - T V_S - a V_S on the semigroup band
+    band = semigroup_band(pair, alpha)
+    want, want_scale = centered_relation_block(VS, T, band, R=alpha * VS)
+    V = pair.semigroup("S", alpha)
+    block, scale = relation_block(V, pair.T.band, band, R=Band(V.lo, alpha * V.diagonals))
+    assert_same_bits(block, want)
+    assert bits(*quasi_strong_with_scale(pair, alpha)) == bits(np.abs(want).max(), want_scale) == bits(
+        np.abs(block.diagonals).max(), scale)
+    # Weyl: V_S V_T - e^(ab) V_T V_S, its spectral norm on the centered block as the oracle
+    band = semigroup_band(pair, max(alpha, beta))
+    want, want_scale = centered_relation_block(VS, VT, band, math.exp(alpha * beta))
+    block, scale = relation_block(pair.semigroup("S", alpha), pair.semigroup("T", beta), band, math.exp(alpha * beta))
+    assert_same_bits(block, want)
+    assert bits(*weyl_with_scale(pair, alpha, beta)) == bits(spectral_norm(as_band(want)), want_scale) == bits(
+        spectral_norm(block), scale)
+
+
+@pytest.mark.parametrize("name, theta, n", BIT_CASES, ids=[f"{m}-N{n}" for m, _, n in BIT_CASES])
+def test_band_offsets_keep_every_bit_of_the_centered_layout(name, theta, n):
+    # each entry keeps its accumulation order and only stops adding products
+    # with a factor on a diagonal known to be zero, so every number keeps its bits
+    pair = swanson_pair(theta, n)
+    for alpha in (0.1, 1.0):  # alpha = 1 takes 4 to 7 steps at N = 512 and theta > 0
+        for generator in "ST":
+            assert_same_bits(pair.semigroup(generator, alpha), centered_semigroup(pair, generator, alpha))
+    alpha = min(0.1, widest_alpha(pair))  # 0 at N = 2 and 3, where the band is one index wide
+    assert_chain_keeps_its_bits(pair, alpha, alpha)
+
+
+def test_band_offsets_keep_every_bit_in_steps():
+    # five steps at swanson:0.3, alpha = 1, N = 1024, as in verify-cr's CI run
+    pair = swanson_pair(0.3, 1024)
+    x, y = fock._ladder_coefficients(pair.S.band)
+    assert math.ceil(min(abs(x), abs(y)) * math.sqrt(1024) / 2) == 5
+    assert_chain_keeps_its_bits(pair, 1.0, 1.0)
+
+
+def test_bands_store_only_the_offsets_they_reach():
+    for n in (2, 3, 128, 512):
+        pair = boson_pair(n)
+        VS, VT = pair.semigroup("S", 0.1), pair.semigroup("T", 0.1)
+        assert VS.lo == 0 and VT.hi == 0  # exactly upper and lower triangular
+        assert np.array_equal(dense(VS), np.triu(dense(VS))) and np.array_equal(dense(VT), np.tril(dense(VT)))
+    # swanson:0.3 at N = 512 reaches -15..23 on V_S and -23..15 on V_T, and stores no more
+    pair = swanson_pair(0.3, 512)
+    for generator, offsets in (("S", (-15, 23)), ("T", (-23, 15))):
+        V = pair.semigroup(generator, 0.1)
+        assert (V.lo, V.hi) == offsets
+        assert np.abs(V.diagonals[0]).max() > 0 and np.abs(V.diagonals[-1]).max() > 0
+    weyl = relation_block(pair.semigroup("S", 0.1), pair.semigroup("T", 0.1), semigroup_band(pair, 0.1))[0]
+    assert (weyl.lo, weyl.hi) == (-38, 38)
+    two = matrix2x2_pair(1.5, -0.5)
+    assert (two.S.band.lo, two.S.band.hi) == (1, 1) and (two.T.band.lo, two.T.band.hi) == (-1, -1)
+    assert (lowering(8).band.lo, lowering(8).band.hi) == (1, 1)
+    assert (raising(8).band.lo, raising(8).band.hi) == (-1, -1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 128])
+def test_safe_rank_and_ladder_coefficients_keep_their_values(n):
+    # an operator without a -1 row (a, the 2x2 S) reads y = 0, without a +1 row x = 0
+    c, s = math.cos(0.3), math.sin(0.3)
+    want = {
+        "boson": (boson_pair(n), n - 1, (1, 0), (0, 1)),
+        "swanson0.3": (swanson_pair(0.3, n), n - 1, (c, 1j * s), (1j * s, c)),
+        "2x2": (matrix2x2_pair(1.5, -0.5), 1, (1.5, 0), (0, -0.5)),
+        "ladder": (OperatorPair(lowering(n), raising(n)), n - 1, (1, 0), (0, 1)),
+        "lowering-twice": (OperatorPair(lowering(n), lowering(n)), n - 1, (1, 0), (1, 0)),
+    }
+    for name, (pair, rank, xy_S, xy_T) in want.items():
+        assert pair.safe_rank == rank, name
+        assert fock._ladder_coefficients(pair.S.band) == xy_S, name
+        assert fock._ladder_coefficients(pair.T.band) == xy_T, name
+    if n >= 4:
+        assert wide_pair(n).safe_rank == n - 2
+    off_ladder = [identity(n).band, Band(2, np.ones((1, n), dtype=complex)), Band(-1, np.ones((3, n), dtype=complex))]
+    off_ladder += [wide_pair(n).S.band] if n >= 4 else []
+    for band in off_ladder:
+        with pytest.raises(DomainParameterError):
+            fock._ladder_coefficients(band)

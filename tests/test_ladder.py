@@ -157,7 +157,7 @@ def test_kernel_vector_certificate_is_on_the_operators_scale(theta, n):
     S = swanson_pair(theta, n).S
     want = kernel_vector(S).components
     for c in (1e3, 1e6, 2.0**500, 2.0**1000):
-        got = kernel_vector(TruncatedOperator.banded(c * S.diagonals)).components
+        got = kernel_vector(TruncatedOperator.banded((S.band.lo, c * S.band.diagonals))).components
         assert np.array_equal(got, want)
 
 
@@ -165,7 +165,7 @@ def test_kernel_vector_certificate_is_on_the_operators_scale(theta, n):
 def test_kernel_vector_near_the_float_range_ends_cleanly(x, y):
     # x sqrt(k + 1) and |A v| are read on the unit scale, so entries near the
     # float range give a vacuum or a typed refusal, never a numpy overflow
-    A = TruncatedOperator.banded([[0.0, y], [0.0, 0.0], [x, 0.0]])
+    A = TruncatedOperator.banded((-1, [[0.0, y], [0.0, 0.0], [x, 0.0]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
