@@ -53,7 +53,14 @@ def inner(u, v):
 
 
 def norm(u):
-    return float(np.linalg.norm(np.asarray(u).reshape(-1)))
+    """The 2-norm of u raveled: np.linalg.norm's arithmetic, sqrt(re.re + im.im), without its dispatch."""
+    x = np.asarray(u).ravel()
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    if x.dtype.kind != "f":
+        x = x.astype(float)
+    return math.sqrt(x.dot(x))
 
 
 class Band(NamedTuple):
@@ -130,17 +137,21 @@ class TruncatedOperator:
         Diagonal 0 comes first, then +1, -1, +2, -2, ..., each skipped where
         the band has none.
         """
-        (lo, D), hi, n = self.band, self.band.hi, self.dim
+        lo, D = self.band
+        hi, n = lo + len(D) - 1, D.shape[1]
         x = np.asarray(x)
         if x.ndim == 2:
             D = D[:, :, None]
         # the zeros take x's memory order, as the product D[-lo] * x does
         y = D[-lo] * x if lo <= 0 <= hi else np.zeros_like(x, dtype=np.result_type(D, x))
         for d in range(1, max(hi, -lo) + 1):
+            # each sum goes into a view of y in place; y[a:b] += ... would also store the view back on itself
             if lo <= d <= hi:
-                y[: n - d] += D[d - lo, : n - d] * x[d:]
+                head = y[: n - d]
+                head += D[d - lo, : n - d] * x[d:]
             if lo <= -d <= hi:
-                y[d:] += D[-d - lo, d:] * x[: n - d]
+                tail = y[d:]
+                tail += D[-d - lo, d:] * x[: n - d]
         return y
 
 
@@ -234,11 +245,12 @@ class OperatorPair:
         """Entrywise defect of [S', T] = [S, T'] on the safe block, formed once per pair.
 
         Since [S, T'] = -[S', T]', the defect matrix is X + X' with X = [S', T],
-        one ``relation_block`` of the bands of S and T; the adjoint of its
-        leading block is the leading block of X'.  The two are added on the
+        one ``relation_block`` of the bands of S' (S's cached adjoint, which the
+        uncertainty pass applies too) and T; the adjoint of its leading block
+        is the leading block of X'.  The two are added on the
         union of their offsets.
         """
-        X = relation_block(band_adjoint(self.S.band), self.T.band, self.safe_rank)[0]
+        X = relation_block(self.S.adjoint().band, self.T.band, self.safe_rank)[0]
         lo, hi = min(X.lo, -X.hi), max(X.hi, -X.lo)
         return float(np.abs(_on_offsets(X, lo, hi) + _on_offsets(band_adjoint(X), lo, hi)).max())
 
@@ -300,10 +312,15 @@ def coherent_tail_mass(z, n):
 
 
 def coherent_state(z, n):
-    """Normalized truncation of the coherent state with eigenvalue z.
+    """Normalized truncation of the coherent state with eigenvalue z: the one-state case of ``coherent_states``."""
+    return coherent_states([z], n)[0]
+
+
+def coherent_states(zs, n):
+    """Normalized truncations of the coherent states with eigenvalues zs, formed as one block.
 
     Components are proportional to z^k / sqrt(k!).  The discarded share of
-    the norm, ``coherent_tail_mass(z, n)``, must be below 1e-12; otherwise a
+    each norm, ``coherent_tail_mass(z, n)``, must be below 1e-12; otherwise a
     TruncationError carrying it is raised (a NaN z is a DomainParameterError).
     |z^k / sqrt(k!)| rises to its mode floor(|z|^2) and falls after it, so
     the ratio recurrence x_k = x_(k-1) z / sqrt(k) runs outward from
@@ -314,25 +331,40 @@ def coherent_state(z, n):
     positive.  For |z| < 1 that is x_0; otherwise the state differs from
     the one with x_0 > 0 by the global phase e^(-i m arg z), which no
     expectation, delta or uncertainty report reads.
+
+    The ratios of every z come from one outer division, the states that
+    share a mode from one ``cumprod`` along the rows, and each row is
+    divided by its own norm.  Each of these does the same arithmetic on
+    each entry as it would on one state, so every state has the bits it
+    has alone.  The states' components are the rows of the block.
     """
     if n < 1:
         raise InvalidDimensionError(f"need dimension >= 1, got {n}")
-    z = complex(z)
-    if cmath.isnan(z):
-        raise DomainParameterError(f"coherent-state eigenvalue z must not be NaN, got {z}")
-    tail = coherent_tail_mass(z, n)
-    if tail >= 1e-12:
-        raise TruncationError(
-            f"coherent-state tail mass {tail:.3e} at dimension {n} exceeds 1e-12",
-            tail_mass=tail,
-        )
-    m = min(math.floor(abs(z) ** 2), n - 1)
-    ratio = z / np.sqrt(np.arange(1, n))  # x_k / x_(k-1) at k = 1..n-1
-    comps = np.ones(n, dtype=complex)
-    comps[m + 1 :] = np.cumprod(ratio[m:])
-    comps[:m] = np.cumprod(1 / ratio[:m][::-1])[::-1]
-    comps /= np.linalg.norm(comps)
-    return StateVector(comps, label=f"coh({z.real:g},{z.imag:g})")
+    zs = [complex(z) for z in zs]
+    for z in zs:
+        if cmath.isnan(z):
+            raise DomainParameterError(f"coherent-state eigenvalue z must not be NaN, got {z}")
+        tail = coherent_tail_mass(z, n)
+        if tail >= 1e-12:
+            raise TruncationError(
+                f"coherent-state tail mass {tail:.3e} at dimension {n} exceeds 1e-12",
+                tail_mass=tail,
+            )
+    modes = {}
+    for i, z in enumerate(zs):
+        modes.setdefault(min(math.floor(abs(z) ** 2), n - 1), []).append(i)
+    ratios = np.array(zs, dtype=complex)[:, None] / np.sqrt(np.arange(1, n))  # x_k / x_(k-1) at k = 1..n-1
+    block = np.ones((len(zs), n), dtype=complex)
+    for m, rows in modes.items():
+        if len(modes) == 1:
+            rows = slice(None)  # one mode gathers nothing
+        R = ratios[rows]
+        block[rows, m + 1 :] = np.cumprod(R[:, m:], axis=1)
+        if m > 0:
+            block[rows, :m] = np.cumprod(1 / R[:, :m][:, ::-1], axis=1)[:, ::-1]
+    # each row over its norm + 0j, the divisor numpy's division by a float norm casts to
+    block /= np.array([norm(x) for x in block], dtype=complex)[:, None]
+    return [StateVector(x, label=f"coh({z.real:g},{z.imag:g})") for z, x in zip(zs, block)]
 
 
 def basis_state(k, n):

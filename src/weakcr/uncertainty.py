@@ -16,12 +16,16 @@ E_phi = Im(<a*^2> - <a*>^2) plus the exact weight the truncation drops,
 and the 2x2 model admits fully explicit formulas; both are cross-validated
 against direct matrix computation.
 
-Per-state quantities come from one pass that applies S, S', T, T' and C once
-each to the N x L block of a batch of states, and reduces each state on its
-own contiguous column, so a batch gives the bits of one state at a time.
-What depends only on the pair is formed once per pair and batch: the
-cross-condition defect, a polynomial C's matrix, and the 2x2 model's pair
-and [S, T], so a scan over the 2x2 circle makes one pass.
+Per-state quantities come from one pass over the states in batches of at
+most BATCH_ENTRIES entries.  It applies S, S', T, T' and C once each to a
+batch's block, forms every residual A x - z x as one elementwise operation
+on the block, and runs only the reductions (np.vdot and the norm) per state,
+each on that state's own contiguous row, so a batch gives the bits of one
+state at a time and a scan's memory does not grow with its states beyond
+the states themselves.  What depends only on the pair is formed once per
+pass or per pair: the cross-condition defect, a polynomial C's matrix,
+``lowering(N)``, and the 2x2 model's pair and [S, T], so a scan over the
+2x2 circle makes one pass.
 """
 
 from __future__ import annotations
@@ -31,13 +35,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClosedFormInconsistencyError, DomainParameterError, PreconditionError, TruncationError
+from .errors import (
+    ClosedFormInconsistencyError,
+    DomainParameterError,
+    InvalidDimensionError,
+    PreconditionError,
+    TruncationError,
+)
 from .fock import (
     OperatorPair,
     StateVector,
     TruncatedOperator,
     basis_state,
-    coherent_state,
+    coherent_states,
     lowering,
     matrix2x2_pair,
     norm,
@@ -47,10 +57,19 @@ from .fock import (
 
 SATURATION_TOL = 1e-6
 
+#: entries (states x N) of the block that one batch of ``_pass`` holds: 4 MB of complex
+BATCH_ENTRIES = 2**18
+
 
 def expectation(A: TruncatedOperator, xi: StateVector):
     """<A xi, xi> (the matrix expectation xi^H A xi)."""
+    _require_dim(A.dim, xi)
     return complex(np.vdot(xi.components, A @ xi.components))
+
+
+def _require_dim(n, xi: StateVector):
+    if xi.dim != n:
+        raise InvalidDimensionError(f"state of dimension {xi.dim} does not fit operators of dimension {n}")
 
 
 def _require_unit(xi: StateVector):
@@ -60,6 +79,7 @@ def _require_unit(xi: StateVector):
 
 def delta(A: TruncatedOperator, xi: StateVector, z):
     """||(A - z) xi|| for unit xi."""
+    _require_dim(A.dim, xi)
     _require_unit(xi)
     return norm(A @ xi.components - complex(z) * xi.components)
 
@@ -88,40 +108,79 @@ def delta_report(pair: OperatorPair, xi: StateVector, z=None, w=None):
 
 
 def _pass(pair, states, z=None, w=None, C=None, moments=False):
-    """DeltaReports, <xi, C xi> and, with ``moments``, SwansonMoments of a batch of unit states.
+    """DeltaReports, <xi, C xi> and, with ``moments``, SwansonMoments of a list of unit states.
 
     C is None for C = 1 (giving |xi|^2), an NCPoly, evaluated by fock_eval
-    once per batch, or an operator.  S, S', T, T' and C are each applied
-    once to the column-major N x L block X of the states.  A block matvec
-    gives each column bit for bit as a vector matvec, and every product's
-    columns stay contiguous, so each reduction (np.vdot, norm) sees the
-    vectors a single state would.
+    once per call, or an operator.  The states are taken in batches of
+    BATCH_ENTRIES // N; each batch is an L x N block X with one state per
+    contiguous row.  S, S', T, T' and C are each applied once to the block
+    (a block matvec gives each state bit for bit as a vector matvec), and
+    each residual A x - z x is one elementwise operation on the block, which
+    does on each entry what it does on one vector.  Only np.vdot and the
+    norm run per state, each on its state's own contiguous row, so a batch
+    gives the bits of one state at a time.  An empty list, or a state whose
+    dimension is not the pair's, is an InvalidDimensionError.
     """
+    if len(states) == 0:
+        raise InvalidDimensionError("the batch of states is empty")
     for xi in states:
+        _require_dim(pair.dim, xi)
         _require_unit(xi)
-    xs = [xi.components for xi in states]
-    X = np.array(xs).T
     if C is not None and not isinstance(C, TruncatedOperator):
         from .algebra import NCPoly, fock_eval  # only a polynomial C needs the algebra
 
         if isinstance(C, NCPoly):
             C = fock_eval(C, pair)
-    SX, SdX, TX, TdX = ((A @ X).T for A in (pair.S, pair.S.adjoint(), pair.T, pair.T.adjoint()))
-    CX = [None] * len(xs) if C is None else (C @ X).T
-    reports, c_exps = [], []
-    for xi, x, Sx, Sdx, Tx, Tdx, Cx in zip(states, xs, SX, SdX, TX, TdX, CX):
-        zj = complex(np.vdot(x, Sx) if z is None else z)
-        wj = complex(np.vdot(x, Tx) if w is None else w)
-        reports.append(DeltaReport(
-            dS=norm(Sx - zj * x),
-            dSd=norm(Sdx - zj.conjugate() * x),
-            dT=norm(Tx - wj * x),
-            dTd=norm(Tdx - wj.conjugate() * x),
-            z=zj,
-            w=wj,
-        ))
-        c_exps.append(complex(xi.norm**2) if Cx is None else complex(np.vdot(x, Cx)))
-    return reports, c_exps, (_moments(X, xs) if moments else None)
+    a = lowering(pair.dim) if moments else None
+    size = max(1, BATCH_ENTRIES // pair.dim)
+    reports, c_exps, all_moments = [], [], []
+    for start in range(0, len(states), size):
+        batch = states[start : start + size]
+        xs = [xi.components for xi in batch]
+        X = np.array(xs)
+        XT = np.ascontiguousarray(X.T)
+        zs, dS, dSd = _deltas(pair.S, xs, X, XT, z)
+        ws, dT, dTd = _deltas(pair.T, xs, X, XT, w)
+        reports += [DeltaReport(*ds, z=complex(zj), w=complex(wj)) for *ds, zj, wj in zip(dS, dSd, dT, dTd, zs, ws)]
+        if C is None:
+            c_exps += [complex(xi.norm**2) for xi in batch]
+        else:
+            c_exps += [complex(c) for c in _centers(xs, _apply(C, XT))]
+        if moments:
+            all_moments += _moments(xs, X, XT, a)
+    return reports, c_exps, (all_moments if moments else None)
+
+
+def _apply(A, XT):
+    """A applied to each column of the N x L block XT (C order), as L x N contiguous rows.
+
+    On XT each diagonal scales runs of L entries, which at modest N is
+    faster than running down each state's column, and each entry gets the
+    arithmetic it gets in a vector matvec.  The copy back to rows costs one
+    pass over the block.
+    """
+    return np.ascontiguousarray((A @ XT).T)
+
+
+def _deltas(A, xs, X, XT, center):
+    """Centers <x, A x> (or ``center``) and ||A x - c x||, ||A' x - c-bar x|| of the states xs, the rows of X."""
+    AX = _apply(A, XT)
+    centers = _centers(xs, AX) if center is None else [complex(center)] * len(xs)
+    column = np.array(centers)[:, None]
+    norms = _residual_norms(AX, X, column)
+    del AX  # one product of the batch at a time
+    return centers, norms, _residual_norms(_apply(A.adjoint(), XT), X, column.conj())
+
+
+def _centers(xs, AX):
+    """<x, A x> of each state x of xs, with A x the same row of AX."""
+    return [np.vdot(x, ax) for x, ax in zip(xs, AX)]
+
+
+def _residual_norms(AX, X, column):
+    """||A x - c x|| of each row x of X, with A x the same row of AX (overwritten) and c the same entry of column."""
+    AX -= column * X
+    return list(map(norm, AX))
 
 
 @dataclass(frozen=True)
@@ -197,26 +256,25 @@ def swanson_moments(xi: StateVector):
     C_phi is formed as |a xi - <a> xi|^2, without cancellation.
     """
     _require_unit(xi)
-    return _moments(xi.components[:, None], [xi.components])[0]
+    x = xi.components
+    return _moments([x], x[None, :], x[:, None], lowering(xi.dim))[0]
 
 
-def _moments(X, xs):
-    """SwansonMoments of the unit states xs, the columns of the N x L block X.
+def _moments(xs, X, XT, a):
+    """SwansonMoments of the unit states xs, the rows of X, with XT = X.T in C order and a = lowering(N).
 
     C_phi is formed as |a x - <a> x|^2, which equals <a* a> - |<a>|^2 for
     unit x without subtracting two numbers of size |<a>|^2, whose rounding
     (about 1e-12 at |<a>| = 50) would swamp a C_phi near zero.
     """
-    a = lowering(X.shape[0])
+    aX = _apply(a, XT)
+    means = _centers(xs, aX)
+    spreads = _residual_norms(aX, X, np.array(means)[:, None])
+    del aX
     ad = a.adjoint()
-    aX = a @ X
-    moments = []
-    for x, ax, ad2x in zip(xs, aX.T, (ad @ (ad @ X)).T):
-        mean_a = complex(np.vdot(x, ax))
-        mean_ad2 = complex(np.vdot(x, ad2x))
-        moments.append(SwansonMoments(C_phi=norm(ax - mean_a * x) ** 2,
-                                      E_phi=(mean_ad2 - mean_a.conjugate() ** 2).imag))
-    return moments
+    means_ad2 = _centers(xs, _apply(ad, ad @ XT))
+    return [SwansonMoments(C_phi=spread**2, E_phi=(complex(mean_ad2) - complex(mean_a).conjugate() ** 2).imag)
+            for mean_a, mean_ad2, spread in zip(means, means_ad2, spreads)]
 
 
 @dataclass(frozen=True)
@@ -386,15 +444,15 @@ class ScanTable:
 
 
 def coherent_grid_states(dim, nx=5, ny=5):
-    """Labeled probe states: an nx-by-ny coherent grid on [-1, 1]^2 plus e0..e4."""
-    states = []
-    for re in np.linspace(-1.0, 1.0, nx):
-        for im in np.linspace(-1.0, 1.0, ny):
-            z = complex(re, im)
-            states.append(coherent_state(z, dim))
-    for k in range(5):
-        states.append(basis_state(k, dim))
-    return states
+    """Labeled probe states: an nx-by-ny coherent grid on [-1, 1]^2 plus e0..e4.
+
+    The coherent states are formed by ``coherent_states`` in batches of
+    BATCH_ENTRIES // dim, as ``_pass`` reads them.
+    """
+    zs = [complex(re, im) for re in np.linspace(-1.0, 1.0, nx) for im in np.linspace(-1.0, 1.0, ny)]
+    size = max(1, BATCH_ENTRIES // dim)
+    states = [xi for start in range(0, len(zs), size) for xi in coherent_states(zs[start : start + size], dim)]
+    return states + [basis_state(k, dim) for k in range(5)]
 
 
 def _swanson_scan(theta, dim, states, tol):

@@ -25,6 +25,7 @@ from weakcr.fock import (
     basis_state,
     boson_pair,
     coherent_state,
+    coherent_states,
     coherent_tail_mass,
     diagonals,
     identity,
@@ -188,6 +189,86 @@ def test_coherent_state_of_a_nan_is_a_typed_error(z):
     # its tail mass is NaN, which the tail guard alone would let through
     with pytest.raises(DomainParameterError, match="z must not be NaN"):
         coherent_state(z, 8)
+
+
+def _one_coherent_state(z, n):
+    """The per-state recurrence that ``coherent_states`` forms as one block: the bit oracle."""
+    if n < 1:
+        raise InvalidDimensionError(f"need dimension >= 1, got {n}")
+    z = complex(z)
+    if cmath.isnan(z):
+        raise DomainParameterError(f"coherent-state eigenvalue z must not be NaN, got {z}")
+    tail = coherent_tail_mass(z, n)
+    if tail >= 1e-12:
+        raise TruncationError(
+            f"coherent-state tail mass {tail:.3e} at dimension {n} exceeds 1e-12",
+            tail_mass=tail,
+        )
+    m = min(math.floor(abs(z) ** 2), n - 1)
+    ratio = z / np.sqrt(np.arange(1, n))  # x_k / x_(k-1) at k = 1..n-1
+    comps = np.ones(n, dtype=complex)
+    comps[m + 1 :] = np.cumprod(ratio[m:])
+    comps[:m] = np.cumprod(1 / ratio[:m][::-1])[::-1]
+    comps /= np.linalg.norm(comps)
+    return fock.StateVector(comps, label=f"coh({z.real:g},{z.imag:g})")
+
+
+_GRID = [complex(re, im) for re in np.linspace(-1.0, 1.0, 9) for im in np.linspace(-1.0, 1.0, 9)]
+
+
+@pytest.mark.parametrize("zs, n", [
+    ([0.0, 0.3, -0.7 + 0.2j, 0.5j], 16),  # mode 0
+    ([1.2, -1.1j, 0.9 + 0.8j], 32),  # mode 1
+    ([1.5, 1 + 1j, -1.2 - 0.9j], 32),  # mode 2
+    (_GRID, 128),  # modes 0, 1 and 2 in one block, in grid order
+    ([0.0011], 2),
+    ([0.01, -0.005j], 3),
+    ([0.2, 3 - 4j, 27, 20 - 15j, 1.5], 1024),  # modes from 0 to 729
+    ([45], 4096),
+    ([60j], 8192),
+    ([0.0], 1),
+    ([], 8),
+])
+def test_coherent_states_have_the_bits_of_the_one_state_recurrence(zs, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = coherent_states(zs, n)
+    assert len(batch) == len(zs)
+    for z, xi in zip(zs, batch):
+        want = _one_coherent_state(z, n)
+        assert xi.label == want.label
+        assert xi.components.tobytes() == want.components.tobytes()
+        assert coherent_state(z, n).components.tobytes() == want.components.tobytes()
+
+
+@pytest.mark.parametrize("bad, error", [
+    (complex("nan"), DomainParameterError),
+    (complex(0, float("nan")), DomainParameterError),
+    (2.0, TruncationError),
+    (complex("inf"), TruncationError),
+])
+def test_coherent_states_refuse_a_batch_as_the_one_state_recurrence_refuses_its_state(bad, error):
+    with pytest.raises(error) as want:
+        _one_coherent_state(bad, 16)
+    with pytest.raises(error) as got:
+        coherent_states([0.1, bad, 0.2], 16)
+    assert str(got.value) == str(want.value)
+    assert getattr(got.value, "tail_mass", None) == getattr(want.value, "tail_mass", None)
+
+
+@pytest.mark.parametrize("u", [
+    np.arange(5.0),
+    np.arange(6.0).reshape(2, 3),
+    np.arange(12.0).reshape(3, 4)[:, 1],  # a strided column
+    np.arange(12.0).reshape(3, 4).T,  # raveled in C order
+    np.exp(0.3j * np.arange(257)) / 7,
+    (np.arange(24) * (1 - 2j)).reshape(4, 6)[:, ::2],
+    [3, 4],
+    np.zeros(0),
+])
+def test_norm_has_the_bits_of_numpys_norm(u):
+    want = float(np.linalg.norm(np.asarray(u).reshape(-1)))
+    assert fock.norm(u).hex() == want.hex()
 
 
 @pytest.mark.parametrize("z, n", [(2, 4), (4, 40), (4, 50), (30, 64), (6, 110)])

@@ -1,13 +1,14 @@
 """Uncertainty-relation tests: deltas, UR1/UR2, closed forms, scans."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from weakcr import algebra, fock, uncertainty
 from weakcr.algebra import NCPoly, fock_eval
-from weakcr.errors import PreconditionError, TruncationError
+from weakcr.errors import InvalidDimensionError, PreconditionError, TruncationError
 from weakcr.fock import (
     OperatorPair,
     StateVector,
@@ -58,6 +59,15 @@ def test_delta_rejects_non_unit_state():
     xi = StateVector(np.array([1.0, 1.0]))
     with pytest.raises(PreconditionError):
         delta(identity(2), xi, 0.0)
+
+
+def test_a_state_of_another_dimension_is_a_typed_error():
+    # each of these ended in numpy's "operands could not be broadcast"
+    pair, xi = swanson_pair(0.3, 64), coherent_state(0.5, 32)
+    for call in (lambda: delta_report(pair, xi), lambda: delta(pair.S, xi, 0.0),
+                 lambda: expectation(pair.T, xi), lambda: ur1_check(pair, xi), lambda: ur2_check(pair, xi)):
+        with pytest.raises(InvalidDimensionError, match="dimension 32 .* dimension 64"):
+            call()
 
 
 def test_expectation_center_minimizes_delta():
@@ -215,6 +225,29 @@ def test_polynomial_c_is_evaluated_once_per_pass(monkeypatch):
     matrix = evaluate(C, pair)
     assert c_exps == [expectation(matrix, xi) for xi in states]
     assert reports == [delta_report(pair, xi) for xi in states]
+
+
+def test_pair_quantities_are_formed_once_per_pass_not_per_batch(monkeypatch):
+    # with two states per batch, six states take three batches; C's matrix and
+    # lowering(N) are still formed once, and every number keeps its bits
+    S, T = NCPoly.gen("S"), NCPoly.gen("T")
+    C = S * T - T * S + S * S
+    pair = swanson_pair(0.3, 32)
+    states = [coherent_state(0.2 * k - 0.1j, 32) for k in range(6)]
+    whole = uncertainty._pass(pair, states, C=C, moments=True)
+    calls, evaluate, make_lowering = [], algebra.fock_eval, uncertainty.lowering
+
+    def counted(name, f):
+        def call(*args):
+            calls.append(name)
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(algebra, "fock_eval", counted("fock_eval", evaluate))
+    monkeypatch.setattr(uncertainty, "lowering", counted("lowering", make_lowering))
+    monkeypatch.setattr(uncertainty, "BATCH_ENTRIES", 2 * 32)
+    assert uncertainty._pass(pair, states, C=C, moments=True) == whole
+    assert sorted(calls) == ["fock_eval", "lowering"]
 
 
 def test_generalized_c_expectation():
@@ -430,11 +463,12 @@ def test_swanson_zero_scan_ur1_never_saturated():
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 0.785])
 def test_scan_rows_match_public_checks(theta):
-    # the scan's one pass over all states equals the one-state public checks bit for bit
-    for n in (64, 128):
+    # the scan's one pass over all states equals the one-state public checks bit
+    # for bit; the 86 states at N = 4096 take two batches of BATCH_ENTRIES // N
+    for n, grid in ((64, 5), (128, 5), (4096, 9)):
         pair = swanson_pair(theta, n)
-        states = coherent_grid_states(n)
-        table = saturation_scan("swanson", (theta,), dim=n)
+        states = coherent_grid_states(n, grid, grid)
+        table = saturation_scan("swanson", (theta,), dim=n, states=states)
         assert [row["state"] for row in table.rows] == [xi.label for xi in states]
         for row, xi in zip(table.rows, states):
             ur1, ur2, m = ur1_check(pair, xi), ur2_check(pair, xi), swanson_moments(xi)
@@ -444,6 +478,7 @@ def test_scan_rows_match_public_checks(theta):
             assert (row["ur2_lhs"], row["ur2_rhs"], row["ur2_gap"], row["ur2_saturated"]) == (
                 ur2.lhs, ur2.rhs, ur2.gap, ur2.saturated)
             assert row["cross_defect"] == ur2.cross_condition_defect
+    assert len(states) > uncertainty.BATCH_ENTRIES // 4096
 
 
 def test_quarter_turn_scan_records_both_readings():
@@ -512,6 +547,41 @@ def test_matrix2x2_scan_conditions():
 def test_scan_rejects_unknown_model():
     with pytest.raises(ValueError):
         saturation_scan("nonsense")
+
+
+@pytest.mark.parametrize("kind, params, batch", [
+    ("swanson", (0.3,), {"dim": 16, "states": []}),
+    ("matrix2x2", (1, 1), {"grid": []}),
+])
+def test_scan_of_no_states_is_a_typed_error(kind, params, batch):
+    # both ended in numpy's "operands could not be broadcast"
+    with pytest.raises(InvalidDimensionError, match="batch of states is empty"):
+        saturation_scan(kind, params, **batch)
+
+
+def test_scan_of_mixed_dimensions_is_a_typed_error():
+    # stacking the states ended in numpy's "inhomogeneous shape"
+    states = [coherent_state(0.5, 32), coherent_state(0.5, 16)]
+    with pytest.raises(InvalidDimensionError, match="dimension 16 .* dimension 32"):
+        saturation_scan("swanson", (0.3,), dim=32, states=states)
+
+
+def test_scan_holds_the_states_and_a_few_batches():
+    # 905 states at N = 1024 hold 14.8 MB; the scan walks them 256 at a time,
+    # so it holds a few blocks of BATCH_ENTRIES entries beside them, not seven
+    # products of all 905 at once
+    tracemalloc.start()
+    try:
+        states = coherent_grid_states(1024, 30, 30)
+        table = saturation_scan("swanson", (0.3,), dim=1024, states=states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.rows) == 905
+    states_bytes = sum(xi.components.nbytes for xi in states)
+    batch_bytes = uncertainty.BATCH_ENTRIES * np.dtype(complex).itemsize
+    assert len(states) > 3 * (uncertainty.BATCH_ENTRIES // 1024)
+    assert peak < states_bytes + 8 * batch_bytes
 
 
 # --- the truncation edge -------------------------------------------------------------
