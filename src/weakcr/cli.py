@@ -478,23 +478,20 @@ def cmd_uncertainty(args):
         print(f"scan of {table.model}: {len(table.rows)} rows")
         for key, value in table.summary.items():
             print(f"  {key}: {value}")
-    elif kind == "swanson":
+        return report
+    if kind == "swanson":
         theta = params[0]
         pair = swanson_pair(theta, args.dim)
         xi = _parse_state(args.state or "coherent:0,0", args.dim)
         closed, u1, u2 = _swanson_state(theta, pair, xi, tol)
-        report.result("deltas", list(closed.matrix_deltas.as_tuple()))
+        deltas, discrepancy, discrepancy_tol = closed.matrix_deltas, closed.matrix_discrepancy, tol
         report.result("closed_form_deltas", list(closed.deltas.as_tuple()))
         report.result("C_phi", closed.moments.C_phi)
         report.result("E_phi", closed.moments.E_phi)
-        report.result("closed_form_discrepancy", closed.matrix_discrepancy)
         report.result("ur1", {"lhs": u1.lhs, "rhs": u1.rhs, "gap": u1.gap, "saturated": u1.saturated})
         report.result("ur2", {"lhs": u2.lhs, "rhs": u2.rhs, "gap": u2.gap, "saturated": u2.saturated,
                               "cross_defect": u2.cross_condition_defect})
-        report.check("closed_form_discrepancy", closed.matrix_discrepancy, tol)
-        report.check("ur1_validity", -u1.gap, 1e-8)
-        report.check("ur2_validity", -u2.gap, 1e-8)
-        print(f"deltas (dS, dS', dT, dT'): {tuple(round(d, 9) for d in closed.matrix_deltas.as_tuple())}")
+        print(f"deltas (dS, dS', dT, dT'): {tuple(round(d, 9) for d in deltas.as_tuple())}")
         print(f"UR1 gap {u1.gap:.3e} saturated={u1.saturated}; UR2 gap {u2.gap:.3e} saturated={u2.saturated}")
     else:
         s, q = params
@@ -507,18 +504,19 @@ def cmd_uncertainty(args):
             if not 0.0 <= t <= 1.0:
                 raise ValueError(sval)
         m = matrix2x2_report(s, q, math.sqrt(t), math.sqrt(1.0 - t), tol=tol)
-        report.result("deltas", list(m.deltas.as_tuple()))
-        report.result("closed_form_discrepancy", m.closed_form_discrepancy)
-        report.result("ur1", {"gap": m.ur1.gap, "saturated": m.ur1.saturated})
-        report.result("ur2", {"gap": m.ur2.gap, "saturated": m.ur2.saturated})
+        deltas, discrepancy, discrepancy_tol, u1, u2 = m.deltas, m.closed_form_discrepancy, 1e-12, m.ur1, m.ur2
+        report.result("ur1", {"gap": u1.gap, "saturated": u1.saturated})
+        report.result("ur2", {"gap": u2.gap, "saturated": u2.saturated})
         report.result("ur1_condition", {"value": m.ur1_condition_value, "met": m.ur1_condition_met})
         report.result("ur2_condition", {"value": m.ur2_condition_value, "met": m.ur2_condition_met})
-        report.check("closed_form_discrepancy", m.closed_form_discrepancy, 1e-12)
-        report.check("ur1_validity", -m.ur1.gap, 1e-8)
-        report.check("ur2_validity", -m.ur2.gap, 1e-8)
-        print(f"deltas: {m.deltas.as_tuple()}")
+        print(f"deltas: {deltas.as_tuple()}")
         print(f"saturation conditions: |p1-p2|={m.ur1_condition_value:g} (met={m.ur1_condition_met}), "
               f"max-sqrt={m.ur2_condition_value:g} (met={m.ur2_condition_met})")
+    report.result("deltas", list(deltas.as_tuple()))
+    report.result("closed_form_discrepancy", discrepancy)
+    report.check("closed_form_discrepancy", discrepancy, discrepancy_tol)
+    report.check("ur1_validity", -u1.gap, 1e-8)
+    report.check("ur2_validity", -u2.gap, 1e-8)
     return report
 
 

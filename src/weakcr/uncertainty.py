@@ -118,8 +118,9 @@ def _pass(pair, states, z=None, w=None, C=None, moments=False):
     each residual A x - z x is one elementwise operation on the block, which
     does on each entry what it does on one vector.  Only np.vdot and the
     norm run per state, each on its state's own contiguous row, so a batch
-    gives the bits of one state at a time.  An empty list, or a state whose
-    dimension is not the pair's, is an InvalidDimensionError.
+    gives the bits of one state at a time.  An empty list, or a state or C
+    whose dimension is not the pair's, is an InvalidDimensionError; a C of
+    any other type is a PreconditionError.
     """
     if len(states) == 0:
         raise InvalidDimensionError("the batch of states is empty")
@@ -129,25 +130,29 @@ def _pass(pair, states, z=None, w=None, C=None, moments=False):
     if C is not None and not isinstance(C, TruncatedOperator):
         from .algebra import NCPoly, fock_eval  # only a polynomial C needs the algebra
 
-        if isinstance(C, NCPoly):
-            C = fock_eval(C, pair)
+        if not isinstance(C, NCPoly):
+            raise PreconditionError(f"C must be None, an NCPoly or a TruncatedOperator, got {type(C).__name__}")
+        C = fock_eval(C, pair)
+    if C is not None and C.dim != pair.dim:
+        raise InvalidDimensionError(f"C of dimension {C.dim} does not fit operators of dimension {pair.dim}")
     a = lowering(pair.dim) if moments else None
     size = max(1, BATCH_ENTRIES // pair.dim)
     reports, c_exps, all_moments = [], [], []
     for start in range(0, len(states), size):
         batch = states[start : start + size]
-        xs = [xi.components for xi in batch]
-        X = np.array(xs)
+        X = np.array([xi.components for xi in batch])
         XT = np.ascontiguousarray(X.T)
-        zs, dS, dSd = _deltas(pair.S, xs, X, XT, z)
-        ws, dT, dTd = _deltas(pair.T, xs, X, XT, w)
-        reports += [DeltaReport(*ds, z=complex(zj), w=complex(wj)) for *ds, zj, wj in zip(dS, dSd, dT, dTd, zs, ws)]
+        zs, dS = _residuals(pair.S, X, XT, z)
+        dSd = _residuals(pair.S.adjoint(), X, XT, zs.conj())[1]
+        ws, dT = _residuals(pair.T, X, XT, w)
+        dTd = _residuals(pair.T.adjoint(), X, XT, ws.conj())[1]
+        reports += [DeltaReport(*ds, z=zj, w=wj) for *ds, zj, wj in zip(dS, dSd, dT, dTd, zs.tolist(), ws.tolist())]
         if C is None:
             c_exps += [complex(xi.norm**2) for xi in batch]
         else:
-            c_exps += [complex(c) for c in _centers(xs, _apply(C, XT))]
+            c_exps += [complex(c) for c in _centers(X, _apply(C, XT))]
         if moments:
-            all_moments += _moments(xs, X, XT, a)
+            all_moments += _moments(X, XT, a)
     return reports, c_exps, (all_moments if moments else None)
 
 
@@ -162,25 +167,27 @@ def _apply(A, XT):
     return np.ascontiguousarray((A @ XT).T)
 
 
-def _deltas(A, xs, X, XT, center):
-    """Centers <x, A x> (or ``center``) and ||A x - c x||, ||A' x - c-bar x|| of the states xs, the rows of X."""
+def _residuals(A, X, XT, center=None):
+    """Centers c (an array) and ||A x - c x|| of the rows x of X, from one product of A with XT = X.T in C order.
+
+    c is <x, A x>, or ``center``: one value, or one per row (S' and T' take the conjugates of S's and T's).
+    """
     AX = _apply(A, XT)
-    centers = _centers(xs, AX) if center is None else [complex(center)] * len(xs)
-    column = np.array(centers)[:, None]
-    norms = _residual_norms(AX, X, column)
-    del AX  # one product of the batch at a time
-    return centers, norms, _residual_norms(_apply(A.adjoint(), XT), X, column.conj())
+    if center is None:
+        center = np.array(_centers(X, AX))
+    elif np.ndim(center) == 0:
+        center = np.full(len(X), complex(center))
+    AX -= center[:, None] * X
+    return center, [norm(AX[i]) for i in range(len(X))]  # rows by index, as in _centers
 
 
-def _centers(xs, AX):
-    """<x, A x> of each state x of xs, with A x the same row of AX."""
-    return [np.vdot(x, ax) for x, ax in zip(xs, AX)]
+def _centers(X, AX):
+    """<x, A x> of each row x of X, with A x the same row of AX.
 
-
-def _residual_norms(AX, X, column):
-    """||A x - c x|| of each row x of X, with A x the same row of AX (overwritten) and c the same entry of column."""
-    AX -= column * X
-    return list(map(norm, AX))
+    The rows are read by index: iterating an array ends in an IndexError,
+    which costs a batch of one state about what its vdot does.
+    """
+    return [np.vdot(X[i], AX[i]) for i in range(len(X))]
 
 
 @dataclass(frozen=True)
@@ -212,6 +219,11 @@ def _ur2(report: DeltaReport, c_exp, defect, tol):
     rhs = (report.dS + report.dSd) * (report.dT + report.dTd)
     return _ur("UR2 bound (dS + dS') (dT + dT')", abs(c_exp.real), rhs, c_exp, tol,
                cross_condition_defect=defect, hypothesis_violated=bool(defect > 1e-8))
+
+
+def _urs(report: DeltaReport, c_exp, defect, tol):
+    """(UR1, UR2) of a state from its DeltaReport, <xi, C xi> and the pair's cross-condition defect."""
+    return _ur1(report, c_exp, tol), _ur2(report, c_exp, defect, tol)
 
 
 def ur1_check(pair, xi, z=None, w=None, C=None, tol=SATURATION_TOL):
@@ -257,24 +269,21 @@ def swanson_moments(xi: StateVector):
     """
     _require_unit(xi)
     x = xi.components
-    return _moments([x], x[None, :], x[:, None], lowering(xi.dim))[0]
+    return _moments(x[None, :], x[:, None], lowering(xi.dim))[0]
 
 
-def _moments(xs, X, XT, a):
-    """SwansonMoments of the unit states xs, the rows of X, with XT = X.T in C order and a = lowering(N).
+def _moments(X, XT, a):
+    """SwansonMoments of the unit states in the rows of X, with XT = X.T in C order and a = lowering(N).
 
     C_phi is formed as |a x - <a> x|^2, which equals <a* a> - |<a>|^2 for
     unit x without subtracting two numbers of size |<a>|^2, whose rounding
     (about 1e-12 at |<a>| = 50) would swamp a C_phi near zero.
     """
-    aX = _apply(a, XT)
-    means = _centers(xs, aX)
-    spreads = _residual_norms(aX, X, np.array(means)[:, None])
-    del aX
+    means, spreads = _residuals(a, X, XT)
     ad = a.adjoint()
-    means_ad2 = _centers(xs, _apply(ad, ad @ XT))
+    means_ad2 = _centers(X, _apply(ad, ad @ XT))
     return [SwansonMoments(C_phi=spread**2, E_phi=(complex(mean_ad2) - complex(mean_a).conjugate() ** 2).imag)
-            for mean_a, mean_ad2, spread in zip(means, means_ad2, spreads)]
+            for mean_a, mean_ad2, spread in zip(means.tolist(), means_ad2, spreads)]
 
 
 @dataclass(frozen=True)
@@ -358,8 +367,7 @@ def _edge_weight(xi):
 def _swanson_state(theta, pair, xi, tol):
     """Closed-form report, UR1 and UR2 of xi for ``pair = swanson_pair(theta, N)``, from one pass."""
     closed, c_exp = _closed_form(theta, pair, xi)
-    deltas = closed.matrix_deltas
-    return closed, _ur1(deltas, c_exp, tol), _ur2(deltas, c_exp, pair.cross_defect, tol)
+    return closed, *_urs(closed.matrix_deltas, c_exp, pair.cross_defect, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +420,7 @@ def _matrix2x2_reports(s, q, phis, tol):
     all_deltas, c_exps, _ = _pass(pair, states, C=commutator)
     reports = []
     for (phi1, phi2), deltas, c_exp in zip(phis, all_deltas, c_exps):
+        ur1, ur2 = _urs(deltas, c_exp, pair.cross_defect, tol)
         p1, p2 = abs(phi1) ** 2, abs(phi2) ** 2
         closed = (abs(s) * p2, abs(s) * p1, abs(q) * p1, abs(q) * p2)
         ur1_value = abs(p1 - p2)
@@ -420,8 +429,7 @@ def _matrix2x2_reports(s, q, phis, tol):
             deltas=deltas,
             closed_form_deltas=closed,
             closed_form_discrepancy=max(abs(a - b) for a, b in zip(closed, deltas.as_tuple())),
-            ur1=_ur1(deltas, c_exp, tol),
-            ur2=_ur2(deltas, c_exp, pair.cross_defect, tol),
+            ur1=ur1, ur2=ur2,
             ur1_condition_value=ur1_value,
             ur1_condition_met=bool(abs(ur1_value - 1.0) <= tol),
             ur2_condition_value=ur2_value,
@@ -449,6 +457,8 @@ def coherent_grid_states(dim, nx=5, ny=5):
     The coherent states are formed by ``coherent_states`` in batches of
     BATCH_ENTRIES // dim, as ``_pass`` reads them.
     """
+    if nx < 0 or ny < 0:
+        raise DomainParameterError(f"a coherent grid needs counts >= 0, got nx = {nx}, ny = {ny}")
     zs = [complex(re, im) for re in np.linspace(-1.0, 1.0, nx) for im in np.linspace(-1.0, 1.0, ny)]
     size = max(1, BATCH_ENTRIES // dim)
     states = [xi for start in range(0, len(zs), size) for xi in coherent_states(zs[start : start + size], dim)]
@@ -459,9 +469,7 @@ def _swanson_scan(theta, dim, states, tol):
     rows = []
     pair = swanson_pair(theta, dim)
     for xi, deltas, c_exp, moments in zip(states, *_pass(pair, states, moments=True)):
-        c_exp -= _edge_weight(xi)
-        ur1 = _ur1(deltas, c_exp, tol)
-        ur2 = _ur2(deltas, c_exp, pair.cross_defect, tol)
+        ur1, ur2 = _urs(deltas, c_exp - _edge_weight(xi), pair.cross_defect, tol)
         c, e = moments.C_phi, moments.E_phi
         # both readings of the ambiguous quarter-turn saturation functional
         sq_arg = (c + 0.5) ** 2 - e**2
@@ -540,15 +548,19 @@ def saturation_scan(kind, params=(), dim=64, states=None, grid=None, tol=SATURAT
     """Scan a model over probe states (or the 2x2 circle) and tabulate gaps.
 
     kind: "swanson" (params = (theta,)) or "matrix2x2" (params = (s, q),
-    grid = iterable of t values).
+    grid = iterable of t values in [0, 1]).
     """
+    names = {"swanson": ("theta",), "matrix2x2": ("s", "q")}.get(kind)
+    if names is None:
+        raise ValueError(f"unknown scan model {kind!r}")
+    if len(params) != len(names):
+        raise DomainParameterError(f"the {kind} model takes the parameters ({', '.join(names)}), got {tuple(params)!r}")
     if kind == "swanson":
-        (theta,) = params
         if states is None:
             states = coherent_grid_states(dim)
-        return _swanson_scan(theta, dim, states, tol)
-    if kind == "matrix2x2":
-        s, q = params
-        ts = grid if grid is not None else [round(0.1 * i, 10) for i in range(11)]
-        return _matrix2x2_scan(s, q, ts, tol)
-    raise ValueError(f"unknown scan model {kind!r}")
+        return _swanson_scan(*params, dim, states, tol)
+    ts = list(grid) if grid is not None else [round(0.1 * i, 10) for i in range(11)]
+    outside = [t for t in ts if not 0.0 <= t <= 1.0]
+    if outside:
+        raise DomainParameterError(f"matrix2x2 scan point t = {outside[0]!r} lies outside [0, 1]")
+    return _matrix2x2_scan(*params, ts, tol)

@@ -78,8 +78,10 @@ def moment(weight: Weight, k: int):
     mu_k = B((k+1)/4, alpha - (k+1)/4) / 2, taken through lgamma so that
     no Gamma value overflows at large alpha; the Gaussian moment is
     (k-1)!! sqrt(2 pi).  Finiteness is decided by power counting first, which
-    also rejects a negative k.
+    also rejects a negative k.  A non-integral k is no moment order.
     """
+    if not float(k).is_integer():
+        raise DomainParameterError(f"moment order must be an integer, got {k}")
     if not weight.moment_is_finite(k):
         return math.inf
     if k % 2 == 1:

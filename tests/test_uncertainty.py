@@ -8,7 +8,7 @@ import pytest
 
 from weakcr import algebra, fock, uncertainty
 from weakcr.algebra import NCPoly, fock_eval
-from weakcr.errors import InvalidDimensionError, PreconditionError, TruncationError
+from weakcr.errors import DomainParameterError, InvalidDimensionError, PreconditionError, TruncationError
 from weakcr.fock import (
     OperatorPair,
     StateVector,
@@ -68,6 +68,19 @@ def test_a_state_of_another_dimension_is_a_typed_error():
                  lambda: expectation(pair.T, xi), lambda: ur1_check(pair, xi), lambda: ur2_check(pair, xi)):
         with pytest.raises(InvalidDimensionError, match="dimension 32 .* dimension 64"):
             call()
+
+
+@pytest.mark.parametrize("C, error, match", [
+    (3, PreconditionError, "got int"),
+    ("S T", PreconditionError, "got str"),
+    (lowering(8), InvalidDimensionError, "dimension 8 .* dimension 16"),
+])
+def test_a_c_the_pass_cannot_apply_is_a_typed_error(C, error, match):
+    # these ended in numpy's "not enough dimensions", a UFuncTypeError and
+    # "operands could not be broadcast"
+    pair, xi = swanson_pair(0.3, 16), coherent_state(0.3, 16)
+    with pytest.raises(error, match=match):
+        ur1_check(pair, xi, C=C)
 
 
 def test_expectation_center_minimizes_delta():
@@ -335,28 +348,32 @@ def _probe_states(n):
 
 @pytest.mark.parametrize("n", [2, 3, 64])
 @pytest.mark.parametrize("theta", [0.0, 0.3])
-def test_per_state_path_equals_dense_matrices(theta, n):
-    # the dense-matrix computation the shifted and matrix-free path replaces
+def test_per_state_path_equals_dense_matrices(theta, n, monkeypatch):
+    # the dense-matrix computation the shifted and matrix-free path replaces,
+    # met one state per call and by one pass over batches of two states
     pair = swanson_pair(theta, n)
     S, T = pair.S.entries, pair.T.entries
     Sd, Td = pair.S.adjoint().entries, pair.T.adjoint().entries
     a, ad = lowering(n).entries, raising(n).entries
-    for xi in _probe_states(n):
+    states = _probe_states(n)
+    monkeypatch.setattr(uncertainty, "BATCH_ENTRIES", 2 * n)
+    batch_reports, _, batch_moments = uncertainty._pass(pair, states, moments=True)
+    for xi, batch_report, batch_m in zip(states, batch_reports, batch_moments, strict=True):
         x = xi.components
         z = complex(np.vdot(x, S @ x))
         w = complex(np.vdot(x, T @ x))
         dense = (np.linalg.norm(S @ x - z * x), np.linalg.norm(Sd @ x - z.conjugate() * x),
                  np.linalg.norm(T @ x - w * x), np.linalg.norm(Td @ x - w.conjugate() * x))
-        report = delta_report(pair, xi)
-        assert report.as_tuple() == dense
-        assert (report.z, report.w) == (z, w)
+        for report in (delta_report(pair, xi), batch_report):
+            assert report.as_tuple() == dense
+            assert (report.z, report.w) == (z, w)
 
         # C_phi = <a* a> - |<a>|^2, formed for unit x as |a x - <a> x|^2
         mean_a = complex(np.vdot(x, a @ x))
         mean_ad2 = complex(np.vdot(x, ad @ (ad @ x)))
-        m = swanson_moments(xi)
-        assert m.C_phi == np.linalg.norm(a @ x - mean_a * x) ** 2
-        assert m.E_phi == (mean_ad2 - mean_a.conjugate() ** 2).imag
+        for m in (swanson_moments(xi), batch_m):
+            assert m.C_phi == np.linalg.norm(a @ x - mean_a * x) ** 2
+            assert m.E_phi == (mean_ad2 - mean_a.conjugate() ** 2).imag
 
 
 @pytest.mark.parametrize("z", [45, 30 + 20j, 50, 40, 35j])
@@ -557,6 +574,19 @@ def test_scan_of_no_states_is_a_typed_error(kind, params, batch):
     # both ended in numpy's "operands could not be broadcast"
     with pytest.raises(InvalidDimensionError, match="batch of states is empty"):
         saturation_scan(kind, params, **batch)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: saturation_scan("matrix2x2", (1, 1), grid=[1.5]), r"t = 1.5 lies outside \[0, 1\]"),
+    (lambda: saturation_scan("swanson"), r"takes the parameters \(theta\), got \(\)"),
+    (lambda: saturation_scan("matrix2x2", (1,)), r"takes the parameters \(s, q\), got \(1,\)"),
+    (lambda: coherent_grid_states(64, nx=-1), "nx = -1"),
+], ids=["t-outside-unit-interval", "swanson-without-theta", "matrix2x2-with-one-parameter", "negative-grid-count"])
+def test_scan_inputs_outside_their_domain_are_typed_errors(call, match):
+    # these ended in "math domain error", "not enough values to unpack" and
+    # numpy's "Number of samples, -1, must be non-negative"
+    with pytest.raises(DomainParameterError, match=match):
+        call()
 
 
 def test_scan_of_mixed_dimensions_is_a_typed_error():

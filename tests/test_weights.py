@@ -124,6 +124,13 @@ def test_large_alpha_moments_match_beta(k):
     )
 
 
+@pytest.mark.parametrize("weight", [rational_weight(3), gaussian_weight()], ids=["rational", "gaussian"])
+def test_moment_at_a_non_integral_order_is_a_typed_error(weight):
+    # the rational weight gave 0.2886 at k = 2.5, the even-order Beta formula, which is no moment of w
+    with pytest.raises(DomainParameterError, match="must be an integer, got 2.5"):
+        moment(weight, 2.5)
+
+
 def test_gaussian_moment_at_the_float_edge():
     # 299!! sqrt(2 pi) is the last even Gaussian moment below the float maximum
     assert moment(gaussian_weight(), 300) == 9.408063010506738e306
