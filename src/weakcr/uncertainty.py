@@ -19,8 +19,9 @@ against direct matrix computation.
 Per-state quantities come from one pass over the states in batches of at
 most BATCH_ENTRIES entries.  It applies S, S', T, T' and C once each to a
 batch's block, forms every residual A x - z x as one elementwise operation
-on the block, and runs only the reductions (np.vdot and the norm) per state,
-each on that state's own contiguous row, so a batch gives the bits of one
+on the block, and forms each reduction (the centers, the norms) as one
+np.vecdot over the block's rows, which runs on each row the BLAS dot that
+np.vdot or the norm runs on one state, so a batch gives the bits of one
 state at a time and a scan's memory does not grow with its states beyond
 the states themselves.  What depends only on the pair is formed once per
 pass or per pair: the cross-condition defect, a polynomial C's matrix,
@@ -31,6 +32,7 @@ pass or per pair: the cross-condition defect, a polynomial C's matrix,
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,7 @@ from .fock import (
     matrix2x2_pair,
     norm,
     relation_block,
+    row_norms,
     swanson_pair,
 )
 
@@ -72,15 +75,15 @@ def _require_dim(n, xi: StateVector):
         raise InvalidDimensionError(f"state of dimension {xi.dim} does not fit operators of dimension {n}")
 
 
-def _require_unit(xi: StateVector):
-    if abs(xi.norm - 1.0) > 1e-10:
-        raise PreconditionError(f"state must be unit norm, got {xi.norm!r}")
+def _require_unit(length):
+    if abs(length - 1.0) > 1e-10:
+        raise PreconditionError(f"state must be unit norm, got {length!r}")
 
 
 def delta(A: TruncatedOperator, xi: StateVector, z):
     """||(A - z) xi|| for unit xi."""
     _require_dim(A.dim, xi)
-    _require_unit(xi)
+    _require_unit(xi.norm)
     return norm(A @ xi.components - complex(z) * xi.components)
 
 
@@ -116,17 +119,18 @@ def _pass(pair, states, z=None, w=None, C=None, moments=False):
     contiguous row.  S, S', T, T' and C are each applied once to the block
     (a block matvec gives each state bit for bit as a vector matvec), and
     each residual A x - z x is one elementwise operation on the block, which
-    does on each entry what it does on one vector.  Only np.vdot and the
-    norm run per state, each on its state's own contiguous row, so a batch
+    does on each entry what it does on one vector.  Each reduction is one
+    np.vecdot over the block's rows: the norms ||x|| (the unit check and
+    <xi, xi> = ||xi||^2), the centers and the residual norms, so a batch
     gives the bits of one state at a time.  An empty list, or a state or C
     whose dimension is not the pair's, is an InvalidDimensionError; a C of
-    any other type is a PreconditionError.
+    any other type, or a state whose norm is not 1, is a PreconditionError.
+    Every state's dimension is checked before any state's norm.
     """
     if len(states) == 0:
         raise InvalidDimensionError("the batch of states is empty")
     for xi in states:
         _require_dim(pair.dim, xi)
-        _require_unit(xi)
     if C is not None and not isinstance(C, TruncatedOperator):
         from .algebra import NCPoly, fock_eval  # only a polynomial C needs the algebra
 
@@ -141,6 +145,9 @@ def _pass(pair, states, z=None, w=None, C=None, moments=False):
     for start in range(0, len(states), size):
         batch = states[start : start + size]
         X = np.array([xi.components for xi in batch])
+        norms = row_norms(X).tolist()
+        for n in norms:
+            _require_unit(n)
         XT = np.ascontiguousarray(X.T)
         zs, dS = _residuals(pair.S, X, XT, z)
         dSd = _residuals(pair.S.adjoint(), X, XT, zs.conj())[1]
@@ -148,9 +155,9 @@ def _pass(pair, states, z=None, w=None, C=None, moments=False):
         dTd = _residuals(pair.T.adjoint(), X, XT, ws.conj())[1]
         reports += [DeltaReport(*ds, z=zj, w=wj) for *ds, zj, wj in zip(dS, dSd, dT, dTd, zs.tolist(), ws.tolist())]
         if C is None:
-            c_exps += [complex(xi.norm**2) for xi in batch]
+            c_exps += [complex(n**2) for n in norms]
         else:
-            c_exps += [complex(c) for c in _centers(X, _apply(C, XT))]
+            c_exps += _centers(X, _apply(C, XT)).tolist()
         if moments:
             all_moments += _moments(X, XT, a)
     return reports, c_exps, (all_moments if moments else None)
@@ -174,20 +181,20 @@ def _residuals(A, X, XT, center=None):
     """
     AX = _apply(A, XT)
     if center is None:
-        center = np.array(_centers(X, AX))
+        center = _centers(X, AX)
     elif np.ndim(center) == 0:
         center = np.full(len(X), complex(center))
     AX -= center[:, None] * X
-    return center, [norm(AX[i]) for i in range(len(X))]  # rows by index, as in _centers
+    return center, row_norms(AX).tolist()
 
 
 def _centers(X, AX):
-    """<x, A x> of each row x of X, with A x the same row of AX.
+    """<x, A x> of each row x of X, with A x the same row of AX, as one array.
 
-    The rows are read by index: iterating an array ends in an IndexError,
-    which costs a batch of one state about what its vdot does.
+    np.vecdot conjugates X as np.vdot does, and runs on each row the BLAS
+    dot that np.vdot runs on one state, so each center has its bits.
     """
-    return [np.vdot(X[i], AX[i]) for i in range(len(X))]
+    return np.vecdot(X, AX)
 
 
 @dataclass(frozen=True)
@@ -267,7 +274,7 @@ def swanson_moments(xi: StateVector):
     a = lowering(N) and a* = raising(N) act on xi as on a batch in ``_pass``;
     C_phi is formed as |a xi - <a> xi|^2, without cancellation.
     """
-    _require_unit(xi)
+    _require_unit(xi.norm)
     x = xi.components
     return _moments(x[None, :], x[:, None], lowering(xi.dim))[0]
 
@@ -281,8 +288,8 @@ def _moments(X, XT, a):
     """
     means, spreads = _residuals(a, X, XT)
     ad = a.adjoint()
-    means_ad2 = _centers(X, _apply(ad, ad @ XT))
-    return [SwansonMoments(C_phi=spread**2, E_phi=(complex(mean_ad2) - complex(mean_a).conjugate() ** 2).imag)
+    means_ad2 = _centers(X, _apply(ad, ad @ XT)).tolist()
+    return [SwansonMoments(C_phi=spread**2, E_phi=(mean_ad2 - mean_a.conjugate() ** 2).imag)
             for mean_a, mean_ad2, spread in zip(means.tolist(), means_ad2, spreads)]
 
 
@@ -457,9 +464,14 @@ def coherent_grid_states(dim, nx=5, ny=5):
     The coherent states are formed by ``coherent_states`` in batches of
     BATCH_ENTRIES // dim, as ``_pass`` reads them.
     """
+    try:
+        nx, ny = operator.index(nx), operator.index(ny)
+    except TypeError:
+        raise DomainParameterError(f"a coherent grid needs integral counts, got nx = {nx!r}, ny = {ny!r}") from None
     if nx < 0 or ny < 0:
         raise DomainParameterError(f"a coherent grid needs counts >= 0, got nx = {nx}, ny = {ny}")
-    zs = [complex(re, im) for re in np.linspace(-1.0, 1.0, nx) for im in np.linspace(-1.0, 1.0, ny)]
+    ims = np.linspace(-1.0, 1.0, ny).tolist()
+    zs = [complex(re, im) for re in np.linspace(-1.0, 1.0, nx).tolist() for im in ims]
     size = max(1, BATCH_ENTRIES // dim)
     states = [xi for start in range(0, len(zs), size) for xi in coherent_states(zs[start : start + size], dim)]
     return states + [basis_state(k, dim) for k in range(5)]

@@ -14,7 +14,7 @@ from scipy.special import gammainc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakcr import fock
+from weakcr import fock, uncertainty
 from weakcr.errors import DomainParameterError, InvalidDimensionError, TruncationError
 from weakcr.fock import (
     Band,
@@ -269,6 +269,41 @@ def test_coherent_states_refuse_a_batch_as_the_one_state_recurrence_refuses_its_
 def test_norm_has_the_bits_of_numpys_norm(u):
     want = float(np.linalg.norm(np.asarray(u).reshape(-1)))
     assert fock.norm(u).hex() == want.hex()
+
+
+def _rows(seed, L, n):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((L, n)) + 1j * rng.standard_normal((L, n))
+
+
+# blocks whose rows the batch reductions read, each built from a seed
+_ROW_BLOCKS = {
+    "one-row": lambda seed: _rows(seed, 1, 64),
+    "86-rows-at-N128": lambda seed: _rows(seed, 86, 128),
+    "256-rows-at-N1024": lambda seed: _rows(seed, 256, 1024),
+    "strided": lambda seed: _rows(seed, 12, 90)[::2, ::3],
+    "transposed": lambda seed: _rows(seed, 40, 7).T,
+    "rows-at-1e150-and-1e-150": lambda seed: _rows(seed, 6, 32) * np.array([1e150, 1e-150] * 3)[:, None],
+    "subnormal-rows": lambda seed: _rows(seed, 4, 32) * 1e-310,
+    "zero-rows": lambda seed: _rows(seed, 5, 16) * np.array([0.0, 1.0, 0.0, 1.0, 0.0])[:, None],
+}
+
+
+@pytest.mark.parametrize("block", _ROW_BLOCKS.values(), ids=_ROW_BLOCKS.keys())
+def test_row_norms_have_the_bits_of_norm_on_each_row(block):
+    X = block(1)
+    got = fock.row_norms(X)
+    assert got.shape == (len(X),)
+    assert [v.hex() for v in got.tolist()] == [fock.norm(x).hex() for x in X]
+
+
+@pytest.mark.parametrize("block", _ROW_BLOCKS.values(), ids=_ROW_BLOCKS.keys())
+def test_centers_have_the_bits_of_vdot_on_each_row(block):
+    X, AX = block(1), block(2)
+    got = uncertainty._centers(X, AX)
+    want = [complex(np.vdot(X[i], AX[i])) for i in range(len(X))]  # the per-row loop the block replaced
+    assert got.shape == (len(X),)
+    assert [(c.real.hex(), c.imag.hex()) for c in got.tolist()] == [(c.real.hex(), c.imag.hex()) for c in want]
 
 
 @pytest.mark.parametrize("z, n", [(2, 4), (4, 40), (4, 50), (30, 64), (6, 110)])

@@ -581,12 +581,40 @@ def test_scan_of_no_states_is_a_typed_error(kind, params, batch):
     (lambda: saturation_scan("swanson"), r"takes the parameters \(theta\), got \(\)"),
     (lambda: saturation_scan("matrix2x2", (1,)), r"takes the parameters \(s, q\), got \(1,\)"),
     (lambda: coherent_grid_states(64, nx=-1), "nx = -1"),
-], ids=["t-outside-unit-interval", "swanson-without-theta", "matrix2x2-with-one-parameter", "negative-grid-count"])
+    (lambda: coherent_grid_states(64, nx=2.5), "integral counts, got nx = 2.5, ny = 5"),
+], ids=["t-outside-unit-interval", "swanson-without-theta", "matrix2x2-with-one-parameter", "negative-grid-count",
+        "non-integral-grid-count"])
 def test_scan_inputs_outside_their_domain_are_typed_errors(call, match):
-    # these ended in "math domain error", "not enough values to unpack" and
-    # numpy's "Number of samples, -1, must be non-negative"
+    # these ended in "math domain error", "not enough values to unpack",
+    # numpy's "Number of samples, -1, must be non-negative" and a TypeError
+    # from np.linspace
     with pytest.raises(DomainParameterError, match=match):
         call()
+
+
+def test_coherent_grid_keeps_its_points_and_order():
+    # the real part runs in the outer loop, the imaginary part in the inner one
+    zs = [complex(a, b) for a in np.linspace(-1.0, 1.0, 3) for b in np.linspace(-1.0, 1.0, 4)]
+    want = fock.coherent_states(zs, 64) + [basis_state(k, 64) for k in range(5)]
+    got = coherent_grid_states(64, 3, 4)
+    assert [xi.label for xi in got] == [xi.label for xi in want]
+    assert [xi.components.tobytes() for xi in got] == [xi.components.tobytes() for xi in want]
+
+
+def test_a_state_of_another_dimension_is_refused_before_a_non_unit_state():
+    # every dimension is checked before the batches' norms, so the state of
+    # dimension 4 is named though the non-unit state comes first
+    states = [StateVector(np.ones(8)), basis_state(0, 4)]
+    with pytest.raises(InvalidDimensionError, match="dimension 4 .* dimension 8"):
+        saturation_scan("swanson", (0.3,), dim=8, states=states)
+
+
+def test_a_non_unit_state_in_a_later_batch_is_refused_with_its_norm(monkeypatch):
+    monkeypatch.setattr(uncertainty, "BATCH_ENTRIES", 2 * 8)
+    # two states a batch: the state of norm sqrt(2) opens the second batch
+    states = [basis_state(0, 8), basis_state(1, 8), StateVector(np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0]))]
+    with pytest.raises(PreconditionError, match=r"^state must be unit norm, got 1\.4142135623730951$"):
+        saturation_scan("swanson", (0.3,), dim=8, states=states)
 
 
 def test_scan_of_mixed_dimensions_is_a_typed_error():
