@@ -450,6 +450,8 @@ def cmd_uncertainty(args):
     from .fock import swanson_pair
     from .uncertainty import _swanson_state, coherent_grid_states, matrix2x2_report, saturation_scan
 
+    if args.scan and args.state:
+        raise WeakCRError("choose one of --scan or --state")
     kind, params = _parse_model(args.model)
     tols = {**_tolerances(args, saturation=1e-6), "validity": 1e-8}
     tol = tols["saturation"]

@@ -12,7 +12,8 @@ intertwine the two number-like operators; when the restriction of K_eta to
 the xi-span is positive its square root turns the xi family into an
 orthonormal one, which is the finite-model shadow of the Riesz-basis
 statement.  Both maps live on the L-dimensional ladder spans, so they are
-checked in ladder coordinates and never formed as N x N matrices.
+checked in ladder coordinates and never formed as N x N matrices.  Each
+check is one reduction (``row_norms`` or np.vecdot) over a family's block.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     PreconditionError,
     TruncationError,
 )
-from .fock import StateVector, TruncatedOperator, _ladder_coefficients, inner, norm
+from .fock import StateVector, TruncatedOperator, _ladder_coefficients, inner, norm, row_norms
 
 
 #: the largest relative tail and kernel residual ``kernel_vector`` accepts
@@ -127,20 +128,25 @@ def tail_mass_membership(band):
 class LadderFamily:
     """The vectors psi_k = A^k psi_0 / sqrt(k!) as the columns of one N x L block.
 
-    The block is column-major, so each psi_k is contiguous and every
-    reduction over it (np.vdot, norm) sums in the order of a lone vector.
+    The block is column-major, so each psi_k is contiguous, and one np.vecdot
+    over the rows of ``block.T`` runs on each psi_k the dot of a lone vector.
     """
 
     block: np.ndarray
     stop_reason: str
 
     def __post_init__(self):
-        for k, v in enumerate(self.block.T):
-            if norm(v) == 0:
-                raise PreconditionError(f"ladder vector {k} is zero")
+        zero = np.flatnonzero(_column_norms(self.block) == 0)
+        if zero.size:
+            raise PreconditionError(f"ladder vector {zero[0]} is zero")
 
     def __len__(self):
         return self.block.shape[1]
+
+
+def _column_norms(M):
+    """``norm`` of each column of M; a real column gets norm's dot only when contiguous, as a ladder's is."""
+    return row_norms(np.asfortranarray(M).T)
 
 
 def build_ladder(op: TruncatedOperator, base: StateVector, n_max, member=None):
@@ -174,19 +180,21 @@ def eigen_check(pair, fam: LadderFamily):
     with the lowering action S psi_k = sqrt(k) psi_{k-1}; the returned entry
     is the larger of the two relative residuals.  S and T are each applied
     once to the whole block, so T S acts as the matvec chain T (S psi_k).
+    Each residual block's norms are one ``row_norms``: r_num for every k,
+    then r_low for k >= 1, each with the bits of norm on its lone vector.
     """
     X = fam.block
     if pair.dim != X.shape[0]:
         raise InvalidDimensionError("pair and family dimensions differ")
     SX = pair.S @ X
     TSX = pair.T @ SX
-    residuals = []
-    for k, psi in enumerate(X.T):
-        scale = norm(psi)
-        r_num = norm(TSX[:, k] - k * psi) / scale
-        r_low = 0.0 if k == 0 else norm(SX[:, k] - math.sqrt(k) * X[:, k - 1]) / scale
-        residuals.append(max(r_num, r_low))
-    return residuals
+    k = np.arange(X.shape[1])
+    scale = _column_norms(X)
+    r_num = _column_norms(TSX - k * X) / scale
+    r_low = np.zeros_like(r_num)
+    r_low[1:] = _column_norms(SX[:, 1:] - np.sqrt(k[1:]) * X[:, :-1]) / scale[1:]
+    # max(r_num, r_low) as Python takes it: r_num unless r_low is larger
+    return np.where(r_low > r_num, r_low, r_num).tolist()
 
 
 def residuals_monotone(residuals):
@@ -208,11 +216,8 @@ def biorthogonality_gram(fam_xi: LadderFamily, fam_eta: LadderFamily):
     The result should be the identity on the overlapping index range.
     """
     Y = _rescaled_eta(fam_xi, fam_eta)
-    G = np.empty((len(fam_xi), Y.shape[1]), dtype=complex)
-    for i, xi in enumerate(fam_xi.block.T):
-        for j, eta in enumerate(Y.T):
-            G[i, j] = inner(xi, eta)
-    return G
+    # one np.vecdot over every pair of contiguous columns: G[i, j] = np.vdot(eta_j, xi_i)
+    return np.vecdot(Y.T[None], fam_xi.block.T[:, None])
 
 
 @dataclass(frozen=True)
@@ -266,8 +271,8 @@ def intertwiners(pair, fam_xi: LadderFamily, fam_eta: LadderFamily):
     # column j: K_eta (T S) xi_j - (S' T') K_eta xi_j, and the mirror on eta_j
     D_eta = Y @ (X_pinv @ (T @ (S @ X))) - Sd @ (Td @ (Y @ PX))
     D_xi = X @ (Y_pinv @ (Sd @ (Td @ Y))) - T @ (S @ (X @ PY))
-    d_eta = max(norm(D_eta[:, j]) / norm(X[:, j]) for j in range(L))
-    d_xi = max(norm(D_xi[:, j]) / norm(Y[:, j]) for j in range(L))
+    d_eta = max((_column_norms(D_eta) / _column_norms(X)).tolist())
+    d_xi = max((_column_norms(D_xi) / _column_norms(Y)).tolist())
 
     # restriction of K_eta to the xi-span in the frame U: U' Y X^+ U = (U' Y) V diag(1/s)
     A = (Ux.conj().T @ Y) @ (Vhx.conj().T / sx)

@@ -26,7 +26,9 @@ state at a time and a scan's memory does not grow with its states beyond
 the states themselves.  What depends only on the pair is formed once per
 pass or per pair: the cross-condition defect, a polynomial C's matrix,
 ``lowering(N)``, and the 2x2 model's pair and [S, T], so a scan over the
-2x2 circle makes one pass.
+2x2 circle makes one pass.  Each state's values leave it as plain numbers,
+which one rule, ``_bound``, takes to UR1 or UR2; result objects are built
+only where a public function returns one.
 """
 
 from __future__ import annotations
@@ -107,11 +109,11 @@ def delta_report(pair: OperatorPair, xi: StateVector, z=None, w=None):
 
     This is the one-state case of ``_pass``, the batch pass every check reads.
     """
-    return _pass(pair, [xi], z, w)[0][0]
+    return DeltaReport(*_pass(pair, [xi], z, w)[0][0])
 
 
 def _pass(pair, states, z=None, w=None, C=None, moments=False):
-    """DeltaReports, <xi, C xi> and, with ``moments``, SwansonMoments of a list of unit states.
+    """Per unit state, as plain numbers: (dS, dS', dT, dT', z, w), <xi, C xi> and, with ``moments``, (C_phi, E_phi).
 
     C is None for C = 1 (giving |xi|^2), an NCPoly, evaluated by fock_eval
     once per call, or an operator.  The states are taken in batches of
@@ -141,7 +143,7 @@ def _pass(pair, states, z=None, w=None, C=None, moments=False):
         raise InvalidDimensionError(f"C of dimension {C.dim} does not fit operators of dimension {pair.dim}")
     a = lowering(pair.dim) if moments else None
     size = max(1, BATCH_ENTRIES // pair.dim)
-    reports, c_exps, all_moments = [], [], []
+    deltas, c_exps, all_moments = [], [], []
     for start in range(0, len(states), size):
         batch = states[start : start + size]
         X = np.array([xi.components for xi in batch])
@@ -153,14 +155,14 @@ def _pass(pair, states, z=None, w=None, C=None, moments=False):
         dSd = _residuals(pair.S.adjoint(), X, XT, zs.conj())[1]
         ws, dT = _residuals(pair.T, X, XT, w)
         dTd = _residuals(pair.T.adjoint(), X, XT, ws.conj())[1]
-        reports += [DeltaReport(*ds, z=zj, w=wj) for *ds, zj, wj in zip(dS, dSd, dT, dTd, zs.tolist(), ws.tolist())]
+        deltas += zip(dS, dSd, dT, dTd, zs.tolist(), ws.tolist())
         if C is None:
             c_exps += [complex(n**2) for n in norms]
         else:
             c_exps += _centers(X, _apply(C, XT)).tolist()
         if moments:
             all_moments += _moments(X, XT, a)
-    return reports, c_exps, (all_moments if moments else None)
+    return deltas, c_exps, (all_moments if moments else None)
 
 
 def _apply(A, XT):
@@ -208,29 +210,26 @@ class URResult:
     hypothesis_violated: bool = False
 
 
-def _ur(bound, lhs, rhs, c_exp, tol, **hypothesis):
-    """The URResult of lhs <= rhs; a bound past the float range has no gap to report."""
+def _bound(ur, deltas, c_exp, tol):
+    """(lhs, rhs, gap, saturated) of UR1 (ur = 1) or UR2 (ur = 2) from a state's deltas and <xi, C xi>.
+
+    ``deltas`` leads with (dS, dS', dT, dT'); gap = rhs - lhs.  A bound past
+    the float range has no gap to report, so it raises DomainParameterError.
+    """
+    dS, dSd, dT, dTd = deltas[:4]
+    if ur == 1:
+        lhs, rhs, text = abs(c_exp), 2.0 * max(dS, dSd) * max(dT, dTd), "2 max(dS, dS') max(dT, dT')"
+    else:
+        lhs, rhs, text = abs(c_exp.real), (dS + dSd) * (dT + dTd), "(dS + dS') (dT + dT')"
     if not math.isfinite(rhs):
-        raise DomainParameterError(f"the {bound} overflows the float range")
+        raise DomainParameterError(f"the UR{ur} bound {text} overflows the float range")
     gap = rhs - lhs
-    return URResult(lhs=lhs, rhs=rhs, gap=gap, saturated=bool(abs(gap) <= tol),
-                    c_expectation=c_exp, **hypothesis)
+    return lhs, rhs, gap, bool(abs(gap) <= tol)
 
 
-def _ur1(report: DeltaReport, c_exp, tol):
-    rhs = 2.0 * max(report.dS, report.dSd) * max(report.dT, report.dTd)
-    return _ur("UR1 bound 2 max(dS, dS') max(dT, dT')", abs(c_exp), rhs, c_exp, tol)
-
-
-def _ur2(report: DeltaReport, c_exp, defect, tol):
-    rhs = (report.dS + report.dSd) * (report.dT + report.dTd)
-    return _ur("UR2 bound (dS + dS') (dT + dT')", abs(c_exp.real), rhs, c_exp, tol,
-               cross_condition_defect=defect, hypothesis_violated=bool(defect > 1e-8))
-
-
-def _urs(report: DeltaReport, c_exp, defect, tol):
-    """(UR1, UR2) of a state from its DeltaReport, <xi, C xi> and the pair's cross-condition defect."""
-    return _ur1(report, c_exp, tol), _ur2(report, c_exp, defect, tol)
+def _cross(pair):
+    """UR2's hypothesis fields of a URResult: the pair's cross-condition defect and whether it passes 1e-8."""
+    return pair.cross_defect, bool(pair.cross_defect > 1e-8)
 
 
 def ur1_check(pair, xi, z=None, w=None, C=None, tol=SATURATION_TOL):
@@ -239,8 +238,8 @@ def ur1_check(pair, xi, z=None, w=None, C=None, tol=SATURATION_TOL):
     C defaults to 1, the untruncated relation; a truncated pair's own
     commutator can be passed as C (an NCPoly or an operator).
     """
-    (report,), (c_exp,), _ = _pass(pair, [xi], z, w, C)
-    return _ur1(report, c_exp, tol)
+    (deltas,), (c_exp,), _ = _pass(pair, [xi], z, w, C)
+    return URResult(*_bound(1, deltas, c_exp, tol), c_exp)
 
 
 def ur2_check(pair, xi, C=None, tol=SATURATION_TOL):
@@ -249,10 +248,11 @@ def ur2_check(pair, xi, C=None, tol=SATURATION_TOL):
     C defaults to 1, as in ``ur1_check``.  Needs the cross condition
     [S',T] - [S,T'] = 0; its defect, formed once per pair, is always
     reported and the result is flagged ``hypothesis_violated`` (never
-    suppressed) when it exceeds 1e-8.
+    suppressed) when it exceeds 1e-8.  Only UR2 is evaluated: a UR1 bound
+    past the float range does not stop it.
     """
-    (report,), (c_exp,), _ = _pass(pair, [xi], C=C)
-    return _ur2(report, c_exp, pair.cross_defect, tol)
+    (deltas,), (c_exp,), _ = _pass(pair, [xi], C=C)
+    return URResult(*_bound(2, deltas, c_exp, tol), c_exp, *_cross(pair))
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +276,11 @@ def swanson_moments(xi: StateVector):
     """
     _require_unit(xi.norm)
     x = xi.components
-    return _moments(x[None, :], x[:, None], lowering(xi.dim))[0]
+    return SwansonMoments(*_moments(x[None, :], x[:, None], lowering(xi.dim))[0])
 
 
 def _moments(X, XT, a):
-    """SwansonMoments of the unit states in the rows of X, with XT = X.T in C order and a = lowering(N).
+    """(C_phi, E_phi) of the unit states in the rows of X, with XT = X.T in C order and a = lowering(N).
 
     C_phi is formed as |a x - <a> x|^2, which equals <a* a> - |<a>|^2 for
     unit x without subtracting two numbers of size |<a>|^2, whose rounding
@@ -289,7 +289,7 @@ def _moments(X, XT, a):
     means, spreads = _residuals(a, X, XT)
     ad = a.adjoint()
     means_ad2 = _centers(X, _apply(ad, ad @ XT)).tolist()
-    return [SwansonMoments(C_phi=spread**2, E_phi=(mean_ad2 - mean_a.conjugate() ** 2).imag)
+    return [(spread**2, (mean_ad2 - mean_a.conjugate() ** 2).imag)
             for mean_a, mean_ad2, spread in zip(means.tolist(), means_ad2, spreads)]
 
 
@@ -324,7 +324,7 @@ def swanson_closed_form(theta, xi: StateVector):
 
 def _closed_form(theta, pair, xi):
     """The SwansonReport and <xi, [S, T] xi> of xi for ``pair = swanson_pair(theta, N)``, from one pass."""
-    (matrix,), (c_exp,), (moments,) = _pass(pair, [xi], moments=True)
+    (matrix,), (c_exp,), ((c, e),) = _pass(pair, [xi], moments=True)
     weight = _edge_weight(xi)
     if weight > 1e-5:
         raise TruncationError(
@@ -332,7 +332,6 @@ def _closed_form(theta, pair, xi):
             "1e-5; the truncated a* drops it from the squared deltas",
             tail_mass=weight,
         )
-    c, e = moments.C_phi, moments.E_phi
     s2 = math.sin(theta) ** 2
     c2 = math.cos(theta) ** 2
     s2t = math.sin(2.0 * theta)
@@ -347,22 +346,12 @@ def _closed_form(theta, pair, xi):
             raise ClosedFormInconsistencyError(
                 f"closed form ({name})^2 = {value:.3e} is negative"
             )
-    closed = DeltaReport(
-        dS=math.sqrt(max(squares["dS"], 0.0)),
-        dSd=math.sqrt(max(squares["dSd"], 0.0)),
-        dT=math.sqrt(max(squares["dT"], 0.0)),
-        dTd=math.sqrt(max(squares["dTd"], 0.0)),
-        z=matrix.z,
-        w=matrix.w,
-    )
-    discrepancy = max(
-        abs(a - b) for a, b in zip(closed.as_tuple(), matrix.as_tuple())
-    )
+    closed = [math.sqrt(max(value, 0.0)) for value in squares.values()]
     return SwansonReport(
-        moments=moments,
-        deltas=closed,
-        matrix_deltas=matrix,
-        matrix_discrepancy=discrepancy,
+        moments=SwansonMoments(c, e),
+        deltas=DeltaReport(*closed, *matrix[4:]),
+        matrix_deltas=DeltaReport(*matrix),
+        matrix_discrepancy=max(abs(a - b) for a, b in zip(closed, matrix)),
     ), c_exp - weight
 
 
@@ -374,7 +363,9 @@ def _edge_weight(xi):
 def _swanson_state(theta, pair, xi, tol):
     """Closed-form report, UR1 and UR2 of xi for ``pair = swanson_pair(theta, N)``, from one pass."""
     closed, c_exp = _closed_form(theta, pair, xi)
-    return closed, *_urs(closed.matrix_deltas, c_exp, pair.cross_defect, tol)
+    deltas = closed.matrix_deltas.as_tuple()
+    return (closed, URResult(*_bound(1, deltas, c_exp, tol), c_exp),
+            URResult(*_bound(2, deltas, c_exp, tol), c_exp, *_cross(pair)))
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +416,19 @@ def _matrix2x2_reports(s, q, phis, tol):
     pair = matrix2x2_pair(s, q)
     commutator = TruncatedOperator.banded(relation_block(pair.S.band, pair.T.band, pair.dim)[0])
     all_deltas, c_exps, _ = _pass(pair, states, C=commutator)
+    cross = _cross(pair)
     reports = []
     for (phi1, phi2), deltas, c_exp in zip(phis, all_deltas, c_exps):
-        ur1, ur2 = _urs(deltas, c_exp, pair.cross_defect, tol)
         p1, p2 = abs(phi1) ** 2, abs(phi2) ** 2
         closed = (abs(s) * p2, abs(s) * p1, abs(q) * p1, abs(q) * p2)
         ur1_value = abs(p1 - p2)
         ur2_value = max(p1, p2) - math.sqrt(abs(p1 - p2) / 2.0)
         reports.append(Matrix2x2Report(
-            deltas=deltas,
+            deltas=DeltaReport(*deltas),
             closed_form_deltas=closed,
-            closed_form_discrepancy=max(abs(a - b) for a, b in zip(closed, deltas.as_tuple())),
-            ur1=ur1, ur2=ur2,
+            closed_form_discrepancy=max(abs(a - b) for a, b in zip(closed, deltas)),
+            ur1=URResult(*_bound(1, deltas, c_exp, tol), c_exp),
+            ur2=URResult(*_bound(2, deltas, c_exp, tol), c_exp, *cross),
             ur1_condition_value=ur1_value,
             ur1_condition_met=bool(abs(ur1_value - 1.0) <= tol),
             ur2_condition_value=ur2_value,
@@ -477,33 +469,26 @@ def coherent_grid_states(dim, nx=5, ny=5):
     return states + [basis_state(k, dim) for k in range(5)]
 
 
+#: the columns of a swanson scan's rows
+_SWANSON_COLUMNS = ("state", "C_phi", "E_phi", "ur1_lhs", "ur1_rhs", "ur1_gap", "ur1_saturated",
+                    "ur2_lhs", "ur2_rhs", "ur2_gap", "ur2_saturated", "cross_defect",
+                    "functional_squared_reading", "functional_linear_reading")
+
+
 def _swanson_scan(theta, dim, states, tol):
-    rows = []
+    """The scan's rows from one pass: each state's values go straight from its tuples into its row."""
     pair = swanson_pair(theta, dim)
-    for xi, deltas, c_exp, moments in zip(states, *_pass(pair, states, moments=True)):
-        ur1, ur2 = _urs(deltas, c_exp - _edge_weight(xi), pair.cross_defect, tol)
-        c, e = moments.C_phi, moments.E_phi
+    defect, rows = pair.cross_defect, []
+    for xi, deltas, c_exp, (c, e) in zip(states, *_pass(pair, states, moments=True)):
+        c_exp -= _edge_weight(xi)
         # both readings of the ambiguous quarter-turn saturation functional
         sq_arg = (c + 0.5) ** 2 - e**2
         lin_arg = (c + 0.5) - e**2
-        rows.append(
-            {
-                "state": xi.label,
-                "C_phi": c,
-                "E_phi": e,
-                "ur1_lhs": ur1.lhs,
-                "ur1_rhs": ur1.rhs,
-                "ur1_gap": ur1.gap,
-                "ur1_saturated": ur1.saturated,
-                "ur2_lhs": ur2.lhs,
-                "ur2_rhs": ur2.rhs,
-                "ur2_gap": ur2.gap,
-                "ur2_saturated": ur2.saturated,
-                "cross_defect": ur2.cross_condition_defect,
-                "functional_squared_reading": math.sqrt(sq_arg) if sq_arg >= 0 else float("nan"),
-                "functional_linear_reading": math.sqrt(lin_arg) if lin_arg >= 0 else float("nan"),
-            }
-        )
+        rows.append(dict(zip(_SWANSON_COLUMNS, (
+            xi.label, c, e, *_bound(1, deltas, c_exp, tol), *_bound(2, deltas, c_exp, tol), defect,
+            math.sqrt(sq_arg) if sq_arg >= 0 else float("nan"),
+            math.sqrt(lin_arg) if lin_arg >= 0 else float("nan"),
+        ))))
     f_sq = [r["functional_squared_reading"] for r in rows if not math.isnan(r["functional_squared_reading"])]
     summary = {
         "min_ur1_gap": min(r["ur1_gap"] for r in rows),
@@ -515,7 +500,7 @@ def _swanson_scan(theta, dim, states, tol):
     }
     return ScanTable(
         model=f"swanson:{theta:g}",
-        columns=list(rows[0].keys()),
+        columns=list(_SWANSON_COLUMNS),
         rows=rows,
         summary=summary,
     )

@@ -636,6 +636,123 @@ def test_intertwiners_factor_each_family_once(monkeypatch):
     assert len(calls) == 2
 
 
+# --- each check against its per-column loop -----------------------------------------
+
+
+def _first_zero_vector_by_columns(block):
+    """The index of the first column whose norm is 0, one column at a time, or None."""
+    return next((k for k, v in enumerate(block.T) if norm(v) == 0), None)
+
+
+def _eigen_check_by_columns(pair, fam):
+    """eigen_check's residuals, one column at a time."""
+    X = fam.block
+    SX = pair.S @ X
+    TSX = pair.T @ SX
+    residuals = []
+    for k, psi in enumerate(X.T):
+        scale = norm(psi)
+        r_num = norm(TSX[:, k] - k * psi) / scale
+        r_low = 0.0 if k == 0 else norm(SX[:, k] - math.sqrt(k) * X[:, k - 1]) / scale
+        residuals.append(max(r_num, r_low))
+    return residuals
+
+
+def _gram_by_columns(fam_xi, fam_eta):
+    """The Gram matrix <xi_i, eta_j> after scaling <xi0, eta0> = 1, one pair of columns at a time."""
+    Y = (1.0 / inner(fam_xi.block[:, 0], fam_eta.block[:, 0])).conjugate() * fam_eta.block
+    G = np.empty((len(fam_xi), Y.shape[1]), dtype=complex)
+    for i, xi in enumerate(fam_xi.block.T):
+        for j, eta in enumerate(Y.T):
+            G[i, j] = inner(xi, eta)
+    return G
+
+
+def _intertwining_defects_by_columns(pair, fam_xi, fam_eta):
+    """intertwiners' (d_eta, d_xi) from the same blocks, one column at a time."""
+    L = min(len(fam_xi), len(fam_eta))
+    X = fam_xi.block[:, :L]
+    Y = ((1.0 / inner(fam_xi.block[:, 0], fam_eta.block[:, 0])).conjugate() * fam_eta.block)[:, :L]
+    svds = [np.linalg.svd(M, full_matrices=False) for M in (X, Y)]
+    X_pinv, Y_pinv = ((Vh.conj().T / sv) @ U.conj().T for U, sv, Vh in svds)
+    PX, PY = X_pinv @ X, Y_pinv @ Y
+    S, T = pair.S, pair.T
+    Sd, Td = S.adjoint(), T.adjoint()
+    D_eta = Y @ (X_pinv @ (T @ (S @ X))) - Sd @ (Td @ (Y @ PX))
+    D_xi = X @ (Y_pinv @ (Sd @ (Td @ Y))) - T @ (S @ (X @ PY))
+    return (max(norm(D_eta[:, j]) / norm(X[:, j]) for j in range(L)),
+            max(norm(D_xi[:, j]) / norm(Y[:, j]) for j in range(L)))
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _stopped_and_short_families():
+    # xi climbs until membership stops it; eta reaches n_max = 3 first
+    pair = swanson_pair(0.3, 64)
+    member = tail_mass_membership(pair.safe_rank)
+    fam_xi = build_ladder(pair.T, kernel_vector(pair.S, 1e-10), 40, member=member)
+    fam_eta = build_ladder(pair.S.adjoint(), kernel_vector(pair.T.adjoint(), 1e-10), 3)
+    return pair, fam_xi, fam_eta
+
+
+def _real_row_major_families():
+    # built by hand: on a real block only a contiguous copy of a column gets norm's dot
+    rng = np.random.default_rng(1)
+    X, Y = (np.ascontiguousarray(rng.normal(size=(64, 9))) for _ in range(2))
+    return boson_pair(64), LadderFamily(X, "by hand"), LadderFamily(Y, "by hand")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: swanson_families(0.3, 96, 6),
+    lambda: swanson_families(0.0, 64, 6),
+    lambda: swanson_families(0.45, 512, 12),
+    lambda: swanson_families(0.7, 300, 10),
+    lambda: swanson_families(0.3, 96, 0),
+    _stopped_and_short_families,
+    _real_row_major_families,
+], ids=["swanson_0.3_N96", "swanson_0_N64", "swanson_0.45_N512", "swanson_0.7_N300", "one_vector", "stopped_vs_short",
+        "real_row_major"])
+def test_checks_have_the_bits_of_the_per_column_loops(make):
+    pair, fam_xi, fam_eta = make()
+    for fam in (fam_xi, fam_eta):
+        assert _hex(eigen_check(pair, fam)) == _hex(_eigen_check_by_columns(pair, fam))
+    for a, b in ((fam_xi, fam_eta), (fam_eta, fam_xi)):
+        got, want = biorthogonality_gram(a, b), _gram_by_columns(a, b)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape) == (complex, (len(a), len(b)))
+        assert got.tobytes() == want.tobytes()
+    K = intertwiners(pair, fam_xi, fam_eta)
+    assert _hex((K.intertwining_defect_eta, K.intertwining_defect_xi)) == _hex(
+        _intertwining_defects_by_columns(pair, fam_xi, fam_eta))
+
+
+def test_the_stopped_family_is_longer_than_the_short_one():
+    _, fam_xi, fam_eta = _stopped_and_short_families()
+    assert (len(fam_xi), fam_xi.stop_reason) == (13, "membership failed at k=13")
+    assert (len(fam_eta), fam_eta.stop_reason) == (4, "reached n_max=3")
+    assert biorthogonality_gram(fam_xi, fam_eta).shape == (len(fam_xi), 4)
+
+
+def test_one_vector_family_is_checked_as_a_ladder_of_length_one():
+    pair, fam_xi, fam_eta = swanson_families(0.3, 96, 0)
+    assert len(fam_xi) == len(fam_eta) == 1
+    (residual,) = eigen_check(pair, fam_xi)
+    assert residual < 1e-12
+    K = intertwiners(pair, fam_xi, fam_eta)
+    assert K.condition_numbers == (1.0, 1.0)
+    assert max(K.inverse_defect, K.intertwining_defect_eta, K.intertwining_defect_xi) < 1e-12
+
+
+@pytest.mark.parametrize("zero_columns, named", [((2,), 2), ((0, 2), 0), ((3,), 3)])
+def test_a_zero_ladder_vector_is_named(zero_columns, named):
+    block = np.ones((8, 4), dtype=complex)
+    block[:, list(zero_columns)] = 0.0
+    assert _first_zero_vector_by_columns(block) == named
+    with pytest.raises(PreconditionError, match=f"^ladder vector {named} is zero$"):
+        LadderFamily(block=block, stop_reason="built by hand")
+
+
 # --- restricted spectrum --------------------------------------------------------------
 
 

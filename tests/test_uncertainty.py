@@ -233,11 +233,12 @@ def test_polynomial_c_is_evaluated_once_per_pass(monkeypatch):
     C = S * T - T * S + S * S
     pair = swanson_pair(0.3, 32)
     states = [coherent_state(0.2 * k - 0.1j, 32) for k in range(6)]
-    reports, c_exps, _ = uncertainty._pass(pair, states, C=C)
+    deltas, c_exps, _ = uncertainty._pass(pair, states, C=C)
     assert len(calls) == 1
     matrix = evaluate(C, pair)
     assert c_exps == [expectation(matrix, xi) for xi in states]
-    assert reports == [delta_report(pair, xi) for xi in states]
+    # the pass gives each state's deltas as the plain tuple (dS, dS', dT, dT', z, w)
+    assert [uncertainty.DeltaReport(*d) for d in deltas] == [delta_report(pair, xi) for xi in states]
 
 
 def test_pair_quantities_are_formed_once_per_pass_not_per_batch(monkeypatch):
@@ -357,21 +358,21 @@ def test_per_state_path_equals_dense_matrices(theta, n, monkeypatch):
     a, ad = lowering(n).entries, raising(n).entries
     states = _probe_states(n)
     monkeypatch.setattr(uncertainty, "BATCH_ENTRIES", 2 * n)
-    batch_reports, _, batch_moments = uncertainty._pass(pair, states, moments=True)
-    for xi, batch_report, batch_m in zip(states, batch_reports, batch_moments, strict=True):
+    batch_deltas, _, batch_moments = uncertainty._pass(pair, states, moments=True)
+    for xi, batch_d, batch_m in zip(states, batch_deltas, batch_moments, strict=True):
         x = xi.components
         z = complex(np.vdot(x, S @ x))
         w = complex(np.vdot(x, T @ x))
         dense = (np.linalg.norm(S @ x - z * x), np.linalg.norm(Sd @ x - z.conjugate() * x),
                  np.linalg.norm(T @ x - w * x), np.linalg.norm(Td @ x - w.conjugate() * x))
-        for report in (delta_report(pair, xi), batch_report):
+        for report in (delta_report(pair, xi), uncertainty.DeltaReport(*batch_d)):
             assert report.as_tuple() == dense
             assert (report.z, report.w) == (z, w)
 
         # C_phi = <a* a> - |<a>|^2, formed for unit x as |a x - <a> x|^2
         mean_a = complex(np.vdot(x, a @ x))
         mean_ad2 = complex(np.vdot(x, ad @ (ad @ x)))
-        for m in (swanson_moments(xi), batch_m):
+        for m in (swanson_moments(xi), uncertainty.SwansonMoments(*batch_m)):
             assert m.C_phi == np.linalg.norm(a @ x - mean_a * x) ** 2
             assert m.E_phi == (mean_ad2 - mean_a.conjugate() ** 2).imag
 
@@ -429,6 +430,20 @@ def test_matrix2x2_closed_forms_at_basis_state():
     assert report.ur1.gap == pytest.approx(1.0, abs=1e-12)
     # while the sum-product inequality is tight at this state
     assert report.ur2.gap == pytest.approx(0.0, abs=1e-12)
+
+
+def test_each_check_refuses_only_its_own_bound():
+    # on e0, 2 max(dS, dS') max(dT, dT') = 2e308 overflows and (dS + dS') (dT + dT') = 1e308
+    # does not: ur2_check evaluates UR2 alone, while ur1_check, the report and the scan
+    # (UR1, then UR2) refuse the UR1 bound
+    pair, xi = matrix2x2_pair(1e154, 1e154), StateVector(np.array([1.0, 0.0]))
+    u2 = ur2_check(pair, xi)
+    assert (u2.lhs, u2.rhs, u2.gap, u2.saturated) == (1.0, 1e308, 1e308, False)
+    ur1_text = r"^the UR1 bound 2 max\(dS, dS'\) max\(dT, dT'\) overflows the float range$"
+    for call in (lambda: ur1_check(pair, xi), lambda: matrix2x2_report(1e154, 1e154, 1.0, 0.0),
+                 lambda: saturation_scan("matrix2x2", (1e154, 1e154))):
+        with pytest.raises(DomainParameterError, match=ur1_text):
+            call()
 
 
 def test_matrix2x2_ur2_condition_always_false():
