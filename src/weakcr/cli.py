@@ -453,11 +453,14 @@ def cmd_uncertainty(args):
     if args.scan and args.state:
         raise WeakCRError("choose one of --scan or --state")
     kind, params = _parse_model(args.model)
+    if kind == "matrix2x2" and args.dim is not None:
+        raise WeakCRError("the 2x2 model has dimension 2; --dim sets the boson and swanson truncation")
+    dim = 64 if args.dim is None else args.dim
     tols = {**_tolerances(args, saturation=1e-6), "validity": 1e-8}
     tol = tols["saturation"]
     report = Report(
         "uncertainty",
-        {"model": args.model, "dim": args.dim, "scan": args.scan, "state": args.state},
+        {"model": args.model, "dim": dim, "scan": args.scan, "state": args.state},
         tols,
     )
     if args.scan:
@@ -465,8 +468,8 @@ def cmd_uncertainty(args):
         if kind == "swanson":
             if grid[0] != "coherent":
                 raise WeakCRError("swanson scans use coherent:NxM grids")
-            states = coherent_grid_states(args.dim, nx=grid[1], ny=grid[2])
-            table = saturation_scan("swanson", params, dim=args.dim, states=states, tol=tol)
+            states = coherent_grid_states(dim, nx=grid[1], ny=grid[2])
+            table = saturation_scan("swanson", params, dim=dim, states=states, tol=tol)
         else:
             if grid[0] != "circle":
                 raise WeakCRError("matrix2x2 scans use circle:K grids")
@@ -483,8 +486,8 @@ def cmd_uncertainty(args):
         return report
     if kind == "swanson":
         theta = params[0]
-        pair = swanson_pair(theta, args.dim)
-        xi = _parse_state(args.state or "coherent:0,0", args.dim)
+        pair = swanson_pair(theta, dim)
+        xi = _parse_state(args.state or "coherent:0,0", dim)
         closed, u1, u2 = _swanson_state(theta, pair, xi, tol)
         deltas, discrepancy, discrepancy_tol = closed.matrix_deltas, closed.matrix_discrepancy, tol
         report.result("closed_form_deltas", list(closed.deltas.as_tuple()))
@@ -575,7 +578,7 @@ def build_parser():
 
     p = sub.add_parser("uncertainty", help="delta reports, UR1/UR2, saturation scans")
     p.add_argument("--model", default="swanson:0", help="boson, swanson:<theta>, or matrix2x2:<s>,<q>")
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--dim", type=int, help="truncation of the boson and swanson models (default 64)")
     p.add_argument("--state", help="coherent:re,im | basis:k | t:<value> (2x2 model)")
     p.add_argument("--scan", help="coherent:NxM (boson models) or circle:K (2x2 model)")
     common(p)

@@ -25,10 +25,12 @@ np.vdot or the norm runs on one state, so a batch gives the bits of one
 state at a time and a scan's memory does not grow with its states beyond
 the states themselves.  What depends only on the pair is formed once per
 pass or per pair: the cross-condition defect, a polynomial C's matrix,
-``lowering(N)``, and the 2x2 model's pair and [S, T], so a scan over the
-2x2 circle makes one pass.  Each state's values leave it as plain numbers,
-which one rule, ``_bound``, takes to UR1 or UR2; result objects are built
-only where a public function returns one.
+``lowering(N)``, and the 2x2 model's pair, so a scan over the 2x2 circle
+makes one pass.  The 2x2 model's [S, T] = diag(s q, -q s) and its
+cross-condition defect, 0, are read from their closed forms, with no
+commutator routine.  Each state's values leave it as plain numbers, which
+one rule, ``_bound``, takes to UR1 or UR2; result objects are built only
+where a public function returns one.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .fock import (
     lowering,
     matrix2x2_pair,
     norm,
-    relation_block,
     row_norms,
     swanson_pair,
 )
@@ -398,43 +399,42 @@ class Matrix2x2Report:
 def matrix2x2_report(s, q, phi1, phi2, tol=SATURATION_TOL):
     """Everything about the model S = [[0,s],[0,0]], T = [[0,0],[q,0]].
 
-    The commutator [S, T] = s q diag(1, -1), the pair's ``relation_block``,
-    is the C fed to both inequalities; it is not the
-    identity, so the generalized forms are the meaningful ones.  This is the
-    one-state case of ``_matrix2x2_reports``.
+    The commutator [S, T] = s q diag(1, -1), read from its closed form, is
+    the C fed to both inequalities; it is not the identity, so the
+    generalized forms are the meaningful ones.  The cross condition holds
+    exactly: S = s a and T = q a* give [S', T] = s-bar q [a*, a*] = 0 and
+    [S, T'] = s q-bar [a, a] = 0, so UR2's defect is 0.0.  This is the
+    one-state case of ``_matrix2x2_values``.
     """
-    return _matrix2x2_reports(s, q, [(phi1, phi2)], tol)[0]
+    deltas, closed, discrepancy, ur1, ur2, c_exp, *conditions = _matrix2x2_values(s, q, [(phi1, phi2)], tol)[0]
+    return Matrix2x2Report(DeltaReport(*deltas), closed, discrepancy, URResult(*ur1, c_exp),
+                           URResult(*ur2, c_exp, 0.0, False), *conditions)
 
 
-def _matrix2x2_reports(s, q, phis, tol):
-    """Matrix2x2Reports of the states (phi1, phi2) in ``phis``, from one pair and one pass.
+def _matrix2x2_values(s, q, phis, tol):
+    """Per state (phi1, phi2), from one pair and one pass: (deltas, closed-form deltas, their
+    discrepancy, UR1's and UR2's ``_bound``, <xi, C xi>, then each condition's value and flag).
 
-    The pair, its [S, T] and its cross-condition defect are formed once.
+    C = [S, T] = s q (1 - N e_1 e_1^T) = diag(s q, -q s): each product is
+    summed into zero as ``band_product`` sums it, and q s is subtracted from
+    zero as ``relation_block`` subtracts it, so C has that routine's bits,
+    signed zeros included.
     """
     phis = [(complex(phi1), complex(phi2)) for phi1, phi2 in phis]
     states = [StateVector(np.array(phi), label="phi") for phi in phis]
     pair = matrix2x2_pair(s, q)
-    commutator = TruncatedOperator.banded(relation_block(pair.S.band, pair.T.band, pair.dim)[0])
-    all_deltas, c_exps, _ = _pass(pair, states, C=commutator)
-    cross = _cross(pair)
-    reports = []
-    for (phi1, phi2), deltas, c_exp in zip(phis, all_deltas, c_exps):
+    sq, qs = np.zeros(2, complex) + np.array([s, q], complex) * np.array([q, s], complex)
+    commutator = TruncatedOperator.banded((0, [[sq, 0j - qs]]))
+    values = []
+    for (phi1, phi2), deltas, c_exp in zip(phis, *_pass(pair, states, C=commutator)[:2]):
         p1, p2 = abs(phi1) ** 2, abs(phi2) ** 2
         closed = (abs(s) * p2, abs(s) * p1, abs(q) * p1, abs(q) * p2)
         ur1_value = abs(p1 - p2)
         ur2_value = max(p1, p2) - math.sqrt(abs(p1 - p2) / 2.0)
-        reports.append(Matrix2x2Report(
-            deltas=DeltaReport(*deltas),
-            closed_form_deltas=closed,
-            closed_form_discrepancy=max(abs(a - b) for a, b in zip(closed, deltas)),
-            ur1=URResult(*_bound(1, deltas, c_exp, tol), c_exp),
-            ur2=URResult(*_bound(2, deltas, c_exp, tol), c_exp, *cross),
-            ur1_condition_value=ur1_value,
-            ur1_condition_met=bool(abs(ur1_value - 1.0) <= tol),
-            ur2_condition_value=ur2_value,
-            ur2_condition_met=bool(abs(ur2_value) <= tol),
-        ))
-    return reports
+        values.append((deltas, closed, max(abs(a - b) for a, b in zip(closed, deltas)),
+                       _bound(1, deltas, c_exp, tol), _bound(2, deltas, c_exp, tol), c_exp,
+                       ur1_value, bool(abs(ur1_value - 1.0) <= tol), ur2_value, bool(abs(ur2_value) <= tol)))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +454,8 @@ def coherent_grid_states(dim, nx=5, ny=5):
     """Labeled probe states: an nx-by-ny coherent grid on [-1, 1]^2 plus e0..e4.
 
     The coherent states are formed by ``coherent_states`` in batches of
-    BATCH_ENTRIES // dim, as ``_pass`` reads them.
+    BATCH_ENTRIES // dim, as ``_pass`` reads them.  The basis probes need
+    dim >= 5, which is checked before any state is formed.
     """
     try:
         nx, ny = operator.index(nx), operator.index(ny)
@@ -462,6 +463,8 @@ def coherent_grid_states(dim, nx=5, ny=5):
         raise DomainParameterError(f"a coherent grid needs integral counts, got nx = {nx!r}, ny = {ny!r}") from None
     if nx < 0 or ny < 0:
         raise DomainParameterError(f"a coherent grid needs counts >= 0, got nx = {nx}, ny = {ny}")
+    if dim < 5:
+        raise InvalidDimensionError(f"a coherent grid's basis probes e0..e4 need dimension >= 5, got {dim}")
     ims = np.linspace(-1.0, 1.0, ny).tolist()
     zs = [complex(re, im) for re in np.linspace(-1.0, 1.0, nx).tolist() for im in ims]
     size = max(1, BATCH_ENTRIES // dim)
@@ -506,27 +509,16 @@ def _swanson_scan(theta, dim, states, tol):
     )
 
 
+#: the columns of a 2x2 scan's rows
+_MATRIX2X2_COLUMNS = ("t", "dS", "dSd", "dT", "dTd", "ur1_gap", "ur1_saturated", "ur2_gap", "ur2_saturated",
+                      "ur1_condition_value", "ur1_condition_met", "ur2_condition_value", "ur2_condition_met")
+
+
 def _matrix2x2_scan(s, q, ts, tol):
-    rows = []
-    reports = _matrix2x2_reports(s, q, [(math.sqrt(t), math.sqrt(1.0 - t)) for t in ts], tol)
-    for t, report in zip(ts, reports):
-        rows.append(
-            {
-                "t": float(t),
-                "dS": report.deltas.dS,
-                "dSd": report.deltas.dSd,
-                "dT": report.deltas.dT,
-                "dTd": report.deltas.dTd,
-                "ur1_gap": report.ur1.gap,
-                "ur1_saturated": report.ur1.saturated,
-                "ur2_gap": report.ur2.gap,
-                "ur2_saturated": report.ur2.saturated,
-                "ur1_condition_value": report.ur1_condition_value,
-                "ur1_condition_met": report.ur1_condition_met,
-                "ur2_condition_value": report.ur2_condition_value,
-                "ur2_condition_met": report.ur2_condition_met,
-            }
-        )
+    """The scan's rows from one pass: each point's values go straight from its tuples into its row."""
+    values = _matrix2x2_values(s, q, [(math.sqrt(t), math.sqrt(1.0 - t)) for t in ts], tol)
+    rows = [dict(zip(_MATRIX2X2_COLUMNS, (float(t), *deltas[:4], *ur1[2:], *ur2[2:], *conditions)))
+            for t, (deltas, _, _, ur1, ur2, _, *conditions) in zip(ts, values)]
     summary = {
         "ur1_condition_met_at": [r["t"] for r in rows if r["ur1_condition_met"]],
         "ur2_condition_met_any": any(r["ur2_condition_met"] for r in rows),
@@ -535,7 +527,7 @@ def _matrix2x2_scan(s, q, ts, tol):
     }
     return ScanTable(
         model=f"matrix2x2:{s:g},{q:g}",
-        columns=list(rows[0].keys()),
+        columns=list(_MATRIX2X2_COLUMNS),
         rows=rows,
         summary=summary,
     )

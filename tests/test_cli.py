@@ -701,16 +701,19 @@ def test_normal_order_past_the_int_digit_limit_exits_two(capsys, expr):
      (["uncertainty", "--scan", "coherent:2x2", "--state", "basis:2", "--dim", "64"],
       "choose one of --scan or --state"),
      (["uncertainty", "--model", "matrix2x2:1,1", "--scan", "circle:3", "--state", "t:0.3"],
-      "choose one of --scan or --state")],
+      "choose one of --scan or --state"),
+     (["uncertainty", "--model", "matrix2x2:1,1", "--dim", "7"], "the 2x2 model has dimension 2"),
+     (["uncertainty", "--dim", "2", "--scan", "coherent:0x0"], "probes e0..e4 need dimension >= 5, got 2")],
     ids=["weights_seed", "normal_order_seed", "uncertainty_out", "verify_cr_out",
          "alpha_past_the_bound", "alpha_1e20", "alpha_1e300", "alpha_1e308", "empty_profile",
-         "swanson_scan_and_state", "matrix2x2_scan_and_state"],
+         "swanson_scan_and_state", "matrix2x2_scan_and_state", "matrix2x2_dim", "swanson_scan_below_the_probes"],
 )
 def test_edge_input_exits_two(capsys, tmp_path, argv, reason):
     # each was a raw traceback: default_rng's ValueError for a negative seed,
     # FileNotFoundError for --out in a missing directory, rng.integers past
     # int64 at alpha 1e20 and 1e300, and lgamma's OverflowError at 1e308;
-    # a --state beside --scan was left unused while the scan exited 0
+    # a --state beside --scan was left unused while the scan exited 0, as was
+    # a --dim given to the 2x2 model, and a scan at --dim 2 named basis index 2
     code, _, err = run(capsys, *(a.format(missing=tmp_path / "missing") for a in argv))
     assert code == 2
     assert err.startswith("error: ") and reason in err and "Traceback" not in err

@@ -193,7 +193,7 @@ def test_ur2_check_forms_the_cross_defect_once(monkeypatch):
 
     pair = swanson_pair(0.3, 32)
     for module in (fock, uncertainty):
-        monkeypatch.setattr(module, "relation_block", counted)
+        monkeypatch.setattr(module, "relation_block", counted, raising=False)
     reports = [ur2_check(pair, coherent_state(0.1 * k, 32)) for k in range(10)]
     assert len(calls) == 1
     (defect,) = {u.cross_condition_defect for u in reports}
@@ -549,7 +549,8 @@ def test_matrix2x2_scan_rows_equal_reports(s, q):
 
 
 def test_matrix2x2_scan_forms_the_pair_once(monkeypatch):
-    # one pair, one [S, T] and one cross defect for the whole circle, not one per point
+    # one pair for the whole circle, not one per point; [S, T] and the cross
+    # defect come from their closed forms, with no commutator routine
     pairs, commutators = [], []
     make_pair, relation = uncertainty.matrix2x2_pair, fock.relation_block
 
@@ -563,11 +564,42 @@ def test_matrix2x2_scan_forms_the_pair_once(monkeypatch):
 
     monkeypatch.setattr(uncertainty, "matrix2x2_pair", counted_pair)
     for module in (fock, uncertainty):
-        monkeypatch.setattr(module, "relation_block", counted_commutator)
+        monkeypatch.setattr(module, "relation_block", counted_commutator, raising=False)
     table = saturation_scan("matrix2x2", (1.0, 1.0), grid=[i / 10 for i in range(11)])
     assert len(table.rows) == 11
     assert len(pairs) == 1
-    assert len(commutators) == 2
+    report = matrix2x2_report(0.5, 2.0, 0.6, 0.8)
+    assert report.ur2.cross_condition_defect == 0.0
+    assert len(pairs) == 2
+    assert len(commutators) == 0
+
+
+_REAL_GRID = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e-320, -1e-320, 1e-154, 1e154, -1e154, 0.3, -2.5, 3.0]
+_COMPLEX_GRID = [complex(re, im) for re in (0.0, -0.0, 1.0, -1.0) for im in (0.0, -0.0, 1.0, -1.0)] + [
+    0.3 - 0.7j, 1.1 + 2.3j, 1e-160 * (1 + 1j)]
+
+
+@pytest.mark.parametrize("grid", [_REAL_GRID, _COMPLEX_GRID], ids=["real", "complex"])
+def test_matrix2x2_closed_forms_have_the_bits_of_the_commutator_routine(monkeypatch, grid):
+    # the generic routines are the oracle: relation_block's [S, T], as the
+    # pass received it, to the bit (signed zeros included), and the cross
+    # defect, which on the 1 x 1 safe block is exactly 0.0
+    fed, real_pass = [], uncertainty._pass
+
+    def recorded(pair, states, *args, C=None, **kwargs):
+        fed.append(C.band)
+        return real_pass(pair, states, *args, C=C, **kwargs)
+
+    monkeypatch.setattr(uncertainty, "_pass", recorded)
+    for s in grid:
+        for q in grid:
+            report = matrix2x2_report(s, q, 0.6, 0.8)
+            pair = matrix2x2_pair(s, q)
+            want = TruncatedOperator.banded(fock.relation_block(pair.S.band, pair.T.band, pair.dim)[0]).band
+            got = fed.pop()
+            assert (got.lo, got.diagonals.tobytes()) == (want.lo, want.diagonals.tobytes()), (s, q)
+            assert pair.cross_defect == 0.0
+            assert (report.ur2.cross_condition_defect, report.ur2.hypothesis_violated) == (0.0, False)
 
 
 def test_matrix2x2_scan_conditions():
@@ -591,19 +623,21 @@ def test_scan_of_no_states_is_a_typed_error(kind, params, batch):
         saturation_scan(kind, params, **batch)
 
 
-@pytest.mark.parametrize("call, match", [
-    (lambda: saturation_scan("matrix2x2", (1, 1), grid=[1.5]), r"t = 1.5 lies outside \[0, 1\]"),
-    (lambda: saturation_scan("swanson"), r"takes the parameters \(theta\), got \(\)"),
-    (lambda: saturation_scan("matrix2x2", (1,)), r"takes the parameters \(s, q\), got \(1,\)"),
-    (lambda: coherent_grid_states(64, nx=-1), "nx = -1"),
-    (lambda: coherent_grid_states(64, nx=2.5), "integral counts, got nx = 2.5, ny = 5"),
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: saturation_scan("matrix2x2", (1, 1), grid=[1.5]), DomainParameterError, r"t = 1.5 lies outside \[0, 1\]"),
+    (lambda: saturation_scan("swanson"), DomainParameterError, r"takes the parameters \(theta\), got \(\)"),
+    (lambda: saturation_scan("matrix2x2", (1,)), DomainParameterError, r"takes the parameters \(s, q\), got \(1,\)"),
+    (lambda: coherent_grid_states(64, nx=-1), DomainParameterError, "nx = -1"),
+    (lambda: coherent_grid_states(64, nx=2.5), DomainParameterError, "integral counts, got nx = 2.5, ny = 5"),
+    (lambda: coherent_grid_states(4, nx=0, ny=0), InvalidDimensionError, r"probes e0..e4 need dimension >= 5, got 4"),
 ], ids=["t-outside-unit-interval", "swanson-without-theta", "matrix2x2-with-one-parameter", "negative-grid-count",
-        "non-integral-grid-count"])
-def test_scan_inputs_outside_their_domain_are_typed_errors(call, match):
+        "non-integral-grid-count", "grid-below-the-basis-probes"])
+def test_scan_inputs_outside_their_domain_are_typed_errors(call, error, match):
     # these ended in "math domain error", "not enough values to unpack",
-    # numpy's "Number of samples, -1, must be non-negative" and a TypeError
-    # from np.linspace
-    with pytest.raises(DomainParameterError, match=match):
+    # numpy's "Number of samples, -1, must be non-negative", a TypeError
+    # from np.linspace and "basis index 4 outside [0, 4)", an index the
+    # caller never gave
+    with pytest.raises(error, match=match):
         call()
 
 
