@@ -225,15 +225,16 @@ def cmd_verify_cr(args):
     )
     wd, ws = weak_with_scale(pair)
     qd, qs = quasi_strong_with_scale(pair, args.alpha)
-    yd, ys = weyl_with_scale(pair, args.alpha, args.beta)
+    yd, ys, rho = weyl_with_scale(pair, args.alpha, args.beta)
     report.result("weak_defect", wd)
     report.result("weak_scale", ws)
     report.result("quasi_strong_defect", qd)
     report.result("quasi_strong_scale", qs)
     report.result("weyl_defect", yd)
     report.result("weyl_scale", ys)
+    report.result("weyl_cancellation", rho)
     # the entries of S T, V_S T and V_S V_T that the defects cancel grow
-    # with N, so their rounding is judged relative to them
+    # with N, so their rounding is judged relative to them (V_S V_T's on |V_S||V_T|)
     report.check("weak_defect", wd / ws, tols["weak"])
     report.check("quasi_strong_defect", qd / qs, tols["quasi_strong"])
     report.check("weyl_defect", yd / ys, tols["weyl"])
@@ -490,6 +491,7 @@ def cmd_uncertainty(args):
         xi = _parse_state(args.state or "coherent:0,0", dim)
         closed, u1, u2 = _swanson_state(theta, pair, xi, tol)
         deltas, discrepancy, discrepancy_tol = closed.matrix_deltas, closed.matrix_discrepancy, tol
+        judged = discrepancy
         report.result("closed_form_deltas", list(closed.deltas.as_tuple()))
         report.result("C_phi", closed.moments.C_phi)
         report.result("E_phi", closed.moments.E_phi)
@@ -510,6 +512,12 @@ def cmd_uncertainty(args):
                 raise ValueError(sval)
         m = matrix2x2_report(s, q, math.sqrt(t), math.sqrt(1.0 - t), tol=tol)
         deltas, discrepancy, discrepancy_tol, u1, u2 = m.deltas, m.closed_form_discrepancy, 1e-12, m.ur1, m.ur2
+        # no delta exceeds max(|s|, |q|), so their rounding is judged on that
+        # scale; at (0, 0) every delta and closed form is exactly 0, and so is
+        # the discrepancy, which is then read as is
+        scale = max(abs(s), abs(q))
+        judged = discrepancy / scale if scale else discrepancy
+        report.result("closed_form_scale", scale)
         report.result("ur1", {"gap": u1.gap, "saturated": u1.saturated})
         report.result("ur2", {"gap": u2.gap, "saturated": u2.saturated})
         report.result("ur1_condition", {"value": m.ur1_condition_value, "met": m.ur1_condition_met})
@@ -519,7 +527,7 @@ def cmd_uncertainty(args):
               f"max-sqrt={m.ur2_condition_value:g} (met={m.ur2_condition_met})")
     report.result("deltas", list(deltas.as_tuple()))
     report.result("closed_form_discrepancy", discrepancy)
-    report.check("closed_form_discrepancy", discrepancy, discrepancy_tol)
+    report.check("closed_form_discrepancy", judged, discrepancy_tol)
     report.check("ur1_validity", -u1.gap, 1e-8)
     report.check("ur2_validity", -u2.gap, 1e-8)
     return report

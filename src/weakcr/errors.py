@@ -38,7 +38,8 @@ class NonNormalizableError(WeakCRError):
 
 
 class ConditioningError(WeakCRError):
-    """Raised when a vector family is numerically singular."""
+    """Raised when float64 cannot support a verdict: a numerically singular
+    vector family, or a Weyl block that cancels past its limit."""
 
 
 class NotInL2Error(WeakCRError):

@@ -12,19 +12,20 @@ two semigroups.
 
 Operators are stored only as a ``Band``, their diagonals at offsets lo..hi;
 construction, adjoints, matrix-vector products and every defect work on
-those (banded products, the closed form exp(alpha (x a + y a*)) =
+those (banded products, and the closed form exp(alpha (x a + y a*)) =
 exp(alpha y a*) exp(alpha x a) exp(alpha^2 x y / 2) for each semigroup,
-taken in steps where the one product would cancel, and the plain three-term
-Lanczos recurrence on M'M, which keeps two vectors and no basis (Paige,
-Linear Algebra Appl. 34, 1980), for the spectral norm of the Weyl block M),
-so the defect chain forms nothing of size N x N.  Each band's offsets are
-fixed when it is built, so a triangular semigroup is stored and multiplied
-on its one side only.  Each semigroup is formed once per pair and
-parameter, and shared by the quasi-strong and Weyl defects.  Every
-relation X Y - c Y X = R, and the UR2 cross condition, is formed by
-``relation_block`` on its band's rows only, with its rounding scale;
-``weak_with_scale`` and the other ``*_with_scale`` functions return each
-defect with that scale, and ``*_defect`` the defect.
+taken in steps where the one product would cancel), so the defect chain
+forms nothing of size N x N.  Each band's offsets are fixed when it is
+built, so a triangular semigroup is stored and multiplied on its one side
+only.  Each semigroup is formed once per pair and parameter, and shared by
+the quasi-strong and Weyl defects.  Every relation X Y - c Y X = R, and the
+UR2 cross condition, is formed by ``relation_block`` on its band's rows
+only, with its rounding scale; ``weak_with_scale`` and the other
+``*_with_scale`` functions return each defect, the max-abs entry of its
+block, with its scale, and ``*_defect`` the defect.  The Weyl block's
+entries cancel far more than the others', so its scale is the entrywise
+rounding bound max |V_S||V_T| of the product, and past a derived limit on
+that cancellation it gives no verdict but a ConditioningError.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    ConditioningError,
     DomainParameterError,
     InvalidDimensionError,
     TruncationError,
@@ -228,8 +230,9 @@ class OperatorPair:
         triangular and nothing cancels), so s = ceil(alpha min(|x|, |y|)
         sqrt(N) / 2) steps hold that quantity at 2 or less in each factor.
         The divisor 2 is measured, not derived: in one product,
-        swanson:0.5 at alpha = 1, N = 512 read a Weyl defect of 7.3e-12 on
-        its scale, a false FAIL, and in its 6 steps 5.4e-14.  The
+        swanson:0.5 at alpha = 1, N = 512 read a Weyl defect (then the
+        block's spectral norm over max|V_S V_T|) of 7.3e-12, a false FAIL,
+        and in its 6 steps 5.4e-14.  The
         quasi-strong and Weyl defects at the same parameter share V_S.  The
         cached band's array is read-only, since every caller reads the same
         one.
@@ -619,77 +622,6 @@ def _exp_ladder(x, y, alpha, n):
     return Band(V.lo, V.diagonals * cmath.exp(alpha * alpha * x * y / 2))
 
 
-#: the Lanczos norm stops once its top Ritz pair's residual is this share of lambda
-_LANCZOS_TOL = 4 * _EPS
-_GOLDEN = (math.sqrt(5) - 1) / 2
-
-
-def spectral_norm(band):
-    """Largest singular value of the matrix with this band, by plain Lanczos on A'A.
-
-    The three-term Lanczos recurrence on the Hermitian A'A, from a fixed unit
-    vector v_1: each step takes w = A'(A v_k), alpha_k = Re<w, v_k> and
-    w - alpha_k v_k - beta_{k-1} v_{k-1}, of norm beta_k, so only v_{k-1} and
-    v_k are kept.  The top eigenpair (lambda, x) of the k x k tridiagonal T_k
-    of the alphas and betas has Ritz residual bound beta_k |x_k|, and the
-    iteration stops once that is at most 4 u lambda (u = 2^-53), on breakdown
-    (a zero beta) or at k = N; the norm is sqrt(lambda).  Nothing is
-    reorthogonalized: the v lose orthogonality only along Ritz vectors that
-    have converged, and a Ritz value with a small residual bound stays
-    accurate all the same (Paige, Linear Algebra Appl. 34, 1980).  A and A'
-    are each applied once per step, as one einsum over a strided window of
-    the zero-padded vector, on the band's own offsets only, so nothing of
-    size N x N is formed.  The all-zero matrix gives exactly 0.0, and the
-    fixed start vector makes the result the same, bit for bit, on every call.
-    The band's slots outside the matrix must be zero, as every band helper
-    here leaves them.
-    """
-    n = band.diagonals.shape[1]
-    apply_A, apply_AH = _window_matvec(band), _window_matvec(band_adjoint(band))
-    # v_1 has equal moduli and golden-ratio phases: fixed like a seeded random
-    # vector, without loading numpy.random (6 MB and 10-15 ms in a fresh interpreter)
-    v = np.exp(2j * math.pi * (np.arange(n) * _GOLDEN % 1.0)) / math.sqrt(n)
-    previous, beta = None, 0.0
-    tridiagonal = np.zeros((1, 1))  # T_k in its leading k x k block, upper triangle only
-    for k in range(n):
-        if k == len(tridiagonal):  # doubled, up to N x N
-            tridiagonal = np.pad(tridiagonal, (0, min(k, n - k)))
-        w = apply_AH(apply_A(v))
-        alpha = tridiagonal[k, k] = np.vdot(v, w).real
-        w -= alpha * v
-        if k:
-            w -= beta * previous
-            tridiagonal[k - 1, k] = beta
-        beta = norm(w)
-        lam, X = np.linalg.eigh(tridiagonal[: k + 1, : k + 1], UPLO="U")
-        if beta * abs(X[-1, -1]) <= _LANCZOS_TOL * lam[-1] or k + 1 == n:
-            return math.sqrt(lam[-1])
-        previous, v = v, w / beta
-
-
-def _window_matvec(band):
-    """x -> A x for the matrix with this band, as one einsum over shifted copies of x.
-
-    Row i of the window is the zero-padded x from index i + lo on, a strided
-    view, so (A x)[i] = sum_r D[r, i] window[i, r].  D is read as its
-    contiguous transpose, so each row's sum runs over adjacent entries: at
-    N = 10^4 that makes the Weyl block's norm 2.5 times as fast as summing
-    down the diagonals.
-    """
-    (lo, D), n = band, band.diagonals.shape[1]
-    left = max(0, -lo)
-    rows = np.ascontiguousarray(D.T)
-    padded = np.zeros(n + left + max(0, band.hi), dtype=complex)
-    step = padded.strides[0]
-    window = np.ndarray(rows.shape, complex, padded, (left + lo) * step, (step, step))
-
-    def apply(x):
-        padded[left : left + n] = x
-        return np.einsum("id,id->i", rows, window)
-
-    return apply
-
-
 # ---------------------------------------------------------------------------
 # defects
 # ---------------------------------------------------------------------------
@@ -781,13 +713,31 @@ def quasi_strong_defect(pair, alpha):
     return quasi_strong_with_scale(pair, alpha)[0]
 
 
+#: The Weyl check's limit on its cancellation ratio rho (see ``weyl_with_scale``).
+#: T scaled by 1 + delta turns e^(ab) into e^(ab (1 + delta)), so the block
+#: reads about a b delta max|V_S V_T|, that is a b delta / rho on the
+#: |V_S||V_T| scale (to 1e-5 relative at each of 93 measured points, N = 128
+#: to 1024, a = b = 0.1 to 1.5).  At the default a = b = 0.1, a break of
+#: delta = 1e-6 reads above the tolerance 1e-12 only while rho stays below
+#: this limit.
+_WEYL_RATIO_LIMIT = 0.1 * 0.1 * 1e-6 / 1e-12
+
+
 def weyl_with_scale(pair, alpha, beta):
-    """``(weyl_defect, scale)``: V_S(a) V_T(b) - e^(ab) V_T(b) V_S(a) as a ``relation_block``.
+    """``(weyl_defect, scale, rho)``: V_S(a) V_T(b) - e^(ab) V_T(b) V_S(a) as a ``relation_block``.
 
     Both semigroups are the pair's cached banded ``semigroup``s, so V_S is
-    shared with ``quasi_strong_defect`` at the same parameter.  The block's
-    spectral norm is ``spectral_norm``'s Lanczos iteration on its band, so
-    nothing of size band x band is formed.
+    shared with ``quasi_strong_defect`` at the same parameter.  The defect is
+    the block's max-abs entry.  Each entry of V_S V_T is a sum of terms that
+    can be far larger than the sum, and a computed product's error is bounded
+    entrywise by gamma_k |V_S||V_T| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 3.5), so the scale is max(1, max |V_S||V_T|)
+    on the block: one real ``band_product`` of the moduli, on the band's rows
+    only.  rho, the cancellation ratio, is that scale over ``relation_block``'s
+    max(1, max|V_S V_T|).  A break delta of [S, T] = 1 reads about
+    a b delta / rho on this scale, so past ``_WEYL_RATIO_LIMIT`` the check
+    cannot tell a relation broken by 1e-6 from a correct one, and raises
+    ConditioningError, naming rho, the limit, N, a and b.
     """
     if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
         raise DomainParameterError(
@@ -795,10 +745,20 @@ def weyl_with_scale(pair, alpha, beta):
         )
     band = semigroup_band(pair, max(alpha, beta))
     VS, VT = pair.semigroup("S", alpha), pair.semigroup("T", beta)
-    block, scale = relation_block(VS, VT, band, math.exp(alpha * beta))
-    return spectral_norm(block), scale
+    block, product = relation_block(VS, VT, band, math.exp(alpha * beta))
+    moduli = band_product(Band(VS.lo, np.abs(VS.diagonals)), Band(VT.lo, np.abs(VT.diagonals)), band)
+    scale = max(1.0, float(_leading_block(moduli, band).diagonals.max()))
+    rho = scale / product
+    if rho > _WEYL_RATIO_LIMIT:
+        raise ConditioningError(
+            f"the Weyl block at N = {pair.dim}, alpha = {alpha:g}, beta = {beta:g} cancels past what "
+            f"float64 can judge: its cancellation ratio rho = {rho:.3e} (max |V_S||V_T| over "
+            f"max |V_S V_T|) exceeds the limit {_WEYL_RATIO_LIMIT:g}, past which a relation broken "
+            "by 1e-6 would read below the tolerance"
+        )
+    return float(np.abs(block.diagonals).max()), scale, rho
 
 
 def weyl_defect(pair, alpha, beta):
-    """Spectral-norm defect of V_S(a) V_T(b) = e^(ab) V_T(b) V_S(a) on the band."""
+    """Entrywise defect of V_S(a) V_T(b) = e^(ab) V_T(b) V_S(a) on the band: ``weyl_with_scale``'s first value."""
     return weyl_with_scale(pair, alpha, beta)[0]

@@ -557,12 +557,35 @@ def test_semigroup_margin_past_the_dimension_exits_two(capsys, argv, margin):
 def test_verify_cr_weyl_passes_at_alpha_one_in_steps(capsys, model, dim):
     # the closed-form semigroup taken as one product (no steps) cancelled here:
     # the Weyl defect read 7.3e-12 and 3.7e-12 on its scale, false FAILs
-    # against 1e-12; in 6 and 5 steps it reads 5.4e-14 and 2.0e-14
+    # against 1e-12; in 6 and 5 steps it read 5.4e-14 and 2.0e-14, and reads
+    # 3.6e-16 and 4.1e-16 as the max-abs entry over max |V_S||V_T|
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run(capsys, "verify-cr", "--model", model, "--alpha", "1", "--beta", "1", "--dim", dim)
     assert code == 0, out + err
     assert "PASS weyl_defect" in out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--model", "swanson:0.3", "--alpha", "3", "--beta", "3", "--dim", "2048"], 0),
+    (["--model", "swanson:1.2", "--alpha", "0.3", "--beta", "0.3", "--dim", "512"], 0),
+    (["--model", "swanson:0.785", "--alpha", "1", "--beta", "1", "--dim", "512"], 2),
+    (["--model", "swanson:1.2", "--alpha", "1.5", "--beta", "1.5", "--dim", "1024"], 2),
+])
+def test_verify_cr_weyl_judges_the_block_on_its_rounding_bound(capsys, argv, code):
+    # the Lanczos norm over max|V_S V_T| read 1.544e-12 and 2.628e-12 on the
+    # first two, false FAILs; on max |V_S||V_T| their max-abs entries read
+    # 7.4e-16 and 4.3e-16.  The last two cancel to rho = 1.2e4 and 1.0e16,
+    # past what float64 can judge, so they exit 2 (the third read 2.443e-11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, out, err = run(capsys, "verify-cr", *argv)
+    assert got == code, out + err
+    if code == 0:
+        assert "PASS weyl_defect" in out
+    else:
+        assert out == ""
+        assert err.startswith("error: the Weyl block at N = ") and "cancellation ratio rho = " in err
 
 
 @pytest.mark.parametrize("model", ["boson", "swanson:0.3"])
@@ -587,6 +610,7 @@ def test_verify_cr_weyl_defect_is_relative_to_its_scale(capsys, tmp_path, model)
     report = json.loads(out_file.read_text())
     results, check = report["results"], report["checks"][2]
     assert results["weyl_scale"] >= 1.0
+    assert 1.0 <= results["weyl_cancellation"] < 3.0  # rho, beside the scale
     assert check["name"] == "weyl_defect"
     assert check["value"] == results["weyl_defect"] / results["weyl_scale"]
     assert report["tolerances"] == {"weak": 1e-12, "quasi_strong": 1e-12, "weyl": 1e-12}
@@ -807,6 +831,47 @@ def test_matrix2x2_with_an_overflowing_square_exits_two(capsys, model, scan):
 def test_matrix2x2_at_a_large_finite_square_passes(capsys, scan):
     code, out, err = run(capsys, "uncertainty", "--model", "matrix2x2:1e150,1e-150", *scan)
     assert code == 0, out + err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model, state, discrepancy, scale", [
+    ("matrix2x2:1e5,1", "t:0.3", 3.637978807091713e-12, 1e5),
+    ("matrix2x2:1e150,1e-150", "t:0.7", 9.085484053695086e133, 1e150),
+    ("matrix2x2:0,0", "t:0.3", 0.0, 0.0),
+])
+def test_matrix2x2_closed_form_discrepancy_is_judged_on_the_pair_scale(capsys, tmp_path, model, state,
+                                                                       discrepancy, scale):
+    # the deltas are |s| or |q| times numbers in [0, 1]; the first two read
+    # 3.6e-12 and 9.1e133 against an absolute 1e-12, false FAILs.  At (0, 0)
+    # the scale is 0 and the discrepancy exactly 0.0, which the check reads as is
+    out_file = tmp_path / "m.json"
+    code, out, err = run(capsys, "uncertainty", "--model", model, "--state", state, "--out", str(out_file))
+    assert code == 0, out + err
+    report = json.loads(out_file.read_text())
+    assert report["results"]["closed_form_discrepancy"] == discrepancy
+    assert report["results"]["closed_form_scale"] == scale
+    check = report["checks"][0]
+    assert check["name"] == "closed_form_discrepancy"
+    assert check["value"] == (discrepancy / scale if scale else 0.0)
+
+
+@pytest.mark.parametrize("t, code", [("0.3", 1), ("0.5", 0), ("0.9", 1)])
+def test_matrix2x2_closed_form_with_the_weights_swapped_fails(capsys, monkeypatch, t, code):
+    # a closed form with p1 and p2 swapped is right only at t = 1/2, where p1 = p2
+    real = uncertainty._matrix2x2_values
+
+    def swapped(s, q, phis, tol):
+        values = []
+        for (phi1, phi2), (deltas, _, _, *rest) in zip(phis, real(s, q, phis, tol)):
+            p1, p2 = abs(phi2) ** 2, abs(phi1) ** 2
+            closed = (abs(s) * p2, abs(s) * p1, abs(q) * p1, abs(q) * p2)
+            values.append((deltas, closed, max(abs(a - b) for a, b in zip(closed, deltas)), *rest))
+        return values
+
+    monkeypatch.setattr(uncertainty, "_matrix2x2_values", swapped)
+    got, out, _ = run(capsys, "uncertainty", "--model", "matrix2x2:1e5,2", "--state", f"t:{t}")
+    assert got == code
+    assert ("FAIL closed_form_discrepancy" in out) == (code == 1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

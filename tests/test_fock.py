@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakcr import fock, uncertainty
-from weakcr.errors import DomainParameterError, InvalidDimensionError, TruncationError
+from weakcr.errors import ConditioningError, DomainParameterError, InvalidDimensionError, TruncationError
 from weakcr.fock import (
     Band,
     OperatorPair,
@@ -37,7 +37,6 @@ from weakcr.fock import (
     raising,
     relation_block,
     semigroup_band,
-    spectral_norm,
     swanson_pair,
     weak_defect,
     weak_with_scale,
@@ -477,8 +476,8 @@ def test_identity_and_pair_validation():
 
 # --- banded paths against dense oracles ----------------------------------------------
 #
-# The defect chain forms no dense N x N product, exponential or SVD; these dense
-# formulas, the Weyl block's SVD among them, are the reference it is tested against.
+# The defect chain forms no dense N x N product or exponential; these dense
+# formulas are the reference it is tested against.
 
 
 def dense_weak_defect(pair):
@@ -512,7 +511,7 @@ def dense_weyl_defect(pair, alpha, beta):
     VS, VT = untruncated_exp(S, alpha), untruncated_exp(T, beta)
     M = VS @ VT - math.exp(alpha * beta) * (VT @ VS)
     scale = math.exp(alpha * beta) * np.linalg.norm(VS, 1) * np.linalg.norm(VT, 1)
-    return float(np.linalg.norm(M[:band, :band], ord=2)), float(scale)
+    return float(np.max(np.abs(M[:band, :band]))), float(scale)
 
 
 def band_columns(band):
@@ -1019,8 +1018,7 @@ def test_two_by_two_semigroups_form_in_closed_form(s, q):
 
 def test_defect_chain_forms_no_dense_exponential_or_svd(monkeypatch):
     # no dense exponential, and no SVD, eigensolver or spectral norm of a matrix
-    # whose side reaches the checked block (55 x 55); the Lanczos norm's k x k
-    # tridiagonal stays below it (k reaches 19 here).  np.linalg.norm(ord=2)
+    # whose side reaches the checked block (55 x 55).  np.linalg.norm(ord=2)
     # reaches numpy's internal SVD, not np.linalg.svd, so it is guarded on its own.
     pair = swanson_pair(0.3, 64)
     band = semigroup_band(pair, 0.1)
@@ -1054,7 +1052,7 @@ def test_defect_chain_forms_no_dense_exponential_or_svd(monkeypatch):
 
 
 def weyl_block(pair, alpha, beta, semigroup=None):
-    """The band of the band x band block whose spectral norm is the Weyl defect.
+    """The band of the band x band block whose max-abs entry is the Weyl defect.
 
     ``semigroup(generator, parameter)`` forms V_S and V_T: the pair's own by
     default, the Taylor oracle's for a pair outside x a + y a*.
@@ -1087,66 +1085,24 @@ WEYL_BLOCKS += [("swanson0.3", 2048)]
 
 @pytest.mark.parametrize("model, n", WEYL_BLOCKS, ids=[f"{m}-N{n}" for m, n in WEYL_BLOCKS])
 def test_spectral_norm_matches_the_dense_svd_on_weyl_blocks(model, n):
+    # the Weyl defect is the block's max-abs entry, to the bit; on a block with
+    # w diagonals the dense SVD's spectral norm lies between that entry and w
+    # times it, so the entrywise check reads the norm to within the band's width
     pair = WEYL_MODELS[model](n)
     alpha = min(0.1, widest_alpha(pair))  # the band is one index wide at N = 2 and 3
     if model == "wide":
         D = weyl_block(pair, alpha, alpha, lambda g, t: _taylor_semigroup_oracle(getattr(pair, g).band, t))
     else:
         D = weyl_block(pair, alpha, alpha)
-    want = float(np.linalg.norm(dense(D), ord=2))
-    got = spectral_norm(D)
-    assert abs(got - want) <= 1e-14 * want
-    assert got == spectral_norm(Band(D.lo, D.diagonals.copy()))
+    got = float(np.abs(dense(D)).max())
+    norm = float(np.linalg.norm(dense(D), ord=2))
+    assert got <= norm * (1 + 1e-14)
+    assert norm <= len(D.diagonals) * got * (1 + 1e-14)
     if model == "wide":
         with pytest.raises(DomainParameterError):
             weyl_defect(pair, alpha, alpha)
     else:
         assert got == weyl_defect(pair, alpha, alpha)
-
-
-def rank_one(n):
-    rng = np.random.default_rng(1)
-    u, v = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
-    u[3:8] = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    v[1:9] = rng.standard_normal(8) - 2j * rng.standard_normal(8)
-    return np.outer(u, v.conj())
-
-
-def repeated_top(n):
-    # two copies of one banded block, so the top singular value has multiplicity 2
-    rng = np.random.default_rng(2)
-    B = np.triu(np.tril(rng.standard_normal((n // 2, n // 2)) + 1j * rng.standard_normal((n // 2, n // 2)), 3), -2)
-    return np.block([[B, np.zeros_like(B)], [np.zeros_like(B), B]])
-
-
-def toeplitz(n):
-    return np.eye(n, k=1) + 2 * np.eye(n) + 1j * np.eye(n, k=-1)
-
-
-SPECIAL_BLOCKS = {
-    "one-by-one": lambda: np.array([[3 - 4j]]),
-    "rank-one": lambda: rank_one(40),
-    "repeated-top": lambda: repeated_top(40),
-    "repeated-diagonal": lambda: np.diag([2.0, -2.0, 2j, 1.0, 0.5] * 6),
-    "tridiagonal-toeplitz": lambda: toeplitz(64),
-    # 278 steps without reorthogonalization, the longest run here, where the
-    # Lanczos vectors lose the most orthogonality
-    "tridiagonal-toeplitz-400": lambda: toeplitz(400),
-}
-
-
-@pytest.mark.parametrize("name", list(SPECIAL_BLOCKS))
-def test_spectral_norm_matches_the_dense_svd_on_special_blocks(name):
-    A = SPECIAL_BLOCKS[name]()
-    want = float(np.linalg.norm(A, ord=2))
-    got = spectral_norm(diagonals(A))
-    assert abs(got - want) <= 1e-14 * want
-    assert got == spectral_norm(diagonals(A))
-
-
-@pytest.mark.parametrize("shape", [(1, 1), (3, 1), (5, 40), (9, 7)])
-def test_spectral_norm_of_the_zero_block_is_exactly_zero(shape):
-    assert spectral_norm(Band(-(shape[0] // 2), np.zeros(shape, dtype=complex))) == 0.0
 
 
 def scaled_T(pair, factor):
@@ -1156,11 +1112,16 @@ def scaled_T(pair, factor):
 @pytest.mark.parametrize("theta", [0.0, 0.3])
 @pytest.mark.parametrize("n", [16, 128])
 def test_weyl_scale_is_the_max_entry_of_the_product_on_the_band(theta, n):
+    # the scale is the entrywise bound |V_S||V_T| of the product's rounding,
+    # and rho is it over the max-abs entry of V_S V_T, each on the band
     pair = swanson_pair(theta, n)
     band = semigroup_band(pair, 0.2)
-    S, T = pair.S.entries, pair.T.entries
-    want = float(np.max(np.abs((scipy.linalg.expm(0.1 * S) @ scipy.linalg.expm(0.2 * T))[:band, :band])))
-    assert weyl_with_scale(pair, 0.1, 0.2)[1] == pytest.approx(max(1.0, want), rel=ROUNDING)
+    VS, VT = scipy.linalg.expm(0.1 * pair.S.entries), scipy.linalg.expm(0.2 * pair.T.entries)
+    want = max(1.0, float(np.max((np.abs(VS) @ np.abs(VT))[:band, :band])))
+    product = max(1.0, float(np.max(np.abs(VS @ VT)[:band, :band])))
+    _, scale, rho = weyl_with_scale(pair, 0.1, 0.2)
+    assert scale == pytest.approx(want, rel=ROUNDING)
+    assert rho == pytest.approx(want / product, rel=ROUNDING)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3])
@@ -1168,7 +1129,7 @@ def test_weyl_scale_is_the_max_entry_of_the_product_on_the_band(theta, n):
 def test_weyl_defect_is_rounding_on_its_scale(theta, n):
     # the absolute defect grows from 1.9e-15 (N = 128) to 3.0e-12 (N = 2048)
     # with the entries it cancels; on their scale it stays at rounding
-    defect, scale = weyl_with_scale(swanson_pair(theta, n), 0.1, 0.1)
+    defect, scale, _ = weyl_with_scale(swanson_pair(theta, n), 0.1, 0.1)
     assert defect / scale < 1e-13
 
 
@@ -1177,8 +1138,34 @@ def test_weyl_defect_is_rounding_on_its_scale(theta, n):
 def test_weyl_scale_catches_a_broken_relation(theta, n, broken_by):
     # scaling T by 1 + eps breaks [S, T] = 1 by eps; the absolute Weyl defect
     # read 7.8e-8 and 7.3e-8 here, under the absolute tol of 1e-6 it had
-    defect, scale = weyl_with_scale(scaled_T(swanson_pair(theta, n), 1 + broken_by), 0.1, 0.1)
+    defect, scale, _ = weyl_with_scale(scaled_T(swanson_pair(theta, n), 1 + broken_by), 0.1, 0.1)
     assert defect / scale > 1e-12
+
+
+@pytest.mark.parametrize("theta, n, alpha", [(1.2, 512, 0.3), (1.0, 1024, 0.3)])
+def test_weyl_scale_catches_a_broken_relation_where_the_block_cancels(theta, n, alpha):
+    # rho is 2.9e3 and 4.2e3 here: the correct relation reads rounding on the
+    # |V_S||V_T| scale, and T scaled by 1 + 1e-6 reads a b 1e-6 / rho, above the tol
+    defect, scale, rho = weyl_with_scale(swanson_pair(theta, n), alpha, alpha)
+    assert 1e2 < rho < fock._WEYL_RATIO_LIMIT
+    assert defect / scale < 1e-14
+    defect, scale, rho = weyl_with_scale(scaled_T(swanson_pair(theta, n), 1 + 1e-6), alpha, alpha)
+    assert defect / scale == pytest.approx(alpha * alpha * 1e-6 / rho, rel=1e-4)
+    assert defect / scale > 1e-12
+
+
+@pytest.mark.parametrize("theta, n, alpha, rho", [(0.785, 512, 1.0, "1.165e+04"), (1.2, 1024, 1.5, "1.008e+16")])
+def test_weyl_past_the_ratio_limit_is_a_typed_error(theta, n, alpha, rho):
+    # past the limit a 1e-6 break at a = b = 0.1 would read below the tol; at
+    # rho = 1e16 the computed block carries no correct digit, and a 1e-6 break
+    # reads 4.9e-15 on the |V_S||V_T| scale: no verdict either way
+    with pytest.raises(ConditioningError) as err:
+        weyl_with_scale(swanson_pair(theta, n), alpha, alpha)
+    message = str(err.value)
+    assert f"N = {n}, alpha = {alpha:g}, beta = {alpha:g}" in message
+    assert f"rho = {rho} " in message and "exceeds the limit 10000," in message
+    with pytest.raises(ConditioningError):
+        weyl_with_scale(scaled_T(swanson_pair(theta, n), 1 + 1e-6), alpha, alpha)
 
 
 def test_weyl_scale_rejects_negative_parameters():
@@ -1220,21 +1207,25 @@ def test_quasi_strong_scale_rejects_negative_parameters():
 
 
 @pytest.mark.parametrize(
-    "both, defect, args, band",
-    [(weak_with_scale, weak_defect, (), lambda pair: pair.safe_rank),
-     (quasi_strong_with_scale, quasi_strong_defect, (0.1,), lambda pair: semigroup_band(pair, 0.1)),
-     (weyl_with_scale, weyl_defect, (0.1, 0.2), lambda pair: semigroup_band(pair, 0.2))],
+    "both, defect, args, band, products",
+    [(weak_with_scale, weak_defect, (), lambda pair: pair.safe_rank, 2),
+     (quasi_strong_with_scale, quasi_strong_defect, (0.1,), lambda pair: semigroup_band(pair, 0.1), 2),
+     (weyl_with_scale, weyl_defect, (0.1, 0.2), lambda pair: semigroup_band(pair, 0.2), 3)],
     ids=["weak", "quasi_strong", "weyl"],
 )
-def test_each_defect_and_its_scale_come_from_one_product(monkeypatch, both, defect, args, band):
+def test_each_defect_and_its_scale_come_from_one_product(monkeypatch, both, defect, args, band, products):
     pair = swanson_pair(0.3, 128)
     want = both(pair, *args)  # forms the semigroups first
     assert defect(pair, *args) == want[0]
     calls, real = [], band_product
     monkeypatch.setattr(fock, "band_product", lambda *a: calls.append(a) or real(*a))
     assert both(pair, *args) == want
-    assert len(calls) == 2  # the product the scale reads, and the one it is compared with
-    assert [a[2:] for a in calls] == [(band(pair),)] * 2  # each formed on the band's rows only
+    # the product the scale reads and the one it is compared with; the Weyl
+    # scale reads a third, the real product of the moduli |V_S||V_T|
+    assert len(calls) == products
+    assert [a[2:] for a in calls] == [(band(pair),)] * products  # each formed on the band's rows only
+    if products == 3:
+        assert all(a.diagonals.dtype == float for a in calls[2][:2])
 
 
 @pytest.mark.parametrize("rows", [1, 5, 9, 12])
@@ -1331,13 +1322,15 @@ def assert_chain_keeps_its_bits(pair, alpha, beta):
     assert_same_bits(block, want)
     assert bits(*quasi_strong_with_scale(pair, alpha)) == bits(np.abs(want).max(), want_scale) == bits(
         np.abs(block.diagonals).max(), scale)
-    # Weyl: V_S V_T - e^(ab) V_T V_S, its spectral norm on the centered block as the oracle
+    # Weyl: V_S V_T - e^(ab) V_T V_S, its max-abs entry on the centered block,
+    # over the block's max of |V_S||V_T| from the centered product of the moduli
     band = semigroup_band(pair, max(alpha, beta))
-    want, want_scale = centered_relation_block(VS, VT, band, math.exp(alpha * beta))
+    want, product = centered_relation_block(VS, VT, band, math.exp(alpha * beta))
     block, scale = relation_block(pair.semigroup("S", alpha), pair.semigroup("T", beta), band, math.exp(alpha * beta))
     assert_same_bits(block, want)
-    assert bits(*weyl_with_scale(pair, alpha, beta)) == bits(spectral_norm(as_band(want)), want_scale) == bits(
-        spectral_norm(block), scale)
+    assert bits(scale) == bits(product)
+    moduli = centered_relation_block(np.abs(VS), np.abs(VT), band)[1]
+    assert bits(*weyl_with_scale(pair, alpha, beta)) == bits(np.abs(want).max(), moduli, moduli / product)
 
 
 @pytest.mark.parametrize("name, theta, n", BIT_CASES, ids=[f"{m}-N{n}" for m, _, n in BIT_CASES])
