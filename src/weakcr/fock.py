@@ -325,8 +325,14 @@ def coherent_tail_mass(z, n):
 
 
 def coherent_state(z, n):
-    """Normalized truncation of the coherent state with eigenvalue z: the one-state case of ``coherent_states``."""
-    return coherent_states([z], n)[0]
+    """Normalized truncation of the coherent state with eigenvalue z: row 0 of ``coherent_states([z], n)``."""
+    z = complex(z)
+    return StateVector(coherent_states([z], n)[0], label=_coherent_label(z))
+
+
+def _coherent_label(z):
+    """The label of the coherent state with eigenvalue z, as reports and scan rows print it."""
+    return f"coh({z.real:g},{z.imag:g})"
 
 
 def coherent_states(zs, n):
@@ -349,8 +355,8 @@ def coherent_states(zs, n):
     share a mode from one ``cumprod`` along the rows, and the block is
     divided by its ``row_norms``, each row by its own norm.  Each of these
     does the same arithmetic on each entry as it would on one state, so
-    every state has the bits it has alone.  The states' components are the
-    rows of the block.
+    every state has the bits it has alone.  The block is returned: one
+    state per row, len(zs) x n, finite by construction.
     """
     if n < 1:
         raise InvalidDimensionError(f"need dimension >= 1, got {n}")
@@ -378,7 +384,7 @@ def coherent_states(zs, n):
             block[rows, :m] = np.cumprod(1 / R[:, :m][:, ::-1], axis=1)[:, ::-1]
     # each row over its norm + 0j, the divisor numpy's division by a float norm casts to
     block /= row_norms(block).astype(complex)[:, None]
-    return [StateVector(x, label=f"coh({z.real:g},{z.imag:g})") for z, x in zip(zs, block)]
+    return block
 
 
 def basis_state(k, n):

@@ -16,27 +16,31 @@ E_phi = Im(<a*^2> - <a*>^2) plus the exact weight the truncation drops,
 and the 2x2 model admits fully explicit formulas; both are cross-validated
 against direct matrix computation.
 
-Per-state quantities come from one pass over the states in batches of at
-most BATCH_ENTRIES entries.  It applies S, S', T, T' and C once each to a
-batch's block, forms every residual A x - z x as one elementwise operation
-on the block, and forms each reduction (the centers, the norms) as one
-np.vecdot over the block's rows, which runs on each row the BLAS dot that
-np.vdot or the norm runs on one state, so a batch gives the bits of one
-state at a time and a scan's memory does not grow with its states beyond
-the states themselves.  What depends only on the pair is formed once per
-pass or per pair: the cross-condition defect, a polynomial C's matrix,
-``lowering(N)``, and the 2x2 model's pair, so a scan over the 2x2 circle
-makes one pass.  The 2x2 model's [S, T] = diag(s q, -q s) and its
-cross-condition defect, 0, are read from their closed forms, with no
-commutator routine.  Each state's values leave it as plain numbers, which
-one rule, ``_bound``, takes to UR1 or UR2; result objects are built only
-where a public function returns one.
+States travel as blocks, one state per row: a single state is its
+components as a 1 x N block, and a scan reads (labels, block) batches that
+``coherent_grid_states`` forms one at a time.  Per-state quantities come
+from one pass over the blocks in row slices of at most BATCH_ENTRIES
+entries.  It applies S, S', T, T' and C once each to a slice, forms every
+residual A x - z x as one elementwise operation on it, and forms each
+reduction (the centers, the norms) as one np.vecdot over its rows, which
+runs on each row the BLAS dot that np.vdot or the norm runs on one state,
+so a batch gives the bits of one state at a time.  A grid scan holds one
+batch of states at a time, so its memory grows with its rows, not with its
+states.  What depends only on the pair is formed once per pass or per
+pair: the cross-condition defect, a polynomial C's matrix, ``lowering(N)``,
+and the 2x2 model's pair, so a scan over the 2x2 circle makes one pass.
+The 2x2 model's [S, T] = diag(s q, -q s) and its cross-condition defect,
+0, are read from their closed forms, with no commutator routine.  Each
+state's values leave it as plain numbers, which one rule, ``_bound``,
+takes to UR1 or UR2; result objects are built only where a public
+function returns one.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +56,7 @@ from .fock import (
     OperatorPair,
     StateVector,
     TruncatedOperator,
-    basis_state,
+    _coherent_label,
     coherent_states,
     lowering,
     matrix2x2_pair,
@@ -69,23 +73,23 @@ BATCH_ENTRIES = 2**18
 
 def expectation(A: TruncatedOperator, xi: StateVector):
     """<A xi, xi> (the matrix expectation xi^H A xi)."""
-    _require_dim(A.dim, xi)
+    _require_dim(A.dim, xi.dim)
     return complex(np.vdot(xi.components, A @ xi.components))
 
 
-def _require_dim(n, xi: StateVector):
-    if xi.dim != n:
-        raise InvalidDimensionError(f"state of dimension {xi.dim} does not fit operators of dimension {n}")
+def _require_dim(n, dim):
+    if dim != n:
+        raise InvalidDimensionError(f"state of dimension {dim} does not fit operators of dimension {n}")
 
 
 def _require_unit(length):
-    if abs(length - 1.0) > 1e-10:
+    if not abs(length - 1.0) <= 1e-10:  # a NaN norm fails too
         raise PreconditionError(f"state must be unit norm, got {length!r}")
 
 
 def delta(A: TruncatedOperator, xi: StateVector, z):
     """||(A - z) xi|| for unit xi."""
-    _require_dim(A.dim, xi)
+    _require_dim(A.dim, xi.dim)
     _require_unit(xi.norm)
     return norm(A @ xi.components - complex(z) * xi.components)
 
@@ -110,30 +114,31 @@ def delta_report(pair: OperatorPair, xi: StateVector, z=None, w=None):
 
     This is the one-state case of ``_pass``, the batch pass every check reads.
     """
-    return DeltaReport(*_pass(pair, [xi], z, w)[0][0])
+    return DeltaReport(*_pass(pair, xi.components[None], z, w)[0][0])
 
 
-def _pass(pair, states, z=None, w=None, C=None, moments=False):
+def _pass(pair, blocks, z=None, w=None, C=None, moments=False):
     """Per unit state, as plain numbers: (dS, dS', dT, dT', z, w), <xi, C xi> and, with ``moments``, (C_phi, E_phi).
 
-    C is None for C = 1 (giving |xi|^2), an NCPoly, evaluated by fock_eval
-    once per call, or an operator.  The states are taken in batches of
-    BATCH_ENTRIES // N; each batch is an L x N block X with one state per
-    contiguous row.  S, S', T, T' and C are each applied once to the block
-    (a block matvec gives each state bit for bit as a vector matvec), and
-    each residual A x - z x is one elementwise operation on the block, which
-    does on each entry what it does on one vector.  Each reduction is one
-    np.vecdot over the block's rows: the norms ||x|| (the unit check and
-    <xi, xi> = ||xi||^2), the centers and the residual norms, so a batch
-    gives the bits of one state at a time.  An empty list, or a state or C
-    whose dimension is not the pair's, is an InvalidDimensionError; a C of
-    any other type, or a state whose norm is not 1, is a PreconditionError.
-    Every state's dimension is checked before any state's norm.
+    ``blocks`` is one L x N block with one state per C-contiguous row (one
+    state is ``xi.components[None]``), or an iterable of such blocks, read
+    as it is formed: a scan's batches.  C is None for C = 1 (giving
+    |xi|^2), an NCPoly, or an operator; C's matrix and ``lowering(N)`` are
+    formed once per call, not once per batch.  Each block is read in row
+    slices of BATCH_ENTRIES // N rows, views with no copy.  S, S', T, T' and
+    C are each applied once to a slice X (a block matvec gives each state
+    bit for bit as a vector matvec), and each residual A x - z x is one
+    elementwise operation on X, which does on each entry what it does on
+    one vector.  Each reduction is one np.vecdot over X's rows: the norms
+    ||x|| (the unit check and <xi, xi> = ||xi||^2), the centers and the
+    residual norms, so a batch gives the bits of one state at a time.  No
+    rows at all, or a block or C whose dimension is not the pair's, is an
+    InvalidDimensionError; a C of any other type, or a state whose norm is
+    not 1 (NaN included), is a PreconditionError.  A block's dimension is
+    checked before its norms.
     """
-    if len(states) == 0:
-        raise InvalidDimensionError("the batch of states is empty")
-    for xi in states:
-        _require_dim(pair.dim, xi)
+    if isinstance(blocks, np.ndarray):
+        blocks = (blocks,)
     if C is not None and not isinstance(C, TruncatedOperator):
         from .algebra import NCPoly, fock_eval  # only a polynomial C needs the algebra
 
@@ -145,24 +150,27 @@ def _pass(pair, states, z=None, w=None, C=None, moments=False):
     a = lowering(pair.dim) if moments else None
     size = max(1, BATCH_ENTRIES // pair.dim)
     deltas, c_exps, all_moments = [], [], []
-    for start in range(0, len(states), size):
-        batch = states[start : start + size]
-        X = np.array([xi.components for xi in batch])
-        norms = row_norms(X).tolist()
-        for n in norms:
-            _require_unit(n)
-        XT = np.ascontiguousarray(X.T)
-        zs, dS = _residuals(pair.S, X, XT, z)
-        dSd = _residuals(pair.S.adjoint(), X, XT, zs.conj())[1]
-        ws, dT = _residuals(pair.T, X, XT, w)
-        dTd = _residuals(pair.T.adjoint(), X, XT, ws.conj())[1]
-        deltas += zip(dS, dSd, dT, dTd, zs.tolist(), ws.tolist())
-        if C is None:
-            c_exps += [complex(n**2) for n in norms]
-        else:
-            c_exps += _centers(X, _apply(C, XT)).tolist()
-        if moments:
-            all_moments += _moments(X, XT, a)
+    for block in blocks:
+        _require_dim(pair.dim, block.shape[1])
+        for start in range(0, len(block), size):
+            X = block[start : start + size]
+            norms = row_norms(X).tolist()
+            for n in norms:
+                _require_unit(n)
+            XT = np.ascontiguousarray(X.T)
+            zs, dS = _residuals(pair.S, X, XT, z)
+            dSd = _residuals(pair.S.adjoint(), X, XT, zs.conj())[1]
+            ws, dT = _residuals(pair.T, X, XT, w)
+            dTd = _residuals(pair.T.adjoint(), X, XT, ws.conj())[1]
+            deltas += zip(dS, dSd, dT, dTd, zs.tolist(), ws.tolist())
+            if C is None:
+                c_exps += [complex(n**2) for n in norms]
+            else:
+                c_exps += _centers(X, _apply(C, XT)).tolist()
+            if moments:
+                all_moments += _moments(X, XT, a)
+    if not deltas:
+        raise InvalidDimensionError("the batch of states is empty")
     return deltas, c_exps, (all_moments if moments else None)
 
 
@@ -239,7 +247,7 @@ def ur1_check(pair, xi, z=None, w=None, C=None, tol=SATURATION_TOL):
     C defaults to 1, the untruncated relation; a truncated pair's own
     commutator can be passed as C (an NCPoly or an operator).
     """
-    (deltas,), (c_exp,), _ = _pass(pair, [xi], z, w, C)
+    (deltas,), (c_exp,), _ = _pass(pair, xi.components[None], z, w, C)
     return URResult(*_bound(1, deltas, c_exp, tol), c_exp)
 
 
@@ -252,7 +260,7 @@ def ur2_check(pair, xi, C=None, tol=SATURATION_TOL):
     suppressed) when it exceeds 1e-8.  Only UR2 is evaluated: a UR1 bound
     past the float range does not stop it.
     """
-    (deltas,), (c_exp,), _ = _pass(pair, [xi], C=C)
+    (deltas,), (c_exp,), _ = _pass(pair, xi.components[None], C=C)
     return URResult(*_bound(2, deltas, c_exp, tol), c_exp, *_cross(pair))
 
 
@@ -325,8 +333,8 @@ def swanson_closed_form(theta, xi: StateVector):
 
 def _closed_form(theta, pair, xi):
     """The SwansonReport and <xi, [S, T] xi> of xi for ``pair = swanson_pair(theta, N)``, from one pass."""
-    (matrix,), (c_exp,), ((c, e),) = _pass(pair, [xi], moments=True)
-    weight = _edge_weight(xi)
+    (matrix,), (c_exp,), ((c, e),) = _pass(pair, xi.components[None], moments=True)
+    weight = _edge_weight(xi.components)
     if weight > 1e-5:
         raise TruncationError(
             f"state weight N|x_(N-1)|^2 = {weight:.3e} at dimension {xi.dim} exceeds "
@@ -356,9 +364,9 @@ def _closed_form(theta, pair, xi):
     ), c_exp - weight
 
 
-def _edge_weight(xi):
-    """w = N |x_(N-1)|^2, so that <xi, [S, T] xi> = |xi|^2 - w on a truncated swanson pair."""
-    return xi.dim * abs(xi.components[-1]) ** 2
+def _edge_weight(x):
+    """w = N |x_(N-1)|^2 of the components x, so that <xi, [S, T] xi> = |xi|^2 - w on a truncated swanson pair."""
+    return len(x) * abs(x[-1]) ** 2
 
 
 def _swanson_state(theta, pair, xi, tol):
@@ -421,12 +429,11 @@ def _matrix2x2_values(s, q, phis, tol):
     signed zeros included.
     """
     phis = [(complex(phi1), complex(phi2)) for phi1, phi2 in phis]
-    states = [StateVector(np.array(phi), label="phi") for phi in phis]
     pair = matrix2x2_pair(s, q)
     sq, qs = np.zeros(2, complex) + np.array([s, q], complex) * np.array([q, s], complex)
     commutator = TruncatedOperator.banded((0, [[sq, 0j - qs]]))
     values = []
-    for (phi1, phi2), deltas, c_exp in zip(phis, *_pass(pair, states, C=commutator)[:2]):
+    for (phi1, phi2), deltas, c_exp in zip(phis, *_pass(pair, np.array(phis).reshape(-1, 2), C=commutator)[:2]):
         p1, p2 = abs(phi1) ** 2, abs(phi2) ** 2
         closed = (abs(s) * p2, abs(s) * p1, abs(q) * p1, abs(q) * p2)
         ur1_value = abs(p1 - p2)
@@ -451,11 +458,12 @@ class ScanTable:
 
 
 def coherent_grid_states(dim, nx=5, ny=5):
-    """Labeled probe states: an nx-by-ny coherent grid on [-1, 1]^2 plus e0..e4.
+    """Labeled probe states as (labels, block) batches: an nx-by-ny coherent grid on [-1, 1]^2, then e0..e4.
 
-    The coherent states are formed by ``coherent_states`` in batches of
-    BATCH_ENTRIES // dim, as ``_pass`` reads them.  The basis probes need
-    dim >= 5, which is checked before any state is formed.
+    The arguments are checked here; the basis probes need dim >= 5.  The
+    batches are then formed one at a time, as the scan reads them: each
+    coherent batch is one ``coherent_states`` block of BATCH_ENTRIES // dim
+    rows, as ``_pass`` reads them, and the basis probes are the last batch.
     """
     try:
         nx, ny = operator.index(nx), operator.index(ny)
@@ -468,8 +476,21 @@ def coherent_grid_states(dim, nx=5, ny=5):
     ims = np.linspace(-1.0, 1.0, ny).tolist()
     zs = [complex(re, im) for re in np.linspace(-1.0, 1.0, nx).tolist() for im in ims]
     size = max(1, BATCH_ENTRIES // dim)
-    states = [xi for start in range(0, len(zs), size) for xi in coherent_states(zs[start : start + size], dim)]
-    return states + [basis_state(k, dim) for k in range(5)]
+
+    def batches():
+        for start in range(0, len(zs), size):
+            batch = zs[start : start + size]
+            yield [_coherent_label(z) for z in batch], coherent_states(batch, dim)
+        yield [f"e{k}" for k in range(5)], np.eye(5, dim, dtype=complex)
+
+    return batches()
+
+
+def _state_batches(states, dim):
+    """A list of StateVectors as one (labels, block) batch; every dimension is checked before any norm."""
+    for xi in states:
+        _require_dim(dim, xi.dim)
+    return [([xi.label for xi in states], np.array([xi.components for xi in states]).reshape(len(states), dim))]
 
 
 #: the columns of a swanson scan's rows
@@ -478,17 +499,25 @@ _SWANSON_COLUMNS = ("state", "C_phi", "E_phi", "ur1_lhs", "ur1_rhs", "ur1_gap", 
                     "functional_squared_reading", "functional_linear_reading")
 
 
-def _swanson_scan(theta, dim, states, tol):
-    """The scan's rows from one pass: each state's values go straight from its tuples into its row."""
+def _swanson_scan(theta, dim, batches, tol):
+    """The scan's rows from one pass over (labels, block) batches: each state's values go straight into its row."""
     pair = swanson_pair(theta, dim)
+    labels, weights = [], []
+
+    def blocks():  # keeps each batch's labels and edge weights as the pass reads it
+        for names, X in batches:
+            labels.extend(names)
+            weights.extend(map(_edge_weight, X))
+            yield X
+
     defect, rows = pair.cross_defect, []
-    for xi, deltas, c_exp, (c, e) in zip(states, *_pass(pair, states, moments=True)):
-        c_exp -= _edge_weight(xi)
+    for label, weight, deltas, c_exp, (c, e) in zip(labels, weights, *_pass(pair, blocks(), moments=True)):
+        c_exp -= weight
         # both readings of the ambiguous quarter-turn saturation functional
         sq_arg = (c + 0.5) ** 2 - e**2
         lin_arg = (c + 0.5) - e**2
         rows.append(dict(zip(_SWANSON_COLUMNS, (
-            xi.label, c, e, *_bound(1, deltas, c_exp, tol), *_bound(2, deltas, c_exp, tol), defect,
+            label, c, e, *_bound(1, deltas, c_exp, tol), *_bound(2, deltas, c_exp, tol), defect,
             math.sqrt(sq_arg) if sq_arg >= 0 else float("nan"),
             math.sqrt(lin_arg) if lin_arg >= 0 else float("nan"),
         ))))
@@ -537,7 +566,8 @@ def saturation_scan(kind, params=(), dim=64, states=None, grid=None, tol=SATURAT
     """Scan a model over probe states (or the 2x2 circle) and tabulate gaps.
 
     kind: "swanson" (params = (theta,)) or "matrix2x2" (params = (s, q),
-    grid = iterable of t values in [0, 1]).
+    grid = iterable of t values in [0, 1]).  A swanson scan's ``states`` are
+    ``coherent_grid_states``' batches (by default its 5 x 5 grid) or a list of StateVectors.
     """
     names = {"swanson": ("theta",), "matrix2x2": ("s", "q")}.get(kind)
     if names is None:
@@ -547,6 +577,8 @@ def saturation_scan(kind, params=(), dim=64, states=None, grid=None, tol=SATURAT
     if kind == "swanson":
         if states is None:
             states = coherent_grid_states(dim)
+        elif not isinstance(states, Iterator):
+            states = _state_batches(states, dim)
         return _swanson_scan(*params, dim, states, tol)
     ts = list(grid) if grid is not None else [round(0.1 * i, 10) for i in range(11)]
     outside = [t for t in ts if not 0.0 <= t <= 1.0]

@@ -231,13 +231,14 @@ _GRID = [complex(re, im) for re in np.linspace(-1.0, 1.0, 9) for im in np.linspa
 def test_coherent_states_have_the_bits_of_the_one_state_recurrence(zs, n):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        batch = coherent_states(zs, n)
-    assert len(batch) == len(zs)
-    for z, xi in zip(zs, batch):
+        block = coherent_states(zs, n)
+    assert block.shape == (len(zs), n)
+    for z, row in zip(zs, block):
         want = _one_coherent_state(z, n)
+        assert row.tobytes() == want.components.tobytes()
+        xi = coherent_state(z, n)
         assert xi.label == want.label
         assert xi.components.tobytes() == want.components.tobytes()
-        assert coherent_state(z, n).components.tobytes() == want.components.tobytes()
 
 
 @pytest.mark.parametrize("bad, error", [

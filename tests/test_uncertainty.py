@@ -8,7 +8,13 @@ import pytest
 
 from weakcr import algebra, fock, uncertainty
 from weakcr.algebra import NCPoly, fock_eval
-from weakcr.errors import DomainParameterError, InvalidDimensionError, PreconditionError, TruncationError
+from weakcr.errors import (
+    DomainParameterError,
+    InvalidDimensionError,
+    PreconditionError,
+    TruncationError,
+    WeakCRError,
+)
 from weakcr.fock import (
     OperatorPair,
     StateVector,
@@ -233,7 +239,7 @@ def test_polynomial_c_is_evaluated_once_per_pass(monkeypatch):
     C = S * T - T * S + S * S
     pair = swanson_pair(0.3, 32)
     states = [coherent_state(0.2 * k - 0.1j, 32) for k in range(6)]
-    deltas, c_exps, _ = uncertainty._pass(pair, states, C=C)
+    deltas, c_exps, _ = uncertainty._pass(pair, np.array([xi.components for xi in states]), C=C)
     assert len(calls) == 1
     matrix = evaluate(C, pair)
     assert c_exps == [expectation(matrix, xi) for xi in states]
@@ -242,13 +248,14 @@ def test_polynomial_c_is_evaluated_once_per_pass(monkeypatch):
 
 
 def test_pair_quantities_are_formed_once_per_pass_not_per_batch(monkeypatch):
-    # with two states per batch, six states take three batches; C's matrix and
-    # lowering(N) are still formed once, and every number keeps its bits
+    # with two states per batch, six states in two blocks of three take four
+    # batches; C's matrix and lowering(N) are still formed once, and every
+    # number keeps its bits
     S, T = NCPoly.gen("S"), NCPoly.gen("T")
     C = S * T - T * S + S * S
     pair = swanson_pair(0.3, 32)
-    states = [coherent_state(0.2 * k - 0.1j, 32) for k in range(6)]
-    whole = uncertainty._pass(pair, states, C=C, moments=True)
+    X = np.array([coherent_state(0.2 * k - 0.1j, 32).components for k in range(6)])
+    whole = uncertainty._pass(pair, X, C=C, moments=True)
     calls, evaluate, make_lowering = [], algebra.fock_eval, uncertainty.lowering
 
     def counted(name, f):
@@ -260,7 +267,7 @@ def test_pair_quantities_are_formed_once_per_pass_not_per_batch(monkeypatch):
     monkeypatch.setattr(algebra, "fock_eval", counted("fock_eval", evaluate))
     monkeypatch.setattr(uncertainty, "lowering", counted("lowering", make_lowering))
     monkeypatch.setattr(uncertainty, "BATCH_ENTRIES", 2 * 32)
-    assert uncertainty._pass(pair, states, C=C, moments=True) == whole
+    assert uncertainty._pass(pair, iter([X[:3], X[3:]]), C=C, moments=True) == whole
     assert sorted(calls) == ["fock_eval", "lowering"]
 
 
@@ -358,7 +365,7 @@ def test_per_state_path_equals_dense_matrices(theta, n, monkeypatch):
     a, ad = lowering(n).entries, raising(n).entries
     states = _probe_states(n)
     monkeypatch.setattr(uncertainty, "BATCH_ENTRIES", 2 * n)
-    batch_deltas, _, batch_moments = uncertainty._pass(pair, states, moments=True)
+    batch_deltas, _, batch_moments = uncertainty._pass(pair, np.array([xi.components for xi in states]), moments=True)
     for xi, batch_d, batch_m in zip(states, batch_deltas, batch_moments, strict=True):
         x = xi.components
         z = complex(np.vdot(x, S @ x))
@@ -482,6 +489,19 @@ def test_matrix2x2_rejects_non_unit():
         matrix2x2_report(1.0, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("phi1", [math.nan, math.inf, complex(0.6, math.nan)])
+def test_matrix2x2_refuses_a_non_finite_phi(phi1):
+    with pytest.raises(WeakCRError):
+        matrix2x2_report(1.0, 1.0, phi1, 0.0)
+
+
+@pytest.mark.parametrize("length", [math.nan, math.inf, 1.0 + 2e-10])
+def test_the_unit_check_refuses_a_nan_norm(length):
+    # abs(NaN - 1) > tol is False, so a NaN norm once passed as a unit norm
+    with pytest.raises(PreconditionError, match="state must be unit norm"):
+        uncertainty._require_unit(length)
+
+
 # --- scans --------------------------------------------------------------------------------
 
 
@@ -496,11 +516,13 @@ def test_swanson_zero_scan_ur1_never_saturated():
 @pytest.mark.parametrize("theta", [0.0, 0.3, 0.785])
 def test_scan_rows_match_public_checks(theta):
     # the scan's one pass over all states equals the one-state public checks bit
-    # for bit; the 86 states at N = 4096 take two batches of BATCH_ENTRIES // N
+    # for bit; the 81 coherent states at N = 4096 take two batches of
+    # BATCH_ENTRIES // N, and the basis probes a third
     for n, grid in ((64, 5), (128, 5), (4096, 9)):
         pair = swanson_pair(theta, n)
-        states = coherent_grid_states(n, grid, grid)
-        table = saturation_scan("swanson", (theta,), dim=n, states=states)
+        batches = list(coherent_grid_states(n, grid, grid))
+        states = [StateVector(x, label) for labels, X in batches for label, x in zip(labels, X)]
+        table = saturation_scan("swanson", (theta,), dim=n, states=iter(batches))
         assert [row["state"] for row in table.rows] == [xi.label for xi in states]
         for row, xi in zip(table.rows, states):
             ur1, ur2, m = ur1_check(pair, xi), ur2_check(pair, xi), swanson_moments(xi)
@@ -510,7 +532,8 @@ def test_scan_rows_match_public_checks(theta):
             assert (row["ur2_lhs"], row["ur2_rhs"], row["ur2_gap"], row["ur2_saturated"]) == (
                 ur2.lhs, ur2.rhs, ur2.gap, ur2.saturated)
             assert row["cross_defect"] == ur2.cross_condition_defect
-    assert len(states) > uncertainty.BATCH_ENTRIES // 4096
+    size = uncertainty.BATCH_ENTRIES // 4096
+    assert [len(X) for _, X in batches] == [size, 81 - size, 5]
 
 
 def test_quarter_turn_scan_records_both_readings():
@@ -642,12 +665,14 @@ def test_scan_inputs_outside_their_domain_are_typed_errors(call, error, match):
 
 
 def test_coherent_grid_keeps_its_points_and_order():
-    # the real part runs in the outer loop, the imaginary part in the inner one
+    # the real part runs in the outer loop, the imaginary part in the inner one;
+    # the 12 coherent states are one batch and the basis probes the last one
     zs = [complex(a, b) for a in np.linspace(-1.0, 1.0, 3) for b in np.linspace(-1.0, 1.0, 4)]
-    want = fock.coherent_states(zs, 64) + [basis_state(k, 64) for k in range(5)]
-    got = coherent_grid_states(64, 3, 4)
-    assert [xi.label for xi in got] == [xi.label for xi in want]
-    assert [xi.components.tobytes() for xi in got] == [xi.components.tobytes() for xi in want]
+    want = [coherent_state(z, 64) for z in zs] + [basis_state(k, 64) for k in range(5)]
+    got = list(coherent_grid_states(64, 3, 4))
+    assert [len(labels) for labels, _ in got] == [X.shape[0] for _, X in got] == [12, 5]
+    assert [label for labels, _ in got for label in labels] == [xi.label for xi in want]
+    assert [x.tobytes() for _, X in got for x in X] == [xi.components.tobytes() for xi in want]
 
 
 def test_a_state_of_another_dimension_is_refused_before_a_non_unit_state():
@@ -674,21 +699,20 @@ def test_scan_of_mixed_dimensions_is_a_typed_error():
 
 
 def test_scan_holds_the_states_and_a_few_batches():
-    # 905 states at N = 1024 hold 14.8 MB; the scan walks them 256 at a time,
-    # so it holds a few blocks of BATCH_ENTRIES entries beside them, not seven
-    # products of all 905 at once
-    tracemalloc.start()
-    try:
-        states = coherent_grid_states(1024, 30, 30)
-        table = saturation_scan("swanson", (0.3,), dim=1024, states=states)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(table.rows) == 905
-    states_bytes = sum(xi.components.nbytes for xi in states)
+    # the grid forms its states 256 at a time at N = 1024 and the pass drops
+    # each batch once read, so beside the rows the scan holds a few blocks of
+    # BATCH_ENTRIES entries, whatever the grid's size: the 3605 states of the
+    # 60 x 60 grid alone would hold 59 MB, 14 such blocks
     batch_bytes = uncertainty.BATCH_ENTRIES * np.dtype(complex).itemsize
-    assert len(states) > 3 * (uncertainty.BATCH_ENTRIES // 1024)
-    assert peak < states_bytes + 8 * batch_bytes
+    for grid in (30, 60):
+        tracemalloc.start()
+        try:
+            table = saturation_scan("swanson", (0.3,), dim=1024, states=coherent_grid_states(1024, grid, grid))
+            rows_bytes, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table.rows) == grid * grid + 5
+        assert peak < rows_bytes + 7 * batch_bytes
 
 
 # --- the truncation edge -------------------------------------------------------------
