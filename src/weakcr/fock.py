@@ -17,15 +17,19 @@ exp(alpha y a*) exp(alpha x a) exp(alpha^2 x y / 2) for each semigroup,
 taken in steps where the one product would cancel), so the defect chain
 forms nothing of size N x N.  Each band's offsets are fixed when it is
 built, so a triangular semigroup is stored and multiplied on its one side
-only.  Each semigroup is formed once per pair and parameter, and shared by
-the quasi-strong and Weyl defects.  Every relation X Y - c Y X = R, and the
-UR2 cross condition, is formed by ``relation_block`` on its band's rows
-only, with its rounding scale; ``weak_with_scale`` and the other
-``*_with_scale`` functions return each defect, the max-abs entry of its
-block, with its scale, and ``*_defect`` the defect.  The Weyl block's
-entries cancel far more than the others', so its scale is the entrywise
-rounding bound max |V_S||V_T| of the product, and past a derived limit on
-that cancellation it gives no verdict but a ConditioningError.
+only, and a banded product takes one pass per diagonal of whichever factor
+stores fewer, with every entry's sum in the same order either way.  Each
+semigroup is formed once per pair and parameter, and shared by the
+quasi-strong and Weyl defects; one taken in steps drops, after each step,
+the outer diagonals below unit roundoff of the largest entry in each row.
+Every relation X Y - c Y X = R, and the UR2 cross condition, is formed by
+``relation_block`` on its band's rows only, with its rounding scale;
+``weak_with_scale`` and the other ``*_with_scale`` functions return each
+defect, the max-abs entry of its block, with its scale, and ``*_defect``
+the defect.  The Weyl block's entries cancel far more than the others',
+so its scale is the entrywise rounding bound max |V_S||V_T| of the
+product, and past a derived limit on that cancellation it gives no verdict
+but a ConditioningError.
 """
 
 from __future__ import annotations
@@ -232,7 +236,10 @@ class OperatorPair:
         The divisor 2 is measured, not derived: in one product,
         swanson:0.5 at alpha = 1, N = 512 read a Weyl defect (then the
         block's spectral norm over max|V_S V_T|) of 7.3e-12, a false FAIL,
-        and in its 6 steps 5.4e-14.  The
+        and in its 6 steps 5.4e-14.  Each of the s - 1 step products
+        drops its outer diagonals whose entries are each below u times the
+        largest in their row (``_trimmed``), so the band does not widen by
+        W's width at every step; at s = 1 nothing is cut.  The
         quasi-strong and Weyl defects at the same parameter share V_S.  The
         cached band's array is read-only, since every caller reads the same
         one.
@@ -244,7 +251,7 @@ class OperatorPair:
             W = _exp_ladder(x, y, alpha / steps, self.dim)
             V = W
             for _ in range(steps - 1):
-                V = band_product(W, V)
+                V = _trimmed(band_product(W, V))
             V.diagonals.flags.writeable = False
             self._semigroups[key] = V
         return self._semigroups[key]
@@ -497,18 +504,28 @@ def _leading_block(band, k):
     """The band of the leading k x k block, k at most its columns: offsets cut to |d| < k.
 
     The result is a view of the band's diagonals, whose slots outside the
-    block are zeroed in place.
+    block (the last d of diagonal d > 0, the first -d of diagonal d < 0) are
+    zeroed in place: one slice write per diagonal for a narrow band, and for
+    a wide one (past 16 diagonals, where the masks cost less) two corner
+    masks, the last hi columns and the first -lo.
     """
     lo, hi = max(band.lo, 1 - k), min(band.hi, k - 1)
     if lo > hi:
         return _zero_band(k)
     D = band.diagonals[lo - band.lo : hi - band.lo + 1, :k]
-    for r in range(len(D)):
-        d = lo + r
-        if d > 0:
-            D[r, k - d :] = 0
-        elif d < 0:
-            D[r, :-d] = 0
+    if len(D) <= 16:
+        for r in range(len(D)):
+            d = lo + r
+            if d > 0:
+                D[r, k - d :] = 0
+            elif d < 0:
+                D[r, :-d] = 0
+    else:
+        r = np.arange(len(D))[:, None]  # at offset d = lo + r
+        if hi > 0:  # column k - hi + c is outside where c >= hi - d
+            np.copyto(D[:, k - hi :], 0, where=r + np.arange(hi) >= hi - lo)
+        if lo < 0:  # column j is outside where j < -d
+            np.copyto(D[:, :-lo], 0, where=r + np.arange(-lo) < -lo)
     return Band(lo, D)
 
 
@@ -534,11 +551,21 @@ def band_product(A, B, rows=None):
 
     Its offsets are lo_A + lo_B..hi_A + hi_B, cut to the matrix; each entry
     sums A[i, i + a] B[i + a, i + a + b] over A's stored offsets a in
-    ascending order, so only products with a stored factor are formed.  With
-    ``rows``, only the product's leading ``rows`` rows are formed, so the
-    result has that many columns and no offset below 1 - rows; each entry is
-    computed exactly as in the full product.  A product with no offset left
-    is the zero band.
+    ascending order, so only products with a stored factor are formed.  The
+    loop runs over the factor that stores fewer diagonals, one pass per
+    diagonal: over A, each row of A times B's rows shifted by its offset;
+    over B, each row of B, read along a strided view at every shift a, times
+    all of A's rows, with B's offsets from hi down to lo, so that every
+    entry still adds its terms in ascending a.  Either way each term is the
+    same out-of-place product, A's entry times B's, so every entry keeps its
+    bits whichever factor is narrower.  A one-column product loops over A:
+    there numpy multiplies 1 x 1 operands without the fused multiply-add of
+    its vector loops, and only that loop's shapes keep those bits.
+
+    With ``rows``, only the product's leading ``rows`` rows are formed, so
+    the result has that many columns and no offset below 1 - rows; each
+    entry is computed exactly as in the full product.  A product with no
+    offset left is the zero band.
     """
     n = A.diagonals.shape[1]
     m = n if rows is None else min(rows, n)
@@ -547,10 +574,18 @@ def band_product(A, B, rows=None):
     padded = np.zeros((len(B.diagonals), n + left + max(0, A.hi)), dtype=B.diagonals.dtype)
     padded[:, left : left + n] = B.diagonals
     C = np.zeros((A.hi + B.hi - A.lo - B.lo + 1, m), dtype=np.result_type(A.diagonals, B.diagonals))
-    for r in range(len(A.diagonals)):
-        # with a = A.lo + r: C[i, i + a + b] += A[i, i + a] * B[i + a, i + a + b]
-        start = left + A.lo + r
-        C[r : r + len(B.diagonals)] += A.diagonals[r, :m] * padded[:, start : start + m]
+    if len(A.diagonals) <= len(B.diagonals) or m == 1:
+        for r in range(len(A.diagonals)):
+            # with a = A.lo + r: C[i, i + a + b] += A[i, i + a] * B[i + a, i + a + b]
+            start = left + A.lo + r
+            C[r : r + len(B.diagonals)] += A.diagonals[r, :m] * padded[:, start : start + m]
+    else:
+        step = padded.strides[1]
+        for s in range(len(B.diagonals) - 1, -1, -1):
+            # with b = B.lo + s, row r of the view is B[i + a, i + a + b] at a = A.lo + r
+            shifted = np.ndarray((len(A.diagonals), m), padded.dtype, padded,
+                                 s * padded.strides[0] + (left + A.lo) * step, (step, step))
+            C[s : s + len(A.diagonals)] += A.diagonals[:, :m] * shifted
     lo, hi = max(A.lo + B.lo, 1 - m), min(A.hi + B.hi, n - 1)  # the others are all zero
     if lo > hi:
         return _zero_band(m)
@@ -596,12 +631,21 @@ def _exp_lowering(z, n):
     |z| sqrt(N + d) / (d + 1) < 1/2, each later diagonal is less than half the
     one before, so the recurrence stops at the first diagonal below unit
     roundoff of the largest: all that it leaves out is smaller than that.
+    A diagonal's size is its last entry's modulus: along diagonal d the
+    modulus grows with k by the factor sqrt((k + 1 + d) / (k + 1)) >=
+    sqrt(1 + d / N), far above the few roundings each entry carries, so
+    the last entry is the largest and the stop picks the diagonal a scan
+    of every entry would.  Past the float range the last entry overflows
+    first and reads inf, as the scan does, and an infinite or NaN size
+    stops nothing.
     """
-    root = np.sqrt(np.arange(n))
+    root = np.sqrt(np.arange(n)).astype(complex)  # the cast each complex product would make of it
     rows, largest = [np.ones(n, dtype=complex)], 1.0
     for d in range(1, n):
         row = rows[-1][: n - d] * root[d:] * (z / d)
-        size = float(np.max(np.abs(row)))
+        # the last entry is the largest; np.abs keeps the bits np.abs(row) gives
+        # it, which the builtin abs does not
+        size = float(np.abs(row[-1]))
         if size < _EPS * largest and abs(z) * math.sqrt(n + d) / (d + 1) < 0.5:
             break
         largest = max(largest, size)
@@ -610,6 +654,23 @@ def _exp_lowering(z, n):
     for d, row in enumerate(rows):
         E[d, : n - d] = row
     return Band(0, E)
+
+
+def _trimmed(band):
+    """The band without its outer diagonals each of whose entries is below unit roundoff of the largest in its row.
+
+    It is the cut ``_exp_lowering`` makes, taken from both ends and row by
+    row: row i of the matrix is column i of the diagonals, and no row loses
+    more than u times its largest entry.  Against the one largest entry of
+    the band, max|V|, the cut would drop diagonals that carry the leading
+    rows: a semigroup's entries grow along the rows (swanson:0.3's V_S(3)
+    at N = 2048 has a largest entry of 23 in row 0 and of 4.7e56 in all).
+    The kept diagonals are copied, so the product they were cut from is
+    freed.
+    """
+    moduli = np.abs(band.diagonals)
+    kept = np.flatnonzero(~(moduli < _EPS * moduli.max(axis=0)).all(axis=1))
+    return Band(band.lo + int(kept[0]), band.diagonals[kept[0] : kept[-1] + 1].copy())
 
 
 def _exp_ladder(x, y, alpha, n):
@@ -640,7 +701,8 @@ def relation_block(X, Y, rows, c=1.0, R=None):
     lo_X + lo_Y..hi_X + hi_Y, and the block holds those and R's, cut to
     |d| < rows.  Of each product only the leading ``rows`` rows are formed,
     each entry exactly as in the full product; the block's slots outside it
-    are zero.
+    are zero.  Both products are cut to the block, so without R their
+    difference is cut too; with R the block is cut once more, for R's slots.
 
     The scale is the max-abs entry of X Y on the block, at least 1: each
     entry cancels entries of X Y against c Y X, so its rounding error grows
@@ -655,12 +717,13 @@ def relation_block(X, Y, rows, c=1.0, R=None):
     if c != 1:  # skipped at 1, where (1 + 0i) z could flip the sign of a zero part of z
         YX *= c
     M.diagonals[...] -= YX
-    if R is not None:
-        lo, hi = max(R.lo, 1 - rows), min(R.hi, rows - 1)  # R's offsets in the block
-        if lo <= hi:
-            if lo < M.lo or hi > M.hi:  # R reaches offsets that X Y does not
-                M = Band(min(lo, M.lo), _on_offsets(M, min(lo, M.lo), max(hi, M.hi)))
-            M.diagonals[lo - M.lo : hi - M.lo + 1] -= R.diagonals[lo - R.lo : hi - R.lo + 1, :rows]
+    if R is None:  # the difference of two cut blocks is cut
+        return M, scale
+    lo, hi = max(R.lo, 1 - rows), min(R.hi, rows - 1)  # R's offsets in the block
+    if lo <= hi:
+        if lo < M.lo or hi > M.hi:  # R reaches offsets that X Y does not
+            M = Band(min(lo, M.lo), _on_offsets(M, min(lo, M.lo), max(hi, M.hi)))
+        M.diagonals[lo - M.lo : hi - M.lo + 1] -= R.diagonals[lo - R.lo : hi - R.lo + 1, :rows]
     return _leading_block(M, rows), scale
 
 

@@ -70,15 +70,27 @@ def gaussian_weight():
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+#: From this alpha on, ``moment`` takes ln Gamma(b) - ln Gamma(alpha) by the
+#: Stirling difference: lgamma(alpha - a) - lgamma(alpha) cancels two values
+#: near alpha ln alpha and keeps about u alpha ln alpha of them, 5e-14
+#: relative at alpha = 100 and 1.4e-12 at 1e3.  Below it the lgamma form
+#: keeps its bits.
+_STIRLING_FROM = 100.0
+
+
 @cache
 def moment(weight: Weight, k: int):
     """k-th moment of w in closed form: exact 0 for odd k, +inf marker when divergent.
 
     Substituting t = x^4 turns the rational moment into a Beta integral,
-    mu_k = B((k+1)/4, alpha - (k+1)/4) / 2, taken through lgamma so that
-    no Gamma value overflows at large alpha; the Gaussian moment is
-    (k-1)!! sqrt(2 pi).  Finiteness is decided by power counting first, which
-    also rejects a negative k.  A non-integral k is no moment order.
+    mu_k = B(a, alpha - a) / 2 with a = (k+1)/4, taken in log space so that
+    no Gamma value overflows at large alpha: below ``_STIRLING_FROM`` as
+    lgamma(a) + lgamma(alpha - a) - lgamma(alpha), and from it as
+    lgamma(s) + ln Gamma(b) - ln Gamma(alpha), with b the larger and s the
+    smaller of a and alpha - a, the difference by ``_log_gamma_ratio``.  The
+    Gaussian moment is (k-1)!! sqrt(2 pi).  Finiteness is decided by power
+    counting first, which also rejects a negative k.  A non-integral k is no
+    moment order.
     """
     if not float(k).is_integer():
         raise DomainParameterError(f"moment order must be an integer, got {k}")
@@ -94,11 +106,29 @@ def moment(weight: Weight, k: int):
     a = (k + 1) / 4.0
     alpha = weight.alpha
     try:
-        return 0.5 * math.exp(math.lgamma(a) + math.lgamma(alpha - a) - math.lgamma(alpha))
-    except OverflowError:  # lgamma(alpha) passes the float range from alpha of about 2.5e305
+        if alpha < _STIRLING_FROM:
+            return 0.5 * math.exp(math.lgamma(a) + math.lgamma(alpha - a) - math.lgamma(alpha))
+        s, b = sorted((a, alpha - a))
+        return 0.5 * math.exp(math.lgamma(s) + _log_gamma_ratio(b, s, alpha))
+    except OverflowError:  # lgamma passes the float range from an argument of about 2.5e305
         raise DomainParameterError(
             f"rational moment of order {k} at alpha = {alpha:g} exceeds the float range of lgamma"
         ) from None
+
+
+def _log_gamma_ratio(b, s, alpha):
+    """ln Gamma(b) - ln Gamma(alpha) for alpha = b + s with b >= s > 0, by Stirling's series.
+
+    ln Gamma(x) = (x - 1/2) ln x - x + ln(2 pi)/2 + sum_j c_j x^(1 - 2j), so the
+    difference's leading part (b - 1/2) ln b - (alpha - 1/2) ln alpha + s is
+    (b - 1/2) log1p(-s/alpha) - s ln alpha + s, whose terms are of size
+    s ln alpha, not alpha ln alpha.  b is at least alpha / 2 >= 50 here, so
+    the series' first omitted term, below 6e-4 b^-7, is under unit roundoff.
+    """
+    d = (b - 0.5) * math.log1p(-s / alpha) - s * math.log(alpha) + s
+    for c, p in ((1 / 12, 1), (-1 / 360, 3), (1 / 1260, 5)):
+        d += c * (b**-p - alpha**-p)
+    return d
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 Moment oracles: scipy's Beta function for the rational weight
 (substituting t = x^4 turns the moment into a Beta integral) and
-sqrt(2*pi) (k-1)!! for the Gaussian one.  The implementation takes the Beta
-value through math.lgamma, so the rational oracle shares only the formula.
+sqrt(2*pi) (k-1)!! for the Gaussian one, and mpmath's Beta function at
+large alpha.  The implementation takes the Beta value through math.lgamma
+and, at large alpha, Stirling's series, so the rational oracles share only
+the formula.
 The adjoint pairings are checked against adaptive quadrature of the
 explicit integrand, which the implementation never samples.
 """
@@ -11,6 +13,7 @@ explicit integrand, which the implementation never samples.
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -146,10 +149,37 @@ def test_divergent_moment_marker():
     assert moment(rational_weight(2.0), 8) == math.inf
 
 
-def test_rational_moment_past_the_lgamma_range_is_a_typed_error():
-    # lgamma(1e308) overflows, which was a raw OverflowError
+@pytest.mark.parametrize("k", [0, 2, 6])
+@pytest.mark.parametrize("alpha", [1e3, 1e8, 1e12, 1e15, 1e20])
+def test_rational_moments_at_large_alpha_match_mpmath_beta(alpha, k):
+    # lgamma(alpha - a) - lgamma(alpha) put mu_0 off by 1.4e-12, 1.7e-7,
+    # 0.25%, 48% and a factor of 2.8e4 at these alpha
+    a = mpmath.mpf(k + 1) / 4
+    with mpmath.workdps(60):  # alpha - a is exact at 1e20
+        want = mpmath.beta(a, mpmath.mpf(alpha) - a) / 2
+        assert abs(moment(rational_weight(alpha), k) / want - 1) <= 1e-13
+
+
+BELOW_STIRLING = [(alpha, k) for alpha in (0.8, 1.0, 2.5, 4.0, 50.0, float(np.nextafter(weights._STIRLING_FROM, 0)))
+                  for k in (0, 2, 6, 100) if k + 1 < 4 * alpha]
+
+
+@pytest.mark.parametrize("alpha, k", BELOW_STIRLING)
+def test_rational_moments_below_the_stirling_threshold_keep_the_lgamma_bits(alpha, k):
+    a = (k + 1) / 4.0
+    assert moment(rational_weight(alpha), k) == 0.5 * math.exp(math.lgamma(a) + math.lgamma(alpha - a) - math.lgamma(alpha))
+
+
+def test_rational_moment_at_the_top_of_the_float_range():
+    # lgamma(1e308) overflowed, a typed error; the Stirling difference stays in
+    # range, and B(1/4, alpha - 1/4) / 2 is Gamma(1/4) alpha^(-1/4) / 2 to far below u here
+    assert moment(rational_weight(1e308), 0) == pytest.approx(0.5 * math.gamma(0.25) * 1e308**-0.25, rel=1e-14)
+
+
+def test_rational_moment_of_an_order_past_the_lgamma_range_is_a_typed_error():
+    # the smaller Beta argument (k + 1) / 4 = 5e306 puts lgamma past the float range
     with pytest.raises(DomainParameterError, match="float range of lgamma"):
-        moment(rational_weight(1e308), 0)
+        moment(rational_weight(1e308), 2 * 10**307)
 
 
 def test_moment_table():
