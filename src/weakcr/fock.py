@@ -19,9 +19,11 @@ forms nothing of size N x N.  Each band's offsets are fixed when it is
 built, so a triangular semigroup is stored and multiplied on its one side
 only, and a banded product takes one pass per diagonal of whichever factor
 stores fewer, with every entry's sum in the same order either way.  Each
-semigroup is formed once per pair and parameter, and shared by the
-quasi-strong and Weyl defects; one taken in steps drops, after each step,
-the outer diagonals below unit roundoff of the largest entry in each row.
+semigroup is formed once per pair and parameter, from its generator's
+(x, y) read once per operator, and shared by the quasi-strong and Weyl
+defects; one taken in steps drops, after each step, the outer diagonals
+below unit roundoff of the largest entry in each row, and one whose closed
+form leaves the float range is refused with a DomainParameterError.
 Every relation X Y - c Y X = R, and the UR2 cross condition, is formed by
 ``relation_block`` on its band's rows only, with its rounding scale;
 ``weak_with_scale`` and the other ``*_with_scale`` functions return each
@@ -29,13 +31,16 @@ defect, the max-abs entry of its block, with its scale, and ``*_defect``
 the defect.  The Weyl block's entries cancel far more than the others',
 so its scale is the entrywise rounding bound max |V_S||V_T| of the
 product, and past a derived limit on that cancellation it gives no verdict
-but a ConditioningError.
+but a ConditioningError.  ``weyl_defect``, which returns no scale, forms
+that product only where a cheaper bound on it cannot keep the cancellation
+below the limit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -145,7 +150,26 @@ class TruncatedOperator:
 
     @cached_property
     def _adjoint(self):  # formed once: per-state code applies S' and T' to every state
-        return TruncatedOperator.banded(band_adjoint(self.band))
+        adjoint = TruncatedOperator.banded(band_adjoint(self.band))
+        vars(adjoint)["_mirror"] = weakref.ref(self)  # weak: a cycle would outlive the operator until gc ran
+        return adjoint
+
+    @cached_property
+    def ladder_coefficients(self):
+        """(x, y) with A = x a + y a*, read once per operator by ``_ladder_coefficients``.
+
+        ``OperatorPair.semigroup`` and ``ladder.kernel_vector`` read it here.
+        An adjoint formed by ``adjoint`` takes (conj(y), conj(x)) from the
+        operator it came from, while that lives: A' = conj(y) a + conj(x) a*,
+        and its +1 and -1 diagonals hold exactly the conjugates of A's -1 and
+        +1 diagonals, so both reads give the same bits (0j where the diagonal
+        is not stored).
+        """
+        mirror = vars(self).get("_mirror", lambda: None)()
+        if mirror is None:
+            return _ladder_coefficients(self.band)
+        x, y = mirror.ladder_coefficients
+        return (y.conjugate() if mirror.band.lo <= -1 else 0j, x.conjugate() if mirror.band.hi >= 1 else 0j)
 
     def __matmul__(self, x):
         """A x for a vector or an N x L block of columns, on the diagonals.
@@ -239,16 +263,20 @@ class OperatorPair:
         and in its 6 steps 5.4e-14.  Each of the s - 1 step products
         drops its outer diagonals whose entries are each below u times the
         largest in their row (``_trimmed``), so the band does not widen by
-        W's width at every step; at s = 1 nothing is cut.  The
-        quasi-strong and Weyl defects at the same parameter share V_S.  The
-        cached band's array is read-only, since every caller reads the same
-        one.
+        W's width at every step; at s = 1 nothing is cut.  A W whose closed
+        form leaves the float range is a DomainParameterError naming alpha,
+        |z| and N.  The quasi-strong and Weyl defects at the same parameter
+        share V_S.  The cached band's array is read-only, since every caller
+        reads the same one.
         """
         key = (generator, alpha)
         if key not in self._semigroups:
-            x, y = _ladder_coefficients(getattr(self, generator).band)
+            x, y = getattr(self, generator).ladder_coefficients
             steps = max(1, math.ceil(alpha * min(abs(x), abs(y)) * math.sqrt(self.dim) / 2))
-            W = _exp_ladder(x, y, alpha / steps, self.dim)
+            try:
+                W = _exp_ladder(x, y, alpha / steps, self.dim)
+            except DomainParameterError as err:
+                raise DomainParameterError(f"the semigroup of {generator} at alpha = {alpha:g}: {err}") from None
             V = W
             for _ in range(steps - 1):
                 V = _trimmed(band_product(W, V))
@@ -636,20 +664,26 @@ def _exp_lowering(z, n):
     sqrt(1 + d / N), far above the few roundings each entry carries, so
     the last entry is the largest and the stop picks the diagonal a scan
     of every entry would.  Past the float range the last entry overflows
-    first and reads inf, as the scan does, and an infinite or NaN size
-    stops nothing.
+    first, so once it reads inf or NaN the band cannot be stored:
+    DomainParameterError names |z| and N at that diagonal, before any more
+    are formed, and numpy's overflow warnings are silenced.
     """
     root = np.sqrt(np.arange(n)).astype(complex)  # the cast each complex product would make of it
     rows, largest = [np.ones(n, dtype=complex)], 1.0
-    for d in range(1, n):
-        row = rows[-1][: n - d] * root[d:] * (z / d)
-        # the last entry is the largest; np.abs keeps the bits np.abs(row) gives
-        # it, which the builtin abs does not
-        size = float(np.abs(row[-1]))
-        if size < _EPS * largest and abs(z) * math.sqrt(n + d) / (d + 1) < 0.5:
-            break
-        largest = max(largest, size)
-        rows.append(row)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(1, n):
+            row = rows[-1][: n - d] * root[d:] * (z / d)
+            # the last entry is the largest; np.abs keeps the bits np.abs(row)
+            # gives it, which the builtin abs does not
+            size = float(np.abs(row[-1]))
+            if not size < math.inf:
+                raise DomainParameterError(
+                    f"exp(z a) at |z| = {abs(z):.6g}, N = {n} leaves the float range: its diagonal {d} is not finite"
+                )
+            if size < _EPS * largest and abs(z) * math.sqrt(n + d) / (d + 1) < 0.5:
+                break
+            largest = max(largest, size)
+            rows.append(row)
     E = np.zeros((len(rows), n), dtype=complex)
     for d, row in enumerate(rows):
         E[d, : n - d] = row
@@ -792,6 +826,38 @@ def quasi_strong_defect(pair, alpha):
 _WEYL_RATIO_LIMIT = 0.1 * 0.1 * 1e-6 / 1e-12
 
 
+def _weyl_block(pair, alpha, beta):
+    """``(defect, VS, VT, band, product)``: the Weyl relation's ``relation_block`` and what its scales read.
+
+    V_S(a) V_T(b) - e^(ab) V_T(b) V_S(a) on the semigroup band of max(a, b),
+    from the pair's cached semigroups; ``product`` is the block's
+    max(1, max|V_S V_T|).
+    """
+    if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
+        raise DomainParameterError(
+            f"semigroup parameters must be finite and >= 0, got ({alpha}, {beta})"
+        )
+    band = semigroup_band(pair, max(alpha, beta))
+    VS, VT = pair.semigroup("S", alpha), pair.semigroup("T", beta)
+    block, product = relation_block(VS, VT, band, math.exp(alpha * beta))
+    return float(np.abs(block.diagonals).max()), VS, VT, band, product
+
+
+def _weyl_ratio(pair, alpha, beta, VS, VT, band, product):
+    """``(scale, rho)``: max(1, max |V_S||V_T|) on the block and its ratio to ``product``, checked against the limit."""
+    moduli = band_product(Band(VS.lo, np.abs(VS.diagonals)), Band(VT.lo, np.abs(VT.diagonals)), band)
+    scale = max(1.0, float(_leading_block(moduli, band).diagonals.max()))
+    rho = scale / product
+    if rho > _WEYL_RATIO_LIMIT:
+        raise ConditioningError(
+            f"the Weyl block at N = {pair.dim}, alpha = {alpha:g}, beta = {beta:g} cancels past what "
+            f"float64 can judge: its cancellation ratio rho = {rho:.3e} (max |V_S||V_T| over "
+            f"max |V_S V_T|) exceeds the limit {_WEYL_RATIO_LIMIT:g}, past which a relation broken "
+            "by 1e-6 would read below the tolerance"
+        )
+    return scale, rho
+
+
 def weyl_with_scale(pair, alpha, beta):
     """``(weyl_defect, scale, rho)``: V_S(a) V_T(b) - e^(ab) V_T(b) V_S(a) as a ``relation_block``.
 
@@ -808,26 +874,34 @@ def weyl_with_scale(pair, alpha, beta):
     cannot tell a relation broken by 1e-6 from a correct one, and raises
     ConditioningError, naming rho, the limit, N, a and b.
     """
-    if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
-        raise DomainParameterError(
-            f"semigroup parameters must be finite and >= 0, got ({alpha}, {beta})"
-        )
-    band = semigroup_band(pair, max(alpha, beta))
-    VS, VT = pair.semigroup("S", alpha), pair.semigroup("T", beta)
-    block, product = relation_block(VS, VT, band, math.exp(alpha * beta))
-    moduli = band_product(Band(VS.lo, np.abs(VS.diagonals)), Band(VT.lo, np.abs(VT.diagonals)), band)
-    scale = max(1.0, float(_leading_block(moduli, band).diagonals.max()))
-    rho = scale / product
-    if rho > _WEYL_RATIO_LIMIT:
-        raise ConditioningError(
-            f"the Weyl block at N = {pair.dim}, alpha = {alpha:g}, beta = {beta:g} cancels past what "
-            f"float64 can judge: its cancellation ratio rho = {rho:.3e} (max |V_S||V_T| over "
-            f"max |V_S V_T|) exceeds the limit {_WEYL_RATIO_LIMIT:g}, past which a relation broken "
-            "by 1e-6 would read below the tolerance"
-        )
-    return float(np.abs(block.diagonals).max()), scale, rho
+    defect, *operands = _weyl_block(pair, alpha, beta)
+    return (defect, *_weyl_ratio(pair, alpha, beta, *operands))
 
 
 def weyl_defect(pair, alpha, beta):
-    """Entrywise defect of V_S(a) V_T(b) = e^(ab) V_T(b) V_S(a) on the band: ``weyl_with_scale``'s first value."""
-    return weyl_with_scale(pair, alpha, beta)[0]
+    """Entrywise defect of V_S(a) V_T(b) = e^(ab) V_T(b) V_S(a) on the band: ``weyl_with_scale``'s first value.
+
+    It raises where ``weyl_with_scale`` raises, but forms the product of
+    the moduli only when a cheaper bound cannot rule that out.  For i, j in
+    the block, entry (i, j) of |V_S||V_T| is at most sum_k |V_S[i, k]| times
+    the largest |V_T[k, j]| over the rows k < band + hi_S that row i of V_S
+    reaches, so max(1, the largest such row sum times that entry) is at
+    least the scale.  While that bound over max(1, max|V_S V_T|) stays below
+    half the limit (a factor of 2, far past the few roundings in either
+    sum), rho does too; otherwise rho is formed and checked as
+    ``weyl_with_scale`` checks it.  On swanson pairs at theta <= 1.2 and
+    N <= 2048 the bound reads 1.3 to 1.5 times the scale at a = b = 0.1 and
+    3 to 42 times at a = b = 1: at the default 0.1 no point of that grid
+    forms the product, and at 1 only a rho within a factor of about 84 of
+    the limit does.
+    """
+    defect, VS, VT, band, product = _weyl_block(pair, alpha, beta)
+    if not _weyl_scale_bound(VS, VT, band) <= _WEYL_RATIO_LIMIT / 2 * product:  # a NaN bound takes the product too
+        _weyl_ratio(pair, alpha, beta, VS, VT, band, product)
+    return defect
+
+
+def _weyl_scale_bound(VS, VT, band):
+    """A bound on ``weyl_with_scale``'s scale without the product of the moduli (see ``weyl_defect``)."""
+    row_sum = float(np.abs(VS.diagonals[:, :band]).sum(axis=0).max())
+    return max(1.0, row_sum * float(np.abs(VT.diagonals[:, : band + VS.hi]).max()))

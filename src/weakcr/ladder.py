@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     TruncationError,
 )
-from .fock import StateVector, TruncatedOperator, _ladder_coefficients, inner, norm, row_norms
+from .fock import StateVector, TruncatedOperator, inner, norm, row_norms
 
 
 #: the largest relative tail and kernel residual ``kernel_vector`` accepts
@@ -40,8 +40,9 @@ VACUUM_TOL = 1e-10
 def kernel_vector(A: TruncatedOperator, tol=VACUUM_TOL):
     """The unit vacuum v of A = x a + y a* (A v = 0), in closed form.
 
-    x and y are read off A's +-1 diagonals as for the semigroups; any other
-    operator raises DomainParameterError.  A v = 0 is the two-term recurrence
+    x and y are A's ``ladder_coefficients``, read once per operator and
+    shared with the semigroups; any other operator raises
+    DomainParameterError.  A v = 0 is the two-term recurrence
     v_2m = v_(2m-2) (-y/x) sqrt((2m-1)/(2m)) with the odd components zero: a
     squeezed vacuum (S = cos(t) a + i sin(t) a* has -y/x = -i tan t).  Its
     squared norm sums to (1 - |y/x|^2)^(-1/2), so it lies in l^2 iff
@@ -54,7 +55,7 @@ def kernel_vector(A: TruncatedOperator, tol=VACUUM_TOL):
     truncated recurrence is an exact kernel vector even while the vacuum's
     tail is large.
     """
-    x, y = _ladder_coefficients(A.band)
+    x, y = A.ladder_coefficients
     if not abs(y) < abs(x):
         raise NonNormalizableError(
             f"the vacuum of A = x a + y a* lies in l^2 only for |y/x| < 1, "

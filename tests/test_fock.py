@@ -908,21 +908,46 @@ def exp_lowering_by_full_scan(z, n):
 
 EXP_LOWERING_Z = {"zero": 0j, "real": 0.1 + 0j, "imaginary": -0.3j, "complex": 0.05 + 0.07j, "large": 2.5 - 1j,
                   "tiny": 1e-300 + 0j, "overflow": 1e200 * (0.6 + 0.8j)}
-# the overflowing diagonals never meet the stop rule, so that z keeps all N of them, and at
-# |z| = 2.7 the band has about 5.4 sqrt(N) diagonals: both are taken at the smaller N only
+# the full scan keeps all N overflowing diagonals, and at |z| = 2.7 the band has
+# about 5.4 sqrt(N) diagonals: both are taken at the smaller N only
 EXP_LOWERING_CASES = [(name, n) for name in EXP_LOWERING_Z for n in (1, 2, 3, 16, 128, 1024, 32768)
                       if n <= {"overflow": 128, "large": 1024}.get(name, n)]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name, n", EXP_LOWERING_CASES, ids=[f"{m}-N{n}" for m, n in EXP_LOWERING_CASES])
 def test_exp_lowering_has_the_bits_of_the_full_scan(name, n):
+    # a band the full scan leaves finite keeps its bits; one it fills with inf
+    # or NaN (the overflowing z past N = 2) is a typed error, without numpy's warnings
     z = EXP_LOWERING_Z[name]
     with np.errstate(over="ignore", invalid="ignore"):
-        got, want = fock._exp_lowering(z, n), exp_lowering_by_full_scan(z, n)
+        want = exp_lowering_by_full_scan(z, n)
+    if not np.isfinite(want.diagonals).all():
+        assert name == "overflow" and n > 2
+        with pytest.raises(DomainParameterError, match=rf"\|z\| = 1e\+200, N = {n} leaves the float range"):
+            fock._exp_lowering(z, n)
+        return
+    got = fock._exp_lowering(z, n)
     assert got.diagonals.shape == want.diagonals.shape
     assert got.diagonals.tobytes() == want.diagonals.tobytes()
-    if name == "overflow" and n > 2:
-        assert not np.isfinite(got.diagonals).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("pair, generator, alpha", [(lambda: boson_pair(1024), "S", 50.0),
+                                                    (lambda: boson_pair(4096), "T", 20.0),
+                                                    (lambda: swanson_pair(1e-4, 2048), "S", 30.0)],
+                         ids=["boson-S-1024", "boson-T-4096", "swanson1e-4-S-2048"])
+def test_semigroup_past_the_float_range_is_a_typed_error(pair, generator, alpha):
+    # |z| sqrt(N) past about 709 overflows exp(z a): rather than a band of N
+    # diagonals of inf and NaN, with numpy's overflow warnings, the semigroup is
+    # refused at its first non-finite diagonal, naming alpha, |z| and N
+    pair = pair()
+    with pytest.raises(DomainParameterError) as err:
+        pair.semigroup(generator, alpha)
+    message = str(err.value)
+    assert f"the semigroup of {generator} at alpha = {alpha:g}: exp(z a) at |z| = " in message
+    assert f", N = {pair.dim} leaves the float range" in message
+    assert (generator, alpha) not in pair._semigroups
 
 
 def test_bandwidth_follows_the_nonzero_pattern():
@@ -1274,6 +1299,50 @@ def test_weyl_past_the_ratio_limit_is_a_typed_error(theta, n, alpha, rho):
 def test_weyl_scale_rejects_negative_parameters():
     with pytest.raises(DomainParameterError):
         weyl_with_scale(boson_pair(16), -0.1, 0.1)
+
+
+# the grid of the bound (alpha = beta), each theta with the points past the ratio limit at it
+WEYL_GRID = {theta: [(n, alpha) for n in (128, 512, 2048) for alpha in (0.1, 0.3, 1.0, 1.5)]
+             for theta in (0.0, 0.3, 0.6, 0.785, 1.2)}
+WEYL_GRID[0.785].append((512, 1.0))  # also on the grid: rho = 1.165e4
+WEYL_GRID[1.2].append((1024, 1.5))  # rho = 1.008e16
+# per grid point: passed on the bound alone (b) or on the product after it (p),
+# refused by semigroup_band (T) or on rho (C); alpha = 1.5 exhausts N = 128's band
+WEYL_OUTCOMES = {0.0: "bbbT bbbb bbbb", 0.3: "bbbT bbbb bbbb", 0.6: "bbbT bbbp bbCC",
+                 0.785: "bbbT bbCC bbCC C", 1.2: "bbbT bbCC bCCC C"}
+
+
+@pytest.mark.parametrize("theta", sorted(WEYL_GRID))
+def test_weyl_defect_is_the_first_value_of_weyl_with_scale(monkeypatch, theta):
+    # weyl_defect forms the product of the moduli only where its bound on
+    # the scale reads rho past half the limit: on every grid point it returns
+    # weyl_with_scale's defect to the bit or raises its error with the same
+    # message, and the bound is at least the scale
+    bounds, products = [], []  # each bound weyl_defect reads; max|V_S V_T| of each rho formed
+    real_bound, real_ratio = fock._weyl_scale_bound, fock._weyl_ratio
+    monkeypatch.setattr(fock, "_weyl_scale_bound", lambda *args: bounds.append(real_bound(*args)) or bounds[-1])
+    monkeypatch.setattr(fock, "_weyl_ratio", lambda *args: products.append(args[-1]) or real_ratio(*args))
+    outcomes = []
+    for n, alpha in WEYL_GRID[theta]:
+        pair = swanson_pair(theta, n)
+        del bounds[:], products[:]
+        try:
+            want = weyl_with_scale(pair, alpha, alpha)
+        except (ConditioningError, TruncationError) as err:
+            with pytest.raises(type(err)) as got:
+                weyl_defect(pair, alpha, alpha)
+            assert str(got.value) == str(err), (n, alpha)
+            if bounds:  # refused on rho, which the bound could not rule out
+                assert bounds[0] > fock._WEYL_RATIO_LIMIT / 2 * products[0], (n, alpha)
+            outcomes.append(type(err).__name__[0])
+            continue
+        product = products.pop()
+        got = weyl_defect(pair, alpha, alpha)
+        assert np.float64(got).tobytes() == np.float64(want[0]).tobytes(), (n, alpha)
+        assert bounds[0] >= want[1], (n, alpha)
+        assert bool(products) == (bounds[0] > fock._WEYL_RATIO_LIMIT / 2 * product), (n, alpha)
+        outcomes.append("p" if products else "b")
+    assert "".join(outcomes) == WEYL_OUTCOMES[theta].replace(" ", "")
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3])
