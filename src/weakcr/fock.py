@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -150,26 +149,15 @@ class TruncatedOperator:
 
     @cached_property
     def _adjoint(self):  # formed once: per-state code applies S' and T' to every state
-        adjoint = TruncatedOperator.banded(band_adjoint(self.band))
-        vars(adjoint)["_mirror"] = weakref.ref(self)  # weak: a cycle would outlive the operator until gc ran
-        return adjoint
+        return TruncatedOperator.banded(band_adjoint(self.band))
 
     @cached_property
     def ladder_coefficients(self):
         """(x, y) with A = x a + y a*, read once per operator by ``_ladder_coefficients``.
 
         ``OperatorPair.semigroup`` and ``ladder.kernel_vector`` read it here.
-        An adjoint formed by ``adjoint`` takes (conj(y), conj(x)) from the
-        operator it came from, while that lives: A' = conj(y) a + conj(x) a*,
-        and its +1 and -1 diagonals hold exactly the conjugates of A's -1 and
-        +1 diagonals, so both reads give the same bits (0j where the diagonal
-        is not stored).
         """
-        mirror = vars(self).get("_mirror", lambda: None)()
-        if mirror is None:
-            return _ladder_coefficients(self.band)
-        x, y = mirror.ladder_coefficients
-        return (y.conjugate() if mirror.band.lo <= -1 else 0j, x.conjugate() if mirror.band.hi >= 1 else 0j)
+        return _ladder_coefficients(self.band)
 
     def __matmul__(self, x):
         """A x for a vector or an N x L block of columns, on the diagonals.

@@ -588,6 +588,20 @@ def test_verify_cr_weyl_judges_the_block_on_its_rounding_bound(capsys, argv, cod
         assert err.startswith("error: the Weyl block at N = ") and "cancellation ratio rho = " in err
 
 
+def test_verify_cr_past_the_float_range_of_a_semigroup_exits_2(capsys):
+    # semigroup_band leaves a band while 10 a sqrt(N) < N, but exp(a S) leaves
+    # the float range once a sqrt(N) passes about 709, so from N of about 7100
+    # on some a reaches both: the run exits 2 naming the semigroup, rather than
+    # forming N diagonals of inf and NaN (here 7500^2 complex entries, 0.9 GB)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "verify-cr", "--model", "boson", "--alpha", "8.6", "--dim", "7500")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the semigroup of S at alpha = 8.6: exp(z a) at |z| = 8.6, N = 7500 "
+                          "leaves the float range: its diagonal ")
+
+
 @pytest.mark.parametrize("model", ["boson", "swanson:0.3"])
 def test_verify_cr_weak_defect_is_relative_to_its_scale(capsys, tmp_path, model):
     # the absolute weak defect of swanson:0.3 is 1.137e-12 here, past the
